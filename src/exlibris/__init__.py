@@ -7,79 +7,4 @@ and exports self-contained project trees with home-library files vendored
 into a local library directory.
 """
 
-from .directives import (
-    FileFacts,
-    FileRef,
-    FunctorRef,
-    MalformedDirectiveError,
-    deconstruct_if_pl,
-    extract,
-    recognize_loading_call,
-)
-from .engines import (
-    ALWAYS,
-    Always,
-    Constrained,
-    Disjunction,
-    EngineConditionError,
-    EnginePattern,
-    IfPls,
-    Negation,
-    PlId,
-    compare_versions,
-    cond_to_term,
-    matches,
-    parse_if_pls,
-)
-from .errors import ExlibrisError
-from .export import (
-    DestinationExistsError,
-    ExportApplyError,
-    ExportOptions,
-    ExportPlan,
-    ExportPlanError,
-    ExportReport,
-    apply_plan,
-    build_library_set,
-    export,
-    plan_export,
-    transform_entry,
-)
-from .index import (
-    IndexEntry,
-    LibraryIndex,
-    mkindex,
-    parse_index,
-    render_index,
-    write_index,
-)
-from .resolve import (
-    BuiltIn,
-    DepClosure,
-    Library,
-    LibrarySet,
-    LoadFile,
-    Unresolved,
-    UnresolvedRef,
-    closure,
-    resolve_functor,
-    trace,
-)
-from .terms import (
-    Atom,
-    Compound,
-    Integer,
-    SourceTerm,
-    Span,
-    SpliceError,
-    Term,
-    TermSyntaxError,
-    Variable,
-    read_term,
-    read_terms,
-    render_clause,
-    render_term,
-    splice,
-)
-
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Command-line surface: export, mkindex, trace, and graph subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 when
+Exit codes: 0 success, 1 usage error, 2 I/O, parse or internal error, 3 when
 --strict escalates unresolved references.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,8 @@ EXIT_ERROR = 2
 EXIT_UNRESOLVED = 3
 
 CONFIG_ENV = "EXLIBRIS_CONFIG"
+
+logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,6 +268,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(str(exc))
     except (ExlibrisError, OSError, UnicodeDecodeError) as exc:
         print(f"exlibris: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # Anything else is a defect.  The interpreter would exit 1, which
+        # means a usage error here, so report one line and exit 2; the
+        # traceback goes to debug logging.
+        logger.debug("internal error", exc_info=True)
+        print(f"exlibris: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -105,8 +105,6 @@ class IfPlDirective:
     """An `if_pl/2,3` directive kept whole for the exporter's pruning pass."""
 
     cond: IfPls
-    cond_term: Term
-    then_call: Term
     else_call: Term | None
     span: Span
 
@@ -302,7 +300,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
             elif name == "if_pl" and arity in (2, 3):
                 cond = _parse_cond(body.args[0], span.line, path)
                 else_call = body.args[2] if arity == 3 else None
-                if_pls.append(IfPlDirective(cond, body.args[0], body.args[1], else_call, span))
+                if_pls.append(IfPlDirective(cond, else_call, span))
                 for guard, call in deconstruct_if_pl(body):
                     refs, predicate = recognize_loading_call(call)
                     for ref in refs:

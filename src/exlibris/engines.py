@@ -226,10 +226,6 @@ def render_cond(cond: IfPls) -> str:
     return render_term(cond_to_term(cond))
 
 
-def pl_id_term(engine: PlId) -> Term:
-    return Compound(engine.name, (_chain_term(engine.version),))
-
-
 def _holds(ordering: int, op: str) -> bool:
     if op == "=":
         return ordering == 0
@@ -309,3 +305,10 @@ def never_true(cond: IfPls) -> bool:
 def could_match_any(cond: IfPls) -> bool:
     """Over-approximate satisfiability, used when targeting all engines."""
     return not never_true(cond)
+
+
+def can_match(cond: IfPls, engines: Sequence[PlId] | None) -> bool:
+    """Whether a guard can hold on one of the engines; engines=None means all."""
+    if engines is None:
+        return could_match_any(cond)
+    return any(matches(cond, engine) for engine in engines)

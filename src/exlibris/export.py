@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .directives import FileFacts, extract
-from .engines import PlId, could_match_any, matches
+from .engines import PlId, can_match
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
 from .index import (
@@ -185,12 +185,6 @@ def discover_entries(
     return _discover_entries(_source_specs(sources), loclib, extensions)
 
 
-def _guard_can_match(cond, pls: tuple[PlId, ...] | None) -> bool:
-    if pls is None:
-        return could_match_any(cond)
-    return any(matches(cond, engine) for engine in pls)
-
-
 def _deletion_span(text: str, span: Span) -> Span:
     """Extend a whole-line directive's span over its trailing newline.
 
@@ -237,7 +231,7 @@ def transform_entry(
     for item in facts.library_dirs:
         edits.append((_deletion_span(text, item.span), ""))
     for directive in facts.if_pls:
-        if _guard_can_match(directive.cond, pls):
+        if can_match(directive.cond, pls):
             continue
         if directive.else_call is None:
             edits.append((_deletion_span(text, directive.span), ""))

@@ -3,20 +3,27 @@
 Required functors resolve against library indexes in a fixed search order:
 the local library first, then system libraries, then home libraries; within
 a library the first index entry whose condition matches the target engine
-wins.  The closure walks every reached home, local, and project file in
-turn, so an export can vendor everything an entry file might pull in.
+wins.
+
+`trace`, `graph` and `export` share one depth-first walk from the entry
+files.  It enters every reached home, local and project file once, never a
+system file, and yields its decisions in source order: one per load, and
+one per requirement and engine (per candidate when all engines count).
+The walks differ in one rule only: `closure` (behind `graph` and `export`)
+enters the home or local file that declares a built-in, because that file
+is vendored so the exported Index.pl still resolves, while `trace` shows
+it as a leaf.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from .directives import FileFacts, FileRef, FunctorRef, Load, Requirement, extract
-from .engines import ALWAYS, PlId, always_true, could_match_any, matches, render_cond
+from .directives import FileRef, FunctorRef, Load, MayLoad, Requirement, extract
+from .engines import PlId, always_true, can_match, could_match_any, matches, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text
 from .index import (
@@ -34,6 +41,7 @@ from .terms import read_terms
 KIND_SYSTEM = "system"
 KIND_LOCAL = "local"
 KIND_HOME = "home"
+KIND_PROJECT = "project"
 
 
 def canon(path: Path | str) -> Path:
@@ -147,48 +155,46 @@ class DepClosure:
     edges: tuple[DepEdge, ...]
 
 
-def _resolve_with_entry(
-    functor: FunctorRef, engine: PlId, libs: LibrarySet
-) -> tuple[ResolvedTarget, IndexEntry | None]:
+def _scan(
+    functor: FunctorRef, engine: PlId | None, libs: LibrarySet
+) -> Iterator[tuple[Library, IndexEntry]]:
+    """Index entries for `functor` in search order.
+
+    For a concrete engine only the first matching entry.  For engine None
+    every entry some engine could reach: conditions are judged by
+    satisfiability, which over-approximates (extra candidates only ever
+    widen an export), and the scan stops after an always-true condition,
+    since nothing later can win for any engine.
+    """
     for lib in libs.ordered():
         for entry in lib.index.entries:
-            if entry.functor != functor or not matches(entry.cond, engine):
+            if entry.functor != functor:
                 continue
-            return _entry_target(entry, lib, libs.extensions), entry
-    return UNRESOLVED, None
+            if engine is None:
+                if could_match_any(entry.cond):
+                    yield lib, entry
+                    if always_true(entry.cond):
+                        return
+            elif matches(entry.cond, engine):
+                yield lib, entry
+                return
+
+
+def _hit_target(lib: Library, entry: IndexEntry, extensions) -> tuple[ResolvedTarget, Path]:
+    """What an index hit resolves to, and the file it names."""
+    path = source_path(lib.root, entry.file, extensions)
+    if not path.is_file():
+        return UNRESOLVED, path
+    if entry.module == BUILT_IN_MODULE:
+        return BuiltIn(lib.kind, lib.root, entry.file), path
+    return LoadFile(lib.kind, lib.root, entry.file), path
 
 
 def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
     """First matching index entry in search order, or Unresolved."""
-    return _resolve_with_entry(functor, engine, libs)[0]
-
-
-def _entry_target(entry: IndexEntry, lib: Library, extensions) -> ResolvedTarget:
-    if not source_path(lib.root, entry.file, extensions).is_file():
-        return UNRESOLVED
-    if entry.module == BUILT_IN_MODULE:
-        return BuiltIn(lib.kind, lib.root, entry.file)
-    return LoadFile(lib.kind, lib.root, entry.file)
-
-
-def resolve_functor_all(
-    functor: FunctorRef, libs: LibrarySet
-) -> tuple[tuple[ResolvedTarget, IndexEntry], ...]:
-    """Every entry any engine could reach, in search order.
-
-    Walking stops after an always-true condition, since nothing later can
-    win for any engine.  Conditions are judged by satisfiability, which
-    over-approximates: extra candidates only ever widen an export.
-    """
-    hits: list[tuple[ResolvedTarget, IndexEntry]] = []
-    for lib in libs.ordered():
-        for entry in lib.index.entries:
-            if entry.functor != functor or not could_match_any(entry.cond):
-                continue
-            hits.append((_entry_target(entry, lib, libs.extensions), entry))
-            if always_true(entry.cond):
-                return tuple(hits)
-    return tuple(hits)
+    for lib, entry in _scan(functor, engine, libs):
+        return _hit_target(lib, entry, libs.extensions)[0]
+    return UNRESOLVED
 
 
 def resolve_file_ref(
@@ -218,21 +224,126 @@ def resolve_file_ref(
             if candidate.is_relative_to(lib.root):
                 rel = candidate.relative_to(lib.root).with_suffix("").as_posix()
                 return lib.kind, lib, candidate, rel
-        return "project", None, candidate, None
+        return KIND_PROJECT, None, candidate, None
     return None
 
 
-@dataclass
-class _Unit:
-    path: Path
-    display: str
+class _File(NamedTuple):
+    """A file the walk reaches; `lib` and `rel` are None for project files."""
+
+    kind: str
     lib: Library | None
+    path: Path
     rel: str | None
 
+    @property
+    def display(self) -> str:
+        return f"{self.kind}:{self.rel}" if self.lib is not None else str(self.path)
 
-def _read_facts(path: Path) -> FileFacts:
+
+LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
+    "load", "built-in", "skip", "unresolved", "missing"
+)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One decision on a directive of `src`; loads have engine None.
+
+    `seen`: the walk entered `file` before.  `resolved`: a requirement's
+    whole index-scan outcome.
+    """
+
+    depth: int
+    src: _File
+    subject: FunctorRef | FileRef
+    engine: PlId | None
+    verdict: str
+    label: str
+    file: _File | None = None
+    seen: bool = False
+    resolved: tuple[ResolvedTarget, ...] = ()
+
+
+def _directives(path: Path) -> list[Requirement | Load | MayLoad]:
+    """A file's requirements, loads and may_loads in source order."""
     text = read_text(path)
-    return extract(read_terms(text, str(path)), str(path))
+    facts = extract(read_terms(text, str(path)), str(path))
+    events = [(r.span.start, i, r) for i, r in enumerate(facts.requires)]
+    events.extend((l.span.start, i, l) for i, l in enumerate(facts.loads))
+    events.extend((m.span.start, i, m) for i, m in enumerate(facts.may_load))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return [event for _, _, event in events]
+
+
+def _walk(
+    entries: Sequence[Path | str],
+    libs: LibrarySet,
+    targets: tuple[PlId, ...] | None,
+    enter_built_ins: bool,
+) -> Iterator[_Step]:
+    """Depth-first decisions from the entry files, on an explicit stack.
+
+    Requirements are decided per target engine, or once when targets is
+    None; loads are followed when their guard can match a target, may_load
+    references always.  Files are entered once each, system files never,
+    built-in declaration files only with `enter_built_ins`.
+    """
+    engines = (None,) if targets is None else targets
+    entered: set[str] = set()
+
+    def decide(file: _File, depth: int) -> Iterator[_Step]:
+        for directive in _directives(file.path):
+            if isinstance(directive, Requirement):
+                functor = directive.functor
+                for engine in engines:
+                    hits = [
+                        (lib, entry, *_hit_target(lib, entry, libs.extensions))
+                        for lib, entry in _scan(functor, engine, libs)
+                    ]
+                    resolved = tuple(hit[2] for hit in hits) or (UNRESOLVED,)
+                    if not hits:
+                        yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
+                                    str(functor), resolved=resolved)
+                    for lib, entry, target, path in hits:
+                        if isinstance(target, Unresolved):
+                            yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
+                                        str(functor), resolved=resolved)
+                            continue
+                        built_in = isinstance(target, BuiltIn)
+                        label = f"{functor} {render_cond(entry.cond)}"
+                        yield _Step(depth, file, functor, engine, BUILT_IN if built_in else LOAD,
+                                    label + " built-in" if built_in else label,
+                                    _File(lib.kind, lib, path, entry.file),
+                                    str(path) in entered, resolved)
+                continue
+            ref = directive.ref
+            label = render_cond(directive.guard) if isinstance(directive, Load) else "may_load"
+            if isinstance(directive, Load) and not can_match(directive.guard, targets):
+                yield _Step(depth, file, ref, None, SKIP, label)
+                continue
+            hit = resolve_file_ref(ref, file.path.parent, libs)
+            if hit is None:
+                yield _Step(depth, file, ref, None, MISSING, str(ref))
+            else:
+                yield _Step(depth, file, ref, None, LOAD, label, _File(*hit),
+                            str(hit[2]) in entered)
+
+    roots = list(dict.fromkeys(canon(raw) for raw in entries))
+    entered.update(str(path) for path in roots)
+    stack = [decide(_File(KIND_PROJECT, None, path, None), 0) for path in reversed(roots)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        yield step
+        reached = step.file
+        if reached is not None and not step.seen and reached.kind != KIND_SYSTEM and (
+            step.verdict == LOAD or enter_built_ins
+        ):
+            entered.add(str(reached.path))
+            stack.append(decide(reached, step.depth + 1))
 
 
 def closure(
@@ -246,7 +357,8 @@ def closure(
     engine; with targets=None resolution considers all engines at once.
     Guarded loads are followed when their guard can match a target;
     may_load references are followed unconditionally.  System files are
-    recorded but never vendored nor walked.
+    recorded but never vendored nor walked; home and local files that
+    declare built-ins are vendored and walked.
     """
     resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
     home_files: set[tuple[str, str]] = set()
@@ -255,77 +367,23 @@ def closure(
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
 
-    queue: deque[_Unit] = deque()
-    visited: set[str] = set()
-
-    def enqueue(unit: _Unit):
-        key = str(unit.path)
-        if key not in visited:
-            visited.add(key)
-            queue.append(unit)
-
-    def reach(kind: str, lib: Library | None, path: Path, rel: str | None, src: str, label: str):
-        """Record one reached target and queue it for walking."""
-        if kind == KIND_SYSTEM:
-            edges.add(DepEdge(src, f"{kind}:{rel}", label))
-            return
-        if kind == "project":
-            project_files.add(str(path))
-            edges.add(DepEdge(src, str(path), label))
-            enqueue(_Unit(path, str(path), None, None))
-            return
-        assert lib is not None and rel is not None
-        if kind == KIND_HOME:
-            home_files.add((str(lib.root), rel))
-        elif kind == KIND_LOCAL:
-            local_files.add(rel)
-        edges.add(DepEdge(src, f"{kind}:{rel}", label))
-        enqueue(_Unit(source_path(lib.root, rel, libs.extensions), f"{kind}:{rel}", lib, rel))
-
-    def handle_target(target: ResolvedTarget, entry: IndexEntry | None, src: str, functor: FunctorRef, engine: PlId | None):
-        if isinstance(target, Unresolved):
-            unresolved.add(UnresolvedRef(src, str(functor), engine))
-            edges.add(DepEdge(src, "unresolved", str(functor)))
-            return
-        label = f"{functor} {render_cond(entry.cond)}" if entry else str(functor)
-        if isinstance(target, BuiltIn):
-            label += " built-in"
-        lib = _library_for_root(libs, target.root)
-        reach(target.kind, lib, source_path(target.root, target.file, libs.extensions), target.file, src, label)
-
-    for raw_entry in entries:
-        path = canon(raw_entry)
-        enqueue(_Unit(path, str(path), None, None))
-
-    while queue:
-        unit = queue.popleft()
-        facts = _read_facts(unit.path)
-        src = unit.display
-        for requirement in facts.requires:
-            functor = requirement.functor
-            if targets is None:
-                hits = resolve_functor_all(functor, libs)
-                resolution[(functor, None)] = tuple(t for t, _ in hits) or (UNRESOLVED,)
-                if not hits:
-                    handle_target(UNRESOLVED, None, src, functor, None)
-                for target, entry in hits:
-                    handle_target(target, entry, src, functor, None)
-            else:
-                for engine in targets:
-                    target, entry = _resolve_with_entry(functor, engine, libs)
-                    resolution[(functor, engine)] = (target,)
-                    handle_target(target, entry, src, functor, engine)
-        base_dir = unit.path.parent
-        for load in facts.loads:
-            if targets is None:
-                active = could_match_any(load.guard)
-            else:
-                active = any(matches(load.guard, engine) for engine in targets)
-            if not active:
-                continue
-            _follow_ref(load.ref, base_dir, libs, src, render_cond(load.guard), reach, unresolved, edges)
-        for item in facts.may_load:
-            _follow_ref(item.ref, base_dir, libs, src, "may_load", reach, unresolved, edges)
+    engines = None if targets is None else tuple(targets)
+    for step in _walk(entries, libs, engines, enter_built_ins=True):
+        src = step.src.display
+        if step.resolved:
+            resolution[(step.subject, step.engine)] = step.resolved
+        if step.verdict in (UNRESOLVED_FUNCTOR, MISSING):
+            unresolved.add(UnresolvedRef(src, str(step.subject), step.engine))
+            edges.add(DepEdge(src, "unresolved", str(step.subject)))
+        elif step.file is not None:
+            reached = step.file
+            edges.add(DepEdge(src, reached.display, step.label))
+            if reached.kind == KIND_HOME:
+                home_files.add((str(reached.lib.root), reached.rel))
+            elif reached.kind == KIND_LOCAL:
+                local_files.add(reached.rel)
+            elif reached.kind == KIND_PROJECT:
+                project_files.add(str(reached.path))
 
     ordered_unresolved = tuple(
         sorted(unresolved, key=lambda u: (u.source, u.subject, str(u.engine)))
@@ -341,23 +399,6 @@ def closure(
     )
 
 
-def _follow_ref(ref, base_dir, libs, src, label, reach, unresolved, edges):
-    hit = resolve_file_ref(ref, base_dir, libs)
-    if hit is None:
-        unresolved.add(UnresolvedRef(src, str(ref), None))
-        edges.add(DepEdge(src, "unresolved", str(ref)))
-        return
-    kind, lib, path, rel = hit
-    reach(kind, lib, path, rel, src, label)
-
-
-def _library_for_root(libs: LibrarySet, root: Path) -> Library | None:
-    for lib in libs.ordered():
-        if lib.root == root:
-            return lib
-    return None
-
-
 def trace(entry: Path | str, engine: PlId, libs: LibrarySet) -> str:
     """Depth-first load report for one entry under one engine.
 
@@ -365,63 +406,20 @@ def trace(entry: Path | str, engine: PlId, libs: LibrarySet) -> str:
     unresolved, or missing.  Revisited files are noted once and not
     re-entered.  The format is stable for golden comparisons.
     """
+    base = canon(entry).parent
     lines: list[str] = []
-    visited: set[str] = set()
-    entry_path = canon(entry)
-    base = entry_path.parent
-
-    def visit(path: Path, depth: int):
-        visited.add(str(path))
-        facts = _read_facts(path)
-        indent = "  " * depth
-        events: list[tuple[int, int, object]] = []
-        for i, r in enumerate(facts.requires):
-            events.append((r.span.start, i, r))
-        for i, l in enumerate(facts.loads):
-            events.append((l.span.start, i, l))
-        for i, m in enumerate(facts.may_load):
-            events.append((m.span.start, i, m))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for _, _, event in events:
-            if isinstance(event, Requirement):
-                target = resolve_functor(event.functor, engine, libs)
-                if isinstance(target, Unresolved):
-                    lines.append(f"{indent}{event.functor}: unresolved")
-                elif isinstance(target, BuiltIn):
-                    lines.append(
-                        f"{indent}{event.functor}: built-in ({target.kind} {target.file})"
-                    )
-                else:
-                    _enter(
-                        f"{indent}{event.functor}: load {target.kind} {target.file}",
-                        target.kind,
-                        source_path(target.root, target.file, libs.extensions),
-                        depth,
-                    )
-                continue
-            guard = event.guard if isinstance(event, Load) else ALWAYS
-            ref = event.ref
-            if isinstance(event, Load) and not matches(guard, engine):
-                lines.append(f"{indent}{ref}: skip (guard {render_cond(guard)} failed)")
-                continue
-            hit = resolve_file_ref(ref, path.parent, libs)
-            if hit is None:
-                lines.append(f"{indent}{ref}: missing")
-                continue
-            kind, _, hit_path, rel = hit
-            if kind == "project":
-                shown = os.path.relpath(hit_path, base)
-                _enter(f"{indent}{ref}: load file {shown}", kind, hit_path, depth)
-            else:
-                _enter(f"{indent}{ref}: load {kind} {rel}", kind, hit_path, depth)
-
-    def _enter(line: str, kind: str, path: Path, depth: int):
-        if str(path) in visited:
-            lines.append(f"{line} (already loaded)")
-            return
-        lines.append(line)
-        if kind != KIND_SYSTEM:
-            visit(path, depth + 1)
-
-    visit(entry_path, 0)
+    for step in _walk([entry], libs, (engine,), enter_built_ins=False):
+        head = f"{'  ' * step.depth}{step.subject}:"
+        reached = step.file
+        if step.verdict == SKIP:
+            lines.append(f"{head} skip (guard {step.label} failed)")
+        elif reached is None:
+            lines.append(f"{head} {step.verdict}")
+        elif step.verdict == BUILT_IN:
+            lines.append(f"{head} built-in ({reached.kind} {reached.rel})")
+        else:
+            where = f"{reached.kind} {reached.rel}" if reached.lib else (
+                f"file {os.path.relpath(reached.path, base)}"
+            )
+            lines.append(f"{head} load {where}" + (" (already loaded)" if step.seen else ""))
     return "\n".join(lines) + "\n"

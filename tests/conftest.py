@@ -61,6 +61,20 @@ def worked_example(tmp_path, monkeypatch):
     return tmp_path
 
 
+# Longer than Python's default recursion limit, so a recursive walk fails.
+CHAIN_LENGTH = 1500
+
+
+@pytest.fixture
+def load_chain(tmp_path):
+    """f0.pl ensure_loads f1.pl, which ensure_loads f2.pl, and so on; returns f0.pl."""
+    last = CHAIN_LENGTH - 1
+    for i in range(last):
+        (tmp_path / f"f{i}.pl").write_text(f":- ensure_loaded(f{i + 1}).\n", encoding="utf-8")
+    (tmp_path / f"f{last}.pl").write_text(f"f{last}.\n", encoding="utf-8")
+    return tmp_path / "f0.pl"
+
+
 @pytest.fixture
 def run_cli(capsys):
     from exlibris.cli import main

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from conftest import CHAIN_LENGTH
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
 
 EXPORT_ARGS = (
@@ -124,6 +125,17 @@ class TestMkindex:
         text = (worked_example / "SysLib" / "Index.pl").read_text(encoding="utf-8")
         assert "index( member, 2, any, lists, lists )." in text
 
+    def test_unexpected_exception_is_one_line_and_exit_2(self, tmp_path, run_cli):
+        # The term reader recurses once per nesting level, so 3000 levels
+        # raise RecursionError, which no specific handler catches.
+        (tmp_path / "deep.pl").write_text(
+            "t(" * 3000 + "a" + ")" * 3000 + ".\n", encoding="utf-8"
+        )
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert err.startswith("exlibris: internal error: RecursionError: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestTrace:
     def test_swi(self, worked_example, run_cli):
@@ -141,6 +153,13 @@ class TestTrace:
     def test_missing_entry_is_exit_2(self, worked_example, run_cli):
         code, _, err = run_cli("trace", "nope.pl", "--pl", "swi:5.0.7")
         assert code == EXIT_ERROR
+
+    def test_chain_deeper_than_the_recursion_limit(self, load_chain, run_cli, monkeypatch):
+        monkeypatch.chdir(load_chain.parent)
+        code, out, err = run_cli("trace", "f0.pl", "--pl", "swi:5.0.7")
+        assert (code, err) == (EXIT_OK, "")
+        last = CHAIN_LENGTH - 1
+        assert out.splitlines()[-1] == "  " * (last - 1) + f"f{last}: load file f{last}.pl"
 
 
 class TestGraph:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_worked_example
+from conftest import CHAIN_LENGTH, build_worked_example
 from helpers import SICSTUS, SWI, gen_world, oracle_closure
 from exlibris.directives import FunctorRef
 from exlibris.resolve import (
@@ -238,6 +238,19 @@ class TestTrace:
         first = trace(tmp_path / "proj" / "file1.pl", SWI, libs)
         second = trace(tmp_path / "proj" / "file1.pl", SWI, worked_libs(tmp_path))
         assert first == second
+
+
+class TestDeepChain:
+    def test_trace_follows_the_whole_chain(self, load_chain):
+        lines = trace(load_chain, SWI, LibrarySet.build()).splitlines()
+        last = CHAIN_LENGTH - 1
+        assert len(lines) == last
+        assert lines[-1] == "  " * (last - 1) + f"f{last}: load file f{last}.pl"
+
+    def test_closure_reaches_every_file(self, load_chain):
+        clo = closure([load_chain], LibrarySet.build(), [SWI])
+        assert len(clo.project_files) == CHAIN_LENGTH - 1
+        assert clo.unresolved == ()
 
 
 def _world_libs(root: Path, world) -> LibrarySet:
