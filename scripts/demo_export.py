@@ -4,15 +4,26 @@
 Creates a workspace under a temporary directory: a project with one entry
 file, a project-local library, a system library, and a home library.  Then
 runs mkindex, a per-engine trace, an export, and a target-narrowed export,
-printing everything as it goes.
+printing everything as it goes.  Exits non-zero as soon as a step fails.
+
+    python3 scripts/demo_export.py
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# The steps run in the workspace, so a relative PYTHONPATH would not find
+# the package; put this checkout's sources first, by absolute path.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+)
 
 FILES = {
     "proj/file1.pl": """\
@@ -54,13 +65,14 @@ def run(workspace: Path, *args: str) -> None:
     result = subprocess.run(
         [sys.executable, "-m", "exlibris.cli", *args],
         cwd=workspace,
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
     sys.stdout.write(result.stdout)
     sys.stderr.write(result.stderr)
     if result.returncode != 0:
-        print(f"(exit {result.returncode})")
+        raise SystemExit(f"demo step failed with exit {result.returncode}")
 
 
 def show_tree(root: Path, title: str) -> None:

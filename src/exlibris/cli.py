@@ -183,20 +183,15 @@ def _cmd_mkindex(args) -> int:
     return EXIT_OK
 
 
-def _trace_libs(args, extensions) -> LibrarySet:
-    syslibs, homelibs, _ = _settings(args)
-    loclib = default_loclib_root([Path(args.entry)], args.loclib)
-    return LibrarySet.build(syslibs, homelibs, loclib, extensions)
-
-
 def _cmd_trace(args) -> int:
     if len(args.pl) != 1:
         return _usage_error("trace needs exactly one --pl")
-    _, _, extensions = _settings(args)
+    syslibs, homelibs, extensions = _settings(args)
     entry = Path(args.entry)
     if not entry.is_file():
         raise ExlibrisError(f"entry file does not exist: {entry}")
-    libs = _trace_libs(args, extensions)
+    loclib = default_loclib_root([entry], args.loclib)
+    libs = LibrarySet.build(syslibs, homelibs, loclib, extensions)
     sys.stdout.write(trace(entry, args.pl[0], libs))
     return EXIT_OK
 

@@ -26,7 +26,6 @@ from .index import (
     INDEX_FILENAME,
     IndexEntry,
     render_index,
-    source_path,
 )
 from .resolve import LibrarySet, UnresolvedRef, canon, closure
 from .terms import Compound, Span, read_terms, render_clause, splice
@@ -282,14 +281,8 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     for path, dest_rel in entries:
         put(dest_rel, path)
 
-    ext = libs.extensions[0]
-    for root, rel in sorted(clo.home_files):
-        src = source_path(Path(root), rel, libs.extensions)
-        put(f"{opts.loclib}/{rel}{src.suffix or ext}", src)
-    if libs.loclib is not None:
-        for rel in sorted(clo.local_files):
-            src = source_path(libs.loclib.root, rel, libs.extensions)
-            put(f"{opts.loclib}/{rel}{src.suffix or ext}", src)
+    for src, rel in sorted(clo.library_paths.items()):
+        put(f"{opts.loclib}/{rel}{src.suffix}", src)
     for raw in sorted(clo.project_files):
         path = Path(raw)
         spec = next((s for s in specs if path.is_relative_to(s.base)), None)

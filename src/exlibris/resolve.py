@@ -151,6 +151,7 @@ class DepClosure:
     home_files: frozenset[tuple[str, str]]  # (home root, relative file)
     local_files: frozenset[str]
     project_files: frozenset[str]  # absolute paths of reached non-library files
+    library_paths: dict[Path, str]  # on-disk home and local file -> relative file
     unresolved: tuple[UnresolvedRef, ...]
     edges: tuple[DepEdge, ...]
 
@@ -358,12 +359,14 @@ def closure(
     Guarded loads are followed when their guard can match a target;
     may_load references are followed unconditionally.  System files are
     recorded but never vendored nor walked; home and local files that
-    declare built-ins are vendored and walked.
+    declare built-ins are vendored and walked.  `library_paths` names the
+    file on disk behind each home and local file, the one export copies.
     """
     resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
     home_files: set[tuple[str, str]] = set()
     local_files: set[str] = set()
     project_files: set[str] = set()
+    library_paths: dict[Path, str] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
 
@@ -380,8 +383,10 @@ def closure(
             edges.add(DepEdge(src, reached.display, step.label))
             if reached.kind == KIND_HOME:
                 home_files.add((str(reached.lib.root), reached.rel))
+                library_paths[reached.path] = reached.rel
             elif reached.kind == KIND_LOCAL:
                 local_files.add(reached.rel)
+                library_paths[reached.path] = reached.rel
             elif reached.kind == KIND_PROJECT:
                 project_files.add(str(reached.path))
 
@@ -394,6 +399,7 @@ def closure(
         home_files=frozenset(home_files),
         local_files=frozenset(local_files),
         project_files=frozenset(project_files),
+        library_paths=library_paths,
         unresolved=ordered_unresolved,
         edges=ordered_edges,
     )

@@ -7,12 +7,19 @@ output always re-reads to a structurally identical term.  Every term read
 from a file carries a source span covering its text up to and including
 the terminating period, which is what makes comment-preserving rewrites
 possible.
+
+Tokens are read by one compiled pattern, one match per token: the match
+skips layout and comments, then takes exactly one alternative (quoted atom,
+integer, word, end, symbol atom, punctuation), and anything no alternative
+takes is a located error.  Lines and columns come from counting newlines
+between consecutive tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import ExlibrisError
 
@@ -142,11 +149,9 @@ INFIX_OPERATORS: dict[str, tuple[int, str]] = {
 }
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=~:?@#&$")
-_SOLO_PUNCT = frozenset("()[],|")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # atom | qatom | var | int | punct | end
     text: str
     start: int
@@ -155,123 +160,75 @@ class _Token:
     col: int
 
 
-_ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
+# An opening quote and the longest run of valid atom text after it.  The
+# closing quote of a full atom must not start a doubled one, so `'a''b`
+# cannot backtrack into `'a'`.
+_QUOTED = r"'(?:[^'\\]|\\[\\'nt]|'')*"
+
+# One match per token: layout and comments first, then exactly one
+# alternative.  `comment` is reached only by a block comment the layout could
+# not close, and `bad` by anything no other alternative takes.
+_TOKEN = re.compile(
+    rf"""(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*
+    (?:(?P<comment>/\*)
+      |(?P<qatom>{_QUOTED}'(?!'))
+      |(?P<int>\d+)
+      |(?P<word>[^\W\d]\w*)
+      |(?P<end>\.(?=[ \t\r\n%]|\Z))
+      |(?P<atom>[;!.]|[+\-*/\\^<>=~:?@#&$]+)
+      |(?P<punct>[()\[\],|])
+      |(?P<bad>.)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
+_QUOTED_PREFIX = re.compile(_QUOTED)
+_ESCAPE = re.compile(r"\\.|''")
+_ESCAPES = {"\\\\": "\\", "\\'": "'", "\\n": "\n", "\\t": "\t", "''": "'"}
 
 
 def _tokenize(text: str, path: str | None) -> list[_Token]:
     tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(message: str, at_line: int, at_col: int):
-        raise TermSyntaxError(message, at_line, at_col, path)
-
-    def advance(to: int):
-        nonlocal pos, line, col
-        for ch in text[pos:to]:
-            if ch == "\n":
-                line += 1
-                col = 1
+    pos = last = line_start = 0
+    line = 1
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        if kind is None:
+            return tokens
+        start, pos = m.span(kind)
+        newline = text.rfind("\n", last, start)
+        if newline >= 0:
+            line += text.count("\n", last, newline + 1)
+            line_start = newline + 1
+        last = start
+        col = start - line_start + 1
+        value = text[start:pos]
+        if kind == "qatom":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group()], value[1:-1])
+        elif kind == "word":
+            first = value[0]
+            if first.islower() and first.isalpha():
+                kind = "atom"
+            elif first == "_" or (first.isupper() and first.isalpha()):
+                kind = "var"
             else:
-                col += 1
-        pos = to
-
-    while pos < n:
-        ch = text[pos]
-        start, tline, tcol = pos, line, col
-        if ch in " \t\r\n":
-            advance(pos + 1)
-            continue
-        if ch == "%":
-            end = text.find("\n", pos)
-            advance(n if end == -1 else end)
-            continue
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos + 2)
-            if end == -1:
-                err("unterminated block comment", tline, tcol)
-            advance(end + 2)
-            continue
-        if ch == "'":
-            value: list[str] = []
-            i = pos + 1
-            while True:
-                if i >= n:
-                    err("unterminated quoted atom", tline, tcol)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        err("unknown escape in quoted atom", tline, tcol)
-                    value.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                elif c == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        value.append("'")
-                        i += 2
-                    else:
-                        i += 1
-                        break
-                else:
-                    value.append(c)
-                    i += 1
-            advance(i)
-            tokens.append(_Token("qatom", "".join(value), start, pos, tline, tcol))
-            continue
-        if ch.isdigit():
-            i = pos
-            while i < n and text[i].isdigit():
-                i += 1
-            advance(i)
-            tokens.append(_Token("int", text[start:pos], start, pos, tline, tcol))
-            continue
-        if ch.islower() and ch.isalpha():
-            i = pos
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            advance(i)
-            tokens.append(_Token("atom", text[start:pos], start, pos, tline, tcol))
-            continue
-        if ch == "_" or (ch.isalpha() and ch.isupper()):
-            i = pos
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            advance(i)
-            tokens.append(_Token("var", text[start:pos], start, pos, tline, tcol))
-            continue
-        if ch == ".":
-            nxt = text[pos + 1] if pos + 1 < n else ""
-            if nxt == "" or nxt in " \t\r\n" or nxt == "%":
-                advance(pos + 1)
-                tokens.append(_Token("end", ".", start, pos, tline, tcol))
-            else:
-                advance(pos + 1)
-                tokens.append(_Token("atom", ".", start, pos, tline, tcol))
-            continue
-        if ch in ";!":
-            advance(pos + 1)
-            tokens.append(_Token("atom", ch, start, pos, tline, tcol))
-            continue
-        if ch in _SOLO_PUNCT:
-            advance(pos + 1)
-            tokens.append(_Token("punct", ch, start, pos, tline, tcol))
-            continue
-        if ch in _SYMBOL_CHARS:
-            i = pos
-            while i < n and text[i] in _SYMBOL_CHARS:
-                i += 1
-            advance(i)
-            tokens.append(_Token("atom", text[start:pos], start, pos, tline, tcol))
-            continue
-        err(f"unexpected character {ch!r}", tline, tcol)
-    return tokens
+                kind = "bad"
+        if kind == "comment":
+            raise TermSyntaxError("unterminated block comment", line, col, path)
+        if kind == "bad":
+            if value == "'":
+                stop = _QUOTED_PREFIX.match(text, start).end()
+                what = "unterminated" if stop == len(text) else "unknown escape in"
+                raise TermSyntaxError(f"{what} quoted atom", line, col, path)
+            raise TermSyntaxError(f"unexpected character {value[0]!r}", line, col, path)
+        tokens.append(_Token(kind, value, start, pos, line, col))
 
 
 class _Parser:
     """Operator-precedence parser over the fixed table."""
 
-    def __init__(self, tokens: list[_Token], text: str, path: str | None):
+    def __init__(self, tokens: list[_Token], path: str | None):
         self.tokens = tokens
-        self.text = text
         self.path = path
         self.pos = 0
 
@@ -293,10 +250,6 @@ class _Parser:
                 raise TermSyntaxError(message, last.line, last.col, self.path)
             raise TermSyntaxError(message, 1, 1, self.path)
         raise TermSyntaxError(message, tok.line, tok.col, self.path)
-
-    def at_clause_end(self) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "end"
 
     def parse_clause(self) -> tuple[Term, _Token, _Token]:
         first = self.peek()
@@ -466,7 +419,7 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     unterminated quoted atoms and block comments are reported at their
     opening position.
     """
-    parser = _Parser(_tokenize(text, path), text, path)
+    parser = _Parser(_tokenize(text, path), path)
     out: list[SourceTerm] = []
     while parser.peek() is not None:
         term, first, end = parser.parse_clause()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from conftest import CHAIN_LENGTH
+from exlibris import cli
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
 
 EXPORT_ARGS = (
@@ -72,6 +73,26 @@ class TestExport:
         assert not (worked_example / "out" / "lib" / "compat").exists()
 
 
+    def test_library_file_loaded_with_its_own_extension(self, tmp_path, run_cli, monkeypatch):
+        files = {
+            "HomeLib/f.pl": ":- defines([f/1]).\n:- ensure_loaded('g.txt').\nf(1).\n",
+            "HomeLib/g.txt": "g(1).\n",
+            "proj/main.pl": ":- requires([f/1]).\n",
+        }
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            "export", "--dest", "out", "--source", "proj/main.pl", "--homelib", "HomeLib"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        for rel in ("f.pl", "g.txt"):
+            assert (tmp_path / "out" / "lib" / rel).read_text(encoding="utf-8") == files[
+                f"HomeLib/{rel}"
+            ]
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, worked_example, run_cli):
         code, _, err = run_cli("export", "--dest", "out", "--source", "x", "--bogus")
@@ -137,6 +158,13 @@ class TestMkindex:
         assert len(err.splitlines()) == 1
 
 
+    def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):
+        (tmp_path / "a.pl").write_text("p(²).\n", encoding="utf-8")
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert "a.pl:1:3: unexpected character '²'" in err
+
+
 class TestTrace:
     def test_swi(self, worked_example, run_cli):
         code, out, _ = run_cli(
@@ -153,6 +181,25 @@ class TestTrace:
     def test_missing_entry_is_exit_2(self, worked_example, run_cli):
         code, _, err = run_cli("trace", "nope.pl", "--pl", "swi:5.0.7")
         assert code == EXIT_ERROR
+
+    def test_reads_the_config_file_once(self, worked_example, run_cli, monkeypatch):
+        (worked_example / "exlibris.cfg").write_text(
+            "syslib=SysLib\nhomelib=HomeLib\n", encoding="utf-8"
+        )
+        reads = []
+        load_config = cli._load_config
+
+        def counted(path):
+            reads.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(cli, "_load_config", counted)
+        code, out, _ = run_cli(
+            "trace", "proj/file1.pl", "--pl", "swi:5.0.7", "--config", "exlibris.cfg"
+        )
+        assert code == EXIT_OK
+        assert out.startswith("member/2: built-in (home compat/swi/built_ins)\n")
+        assert reads == ["exlibris.cfg"]
 
     def test_chain_deeper_than_the_recursion_limit(self, load_chain, run_cli, monkeypatch):
         monkeypatch.chdir(load_chain.parent)

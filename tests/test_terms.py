@@ -12,6 +12,7 @@ from exlibris.terms import (
     Atom,
     Compound,
     Integer,
+    SourceTerm,
     Span,
     SpliceError,
     TermSyntaxError,
@@ -129,6 +130,54 @@ class TestReadTerms:
             read_terms("p(a)")
 
 
+class TestTokens:
+    """Token boundaries, escapes and positions the reader must keep."""
+
+    def error(self, text):
+        with pytest.raises(TermSyntaxError) as exc:
+            read_terms(text)
+        return str(exc.value), exc.value.line, exc.value.col
+
+    def test_unknown_escape_reported_at_opening(self):
+        assert self.error("x.\n  p('a\\qb').") == (
+            "line 2, column 5: unknown escape in quoted atom", 2, 5
+        )
+
+    def test_backslash_at_end_of_input_is_an_unknown_escape(self):
+        assert self.error("p('ab\\") == (
+            "line 1, column 3: unknown escape in quoted atom", 1, 3
+        )
+
+    def test_escapes_and_doubled_quotes(self):
+        assert read_term("'it''s'") == Atom("it's")
+        assert read_term("''''") == Atom("'")
+        assert read_term(r"'a\\b\'c\nd\te'") == Atom("a\\b'c\nd\te")
+
+    def test_quoted_atom_spanning_lines_moves_later_positions(self):
+        first, second = read_terms("p('a\nbc').\n  q.")
+        assert first.term == Compound("p", (Atom("a\nbc"),))
+        assert (first.span.line, first.span.col) == (1, 1)
+        assert (second.span.line, second.span.col) == (3, 3)
+        assert self.error("x('a\nbc' ]")[1:] == (2, 5)
+
+    def test_unexpected_character_on_line_2(self):
+        assert self.error("a.\n\fb.") == (
+            "line 2, column 1: unexpected character '\\x0c'", 2, 1
+        )
+
+    def test_superscript_digit_is_an_unexpected_character(self):
+        assert self.error("p(²).") == ("line 1, column 3: unexpected character '²'", 1, 3)
+
+    def test_symbol_run_takes_a_comment_opener(self):
+        assert read_term("+/*") == Atom("+/*")
+        assert read_terms("x :- +/* .")[0].term == Compound(":-", (Atom("x"), Atom("+/*")))
+
+    def test_trailing_line_comment_without_newline(self):
+        assert [t.term for t in read_terms("a. % done")] == [Atom("a")]
+        assert [t.term for t in read_terms("a.% done")] == [Atom("a")]
+        assert read_terms("% only") == []
+
+
 class TestRender:
     def test_functor_notation(self):
         assert render_term(functor("member", 2)) == "member/2"
@@ -197,6 +246,11 @@ FILLER = st.lists(
 ).map("".join)
 
 
+# Layout, punctuation, quotes, escapes, comment openers, symbol characters,
+# non-ASCII letters of each case and a digit that is not decimal.
+PROLOGISH = list("abzXY_09 \t\r\n\f.,;!|()[]'\\%/*+-=<>:éÉßπΣ中²")
+
+
 class TestProperties:
     @given(TERMS)
     def test_round_trip(self, term):
@@ -221,6 +275,16 @@ class TestProperties:
     def test_splice_identity(self, pieces):
         text = "".join(f"{fill}{render_clause(term)}\n" for fill, term in pieces)
         assert splice(text, []) == text
+
+    # At most 64 characters, so no nesting reaches the recursion limit.
+    @given(st.text(alphabet=st.sampled_from(PROLOGISH), max_size=64))
+    def test_any_text_reads_or_raises_a_syntax_error(self, text):
+        try:
+            out = read_terms(text)
+        except TermSyntaxError as exc:
+            assert exc.line >= 1 and exc.col >= 1
+        else:
+            assert all(isinstance(item, SourceTerm) for item in out)
 
 
 class TestSplice:
