@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .directives import FileFacts, extract
+from .directives import FileFacts
 from .engines import PlId, can_match
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
@@ -28,7 +28,7 @@ from .index import (
     render_index,
 )
 from .resolve import LibrarySet, UnresolvedRef, canon, closure
-from .terms import Compound, Span, read_terms, render_clause, splice
+from .terms import Compound, Span, render_clause, splice
 
 COPY_SELECTIVE = "selective"
 COPY_RECURSIVE = "recursive"
@@ -293,8 +293,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
 
     rewrites: list[RewriteItem] = []
     for path, dest_rel in entries:
-        text = read_text(path)
-        facts = extract(read_terms(text, str(path)), str(path))
+        text, facts = clo.entry_sources[path]
         entry_dir = posixpath.dirname(dest_rel)
         rel_to_loclib = posixpath.relpath(opts.loclib, entry_dir or ".")
         edits = transform_entry(text, facts, rel_to_loclib, opts.pls)

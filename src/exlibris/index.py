@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +47,14 @@ class IndexEntry:
 class LibraryIndex:
     root: Path
     entries: tuple[IndexEntry, ...]
+
+    @cached_property
+    def by_functor(self) -> dict[FunctorRef, list[IndexEntry]]:
+        """Each functor's entries in index order; built on the first lookup."""
+        table: dict[FunctorRef, list[IndexEntry]] = {}
+        for entry in self.entries:
+            table.setdefault(entry.functor, []).append(entry)
+        return table
 
 
 class IndexGenerationError(ExlibrisError):

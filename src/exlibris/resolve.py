@@ -3,7 +3,9 @@
 Required functors resolve against library indexes in a fixed search order:
 the local library first, then system libraries, then home libraries; within
 a library the first index entry whose condition matches the target engine
-wins.
+wins.  A lookup reads only the asked functor's entries, through each
+library's functor table (`LibraryIndex.by_functor`, in index order), so its
+cost does not grow with the size of the index.
 
 `trace`, `graph` and `export` share one depth-first walk from the entry
 files.  It enters every reached home, local and project file once, never a
@@ -12,7 +14,9 @@ one per requirement and engine (per candidate when all engines count).
 The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
-it as a leaf.
+it as a leaf.  Each (functor, engine) pair is decided once per walk: a
+requirement that many files repeat costs one lookup and one probe of the
+file it names.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .directives import FileRef, FunctorRef, Load, MayLoad, Requirement, extract
+from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement, extract
 from .engines import PlId, always_true, can_match, could_match_any, matches, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text
@@ -152,6 +156,7 @@ class DepClosure:
     local_files: frozenset[str]
     project_files: frozenset[str]  # absolute paths of reached non-library files
     library_paths: dict[Path, str]  # on-disk home and local file -> relative file
+    entry_sources: dict[Path, tuple[str, FileFacts]]  # entry file -> its text and facts
     unresolved: tuple[UnresolvedRef, ...]
     edges: tuple[DepEdge, ...]
 
@@ -168,9 +173,7 @@ def _scan(
     since nothing later can win for any engine.
     """
     for lib in libs.ordered():
-        for entry in lib.index.entries:
-            if entry.functor != functor:
-                continue
+        for entry in lib.index.by_functor.get(functor, ()):
             if engine is None:
                 if could_match_any(entry.cond):
                     yield lib, entry
@@ -266,10 +269,8 @@ class _Step:
     resolved: tuple[ResolvedTarget, ...] = ()
 
 
-def _directives(path: Path) -> list[Requirement | Load | MayLoad]:
+def _directives(facts: FileFacts) -> list[Requirement | Load | MayLoad]:
     """A file's requirements, loads and may_loads in source order."""
-    text = read_text(path)
-    facts = extract(read_terms(text, str(path)), str(path))
     events = [(r.span.start, i, r) for i, r in enumerate(facts.requires)]
     events.extend((l.span.start, i, l) for i, l in enumerate(facts.loads))
     events.extend((m.span.start, i, m) for i, m in enumerate(facts.may_load))
@@ -282,27 +283,39 @@ def _walk(
     libs: LibrarySet,
     targets: tuple[PlId, ...] | None,
     enter_built_ins: bool,
+    entry_sources: dict[Path, tuple[str, FileFacts]] | None = None,
 ) -> Iterator[_Step]:
     """Depth-first decisions from the entry files, on an explicit stack.
 
     Requirements are decided per target engine, or once when targets is
     None; loads are followed when their guard can match a target, may_load
     references always.  Files are entered once each, system files never,
-    built-in declaration files only with `enter_built_ins`.
+    built-in declaration files only with `enter_built_ins`.  Each
+    (functor, engine) pair is looked up once; `seen` is still judged per
+    step.  `entry_sources`, when given, receives each entry file's text
+    and facts as parsed.
     """
     engines = (None,) if targets is None else targets
     entered: set[str] = set()
+    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}  # -> (hits, resolved)
 
     def decide(file: _File, depth: int) -> Iterator[_Step]:
-        for directive in _directives(file.path):
+        text = read_text(file.path)
+        facts = extract(read_terms(text, str(file.path)), str(file.path))
+        if depth == 0 and entry_sources is not None:
+            entry_sources[file.path] = text, facts
+        for directive in _directives(facts):
             if isinstance(directive, Requirement):
                 functor = directive.functor
                 for engine in engines:
-                    hits = [
-                        (lib, entry, *_hit_target(lib, entry, libs.extensions))
-                        for lib, entry in _scan(functor, engine, libs)
-                    ]
-                    resolved = tuple(hit[2] for hit in hits) or (UNRESOLVED,)
+                    key = (functor, engine)
+                    if key not in decided:
+                        hits = [
+                            (lib, entry, *_hit_target(lib, entry, libs.extensions))
+                            for lib, entry in _scan(functor, engine, libs)
+                        ]
+                        decided[key] = hits, tuple(hit[2] for hit in hits) or (UNRESOLVED,)
+                    hits, resolved = decided[key]
                     if not hits:
                         yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
                                     str(functor), resolved=resolved)
@@ -360,18 +373,21 @@ def closure(
     may_load references are followed unconditionally.  System files are
     recorded but never vendored nor walked; home and local files that
     declare built-ins are vendored and walked.  `library_paths` names the
-    file on disk behind each home and local file, the one export copies.
+    file on disk behind each home and local file, the one export copies;
+    `entry_sources` keeps each entry file's text and facts, as parsed.
     """
     resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
     home_files: set[tuple[str, str]] = set()
     local_files: set[str] = set()
     project_files: set[str] = set()
     library_paths: dict[Path, str] = {}
+    entry_sources: dict[Path, tuple[str, FileFacts]] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
 
     engines = None if targets is None else tuple(targets)
-    for step in _walk(entries, libs, engines, enter_built_ins=True):
+    for step in _walk(entries, libs, engines, enter_built_ins=True,
+                      entry_sources=entry_sources):
         src = step.src.display
         if step.resolved:
             resolution[(step.subject, step.engine)] = step.resolved
@@ -400,6 +416,7 @@ def closure(
         local_files=frozenset(local_files),
         project_files=frozenset(project_files),
         library_paths=library_paths,
+        entry_sources=entry_sources,
         unresolved=ordered_unresolved,
         edges=ordered_edges,
     )

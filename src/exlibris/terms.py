@@ -429,9 +429,9 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
 
 def read_term(text: str, path: str | None = None) -> Term:
     """Read exactly one term; the terminating period is optional."""
-    stripped = text.rstrip()
-    if not stripped.endswith("."):
-        text = stripped + " ."
+    tokens = _tokenize(text, path)
+    if not tokens or tokens[-1].kind != "end":
+        text += "\n."  # on a line of its own, out of reach of a trailing % comment
     terms = read_terms(text, path)
     if len(terms) != 1:
         raise TermSyntaxError("expected exactly one term", 1, 1, path)

@@ -145,6 +145,25 @@ class TestPlanExport:
         assert index_write.dest_rel == "lib/Index.pl"
         assert len(index_write.entries) == 4
 
+    def test_plan_parses_each_file_once(self, tmp_path, monkeypatch):
+        import exlibris.export
+        import exlibris.resolve
+
+        parsed = []
+
+        def counting(text, path=None):
+            parsed.append(path)
+            return read_terms(text, path)
+
+        for module in (exlibris.resolve, exlibris.export):
+            monkeypatch.setattr(module, "read_terms", counting, raising=False)
+        build_worked_example(tmp_path)
+        opts = worked_opts(tmp_path)
+        plan = plan_export(opts, build_library_set(opts))
+        assert [r.dest_rel for r in plan.rewrites] == ["file1.pl"]
+        assert str(tmp_path / "proj" / "file1.pl") in parsed
+        assert len(parsed) == len(set(parsed))
+
     def test_loclib_found_next_to_source_file(self, tmp_path):
         build_worked_example(tmp_path)
         root = default_loclib_root([tmp_path / "proj" / "file1.pl"], "lib")

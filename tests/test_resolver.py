@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHAIN_LENGTH, build_worked_example
-from helpers import SICSTUS, SWI, gen_world, oracle_closure
+from helpers import ENGINE_UNIVERSE, SICSTUS, SWI, World, gen_world, oracle_closure
+import exlibris.resolve as resolve_module
 from exlibris.directives import FunctorRef
+from exlibris.engines import ALWAYS, parse_if_pls
+from exlibris.index import IndexEntry, LibraryIndex
 from exlibris.resolve import (
     BuiltIn,
+    Library,
     LibrarySet,
     LoadFile,
     Unresolved,
@@ -22,6 +27,7 @@ from exlibris.resolve import (
     resolve_functor,
     trace,
 )
+from exlibris.terms import read_term
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -332,3 +338,167 @@ class TestClosureProperties:
             clo = closure([root / e for e in world.entries], libs, world.engines)
             system_roots = {str(lib.root) for lib in libs.syslibs}
             assert all(home_root not in system_roots for home_root, _ in clo.home_files)
+
+
+# Hand-written index lines: (functor, condition, module, file, satisfiable,
+# always true).  Each functor's entries are scattered among the others'; f/1
+# has several entries for swi and candidates after an always-true one, and
+# `ghost` names no file on disk.
+LOOKUP_LIBS = {
+    "loc": [
+        ("h/0", "sicstus(_)", "user", "h_loc", True, False),
+        ("k/3", "any", "user", "ghost", True, True),
+        ("f/1", "not(any)", "user", "f_never_loc", False, False),
+    ],
+    "sys0": [
+        ("k/3", "swi(_)", "user", "k_sys", True, False),
+        ("f/1", "[yap(4:3:_)]", "user", "f_yap_sys", True, False),
+        ("g/2", "not(swi(_))", "user", "g_sys", True, False),
+        ("f/1", "swi(5:0:5)", "user", "ghost", True, False),
+    ],
+    "home0": [
+        ("g/2", "any", "user", "g_any", True, True),
+        ("f/1", "sicstus(3:_:_)", "user", "f_sics", True, False),
+        ("h/0", "yap(_)", "user", "h_yap", True, False),
+        ("f/1", "swi(5:0:_)", "built_in", "sub/f_swi_builtin", True, False),
+        ("g/2", "swi(_)", "user", "g_late", True, False),
+        ("f/1", "swi(_)", "user", "f_swi", True, False),
+        ("f/1", "not(any)", "user", "f_never", False, False),
+        ("h/0", "any", "user", "h_any", True, True),
+        ("f/1", "all", "user", "f_any", True, True),
+        ("f/1", "yap(_)", "user", "f_after_any", True, False),
+        ("h/0", "swi(_)", "user", "h_late", True, False),
+    ],
+}
+LOOKUP_FUNCTORS = ("f/1", "g/2", "h/0", "k/3", "m/2")
+
+
+def _lookup_world(rng: random.Random):
+    """The hand-written libraries with each index's lines shuffled."""
+    world = World(
+        syslibs=["sys0"], homelibs=["home0"], loclib="loc",
+        entries=["proj/main.pl", "proj/other.pl"], engines=list(ENGINE_UNIVERSE),
+    )
+    order = {}
+    for lib, lines in LOOKUP_LIBS.items():
+        lines = rng.sample(lines, len(lines))
+        order[lib] = lines
+        world.files[f"{lib}/Index.pl"] = "".join(
+            f"index( {f.split('/')[0]}, {f.split('/')[1]}, {cond}, {module}, '{file}' ).\n"
+            for f, cond, module, file, _, _ in lines
+        )
+        for _, _, _, file, _, _ in lines:
+            if file != "ghost":
+                world.files[f"{lib}/{file}.pl"] = f"{file.split('/')[-1]}_stub.\n"
+    requires = f":- requires( [{','.join(LOOKUP_FUNCTORS)}] ).\n"
+    world.files["proj/main.pl"] = requires + "main_stub.\n"
+    world.files["proj/other.pl"] = requires + "other_stub.\n"
+    return world, order
+
+
+def _all_engines_candidates(order, functor: str):
+    """The engine-None rule over the hand annotations, in search order."""
+    found = []
+    for lib in ("loc", "sys0", "home0"):
+        for f, _, module, file, satisfiable, always in order[lib]:
+            if f != functor or not satisfiable:
+                continue
+            if file == "ghost":
+                found.append(("unresolved", None))
+            else:
+                found.append(("built-in" if module == "built_in" else "load", file))
+            if always:
+                return found
+    return found or [("unresolved", None)]
+
+
+class TestLookupOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS)
+    def test_scattered_entries_agree_with_the_linear_oracle(self, seed):
+        world, order = _lookup_world(random.Random(seed))
+        with tempfile.TemporaryDirectory() as raw:
+            root = Path(raw)
+            world.materialize(root)
+            libs = _world_libs(root, world)
+            entries = [root / e for e in world.entries]
+            home, local, project, unresolved, resolution = oracle_closure(
+                root, world, libs, world.engines
+            )
+            clo = closure(entries, libs, world.engines)
+            assert (clo.home_files, clo.local_files, clo.project_files) == (
+                home, local, project
+            )
+            assert {(u.source, u.subject, u.engine) for u in clo.unresolved} == unresolved
+            everything = closure(entries, libs, None)
+            for text in LOOKUP_FUNCTORS:
+                name, arity = text.split("/")
+                functor = FunctorRef(name, int(arity))
+                candidates = [simplify(t) for t in everything.resolution[(functor, None)]]
+                assert candidates == _all_engines_candidates(order, text)
+                for engine in world.engines:
+                    expected = resolution[(functor, engine)]
+                    assert simplify(resolve_functor(functor, engine, libs)) == expected
+                    assert simplify(clo.resolution[(functor, engine)][0]) == expected
+                    assert expected in candidates
+
+
+class TestLookupCost:
+    def test_closure_lookups_do_not_grow_with_the_index(self, tmp_path, monkeypatch):
+        """~5000 unrelated entries cost a closure no condition checks and
+        no functor comparisons; repeated requirements cost one lookup."""
+        home = tmp_path / "HomeLib"
+        wanted = {
+            FunctorRef("p", 1): [("swi(_)", "p_swi"), ("any", "p_any")],
+            FunctorRef("q", 2): [("sicstus(_)", "q_sics"), ("not(swi(_))", "q_other")],
+        }
+        unrelated = [
+            IndexEntry(FunctorRef(f"u{i}", 2), ALWAYS, "user", f"u{i}") for i in range(5000)
+        ]
+        home.mkdir()
+        required = []
+        for functor, rows in wanted.items():
+            for cond, file in rows:
+                (home / f"{file}.pl").write_text(f"{file}_stub.\n", encoding="utf-8")
+                required.append(IndexEntry(functor, parse_if_pls(read_term(cond)), "user", file))
+        # p, q, p, q, each after another quarter of the unrelated entries
+        entries = []
+        for quarter, entry in enumerate(required[0::2] + required[1::2]):
+            entries.extend(unrelated[quarter * 1250:(quarter + 1) * 1250])
+            entries.append(entry)
+        libs = LibrarySet(homelibs=(Library("home", home, LibraryIndex(home, tuple(entries))),))
+        sources = []
+        for i in range(4):
+            source = tmp_path / "proj" / f"e{i}.pl"
+            source.parent.mkdir(exist_ok=True)
+            source.write_text(":- requires( [p/1, q/2] ).\n", encoding="utf-8")
+            sources.append(source)
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("matches", "could_match_any"):
+            monkeypatch.setattr(resolve_module, name, counting(name, getattr(resolve_module, name)))
+        monkeypatch.setattr(FunctorRef, "__eq__", counting("eq", FunctorRef.__eq__))
+        targets = (SWI, SICSTUS)
+
+        clo = closure(sources, libs, targets)
+        assert calls["matches"] <= len(required) * len(targets)
+        assert {(f.name, e.name): simplify(t) for (f, e), (t,) in clo.resolution.items()} == {
+            ("p", "swi"): ("load", "p_swi"),
+            ("p", "sicstus"): ("load", "p_any"),
+            ("q", "swi"): ("unresolved", None),
+            ("q", "sicstus"): ("load", "q_sics"),
+        }
+        # A linear scan compares the functor with every entry of the index.
+        assert calls["eq"] < len(unrelated)
+
+        calls.clear()
+        closure(sources, libs, None)
+        assert calls["could_match_any"] <= len(required)
+        assert calls["eq"] < len(unrelated)

@@ -78,6 +78,10 @@ class TestReadTerms:
         assert read_term("'it''s'") == Atom("it's")
         assert read_term("'a\\\\b'") == Atom("a\\b")
 
+    def test_optional_period_after_trailing_comment(self):
+        assert read_term("a % c") == Atom("a")
+        assert read_term("a. % c") == Atom("a")
+
     def test_version_chain_is_right_nested(self):
         assert read_term("3:9:0") == Compound(
             ":", (Integer(3), Compound(":", (Integer(9), Integer(0))))
