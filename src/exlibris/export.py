@@ -357,10 +357,3 @@ def apply_plan(plan: ExportPlan) -> ExportReport:
     except OSError as exc:
         raise ExportApplyError(exc, report) from exc
     return report
-
-
-def export(opts: ExportOptions, libs: LibrarySet | None = None) -> ExportReport:
-    """Plan and apply in one step."""
-    if libs is None:
-        libs = build_library_set(opts)
-    return apply_plan(plan_export(opts, libs))

@@ -123,20 +123,23 @@ def mkindex(
     ordered = sorted(discovered, key=lambda e: (e.functor.name, e.functor.arity))
     index = LibraryIndex(root, tuple(ordered))
     for entry in index.entries:
-        if not source_path(index.root, entry.file, extensions).is_file():
+        if source_path(index.root, entry.file, extensions) is None:
             raise IndexGenerationError(
                 f"index entry names a missing file: {entry.file} under {root}"
             )
     return index
 
 
-def source_path(root: Path, rel_file: str, extensions: Sequence[str] = DEFAULT_EXTENSIONS) -> Path:
-    """The on-disk path of an extensionless index file field."""
+def source_path(
+    root: Path, rel_file: str, extensions: Sequence[str] = DEFAULT_EXTENSIONS
+) -> Path | None:
+    """The file an extensionless index file field names: the first of its
+    extensions that exists, or None."""
     for ext in extensions:
         candidate = root / (rel_file + ext)
         if candidate.is_file():
             return candidate
-    return root / (rel_file + extensions[0])
+    return None
 
 
 def entry_to_term(entry: IndexEntry) -> Term:

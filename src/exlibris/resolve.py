@@ -184,11 +184,13 @@ def _scan(
                 return
 
 
-def _hit_target(lib: Library, entry: IndexEntry, extensions) -> tuple[ResolvedTarget, Path]:
-    """What an index hit resolves to, and the file it names."""
+def _hit_target(
+    lib: Library, entry: IndexEntry, extensions
+) -> tuple[ResolvedTarget, Path | None]:
+    """What an index hit resolves to, and the file it names, if that exists."""
     path = source_path(lib.root, entry.file, extensions)
-    if not path.is_file():
-        return UNRESOLVED, path
+    if path is None:
+        return UNRESOLVED, None
     if entry.module == BUILT_IN_MODULE:
         return BuiltIn(lib.kind, lib.root, entry.file), path
     return LoadFile(lib.kind, lib.root, entry.file), path
@@ -214,7 +216,7 @@ def resolve_file_ref(
     if ref.kind == "library":
         for lib in libs.ordered():
             path = source_path(lib.root, ref.path, libs.extensions)
-            if path.is_file():
+            if path is not None:
                 return lib.kind, lib, path, ref.path
         return None
     raw = canon(base_dir / ref.path)

@@ -13,6 +13,11 @@ skips layout and comments, then takes exactly one alternative (quoted atom,
 integer, word, end, symbol atom, punctuation), and anything no alternative
 takes is a located error.  Lines and columns come from counting newlines
 between consecutive tokens.
+
+Clauses are parsed by operator precedence over the token list in one loop.
+Each construct still waiting for an operand (an operator, a parenthesis, an
+argument list, a list or a list tail) is a frame on an explicit stack, so
+nesting depth has no limit other than memory.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ _SYMBOL_CHARS = frozenset("+-*/\\^<>=~:?@#&$")
 
 
 class _Token(NamedTuple):
-    kind: str  # atom | qatom | var | int | punct | end
+    kind: str  # atom | qatom | var | int | punct | end, and eof after the last
     text: str
     start: int
     end: int
@@ -224,191 +229,151 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
         tokens.append(_Token(kind, value, start, pos, line, col))
 
 
-class _Parser:
-    """Operator-precedence parser over the fixed table."""
+def _starts_term(tok: _Token) -> bool:
+    if tok.kind == "punct":
+        return tok.text in "(["
+    return tok.kind != "end" and tok.kind != "eof"
 
-    def __init__(self, tokens: list[_Token], path: str | None):
-        self.tokens = tokens
-        self.path = path
-        self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _used_as_infix(tokens: list[_Token], i: int) -> bool:
+    """Whether `tokens[i]` is an infix-only operator used as one: not a
+    functor applied to an adjacent argument list, and followed by something
+    that can be its right operand."""
+    tok = tokens[i]
+    if tok.kind != "atom" or tok.text not in INFIX_OPERATORS or tok.text in PREFIX_OPERATORS:
+        return False
+    after = tokens[i + 1]
+    if after.kind == "punct" and after.text == "(" and after.start == tok.end:
+        return False
+    return _starts_term(after)
 
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
 
-    def error(self, message: str, tok: _Token | None = None):
-        if tok is None:
-            tok = self.peek()
-        if tok is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                raise TermSyntaxError(message, last.line, last.col, self.path)
-            raise TermSyntaxError(message, 1, 1, self.path)
-        raise TermSyntaxError(message, tok.line, tok.col, self.path)
+# Per infix operator: its precedence and the highest precedence its left and
+# its right operand may have.
+_INFIX = {
+    name: (prec, prec if kind == "yfx" else prec - 1, prec if kind == "xfy" else prec - 1)
+    for name, (prec, kind) in INFIX_OPERATORS.items()
+}
 
-    def parse_clause(self) -> tuple[Term, _Token, _Token]:
-        first = self.peek()
-        if first is None:
-            self.error("expected a term")
-        term, _ = self.parse(1200)
-        end = self.peek()
-        if end is None or end.kind != "end":
-            self.error("expected '.' at end of term")
-        self.next()
-        return term, first, end
 
-    def parse(self, max_prec: int) -> tuple[Term, int]:
-        left, left_prec = self.parse_operand(max_prec)
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok.kind == "punct" and tok.text == ",":
-                name = ","
-            elif tok.kind == "atom" and tok.text in INFIX_OPERATORS:
-                name = tok.text
-            else:
-                break
-            prec, kind = INFIX_OPERATORS[name]
-            if prec > max_prec:
-                break
-            if kind in ("xfx", "xfy") and left_prec >= prec:
-                break
-            if kind == "yfx" and left_prec > prec:
-                break
-            self.next()
-            right_max = prec if kind == "xfy" else prec - 1
-            right, _ = self.parse(right_max)
-            left = Compound(name, (left, right))
-            left_prec = prec
-        return left, left_prec
+def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term, int]:
+    """Read the clause starting at `tokens[i]` by operator precedence over
+    the fixed table; return its term and the index after its end token.
 
-    def parse_operand(self, max_prec: int) -> tuple[Term, int]:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a term")
-        if tok.kind == "punct":
-            if tok.text == "(":
-                self.next()
-                term, _ = self.parse(1200)
-                close = self.next()
-                if close is None or close.text != ")":
-                    self.error("expected ')'", close)
-                return term, 0
-            if tok.text == "[":
-                return self.parse_list(), 0
-            self.error(f"unexpected {tok.text!r}")
-        if tok.kind == "int":
-            self.next()
-            return Integer(int(tok.text)), 0
-        if tok.kind == "var":
-            self.next()
-            return Variable(tok.text), 0
-        if tok.kind in ("atom", "qatom"):
-            self.next()
-            nxt = self.peek()
-            if (
-                nxt is not None
-                and nxt.kind == "punct"
-                and nxt.text == "("
-                and nxt.start == tok.end
-            ):
-                self.next()
-                args = self.parse_args()
-                return Compound(tok.text, tuple(args)), 0
-            if tok.kind == "atom" and tok.text in PREFIX_OPERATORS:
-                prec, kind = PREFIX_OPERATORS[tok.text]
-                if (
-                    tok.text == "-"
-                    and nxt is not None
-                    and nxt.kind == "int"
-                    and nxt.start == tok.end
-                ):
-                    self.next()
-                    return Integer(-int(nxt.text)), 0
+    Each operator, parenthesis, argument list, list or list tail still
+    waiting for an operand is a frame on an explicit stack, together with
+    the precedence bound that was in force where it started, so nesting
+    depth is bounded by memory only.  `tokens` ends in an `eof` token at the
+    position of the last real one, where errors at end of input are
+    reported.
+    """
+    stack: list[tuple] = []
+    bound = 1200  # the highest precedence the term being read may have
+    while True:
+        # One primary term; a construct that needs an operand opens a frame.
+        tok = tokens[i]
+        i += 1
+        kind = tok.kind
+        if kind == "atom" or kind == "qatom":
+            nxt = tokens[i]
+            if nxt.kind == "punct" and nxt.text == "(" and nxt.start == tok.end:
+                stack.append(("args", bound, tok.text, []))
+                bound = 999
+                i += 1
+                continue
+            term = Atom(tok.text)
+            if kind == "atom" and tok.text in PREFIX_OPERATORS:
+                prec, op_kind = PREFIX_OPERATORS[tok.text]
+                if tok.text == "-" and nxt.kind == "int" and nxt.start == tok.end:
+                    term = Integer(-int(nxt.text))
+                    i += 1
                 # a prefix-operator atom right before an infix operator is an
                 # operand, as in `not:x`
-                if (
-                    prec <= max_prec
-                    and self.can_start_term(nxt)
-                    and not self.next_is_infix_usage()
-                ):
-                    operand_max = prec if kind == "fy" else prec - 1
-                    operand, _ = self.parse(operand_max)
-                    return Compound(tok.text, (operand,)), prec
-            return Atom(tok.text), 0
-        self.error("expected a term")
-
-    def next_is_infix_usage(self) -> bool:
-        """Whether the upcoming token is an infix-only operator used as one:
-        not a functor applied to an adjacent argument list, and followed by
-        something that can be its right operand."""
-        tok = self.peek()
-        if (
-            tok is None
-            or tok.kind != "atom"
-            or tok.text not in INFIX_OPERATORS
-            or tok.text in PREFIX_OPERATORS
-        ):
-            return False
-        after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if (
-            after is not None
-            and after.kind == "punct"
-            and after.text == "("
-            and after.start == tok.end
-        ):
-            return False
-        return self.can_start_term(after)
-
-    def can_start_term(self, tok: _Token | None) -> bool:
-        if tok is None or tok.kind == "end":
-            return False
-        if tok.kind == "punct":
-            return tok.text in "(["
-        return True
-
-    def parse_args(self) -> list[Term]:
-        args = [self.parse(999)[0]]
+                elif prec <= bound and _starts_term(nxt) and not _used_as_infix(tokens, i):
+                    stack.append(("prefix", bound, tok.text, prec))
+                    bound = prec if op_kind == "fy" else prec - 1
+                    continue
+        elif kind == "int":
+            term = Integer(int(tok.text))
+        elif kind == "var":
+            term = Variable(tok.text)
+        elif kind != "punct":
+            raise TermSyntaxError("expected a term", tok.line, tok.col, path)
+        elif tok.text == "(":
+            stack.append(("paren", bound))
+            bound = 1200
+            continue
+        elif tok.text != "[":
+            raise TermSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col, path)
+        elif tokens[i].kind == "punct" and tokens[i].text == "]":
+            term = EMPTY_LIST
+            i += 1
+        else:
+            stack.append(("list", bound, []))
+            bound = 999
+            continue
+        prec = 0
+        # Extend the term by infix operators while the bound allows, then hand
+        # it to the innermost frame; a frame that needs another operand goes
+        # back to reading a primary term.
         while True:
-            tok = self.next()
-            if tok is not None and tok.kind == "punct" and tok.text == ",":
-                args.append(self.parse(999)[0])
-            elif tok is not None and tok.kind == "punct" and tok.text == ")":
-                return args
+            tok = tokens[i]
+            if tok.text in _INFIX and tok.kind != "qatom":
+                op_prec, left_max, right_max = _INFIX[tok.text]
+                if prec <= left_max and op_prec <= bound:
+                    stack.append(("infix", bound, tok.text, term, op_prec))
+                    bound = right_max
+                    i += 1
+                    break
+            if not stack:
+                if tok.kind != "end":
+                    raise TermSyntaxError("expected '.' at end of term", tok.line, tok.col, path)
+                return term, i + 1
+            frame = stack[-1]
+            tag = frame[0]
+            if tag == "infix":
+                term = Compound(frame[2], (frame[3], term))
+                prec = frame[4]
+            elif tag == "prefix":
+                term = Compound(frame[2], (term,))
+                prec = frame[3]
             else:
-                self.error("expected ',' or ')' in argument list", tok)
-
-    def parse_list(self) -> Term:
-        self.next()  # consume '['
-        tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == "]":
-            self.next()
-            return EMPTY_LIST
-        items = [self.parse(999)[0]]
-        tail: Term = EMPTY_LIST
-        while True:
-            tok = self.next()
-            if tok is None or tok.kind != "punct":
-                self.error("expected ',', '|' or ']' in list", tok)
-            if tok.text == ",":
-                items.append(self.parse(999)[0])
-            elif tok.text == "|":
-                tail = self.parse(999)[0]
-                close = self.next()
-                if close is None or close.kind != "punct" or close.text != "]":
-                    self.error("expected ']' after list tail", close)
-                break
-            elif tok.text == "]":
-                break
-            else:
-                self.error("expected ',', '|' or ']' in list", tok)
-        return make_list(items, tail)
+                i += 1
+                prec = 0
+                punct = tok.kind == "punct"
+                if tag == "paren":
+                    if tok.text != ")":
+                        raise TermSyntaxError("expected ')'", tok.line, tok.col, path)
+                elif tag == "args":
+                    frame[3].append(term)
+                    if punct and tok.text == ",":
+                        bound = 999
+                        break
+                    if not punct or tok.text != ")":
+                        raise TermSyntaxError(
+                            "expected ',' or ')' in argument list", tok.line, tok.col, path
+                        )
+                    term = Compound(frame[2], tuple(frame[3]))
+                elif tag == "list":
+                    frame[2].append(term)
+                    if not punct or tok.text not in ",|]":
+                        raise TermSyntaxError(
+                            "expected ',', '|' or ']' in list", tok.line, tok.col, path
+                        )
+                    if tok.text != "]":
+                        if tok.text == "|":
+                            stack[-1] = ("tail", frame[1], frame[2])
+                        bound = 999
+                        break
+                    term = make_list(frame[2])
+                else:  # list tail
+                    if not punct or tok.text != "]":
+                        raise TermSyntaxError(
+                            "expected ']' after list tail", tok.line, tok.col, path
+                        )
+                    term = make_list(frame[2], term)
+            stack.pop()
+            bound = frame[1]
 
 
 def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
@@ -417,12 +382,19 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     Comments and layout are skipped but remain addressable through the
     returned spans.  Raises TermSyntaxError at the first offending token;
     unterminated quoted atoms and block comments are reported at their
-    opening position.
+    opening position, and a term cut short by the end of input at the last
+    token.
     """
-    parser = _Parser(_tokenize(text, path), path)
+    tokens = _tokenize(text, path)
     out: list[SourceTerm] = []
-    while parser.peek() is not None:
-        term, first, end = parser.parse_clause()
+    if not tokens:
+        return out
+    tokens.append(tokens[-1]._replace(kind="eof", text=""))
+    i = 0
+    while tokens[i].kind != "eof":
+        first = tokens[i]
+        term, i = _parse_clause(tokens, i, path)
+        end = tokens[i - 1]
         out.append(SourceTerm(term, Span(first.start, end.end, first.line, first.col)))
     return out
 

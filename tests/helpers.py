@@ -342,7 +342,6 @@ def oracle_closure(root: Path, world: World, libs, targets):
     of a worklist.  Only file parsing is shared with the implementation.
     """
     from exlibris.directives import extract
-    from exlibris.index import source_path
     from exlibris.terms import read_terms
 
     ordered_libs = ([libs.loclib] if libs.loclib else []) + list(libs.syslibs) + list(
@@ -356,7 +355,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                     continue
                 if not brute_matches(entry.cond, engine):
                     continue
-                path = source_path(lib.root, entry.file)
+                path = lib.root / (entry.file + ".pl")
                 if not path.is_file():
                     return ("unresolved", None, None)
                 if entry.module == "built_in":
@@ -369,7 +368,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
 
         if ref.kind == "library":
             for lib in ordered_libs:
-                path = source_path(lib.root, ref.path)
+                path = lib.root / (ref.path + ".pl")
                 if path.is_file():
                     return lib, path, ref.path
             return None
@@ -425,7 +424,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                     if verdict == "unresolved":
                         unresolved.add((src, str(req.functor), engine))
                     else:
-                        note(lib, file_rel, source_path(lib.root, file_rel))
+                        note(lib, file_rel, lib.root / (file_rel + ".pl"))
             for load in facts.loads:
                 if not any(brute_matches(load.guard, e) for e in targets):
                     continue

@@ -146,16 +146,27 @@ class TestMkindex:
         text = (worked_example / "SysLib" / "Index.pl").read_text(encoding="utf-8")
         assert "index( member, 2, any, lists, lists )." in text
 
-    def test_unexpected_exception_is_one_line_and_exit_2(self, tmp_path, run_cli):
-        # The term reader recurses once per nesting level, so 3000 levels
-        # raise RecursionError, which no specific handler catches.
+    def test_unexpected_exception_is_one_line_and_exit_2(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no handler expects this")
+
+        monkeypatch.setattr("exlibris.cli.mkindex", fail)
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert err.startswith("exlibris: internal error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_term_is_indexed(self, tmp_path, run_cli):
         (tmp_path / "deep.pl").write_text(
             "t(" * 3000 + "a" + ")" * 3000 + ".\n", encoding="utf-8"
         )
-        code, _, err = run_cli("mkindex", str(tmp_path))
-        assert code == EXIT_ERROR
-        assert err.startswith("exlibris: internal error: RecursionError: ")
-        assert len(err.splitlines()) == 1
+        code, out, _ = run_cli("mkindex", str(tmp_path), "--clause-fallback")
+        assert code == EXIT_OK
+        assert "1 entries" in out
+        text = (tmp_path / "Index.pl").read_text(encoding="utf-8")
+        assert text.splitlines()[1:] == ["index( t, 1, any, user, deep )."]
 
 
     def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):

@@ -133,6 +133,80 @@ class TestReadTerms:
         with pytest.raises(TermSyntaxError):
             read_terms("p(a)")
 
+    def test_parenthesis_closes_on_any_token_reading_close(self):
+        assert read_term("(a ')'") == Atom("a")
+
+
+# Each parser error with the position it is reported at; input that ends
+# early is reported at its last token.
+PARSE_ERRORS = [
+    ("p(.", "expected a term", 1, 3),
+    ("a :- .", "expected a term", 1, 6),
+    (".", "expected a term", 1, 1),
+    ("p(", "expected a term", 1, 2),
+    ("a =\n", "expected a term", 1, 3),
+    ("a b.", "expected '.' at end of term", 1, 3),
+    ("a = b = c.", "expected '.' at end of term", 1, 7),
+    ("p(a)", "expected '.' at end of term", 1, 4),
+    ("a\n% c", "expected '.' at end of term", 1, 1),
+    ("(a b).", "expected ')'", 1, 4),
+    ("(a].", "expected ')'", 1, 3),
+    ("(a", "expected ')'", 1, 2),
+    ("f(a b).", "expected ',' or ')' in argument list", 1, 5),
+    ("f(a].", "expected ',' or ')' in argument list", 1, 4),
+    ("p(a,\n  b", "expected ',' or ')' in argument list", 2, 3),
+    ("[a b].", "expected ',', '|' or ']' in list", 1, 4),
+    ("[a).", "expected ',', '|' or ']' in list", 1, 3),
+    ("[a", "expected ',', '|' or ']' in list", 1, 2),
+    ("[a|b c].", "expected ']' after list tail", 1, 6),
+    ("[a|b,c].", "expected ']' after list tail", 1, 5),
+    ("[a|b", "expected ']' after list tail", 1, 4),
+    ("f(,).", "unexpected ','", 1, 3),
+    ("[a,,b].", "unexpected ','", 1, 4),
+    (", a.", "unexpected ','", 1, 1),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS)
+    def test_message_and_position(self, text, message, line, col):
+        with pytest.raises(TermSyntaxError) as exc:
+            read_terms(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"line {line}, column {col}: {message}", line, col
+        )
+
+
+class TestDepth:
+    """Nesting is bounded by memory, not by the Python stack.  Shapes are
+    checked by loops because dataclass `==` recurses."""
+
+    def read_one(self, text):
+        (only,) = read_terms(text)
+        return only.term
+
+    def test_deep_compound(self):
+        term = self.read_one("f(" * 20000 + "a" + ")" * 20000 + ".")
+        for _ in range(20000):
+            assert isinstance(term, Compound) and term.name == "f" and term.arity == 1
+            term = term.args[0]
+        assert term == Atom("a")
+
+    def test_deep_list(self):
+        term = self.read_one("[" * 5000 + "a" + "]" * 5000 + ".")
+        for _ in range(5000):
+            assert isinstance(term, Compound) and term.name == "." and term.arity == 2
+            assert term.args[1] == EMPTY_LIST
+            term = term.args[0]
+        assert term == Atom("a")
+
+    def test_long_prefix_chain(self):
+        term = self.read_one("not " * 2500 + "- " * 2500 + "a.")
+        for name in ["not"] * 2500 + ["-"] * 2500:
+            assert isinstance(term, Compound) and term.name == name and term.arity == 1
+            term = term.args[0]
+        assert term == Atom("a")
+
 
 class TestTokens:
     """Token boundaries, escapes and positions the reader must keep."""
@@ -280,8 +354,7 @@ class TestProperties:
         text = "".join(f"{fill}{render_clause(term)}\n" for fill, term in pieces)
         assert splice(text, []) == text
 
-    # At most 64 characters, so no nesting reaches the recursion limit.
-    @given(st.text(alphabet=st.sampled_from(PROLOGISH), max_size=64))
+    @given(st.text(alphabet=st.sampled_from(PROLOGISH), max_size=1000))
     def test_any_text_reads_or_raises_a_syntax_error(self, text):
         try:
             out = read_terms(text)
