@@ -3,7 +3,7 @@
 One pass over a file's terms collects everything the resolver and exporter
 consume: `requires`, `defines`, `may_load`, module and library_directory
 declarations, direct loading calls, and loading calls guarded by `if_pl`
-directives (recursively deconstructed, with nested guards conjoined).
+directives (deconstructed to any depth, with nested guards conjoined).
 """
 
 from __future__ import annotations
@@ -134,25 +134,22 @@ LOADING_PREDICATES: dict[str, tuple[int, ...]] = {
 
 
 def decode_file_ref(term: Term) -> FileRef | None:
-    """A plain atom is a relative path; `library(...)` is an alias ref."""
+    """A plain atom is a relative path; `library(...)` is an alias ref whose
+    argument is an atom or atoms joined by `/`."""
     if isinstance(term, Atom) and term.name != "[]":
         return FileRef("relative", term.name)
-    if isinstance(term, Compound) and term.name == "library" and term.arity == 1:
-        path = _decode_alias_path(term.args[0])
-        if path is not None:
-            return FileRef("library", path)
-    return None
-
-
-def _decode_alias_path(term: Term) -> str | None:
-    if isinstance(term, Atom):
-        return term.name
-    if isinstance(term, Compound) and term.name == "/" and term.arity == 2:
-        left = _decode_alias_path(term.args[0])
-        right = _decode_alias_path(term.args[1])
-        if left is not None and right is not None:
-            return f"{left}/{right}"
-    return None
+    if not (isinstance(term, Compound) and term.name == "library" and term.arity == 1):
+        return None
+    parts, stack = [], [term.args[0]]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, Compound) and part.name == "/" and part.arity == 2:
+            stack += reversed(part.args)
+        elif isinstance(part, Atom):
+            parts.append(part.name)
+        else:
+            return None
+    return FileRef("library", "/".join(parts))
 
 
 def _decode_ref_arg(term: Term) -> list[FileRef]:
@@ -224,26 +221,19 @@ def deconstruct_if_pl(directive: Term) -> list[tuple[IfPls, Term]]:
     ):
         raise ValueError(f"not an if_pl directive: {render_term(directive)}")
     out: list[tuple[IfPls, Term]] = []
-    cond = parse_if_pls(directive.args[0])
-    _walk_branch(cond, directive.args[1], out)
-    if directive.arity == 3:
-        _walk_branch(Negation(cond), directive.args[2], out)
+    stack: list[tuple[IfPls, Term]] = [(ALWAYS, directive)]  # depth-first, left first
+    while stack:
+        guard, goal = stack.pop()
+        if isinstance(goal, Compound) and goal.arity == 2 and goal.name in (",", ";", "->"):
+            stack += (guard, goal.args[1]), (guard, goal.args[0])
+        elif isinstance(goal, Compound) and goal.name == "if_pl" and goal.arity in (2, 3):
+            inner = parse_if_pls(goal.args[0])
+            if goal.arity == 3:
+                stack.append((conjoin(guard, Negation(inner)), goal.args[2]))
+            stack.append((conjoin(guard, inner), goal.args[1]))
+        elif recognize_loading_call(goal) is not None:
+            out.append((guard, goal))
     return out
-
-
-def _walk_branch(guard: IfPls, goal: Term, out: list[tuple[IfPls, Term]]):
-    if isinstance(goal, Compound) and goal.arity == 2 and goal.name in (",", ";", "->"):
-        _walk_branch(guard, goal.args[0], out)
-        _walk_branch(guard, goal.args[1], out)
-        return
-    if isinstance(goal, Compound) and goal.name == "if_pl" and goal.arity in (2, 3):
-        inner = parse_if_pls(goal.args[0])
-        _walk_branch(conjoin(guard, inner), goal.args[1], out)
-        if goal.arity == 3:
-            _walk_branch(conjoin(guard, Negation(inner)), goal.args[2], out)
-        return
-    if recognize_loading_call(goal) is not None:
-        out.append((guard, goal))
 
 
 def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .directives import FileFacts, FunctorRef, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, cond_to_term, parse_if_pls
-from .errors import ExlibrisError
 from .fsio import read_text, write_text
 from .terms import Atom, Compound, Integer, Term, read_terms, render_clause
 
@@ -55,10 +54,6 @@ class LibraryIndex:
         for entry in self.entries:
             table.setdefault(entry.functor, []).append(entry)
         return table
-
-
-class IndexGenerationError(ExlibrisError):
-    pass
 
 
 def _scan_sources(root: Path, follow_subdirs: bool, extensions: Sequence[str]) -> list[Path]:
@@ -121,13 +116,7 @@ def mkindex(
             ]
         discovered.extend(entries)
     ordered = sorted(discovered, key=lambda e: (e.functor.name, e.functor.arity))
-    index = LibraryIndex(root, tuple(ordered))
-    for entry in index.entries:
-        if source_path(index.root, entry.file, extensions) is None:
-            raise IndexGenerationError(
-                f"index entry names a missing file: {entry.file} under {root}"
-            )
-    return index
+    return LibraryIndex(root, tuple(ordered))
 
 
 def source_path(

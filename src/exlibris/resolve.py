@@ -299,7 +299,8 @@ def _walk(
     """
     engines = (None,) if targets is None else targets
     entered: set[str] = set()
-    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}  # -> (hits, resolved)
+    # (functor, engine) -> (hits, resolved); a hit is (lib, entry, target, path, label)
+    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
 
     def decide(file: _File, depth: int) -> Iterator[_Step]:
         text = read_text(file.path)
@@ -313,7 +314,8 @@ def _walk(
                     key = (functor, engine)
                     if key not in decided:
                         hits = [
-                            (lib, entry, *_hit_target(lib, entry, libs.extensions))
+                            (lib, entry, *_hit_target(lib, entry, libs.extensions),
+                             f"{functor} {render_cond(entry.cond)}")
                             for lib, entry in _scan(functor, engine, libs)
                         ]
                         decided[key] = hits, tuple(hit[2] for hit in hits) or (UNRESOLVED,)
@@ -321,13 +323,12 @@ def _walk(
                     if not hits:
                         yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
                                     str(functor), resolved=resolved)
-                    for lib, entry, target, path in hits:
+                    for lib, entry, target, path, label in hits:
                         if isinstance(target, Unresolved):
                             yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
                                         str(functor), resolved=resolved)
                             continue
                         built_in = isinstance(target, BuiltIn)
-                        label = f"{functor} {render_cond(entry.cond)}"
                         yield _Step(depth, file, functor, engine, BUILT_IN if built_in else LOAD,
                                     label + " built-in" if built_in else label,
                                     _File(lib.kind, lib, path, entry.file),

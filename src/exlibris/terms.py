@@ -11,8 +11,9 @@ possible.
 Tokens are read by one compiled pattern, one match per token: the match
 skips layout and comments, then takes exactly one alternative (quoted atom,
 integer, word, end, symbol atom, punctuation), and anything no alternative
-takes is a located error.  Lines and columns come from counting newlines
-between consecutive tokens.
+takes is a located error.  Tokens carry offsets only: a line and column are
+worked out from the offset where one is read, for a syntax error or for the
+first token of a statement.
 
 Clauses are parsed by operator precedence over the token list in one loop.
 Each construct still waiting for an operand (an operator, a parenthesis, an
@@ -161,8 +162,6 @@ class _Token(NamedTuple):
     text: str
     start: int
     end: int
-    line: int
-    col: int
 
 
 # An opening quote and the longest run of valid atom text after it.  The
@@ -191,22 +190,21 @@ _ESCAPE = re.compile(r"\\.|''")
 _ESCAPES = {"\\\\": "\\", "\\'": "'", "\\n": "\n", "\\t": "\t", "''": "'"}
 
 
+def _error(message: str, text: str, offset: int, path: str | None) -> TermSyntaxError:
+    """A syntax error located at the 1-based line and column of `offset`."""
+    line = text.count("\n", 0, offset) + 1
+    return TermSyntaxError(message, line, offset - text.rfind("\n", 0, offset), path)
+
+
 def _tokenize(text: str, path: str | None) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = last = line_start = 0
-    line = 1
+    pos = 0
     while True:
         m = _TOKEN.match(text, pos)
         kind = m.lastgroup
         if kind is None:
             return tokens
         start, pos = m.span(kind)
-        newline = text.rfind("\n", last, start)
-        if newline >= 0:
-            line += text.count("\n", last, newline + 1)
-            line_start = newline + 1
-        last = start
-        col = start - line_start + 1
         value = text[start:pos]
         if kind == "qatom":
             value = _ESCAPE.sub(lambda e: _ESCAPES[e.group()], value[1:-1])
@@ -219,14 +217,14 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
             else:
                 kind = "bad"
         if kind == "comment":
-            raise TermSyntaxError("unterminated block comment", line, col, path)
+            raise _error("unterminated block comment", text, start, path)
         if kind == "bad":
             if value == "'":
                 stop = _QUOTED_PREFIX.match(text, start).end()
                 what = "unterminated" if stop == len(text) else "unknown escape in"
-                raise TermSyntaxError(f"{what} quoted atom", line, col, path)
-            raise TermSyntaxError(f"unexpected character {value[0]!r}", line, col, path)
-        tokens.append(_Token(kind, value, start, pos, line, col))
+                raise _error(f"{what} quoted atom", text, start, path)
+            raise _error(f"unexpected character {value[0]!r}", text, start, path)
+        tokens.append(_Token(kind, value, start, pos))
 
 
 def _starts_term(tok: _Token) -> bool:
@@ -256,7 +254,7 @@ _INFIX = {
 }
 
 
-def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term, int]:
+def _parse_clause(tokens: list[_Token], i: int, text: str, path: str | None) -> tuple[Term, int]:
     """Read the clause starting at `tokens[i]` by operator precedence over
     the fixed table; return its term and the index after its end token.
 
@@ -265,7 +263,7 @@ def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term,
     the precedence bound that was in force where it started, so nesting
     depth is bounded by memory only.  `tokens` ends in an `eof` token at the
     position of the last real one, where errors at end of input are
-    reported.
+    reported; `text` is what the tokens were read from, to locate errors.
     """
     stack: list[tuple] = []
     bound = 1200  # the highest precedence the term being read may have
@@ -298,13 +296,13 @@ def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term,
         elif kind == "var":
             term = Variable(tok.text)
         elif kind != "punct":
-            raise TermSyntaxError("expected a term", tok.line, tok.col, path)
+            raise _error("expected a term", text, tok.start, path)
         elif tok.text == "(":
             stack.append(("paren", bound))
             bound = 1200
             continue
         elif tok.text != "[":
-            raise TermSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col, path)
+            raise _error(f"unexpected {tok.text!r}", text, tok.start, path)
         elif tokens[i].kind == "punct" and tokens[i].text == "]":
             term = EMPTY_LIST
             i += 1
@@ -327,7 +325,7 @@ def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term,
                     break
             if not stack:
                 if tok.kind != "end":
-                    raise TermSyntaxError("expected '.' at end of term", tok.line, tok.col, path)
+                    raise _error("expected '.' at end of term", text, tok.start, path)
                 return term, i + 1
             frame = stack[-1]
             tag = frame[0]
@@ -343,23 +341,19 @@ def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term,
                 punct = tok.kind == "punct"
                 if tag == "paren":
                     if tok.text != ")":
-                        raise TermSyntaxError("expected ')'", tok.line, tok.col, path)
+                        raise _error("expected ')'", text, tok.start, path)
                 elif tag == "args":
                     frame[3].append(term)
                     if punct and tok.text == ",":
                         bound = 999
                         break
                     if not punct or tok.text != ")":
-                        raise TermSyntaxError(
-                            "expected ',' or ')' in argument list", tok.line, tok.col, path
-                        )
+                        raise _error("expected ',' or ')' in argument list", text, tok.start, path)
                     term = Compound(frame[2], tuple(frame[3]))
                 elif tag == "list":
                     frame[2].append(term)
                     if not punct or tok.text not in ",|]":
-                        raise TermSyntaxError(
-                            "expected ',', '|' or ']' in list", tok.line, tok.col, path
-                        )
+                        raise _error("expected ',', '|' or ']' in list", text, tok.start, path)
                     if tok.text != "]":
                         if tok.text == "|":
                             stack[-1] = ("tail", frame[1], frame[2])
@@ -368,9 +362,7 @@ def _parse_clause(tokens: list[_Token], i: int, path: str | None) -> tuple[Term,
                     term = make_list(frame[2])
                 else:  # list tail
                     if not punct or tok.text != "]":
-                        raise TermSyntaxError(
-                            "expected ']' after list tail", tok.line, tok.col, path
-                        )
+                        raise _error("expected ']' after list tail", text, tok.start, path)
                     term = make_list(frame[2], term)
             stack.pop()
             bound = frame[1]
@@ -391,11 +383,16 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
         return out
     tokens.append(tokens[-1]._replace(kind="eof", text=""))
     i = 0
+    line, line_start = 1, 0  # of the previous statement's first token
     while tokens[i].kind != "eof":
-        first = tokens[i]
-        term, i = _parse_clause(tokens, i, path)
-        end = tokens[i - 1]
-        out.append(SourceTerm(term, Span(first.start, end.end, first.line, first.col)))
+        start = tokens[i].start
+        newline = text.rfind("\n", line_start, start)
+        if newline >= 0:
+            line += text.count("\n", line_start, newline + 1)
+            line_start = newline + 1
+        term, i = _parse_clause(tokens, i, text, path)
+        span = Span(start, tokens[i - 1].end, line, start - line_start + 1)
+        out.append(SourceTerm(term, span))
     return out
 
 

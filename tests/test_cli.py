@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import CHAIN_LENGTH
 from exlibris import cli
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
@@ -168,6 +170,21 @@ class TestMkindex:
         text = (tmp_path / "Index.pl").read_text(encoding="utf-8")
         assert text.splitlines()[1:] == ["index( t, 1, any, user, deep )."]
 
+    @pytest.mark.parametrize(
+        "directive",
+        [
+            "if_pl(swi(_), (" + ", ".join(["x"] * 3000) + "))",
+            "ensure_loaded(library(" + "/".join(["d"] * 3000) + "))",
+        ],
+        ids=["if_pl_conjunction", "alias_path"],
+    )
+    def test_deep_directive_is_indexed(self, tmp_path, run_cli, directive):
+        (tmp_path / "deep.pl").write_text(
+            f":- defines(w/0).\n:- {directive}.\n", encoding="utf-8"
+        )
+        code, out, err = run_cli("mkindex", str(tmp_path))
+        assert (code, err) == (EXIT_OK, "")
+        assert "1 entries" in out
 
     def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):
         (tmp_path / "a.pl").write_text("p(²).\n", encoding="utf-8")

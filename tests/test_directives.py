@@ -145,6 +145,10 @@ class TestRecognizeLoadingCall:
     def test_slash_alias_path(self):
         refs, _ = recognize_loading_call(read_term("ensure_loaded(library(meta/maplist))"))
         assert refs == (FileRef("library", "meta/maplist"),)
+        refs, _ = recognize_loading_call(
+            read_term("consult([library(a/(b/c)/d), library(a/1), library(b/X/c)])")
+        )
+        assert refs == (FileRef("library", "a/b/c/d"),)
 
     def test_undecodable_args_skipped(self):
         refs, _ = recognize_loading_call(read_term("consult(X)"))

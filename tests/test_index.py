@@ -106,6 +106,16 @@ class TestMkindex:
         second = render_index(mkindex(tmp_path / "HomeLib").entries)
         assert first == second
 
+    def test_probes_no_path_beyond_the_scan(self, tmp_path, monkeypatch):
+        for i in range(3):
+            write(tmp_path, f"f{i}.pl", "".join(f":- defines(p{i}{j}/1).\n" for j in range(4)))
+        paths = len(list(tmp_path.rglob("*")))
+        probes = []
+        is_file = Path.is_file
+        monkeypatch.setattr(Path, "is_file", lambda path: probes.append(path) or is_file(path))
+        assert len(mkindex(tmp_path).entries) == 12
+        assert len(probes) <= paths
+
     def test_every_entry_names_an_existing_file(self, tmp_path):
         build_worked_example(tmp_path)
         index = mkindex(tmp_path / "HomeLib")

@@ -446,7 +446,8 @@ class TestLookupOrder:
 class TestLookupCost:
     def test_closure_lookups_do_not_grow_with_the_index(self, tmp_path, monkeypatch):
         """~5000 unrelated entries cost a closure no condition checks and
-        no functor comparisons; repeated requirements cost one lookup."""
+        no functor comparisons; repeated requirements cost one lookup and
+        render each hit's label once."""
         home = tmp_path / "HomeLib"
         wanted = {
             FunctorRef("p", 1): [("swi(_)", "p_swi"), ("any", "p_any")],
@@ -482,13 +483,14 @@ class TestLookupCost:
                 return fn(*args)
             return wrapper
 
-        for name in ("matches", "could_match_any"):
+        for name in ("matches", "could_match_any", "render_cond"):
             monkeypatch.setattr(resolve_module, name, counting(name, getattr(resolve_module, name)))
         monkeypatch.setattr(FunctorRef, "__eq__", counting("eq", FunctorRef.__eq__))
         targets = (SWI, SICSTUS)
 
         clo = closure(sources, libs, targets)
         assert calls["matches"] <= len(required) * len(targets)
+        assert calls["render_cond"] == 3  # one per decision with a hit
         assert {(f.name, e.name): simplify(t) for (f, e), (t,) in clo.resolution.items()} == {
             ("p", "swi"): ("load", "p_swi"),
             ("p", "sicstus"): ("load", "p_any"),

@@ -329,6 +329,17 @@ FILLER = st.lists(
 PROLOGISH = list("abzXY_09 \t\r\n\f.,;!|()[]'\\%/*+-=<>:éÉßπΣ中²")
 
 
+# Layout between statements: blank lines, CRLF, and newlines inside comments.
+SPAN_LAYOUT = st.lists(
+    st.sampled_from(["", " ", "\n", "\r\n", "\n\n", "\t", "% c\n", "% c\r\n", "/* a\nb */ "]),
+    max_size=4,
+).map("".join)
+SPAN_STATEMENTS = st.one_of(
+    TERMS.map(render_clause),
+    st.text(alphabet="ab \r\n", max_size=6).map(lambda text: f"q('{text}')."),
+)
+
+
 class TestProperties:
     @given(TERMS)
     def test_round_trip(self, term):
@@ -348,6 +359,23 @@ class TestProperties:
             snippet = text[source_term.span.start : source_term.span.end]
             again = read_terms(snippet)
             assert len(again) == 1 and again[0].term == source_term.term
+
+    @given(st.lists(st.tuples(SPAN_LAYOUT, SPAN_STATEMENTS), max_size=6), SPAN_LAYOUT)
+    def test_span_positions_count_newlines_before_start(self, pieces, trailer):
+        text, starts = "", []
+        for layout, statement in pieces:
+            text += layout
+            starts.append(len(text))
+            text += statement + " "
+        text += trailer
+        out = read_terms(text)
+        assert [(item.span.start, item.span.end) for item in out] == [
+            (start, start + len(statement)) for start, (_, statement) in zip(starts, pieces)
+        ]
+        for item in out:
+            start = item.span.start
+            assert item.span.line == text.count("\n", 0, start) + 1
+            assert item.span.col == start - text.rfind("\n", 0, start)
 
     @given(st.lists(st.tuples(FILLER, TERMS), min_size=1, max_size=4))
     def test_splice_identity(self, pieces):
