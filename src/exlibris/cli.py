@@ -24,6 +24,7 @@ from .export import (
     discover_entries,
     plan_export,
 )
+from .fsio import read_text
 from .index import DEFAULT_EXTENSIONS, mkindex, write_index
 from .resolve import LibrarySet, closure, trace
 
@@ -116,7 +117,7 @@ def _load_config(path: str | None) -> dict[str, list[str]]:
     if not path:
         return {}
     values: dict[str, list[str]] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,15 +150,18 @@ def _print_report(report) -> None:
 
 def _cmd_export(args) -> int:
     syslibs, homelibs, extensions = _settings(args)
-    opts = ExportOptions(
-        dest=Path(args.dest),
-        sources=tuple(Path(s) for s in args.source),
-        copy=args.copy,
-        syslibs=tuple(Path(s) for s in syslibs),
-        homelibs=tuple(Path(s) for s in homelibs),
-        loclib=args.loclib,
-        pls=tuple(args.pl) or None,
-    )
+    try:
+        opts = ExportOptions(
+            dest=Path(args.dest),
+            sources=tuple(Path(s) for s in args.source),
+            copy=args.copy,
+            syslibs=tuple(Path(s) for s in syslibs),
+            homelibs=tuple(Path(s) for s in homelibs),
+            loclib=args.loclib,
+            pls=tuple(args.pl) or None,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     libs = build_library_set(opts, extensions)
     plan = plan_export(opts, libs)
     if args.strict and plan.report.unresolved:
@@ -259,9 +263,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(line)
         print(f"exlibris: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    except (ExlibrisError, OSError, UnicodeDecodeError) as exc:
+    except (ExlibrisError, OSError) as exc:
         print(f"exlibris: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

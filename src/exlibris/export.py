@@ -25,6 +25,7 @@ from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
     IndexEntry,
+    find_sources,
     render_index,
 )
 from .resolve import LibrarySet, UnresolvedRef, canon, closure
@@ -166,14 +167,9 @@ def _discover_entries(
             entries.append((spec.path, spec.path.name))
             continue
         loclib_root = spec.base / loclib
-        for path in sorted(spec.path.rglob("*")):
-            if not path.is_file() or path.suffix not in extensions:
-                continue
-            if path.name == INDEX_FILENAME:
-                continue
-            if path.is_relative_to(loclib_root):
-                continue
-            entries.append((path, path.relative_to(spec.base).as_posix()))
+        for path in find_sources(spec.path, extensions):
+            if not path.is_relative_to(loclib_root):
+                entries.append((path, path.relative_to(spec.base).as_posix()))
     return entries
 
 
@@ -293,23 +289,24 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
 
     rewrites: list[RewriteItem] = []
     for path, dest_rel in entries:
-        text, facts = clo.entry_sources[path]
+        text, facts = libs.source(path)
         entry_dir = posixpath.dirname(dest_rel)
         rel_to_loclib = posixpath.relpath(opts.loclib, entry_dir or ".")
         edits = transform_entry(text, facts, rel_to_loclib, opts.pls)
         rewrites.append(RewriteItem(dest_rel, path, tuple(edits)))
 
+    # library-relative file fields, without extension, of the files vendored
+    prefix = f"{opts.loclib}/"
+    vendored = {
+        dest_rel[len(prefix):len(dest_rel) - len(ext)]
+        for dest_rel in copy_map if dest_rel.startswith(prefix)
+        for ext in libs.extensions if dest_rel.endswith(ext)
+    }
     index_entries: list[IndexEntry] = []
-
-    def copied(entry: IndexEntry) -> bool:
-        return any(
-            f"{opts.loclib}/{entry.file}{e}" in copy_map for e in libs.extensions
-        )
-
     if libs.loclib is not None:
-        index_entries.extend(e for e in libs.loclib.index.entries if copied(e))
+        index_entries.extend(e for e in libs.loclib.index.entries if e.file in vendored)
     for lib in libs.homelibs:
-        index_entries.extend(e for e in lib.index.entries if copied(e))
+        index_entries.extend(e for e in lib.index.entries if e.file in vendored)
     index_writes = []
     if index_entries:
         index_writes.append(

@@ -10,13 +10,14 @@ the fact's file field still records where that declaration lives.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .directives import FileFacts, FunctorRef, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, cond_to_term, parse_if_pls
+from .errors import ExlibrisError
 from .fsio import read_text, write_text
 from .terms import Atom, Compound, Integer, Term, read_terms, render_clause
 
@@ -46,6 +47,8 @@ class IndexEntry:
 class LibraryIndex:
     root: Path
     entries: tuple[IndexEntry, ...]
+    # text and facts of each file indexed on the fly, for the command that built it
+    sources: dict[Path, tuple[str, FileFacts]] = field(default_factory=dict, compare=False)
 
     @cached_property
     def by_functor(self) -> dict[FunctorRef, list[IndexEntry]]:
@@ -56,16 +59,18 @@ class LibraryIndex:
         return table
 
 
-def _scan_sources(root: Path, follow_subdirs: bool, extensions: Sequence[str]) -> list[Path]:
-    if follow_subdirs:
-        candidates = sorted(p for p in root.rglob("*") if p.is_file())
-    else:
-        candidates = sorted(p for p in root.iterdir() if p.is_file())
-    return [
-        p
-        for p in candidates
-        if p.suffix in extensions and p.name != INDEX_FILENAME
-    ]
+def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = True) -> list[Path]:
+    """The source files under root, sorted: suffix in extensions, not an index."""
+    found = root.rglob("*") if follow_subdirs else root.iterdir()
+    return sorted(
+        p for p in found if p.suffix in extensions and p.name != INDEX_FILENAME and p.is_file()
+    )
+
+
+def read_source(path: Path) -> tuple[str, FileFacts]:
+    """A source file's text and the facts extracted from its parse."""
+    text = read_text(path)
+    return text, extract(read_terms(text, str(path)), str(path))
 
 
 def _entries_for_file(facts: FileFacts, rel_file: str) -> list[IndexEntry]:
@@ -104,19 +109,22 @@ def mkindex(
     """
     root = Path(root)
     discovered: list[IndexEntry] = []
-    for source in _scan_sources(root, follow_subdirs, extensions):
-        text = read_text(source)
-        facts = extract(read_terms(text, str(source)), str(source))
+    sources: dict[Path, tuple[str, FileFacts]] = {}
+    for source in find_sources(root, extensions, follow_subdirs):
+        _, facts = sources[source] = read_source(source)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
-        entries = _entries_for_file(facts, rel_file)
-        if not entries and clause_fallback:
-            entries = [
-                IndexEntry(functor, ALWAYS, "user", rel_file)
-                for functor in facts.clause_heads
-            ]
+        try:
+            entries = _entries_for_file(facts, rel_file)
+            if not entries and clause_fallback:
+                entries = [
+                    IndexEntry(functor, ALWAYS, "user", rel_file)
+                    for functor in facts.clause_heads
+                ]
+        except ValueError as exc:  # a file name an index fact cannot hold
+            raise ExlibrisError(f"{source}: {exc}") from exc
         discovered.extend(entries)
     ordered = sorted(discovered, key=lambda e: (e.functor.name, e.functor.arity))
-    return LibraryIndex(root, tuple(ordered))
+    return LibraryIndex(root, tuple(ordered), sources)
 
 
 def source_path(

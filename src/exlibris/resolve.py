@@ -16,20 +16,21 @@ enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
 it as a leaf.  Each (functor, engine) pair is decided once per walk: a
 requirement that many files repeat costs one lookup and one probe of the
-file it names.
+file it names.  The walk reads a file's facts from its `LibrarySet`'s
+source store (`LibrarySet.source`), which on-the-fly indexing already
+filled, so a command reads and parses each file once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement, extract
+from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement
 from .engines import PlId, always_true, can_match, could_match_any, matches, render_cond
 from .errors import ExlibrisError
-from .fsio import read_text
 from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
@@ -38,9 +39,9 @@ from .index import (
     LibraryIndex,
     mkindex,
     parse_index,
+    read_source,
     source_path,
 )
-from .terms import read_terms
 
 KIND_SYSTEM = "system"
 KIND_LOCAL = "local"
@@ -77,11 +78,21 @@ class LibrarySet:
     homelibs: tuple[Library, ...] = ()
     loclib: Library | None = None
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
+    # path -> text and facts: each file is read and parsed once per command
+    sources: dict[Path, tuple[str, FileFacts]] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         roots = [lib.root for lib in self.ordered()]
         if len(set(roots)) != len(roots):
             raise ExlibrisError("library roots must be disjoint")
+        for lib in self.ordered():
+            self.sources.update(lib.index.sources)
+
+    def source(self, path: Path) -> tuple[str, FileFacts]:
+        """A file's text and facts, read and parsed on the first request."""
+        if path not in self.sources:
+            self.sources[path] = read_source(path)
+        return self.sources[path]
 
     def ordered(self) -> list[Library]:
         libs = []
@@ -156,7 +167,6 @@ class DepClosure:
     local_files: frozenset[str]
     project_files: frozenset[str]  # absolute paths of reached non-library files
     library_paths: dict[Path, str]  # on-disk home and local file -> relative file
-    entry_sources: dict[Path, tuple[str, FileFacts]]  # entry file -> its text and facts
     unresolved: tuple[UnresolvedRef, ...]
     edges: tuple[DepEdge, ...]
 
@@ -285,7 +295,6 @@ def _walk(
     libs: LibrarySet,
     targets: tuple[PlId, ...] | None,
     enter_built_ins: bool,
-    entry_sources: dict[Path, tuple[str, FileFacts]] | None = None,
 ) -> Iterator[_Step]:
     """Depth-first decisions from the entry files, on an explicit stack.
 
@@ -294,8 +303,7 @@ def _walk(
     references always.  Files are entered once each, system files never,
     built-in declaration files only with `enter_built_ins`.  Each
     (functor, engine) pair is looked up once; `seen` is still judged per
-    step.  `entry_sources`, when given, receives each entry file's text
-    and facts as parsed.
+    step.
     """
     engines = (None,) if targets is None else targets
     entered: set[str] = set()
@@ -303,10 +311,7 @@ def _walk(
     decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
 
     def decide(file: _File, depth: int) -> Iterator[_Step]:
-        text = read_text(file.path)
-        facts = extract(read_terms(text, str(file.path)), str(file.path))
-        if depth == 0 and entry_sources is not None:
-            entry_sources[file.path] = text, facts
+        _, facts = libs.source(file.path)
         for directive in _directives(facts):
             if isinstance(directive, Requirement):
                 functor = directive.functor
@@ -376,21 +381,18 @@ def closure(
     may_load references are followed unconditionally.  System files are
     recorded but never vendored nor walked; home and local files that
     declare built-ins are vendored and walked.  `library_paths` names the
-    file on disk behind each home and local file, the one export copies;
-    `entry_sources` keeps each entry file's text and facts, as parsed.
+    file on disk behind each home and local file, the one export copies.
     """
     resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
     home_files: set[tuple[str, str]] = set()
     local_files: set[str] = set()
     project_files: set[str] = set()
     library_paths: dict[Path, str] = {}
-    entry_sources: dict[Path, tuple[str, FileFacts]] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
 
     engines = None if targets is None else tuple(targets)
-    for step in _walk(entries, libs, engines, enter_built_ins=True,
-                      entry_sources=entry_sources):
+    for step in _walk(entries, libs, engines, enter_built_ins=True):
         src = step.src.display
         if step.resolved:
             resolution[(step.subject, step.engine)] = step.resolved
@@ -419,7 +421,6 @@ def closure(
         local_files=frozenset(local_files),
         project_files=frozenset(project_files),
         library_paths=library_paths,
-        entry_sources=entry_sources,
         unresolved=ordered_unresolved,
         edges=ordered_edges,
     )

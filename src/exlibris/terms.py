@@ -196,6 +196,15 @@ def _error(message: str, text: str, offset: int, path: str | None) -> TermSyntax
     return TermSyntaxError(message, line, offset - text.rfind("\n", 0, offset), path)
 
 
+def _int_value(tok: _Token, text: str, path: str | None) -> int:
+    """A decimal literal's value; one too long for `int` is a syntax error."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        message = f"integer of {len(tok.text)} digits is too long"
+        raise _error(message, text, tok.start, path) from None
+
+
 def _tokenize(text: str, path: str | None) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
@@ -283,7 +292,7 @@ def _parse_clause(tokens: list[_Token], i: int, text: str, path: str | None) -> 
             if kind == "atom" and tok.text in PREFIX_OPERATORS:
                 prec, op_kind = PREFIX_OPERATORS[tok.text]
                 if tok.text == "-" and nxt.kind == "int" and nxt.start == tok.end:
-                    term = Integer(-int(nxt.text))
+                    term = Integer(-_int_value(nxt, text, path))
                     i += 1
                 # a prefix-operator atom right before an infix operator is an
                 # operand, as in `not:x`
@@ -292,7 +301,7 @@ def _parse_clause(tokens: list[_Token], i: int, text: str, path: str | None) -> 
                     bound = prec if op_kind == "fy" else prec - 1
                     continue
         elif kind == "int":
-            term = Integer(int(tok.text))
+            term = Integer(_int_value(tok, text, path))
         elif kind == "var":
             term = Variable(tok.text)
         elif kind != "punct":

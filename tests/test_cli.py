@@ -192,6 +192,51 @@ class TestMkindex:
         assert code == EXIT_ERROR
         assert "a.pl:1:3: unexpected character '²'" in err
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("a.pl", b"p(a).\n\xff\n", ":2: cannot decode byte 0xff as UTF-8\n"),
+            ("a.pl", b"p(" + b"1" * 5000 + b").\n", ":1:3: integer of 5000 digits is too long\n"),
+            ("a\\b.pl", b":- module(m, [q/1]).\n", ": index file fields are relative"),
+        ],
+        ids=["not_utf8", "5000_digit_integer", "backslash_in_name"],
+    )
+    def test_bad_library_file_is_exit_2_naming_it(self, tmp_path, run_cli, name, data, message):
+        (tmp_path / name).write_bytes(data)
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert err.startswith(f"exlibris: {tmp_path / name}{message}")
+
+
+class TestParseOnce:
+    def test_each_command_parses_each_file_once(self, worked_example, run_cli, monkeypatch):
+        import sys
+
+        from exlibris.terms import read_terms
+
+        parsed = []
+
+        def counting(text, path=None):
+            parsed.append(path)
+            return read_terms(text, path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("exlibris") and getattr(module, "read_terms", None) is read_terms:
+                monkeypatch.setattr(module, "read_terms", counting)
+        for index in worked_example.rglob("Index.pl"):
+            index.unlink()
+        libs = ("--syslib", "SysLib", "--homelib", "HomeLib")
+        for args in (
+            ("graph", "--source", "proj/file1.pl", *libs),
+            ("export", "--dest", "out", "--source", "proj/file1.pl", *libs),
+            ("trace", "proj/file1.pl", "--pl", "sicstus:3.9.0", *libs),
+        ):
+            parsed.clear()
+            code, _, err = run_cli(*args)
+            assert (code, err) == (EXIT_OK, "")
+            assert any(path.endswith("flatten.pl") for path in parsed)
+            assert sorted(parsed) == sorted(set(parsed)), args[0]
+
 
 class TestTrace:
     def test_swi(self, worked_example, run_cli):
@@ -289,6 +334,13 @@ class TestConfigFile:
         )
         code, _, _ = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")
         assert code == EXIT_OK
+
+    def test_non_utf8_config_is_exit_2_naming_it(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_bytes(b"syslib=SysLib\n\xfe\n")
+        code, _, err = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")
+        assert code == EXIT_ERROR
+        assert err == "exlibris: exlibris.cfg:2: cannot decode byte 0xfe as UTF-8\n"
+        assert not (worked_example / "out").exists()
 
     def test_bad_config_line_is_exit_2(self, worked_example, run_cli):
         (worked_example / "exlibris.cfg").write_text("nonsense\n", encoding="utf-8")

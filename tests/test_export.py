@@ -146,8 +146,7 @@ class TestPlanExport:
         assert len(index_write.entries) == 4
 
     def test_plan_parses_each_file_once(self, tmp_path, monkeypatch):
-        import exlibris.export
-        import exlibris.resolve
+        import exlibris.index
 
         parsed = []
 
@@ -155,8 +154,7 @@ class TestPlanExport:
             parsed.append(path)
             return read_terms(text, path)
 
-        for module in (exlibris.resolve, exlibris.export):
-            monkeypatch.setattr(module, "read_terms", counting, raising=False)
+        monkeypatch.setattr(exlibris.index, "read_terms", counting)
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
         plan = plan_export(opts, build_library_set(opts))

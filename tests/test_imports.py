@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and only
+`fsio` opens or reads files."""
 
 from __future__ import annotations
 
@@ -31,3 +32,33 @@ def test_module_uses_every_import(path):
 def test_an_unused_import_is_reported():
     source = "from .errors import ExlibrisError\nimport os\n\nos.getcwd()\n"
     assert unused_imports(source) == ["ExlibrisError (line 1)"]
+
+
+def direct_reads(source: str) -> list[str]:
+    """Calls that open or read a file other than through `fsio`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "read_bytes")
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "fsio.py"], ids=lambda path: path.name
+)
+def test_only_fsio_reads_files(path):
+    assert direct_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_direct_read_is_reported():
+    source = (
+        "from pathlib import Path\nimport shutil\n\n"
+        "open('a')\nPath('b').read_text()\nPath('c').read_bytes()\n"
+        "read_text('d')\nshutil.copyfile('e', 'f')\n"
+    )
+    assert direct_reads(source) == ["line 4", "line 5", "line 6"]
