@@ -117,7 +117,9 @@ def _load_config(path: str | None) -> dict[str, list[str]]:
     if not path:
         return {}
     values: dict[str, list[str]] = {}
-    for raw in read_text(path).splitlines():
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        if "\0" in raw:
+            raise ExlibrisError(f"{path}:{lineno}: NUL byte in config line")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

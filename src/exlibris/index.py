@@ -43,12 +43,16 @@ class IndexEntry:
             )
 
 
+# path -> text and facts of each source file a command has read
+SourceStore = dict[Path, tuple[str, FileFacts]]
+
+
 @dataclass(frozen=True)
 class LibraryIndex:
     root: Path
     entries: tuple[IndexEntry, ...]
-    # text and facts of each file indexed on the fly, for the command that built it
-    sources: dict[Path, tuple[str, FileFacts]] = field(default_factory=dict, compare=False)
+    # the files indexed on the fly, for the command that built the index
+    sources: SourceStore = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def by_functor(self) -> dict[FunctorRef, list[IndexEntry]]:
@@ -109,7 +113,7 @@ def mkindex(
     """
     root = Path(root)
     discovered: list[IndexEntry] = []
-    sources: dict[Path, tuple[str, FileFacts]] = {}
+    sources: SourceStore = {}
     for source in find_sources(root, extensions, follow_subdirs):
         _, facts = sources[source] = read_source(source)
         rel_file = source.relative_to(root).with_suffix("").as_posix()

@@ -39,6 +39,7 @@ from .index import (
     LibraryIndex,
     mkindex,
     parse_index,
+    SourceStore,
     read_source,
     source_path,
 )
@@ -74,12 +75,15 @@ class Library:
 
 @dataclass(frozen=True)
 class LibrarySet:
+    """One command's libraries, in search order, and its source store.  The
+    store is never refreshed: build a new set after source files change."""
+
     syslibs: tuple[Library, ...] = ()
     homelibs: tuple[Library, ...] = ()
     loclib: Library | None = None
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
-    # path -> text and facts: each file is read and parsed once per command
-    sources: dict[Path, tuple[str, FileFacts]] = field(default_factory=dict, compare=False)
+    # each file is read and parsed once per command
+    sources: SourceStore = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = [lib.root for lib in self.ordered()]

@@ -342,6 +342,15 @@ class TestConfigFile:
         assert err == "exlibris: exlibris.cfg:2: cannot decode byte 0xfe as UTF-8\n"
         assert not (worked_example / "out").exists()
 
+    def test_nul_byte_in_config_is_exit_2_naming_it(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_text(
+            "syslib=SysLib\nhomelib=Home\0Lib\n", encoding="utf-8"
+        )
+        code, _, err = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")
+        assert code == EXIT_ERROR
+        assert err == "exlibris: exlibris.cfg:2: NUL byte in config line\n"
+        assert not (worked_example / "out").exists()
+
     def test_bad_config_line_is_exit_2(self, worked_example, run_cli):
         (worked_example / "exlibris.cfg").write_text("nonsense\n", encoding="utf-8")
         code, _, err = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")

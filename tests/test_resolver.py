@@ -117,6 +117,17 @@ class TestClosure:
         assert "meta/maplist" in clo.local_files
         assert clo.unresolved == ()
 
+    def test_source_store_is_not_a_parameter_and_not_printed(self, tmp_path):
+        build_worked_example(tmp_path)
+        libs = worked_libs(tmp_path)
+        entry = tmp_path / "proj" / "file1.pl"
+        closure([entry], libs, [SWI])
+        text = entry.read_text(encoding="utf-8")
+        assert libs.sources[entry][0] == text
+        assert text not in repr(libs)
+        with pytest.raises(TypeError):
+            LibrarySet(sources={})
+
     def test_single_target_narrows_home_files(self, tmp_path):
         build_worked_example(tmp_path)
         libs = worked_libs(tmp_path)
