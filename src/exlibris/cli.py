@@ -20,6 +20,7 @@ from .export import (
     ExportOptions,
     apply_plan,
     build_library_set,
+    check_loclib,
     default_loclib_root,
     discover_entries,
     plan_export,
@@ -196,7 +197,7 @@ def _cmd_trace(args) -> int:
     entry = Path(args.entry)
     if not entry.is_file():
         raise ExlibrisError(f"entry file does not exist: {entry}")
-    loclib = default_loclib_root([entry], args.loclib)
+    loclib = default_loclib_root([entry], _loclib(args))
     libs = LibrarySet.build(syslibs, homelibs, loclib, extensions)
     sys.stdout.write(trace(entry, args.pl[0], libs))
     return EXIT_OK
@@ -207,12 +208,20 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _loclib(args) -> str:
+    """--loclib under export's rule, so graph and trace reject what it rejects."""
+    try:
+        return check_loclib(args.loclib)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from exc
+
+
 def _cmd_graph(args) -> int:
     syslibs, homelibs, extensions = _settings(args)
     sources = [Path(s) for s in args.source]
-    loclib = default_loclib_root(sources, args.loclib)
-    libs = LibrarySet.build(syslibs, homelibs, loclib, extensions)
-    entries = discover_entries(sources, args.loclib, extensions)
+    loclib = _loclib(args)
+    libs = LibrarySet.build(syslibs, homelibs, default_loclib_root(sources, loclib), extensions)
+    entries = discover_entries(sources, loclib, extensions)
     clo = closure([path for path, _ in entries], libs, tuple(args.pl) or None)
     names = {str(path): rel for path, rel in entries}
     sys.stdout.write(_render_dot(clo, names))

@@ -95,12 +95,6 @@ class ModuleDecl:
 
 
 @dataclass(frozen=True)
-class LibraryDir:
-    path: str
-    span: Span
-
-
-@dataclass(frozen=True)
 class IfPlDirective:
     """An `if_pl/2,3` directive kept whole for the exporter's pruning pass."""
 
@@ -116,7 +110,7 @@ class FileFacts:
     may_load: tuple[MayLoad, ...] = ()
     loads: tuple[Load, ...] = ()
     module_decl: ModuleDecl | None = None
-    library_dirs: tuple[LibraryDir, ...] = ()
+    library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
     clause_heads: tuple[FunctorRef, ...] = ()
     if_pls: tuple[IfPlDirective, ...] = ()
     defines_module: str | None = None
@@ -248,7 +242,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     may_load: list[MayLoad] = []
     loads: list[Load] = []
     module_decl: ModuleDecl | None = None
-    library_dirs: list[LibraryDir] = []
+    library_dirs: list[Span] = []
     heads: list[FunctorRef] = []
     seen_heads: set[FunctorRef] = set()
     if_pls: list[IfPlDirective] = []
@@ -286,7 +280,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 if defines_module is None and isinstance(body.args[0], Atom):
                     defines_module = body.args[0].name
             elif name == "library_directory" and arity == 1:
-                library_dirs.append(LibraryDir(render_term(body.args[0]), span))
+                library_dirs.append(span)
             elif name == "if_pl" and arity in (2, 3):
                 cond = _parse_cond(body.args[0], span.line, path)
                 else_call = body.args[2] if arity == 3 else None
@@ -307,7 +301,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
         if isinstance(term, Compound) and term.name == ":-" and term.arity == 2:
             head = term.args[0]
         if isinstance(head, Compound) and head.name == "library_directory" and head.arity == 1:
-            library_dirs.append(LibraryDir(render_term(head.args[0]), span))
+            library_dirs.append(span)
         functor = None
         if isinstance(head, Atom):
             functor = FunctorRef(head.name, 0)

@@ -6,10 +6,16 @@ name, argument = a `:`-chain version.  Conditions over engines come from
 a name+version pattern with `_` wildcards, `not(...)`, a list (disjunction),
 or the pair form `(Name, [(Version, Op), ...])` whose comparisons are
 conjunctive.
+
+`matches` is the one judge of a condition.  Asked of a concrete engine it
+answers True or False; asked of all engines at once (engine None) it
+answers True (every engine matches), False (none can) or None (it depends
+on the engine).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -104,7 +110,12 @@ IfPls = Union[Always, EnginePattern, Negation, Constrained, Disjunction]
 
 ALWAYS = Always()
 
-COMPARISON_OPS = ("=", "\\=", "<", "=<", ">", ">=")
+# `engine-version OP given-version`, applied to `compare_versions`' result and 0
+_COMPARISONS = {
+    "=": operator.eq, "\\=": operator.ne, "<": operator.lt,
+    "=<": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_NOT = object()  # stack marker: negate the value on top
 
 
 def compare_versions(a: Sequence[int], b: Sequence[int]) -> int:
@@ -188,7 +199,7 @@ def _parse_constrained(term: Compound) -> Constrained:
             raise EngineConditionError(f"not a (version, op) pair: {render_term(pair)}")
         version = _decode_chain(pair.args[0], "a version constraint", wildcards=False)
         op = pair.args[1]
-        if not (isinstance(op, Atom) and op.name in COMPARISON_OPS):
+        if not (isinstance(op, Atom) and op.name in _COMPARISONS):
             raise EngineConditionError(f"unknown comparison: {render_term(op)}")
         conds.append((version, op.name))
     return Constrained(name_term.name, tuple(conds))
@@ -226,51 +237,53 @@ def render_cond(cond: IfPls) -> str:
     return render_term(cond_to_term(cond))
 
 
-def _holds(ordering: int, op: str) -> bool:
-    if op == "=":
-        return ordering == 0
-    if op == "\\=":
-        return ordering != 0
-    if op == "<":
-        return ordering < 0
-    if op == "=<":
-        return ordering <= 0
-    if op == ">":
-        return ordering > 0
-    return ordering >= 0
+def matches(cond: IfPls, engine: PlId | None) -> bool | None:
+    """Whether the engine satisfies the condition; engine None asks of all engines.
 
+    For a concrete engine the answer is True or False.  Pattern components
+    constrain only the positions they name: a wildcard absorbs whatever the
+    engine has (or lacks) there, while a concrete component requires the
+    engine to have an equal component at that position.
 
-def matches(cond: IfPls, engine: PlId) -> bool:
-    """Whether the engine satisfies the condition.
-
-    Pattern components constrain only the positions they name: a wildcard
-    absorbs whatever the engine has (or lacks) there, while a concrete
-    component requires the engine to have an equal component at that
-    position.
+    For engine None the answer is syntactic: True when every engine
+    matches, False when none can, None when it depends on the engine.
+    `Always` gives True, a pattern or pair condition None, and `not(...)`
+    and lists combine these by Kleene logic.  The condition is evaluated
+    on an explicit stack, so its nesting depth has no limit.
     """
-    if isinstance(cond, Always):
-        return True
-    if isinstance(cond, EnginePattern):
-        if cond.name != engine.name:
-            return False
-        for i, component in enumerate(cond.pattern):
-            if component is None:
-                continue
-            if i >= len(engine.version) or engine.version[i] != component:
-                return False
-        return True
-    if isinstance(cond, Negation):
-        return not matches(cond.inner, engine)
-    if isinstance(cond, Constrained):
-        if cond.name != engine.name:
-            return False
-        return all(
-            _holds(compare_versions(engine.version, version), op)
-            for version, op in cond.conds
-        )
-    if isinstance(cond, Disjunction):
-        return any(matches(item, engine) for item in cond.items)
-    raise TypeError(f"not a condition: {cond!r}")
+    stack: list = [cond]  # conditions to judge, _NOT marks, list lengths to combine
+    values: list[bool | None] = []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Negation):
+            stack += (_NOT, item.inner)
+        elif isinstance(item, Disjunction):
+            stack.append(len(item.items))
+            stack += item.items
+        elif item is _NOT:
+            values[-1] = None if values[-1] is None else not values[-1]
+        elif isinstance(item, int):
+            items = values[-item:]
+            del values[-item:]
+            values.append(True if True in items else None if None in items else False)
+        elif isinstance(item, Always):
+            values.append(True)
+        elif engine is None and isinstance(item, (EnginePattern, Constrained)):
+            values.append(None)
+        elif isinstance(item, EnginePattern):
+            version = engine.version
+            values.append(item.name == engine.name and all(
+                c is None or (i < len(version) and version[i] == c)
+                for i, c in enumerate(item.pattern)
+            ))
+        elif isinstance(item, Constrained):
+            values.append(item.name == engine.name and all(
+                _COMPARISONS[op](compare_versions(engine.version, version), 0)
+                for version, op in item.conds
+            ))
+        else:
+            raise TypeError(f"not a condition: {item!r}")
+    return values.pop()
 
 
 def conjoin(a: IfPls, b: IfPls) -> IfPls:
@@ -282,33 +295,6 @@ def conjoin(a: IfPls, b: IfPls) -> IfPls:
     return Negation(Disjunction((Negation(a), Negation(b))))
 
 
-def always_true(cond: IfPls) -> bool:
-    """Syntactic check: true for every conceivable engine."""
-    if isinstance(cond, Always):
-        return True
-    if isinstance(cond, Disjunction):
-        return any(always_true(item) for item in cond.items)
-    if isinstance(cond, Negation):
-        return never_true(cond.inner)
-    return False
-
-
-def never_true(cond: IfPls) -> bool:
-    """Syntactic check: false for every conceivable engine."""
-    if isinstance(cond, Negation):
-        return always_true(cond.inner)
-    if isinstance(cond, Disjunction):
-        return all(never_true(item) for item in cond.items)
-    return False
-
-
-def could_match_any(cond: IfPls) -> bool:
-    """Over-approximate satisfiability, used when targeting all engines."""
-    return not never_true(cond)
-
-
 def can_match(cond: IfPls, engines: Sequence[PlId] | None) -> bool:
     """Whether a guard can hold on one of the engines; engines=None means all."""
-    if engines is None:
-        return could_match_any(cond)
-    return any(matches(cond, engine) for engine in engines)
+    return any(matches(cond, e) is not False for e in ((None,) if engines is None else engines))

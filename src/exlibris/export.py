@@ -72,10 +72,15 @@ class ExportOptions:
             raise ValueError("at least one source is required")
         if self.copy not in (COPY_SELECTIVE, COPY_RECURSIVE):
             raise ValueError(f"copy must be selective or recursive, got {self.copy!r}")
-        loclib = posixpath.normpath(self.loclib)
-        if posixpath.isabs(loclib) or loclib.startswith(".."):
-            raise ValueError("loclib must be a relative path inside the destination")
-        object.__setattr__(self, "loclib", loclib)
+        object.__setattr__(self, "loclib", check_loclib(self.loclib))
+
+
+def check_loclib(loclib: str) -> str:
+    """The normalized loclib option; ValueError if it leaves the destination."""
+    loclib = posixpath.normpath(loclib)
+    if posixpath.isabs(loclib) or loclib.startswith(".."):
+        raise ValueError("loclib must be a relative path inside the destination")
+    return loclib
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,8 @@ def transform_entry(
     edits: list[tuple[Span, str]] = [
         (Span(0, 0, 1, 1), f":- library_directory( {_quoted_atom(rel_to_loclib)} ).\n")
     ]
-    for item in facts.library_dirs:
-        edits.append((_deletion_span(text, item.span), ""))
+    for span in facts.library_dirs:
+        edits.append((_deletion_span(text, span), ""))
     for directive in facts.if_pls:
         if can_match(directive.cond, pls):
             continue

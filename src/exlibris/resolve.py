@@ -14,22 +14,24 @@ one per requirement and engine (per candidate when all engines count).
 The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
-it as a leaf.  Each (functor, engine) pair is decided once per walk: a
-requirement that many files repeat costs one lookup and one probe of the
-file it names.  The walk reads a file's facts from its `LibrarySet`'s
-source store (`LibrarySet.source`), which on-the-fly indexing already
-filled, so a command reads and parses each file once.
+it as a leaf.  Each (functor, engine) pair is decided once per walk, and
+each library file a hit names is probed once: a requirement that many
+files repeat, or that many engines resolve to one file, costs one probe.
+The walk reads a file's facts from its `LibrarySet`'s source store
+(`LibrarySet.source`), which on-the-fly indexing already filled, so a
+command reads and parses each file once.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement
-from .engines import PlId, always_true, can_match, could_match_any, matches, render_cond
+from .engines import PlId, can_match, matches, render_cond
 from .errors import ExlibrisError
 from .index import (
     DEFAULT_EXTENSIONS,
@@ -181,39 +183,32 @@ def _scan(
     """Index entries for `functor` in search order.
 
     For a concrete engine only the first matching entry.  For engine None
-    every entry some engine could reach: conditions are judged by
-    satisfiability, which over-approximates (extra candidates only ever
-    widen an export), and the scan stops after an always-true condition,
-    since nothing later can win for any engine.
+    every entry that `matches` does not rule out for all engines (extra
+    candidates only ever widen an export), up to the first that holds for
+    every engine, since nothing later can win for any engine.
     """
     for lib in libs.ordered():
         for entry in lib.index.by_functor.get(functor, ()):
-            if engine is None:
-                if could_match_any(entry.cond):
-                    yield lib, entry
-                    if always_true(entry.cond):
-                        return
-            elif matches(entry.cond, engine):
+            verdict = matches(entry.cond, engine)
+            if verdict is not False:
                 yield lib, entry
+            if verdict:
                 return
 
 
-def _hit_target(
-    lib: Library, entry: IndexEntry, extensions
-) -> tuple[ResolvedTarget, Path | None]:
-    """What an index hit resolves to, and the file it names, if that exists."""
-    path = source_path(lib.root, entry.file, extensions)
+def _hit_target(lib: Library, entry: IndexEntry, path: Path | None) -> ResolvedTarget:
+    """What an index hit resolves to, given the file it names if that exists."""
     if path is None:
-        return UNRESOLVED, None
+        return UNRESOLVED
     if entry.module == BUILT_IN_MODULE:
-        return BuiltIn(lib.kind, lib.root, entry.file), path
-    return LoadFile(lib.kind, lib.root, entry.file), path
+        return BuiltIn(lib.kind, lib.root, entry.file)
+    return LoadFile(lib.kind, lib.root, entry.file)
 
 
 def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
     """First matching index entry in search order, or Unresolved."""
     for lib, entry in _scan(functor, engine, libs):
-        return _hit_target(lib, entry, libs.extensions)[0]
+        return _hit_target(lib, entry, source_path(lib.root, entry.file, libs.extensions))
     return UNRESOLVED
 
 
@@ -306,13 +301,15 @@ def _walk(
     None; loads are followed when their guard can match a target, may_load
     references always.  Files are entered once each, system files never,
     built-in declaration files only with `enter_built_ins`.  Each
-    (functor, engine) pair is looked up once; `seen` is still judged per
-    step.
+    (functor, engine) pair is looked up once and each library file probed
+    once; `seen` is still judged per step.
     """
     engines = (None,) if targets is None else targets
     entered: set[str] = set()
     # (functor, engine) -> (hits, resolved); a hit is (lib, entry, target, path, label)
     decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
+    # a library file is probed once, however many engines' hits name it
+    probe = functools.cache(lambda root, file: source_path(root, file, libs.extensions))
 
     def decide(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
@@ -322,11 +319,11 @@ def _walk(
                 for engine in engines:
                     key = (functor, engine)
                     if key not in decided:
-                        hits = [
-                            (lib, entry, *_hit_target(lib, entry, libs.extensions),
-                             f"{functor} {render_cond(entry.cond)}")
-                            for lib, entry in _scan(functor, engine, libs)
-                        ]
+                        hits = []
+                        for lib, entry in _scan(functor, engine, libs):
+                            path = probe(lib.root, entry.file)
+                            hits.append((lib, entry, _hit_target(lib, entry, path), path,
+                                         f"{functor} {render_cond(entry.cond)}"))
                         decided[key] = hits, tuple(hit[2] for hit in hits) or (UNRESOLVED,)
                     hits, resolved = decided[key]
                     if not hits:

@@ -132,6 +132,25 @@ def brute_matches(cond: IfPls, engine: PlId) -> bool:
     raise TypeError(cond)
 
 
+def syntactic_verdict(cond: IfPls) -> bool | None:
+    """The documented all-engines rule, judged on the condition's form alone:
+    True when it holds for every engine, False when for none, else None."""
+
+    def always(c: IfPls) -> bool:
+        if isinstance(c, Always):
+            return True
+        if isinstance(c, Disjunction):
+            return any(always(item) for item in c.items)
+        return isinstance(c, Negation) and never(c.inner)
+
+    def never(c: IfPls) -> bool:
+        if isinstance(c, Negation):
+            return always(c.inner)
+        return isinstance(c, Disjunction) and all(never(item) for item in c.items)
+
+    return True if always(cond) else False if never(cond) else None
+
+
 # --- seeded generators -------------------------------------------------------
 
 ATOM_POOL = (

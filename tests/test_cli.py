@@ -118,6 +118,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "relative" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [("graph", "--source", "proj"), ("trace", "proj/file1.pl", "--pl", "swi:5.0.7")],
+        ids=["graph", "trace"],
+    )
+    def test_graph_and_trace_reject_the_loclib_export_rejects(
+        self, worked_example, run_cli, command
+    ):
+        loclib = str(worked_example / "proj" / "lib")  # absolute
+        _, _, export_err = run_cli(*EXPORT_ARGS[:-1], loclib)
+        code, out, err = run_cli(*command, "--syslib", "SysLib", "--loclib", loclib)
+        assert (code, out, err) == (EXIT_USAGE, "", export_err)
+
     def test_trace_needs_exactly_one_engine(self, worked_example, run_cli):
         code, _, err = run_cli("trace", "proj/file1.pl", "--syslib", "SysLib")
         assert code == EXIT_USAGE
@@ -175,8 +188,9 @@ class TestMkindex:
         [
             "if_pl(swi(_), (" + ", ".join(["x"] * 3000) + "))",
             "ensure_loaded(library(" + "/".join(["d"] * 3000) + "))",
+            "library_directory(" + "f(" * 3000 + "x" + ")" * 3000 + ")",
         ],
-        ids=["if_pl_conjunction", "alias_path"],
+        ids=["if_pl_conjunction", "alias_path", "library_directory"],
     )
     def test_deep_directive_is_indexed(self, tmp_path, run_cli, directive):
         (tmp_path / "deep.pl").write_text(

@@ -76,13 +76,10 @@ class TestExtract:
         assert facts.defines_module == "built_in"
 
     def test_library_directory_directive_and_clause(self):
-        facts = facts_of(
-            ":- library_directory('/home/me/HomeLib').\n"
-            "library_directory('/srv/other').\n"
-        )
-        assert [d.path for d in facts.library_dirs] == [
-            "'/home/me/HomeLib'",
-            "'/srv/other'",
+        text = ":- library_directory('/home/me/HomeLib').\nlibrary_directory('/srv/other').\n"
+        assert [text[s.start:s.end] for s in facts_of(text).library_dirs] == [
+            ":- library_directory('/home/me/HomeLib').",
+            "library_directory('/srv/other').",
         ]
 
     def test_unguarded_load_carries_always(self):

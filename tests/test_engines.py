@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from helpers import ENGINE_UNIVERSE, brute_matches, lex_compare, term_order, version_chain
+from helpers import (
+    ENGINE_UNIVERSE,
+    brute_matches,
+    lex_compare,
+    syntactic_verdict,
+    term_order,
+    version_chain,
+)
 from exlibris.engines import (
     ALWAYS,
     Constrained,
@@ -18,6 +25,7 @@ from exlibris.engines import (
     EnginePattern,
     Negation,
     PlId,
+    can_match,
     compare_versions,
     cond_to_term,
     conjoin,
@@ -192,3 +200,60 @@ class TestMatches:
         assert matches(conjoin(a, b), engine) == (
             matches(a, engine) and matches(b, engine)
         )
+
+
+class TestAllEngines:
+    """`matches(cond, None)`: True for every engine, False for none, None if it depends."""
+
+    @given(SEEDS)
+    def test_follows_the_syntactic_rule(self, seed):
+        cond = cond_from_seed(seed)
+        assert matches(cond, None) is syntactic_verdict(cond)
+
+    @given(SEEDS)
+    def test_sound_over_the_universe(self, seed):
+        cond = cond_from_seed(seed)
+        verdict = matches(cond, None)
+        seen = {brute_matches(cond, engine) for engine in ENGINE_UNIVERSE}
+        if verdict is not None:
+            assert seen == {verdict}
+
+    def test_verdicts(self):
+        swi = EnginePattern("swi", (None,))
+        assert matches(ALWAYS, None) is True
+        assert matches(Negation(ALWAYS), None) is False
+        assert matches(swi, None) is None
+        assert matches(Disjunction((swi, ALWAYS)), None) is True
+        assert matches(Disjunction((swi, Negation(ALWAYS))), None) is None
+        assert matches(Negation(Disjunction((swi, ALWAYS))), None) is False
+
+    @given(SEEDS)
+    def test_can_match(self, seed):
+        cond = cond_from_seed(seed)
+        assert can_match(cond, None) is (matches(cond, None) is not False)
+        assert can_match(cond, ENGINE_UNIVERSE) is any(
+            brute_matches(cond, engine) for engine in ENGINE_UNIVERSE
+        )
+        assert can_match(cond, ()) is False
+
+
+class TestDeepNesting:
+    """10,000 levels, far past the recursion limit.  The deep values are
+    never compared, hashed or printed: dataclass `__eq__`, `__hash__` and
+    `__repr__` recurse."""
+
+    DEPTH = 10_000
+
+    def test_negation_chain(self):
+        cond = ALWAYS
+        for _ in range(self.DEPTH + 1):
+            cond = Negation(cond)
+        verdicts = (matches(cond, helpers.SWI), matches(cond, None))
+        assert verdicts == (False, False)
+
+    def test_nested_disjunction(self):
+        cond = EnginePattern("swi", (None,))
+        for _ in range(self.DEPTH):
+            cond = Disjunction((EnginePattern("yap", (None,)), cond))
+        verdicts = (matches(cond, helpers.SWI), matches(cond, helpers.SICSTUS), matches(cond, None))
+        assert verdicts == (True, False, None)

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and only
-`fsio` opens or reads files."""
+"""Every name a package module imports is used in that module, only `fsio`
+opens or reads files, and only listed functions recurse."""
 
 from __future__ import annotations
 
@@ -62,3 +62,59 @@ def test_a_direct_read_is_reported():
         "read_text('d')\nshutil.copyfile('e', 'f')\n"
     )
     assert direct_reads(source) == ["line 4", "line 5", "line 6"]
+
+
+# Module-level functions that recurse, directly or through others of their
+# module.  Each recursion is one Python frame per level of nesting in its
+# input, so the list should only shrink.
+RECURSIVE = {
+    "engines.cond_to_term",
+    "engines.parse_if_pls",
+    "terms._render",
+    "terms._render_operand",
+}
+
+
+def recursive_functions(source: str) -> set[str]:
+    """Module-level functions on a cycle of calls by name within the module."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = {
+        name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in defs
+        }
+        for name, node in defs.items()
+    }
+    found = set()
+    for name in defs:
+        reached, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in reached:
+                reached.add(callee)
+                todo.extend(calls[callee])
+        if name in reached:
+            found.add(name)
+    return found
+
+
+def test_only_listed_functions_recurse():
+    found = {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in recursive_functions(path.read_text(encoding="utf-8"))
+    }
+    assert found == RECURSIVE
+
+
+def test_a_call_cycle_is_reported():
+    source = (
+        "def a(x):\n    return [b(y) for y in x]\n\n"
+        "def b(x):\n    return a(x)\n\n"
+        "def c(x):\n    return c(x - 1) if x else a(x)\n\n"
+        "def d(x):\n    return a(x)\n"
+    )
+    assert recursive_functions(source) == {"a", "b", "c"}

@@ -494,7 +494,7 @@ class TestLookupCost:
                 return fn(*args)
             return wrapper
 
-        for name in ("matches", "could_match_any", "render_cond"):
+        for name in ("matches", "render_cond"):
             monkeypatch.setattr(resolve_module, name, counting(name, getattr(resolve_module, name)))
         monkeypatch.setattr(FunctorRef, "__eq__", counting("eq", FunctorRef.__eq__))
         targets = (SWI, SICSTUS)
@@ -513,5 +513,33 @@ class TestLookupCost:
 
         calls.clear()
         closure(sources, libs, None)
-        assert calls["could_match_any"] <= len(required)
+        assert calls["matches"] <= len(required)
         assert calls["eq"] < len(unrelated)
+
+    def test_each_library_file_is_probed_once_per_walk(self, tmp_path, monkeypatch):
+        """Both targets' hits for p/1, and swi's for q/2, name file a: one probe."""
+        home = tmp_path / "HomeLib"
+        home.mkdir()
+        (home / "Index.pl").write_text(
+            "index( p, 1, any, user, a ).\n"
+            "index( q, 2, swi(_), user, a ).\n"
+            "index( q, 2, any, user, b ).\n",
+            encoding="utf-8",
+        )
+        for name in ("a", "b"):
+            (home / f"{name}.pl").write_text(f"{name}.\n", encoding="utf-8")
+        entry = tmp_path / "e.pl"
+        entry.write_text(":- requires( [p/1, q/2] ).\n", encoding="utf-8")
+        libs = LibrarySet.build(homelibs=[home])
+
+        probes = Counter()
+        source_path = resolve_module.source_path
+
+        def counting(root, file, extensions):
+            probes[file] += 1
+            return source_path(root, file, extensions)
+
+        monkeypatch.setattr(resolve_module, "source_path", counting)
+        clo = closure([entry], libs, (SWI, SICSTUS))
+        assert clo.home_files == {(str(home), "a"), (str(home), "b")}
+        assert probes == {"a": 1, "b": 1}
