@@ -251,50 +251,53 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     for st in terms:
         term, span = st.term, st.span
         if isinstance(term, Compound) and term.name == ":-" and term.arity == 1:
-            body = term.args[0]
-            name = body.name if isinstance(body, Compound) else None
-            arity = body.arity if isinstance(body, Compound) else 0
-            if name == "requires" and arity == 1:
-                for functor in _decode_functor_arg(body.args[0], "requires", span.line, path):
-                    requires.append(Requirement(functor, span))
-            elif name == "defines" and arity in (1, 2):
-                cond = ALWAYS
-                functor_arg = body.args[-1]
-                if arity == 2:
-                    cond = _parse_cond(body.args[0], span.line, path)
-                functors = _decode_functor_arg(functor_arg, "defines", span.line, path)
-                defines.append(DefinesGroup(cond, functors, span))
-            elif name == "may_load" and arity == 1:
-                for ref in _decode_ref_arg(body.args[0]):
-                    may_load.append(MayLoad(ref, span))
-            elif name == "module" and arity == 2:
-                if module_decl is None:
-                    exports = tuple(
-                        f
-                        for f in map(_decode_functor, list_parts(body.args[1])[0])
-                        if f is not None
-                    )
-                    if isinstance(body.args[0], Atom):
-                        module_decl = ModuleDecl(body.args[0].name, exports)
-            elif name == "defines_module" and arity == 1:
-                if defines_module is None and isinstance(body.args[0], Atom):
-                    defines_module = body.args[0].name
-            elif name == "library_directory" and arity == 1:
-                library_dirs.append(span)
-            elif name == "if_pl" and arity in (2, 3):
-                cond = _parse_cond(body.args[0], span.line, path)
-                else_call = body.args[2] if arity == 3 else None
-                if_pls.append(IfPlDirective(cond, else_call, span))
-                for guard, call in deconstruct_if_pl(body):
-                    refs, predicate = recognize_loading_call(call)
-                    for ref in refs:
-                        loads.append(Load(guard, ref, predicate, span))
-            else:
-                recognized = recognize_loading_call(body)
-                if recognized is not None:
-                    refs, predicate = recognized
-                    for ref in refs:
-                        loads.append(Load(ALWAYS, ref, predicate, span))
+            try:
+                body = term.args[0]
+                name = body.name if isinstance(body, Compound) else None
+                arity = body.arity if isinstance(body, Compound) else 0
+                if name == "requires" and arity == 1:
+                    for functor in _decode_functor_arg(body.args[0], "requires", span.line, path):
+                        requires.append(Requirement(functor, span))
+                elif name == "defines" and arity in (1, 2):
+                    cond = ALWAYS
+                    functor_arg = body.args[-1]
+                    if arity == 2:
+                        cond = parse_if_pls(body.args[0])
+                    functors = _decode_functor_arg(functor_arg, "defines", span.line, path)
+                    defines.append(DefinesGroup(cond, functors, span))
+                elif name == "may_load" and arity == 1:
+                    for ref in _decode_ref_arg(body.args[0]):
+                        may_load.append(MayLoad(ref, span))
+                elif name == "module" and arity == 2:
+                    if module_decl is None:
+                        exports = tuple(
+                            f
+                            for f in map(_decode_functor, list_parts(body.args[1])[0])
+                            if f is not None
+                        )
+                        if isinstance(body.args[0], Atom):
+                            module_decl = ModuleDecl(body.args[0].name, exports)
+                elif name == "defines_module" and arity == 1:
+                    if defines_module is None and isinstance(body.args[0], Atom):
+                        defines_module = body.args[0].name
+                elif name == "library_directory" and arity == 1:
+                    library_dirs.append(span)
+                elif name == "if_pl" and arity in (2, 3):
+                    cond = parse_if_pls(body.args[0])
+                    else_call = body.args[2] if arity == 3 else None
+                    if_pls.append(IfPlDirective(cond, else_call, span))
+                    for guard, call in deconstruct_if_pl(body):
+                        refs, predicate = recognize_loading_call(call)
+                        for ref in refs:
+                            loads.append(Load(guard, ref, predicate, span))
+                else:
+                    recognized = recognize_loading_call(body)
+                    if recognized is not None:
+                        refs, predicate = recognized
+                        for ref in refs:
+                            loads.append(Load(ALWAYS, ref, predicate, span))
+            except EngineConditionError as exc:  # from any condition, nested ones too
+                raise MalformedDirectiveError(str(exc), span.line, path) from exc
             continue
 
         head = term
@@ -322,10 +325,3 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
         if_pls=tuple(if_pls),
         defines_module=defines_module,
     )
-
-
-def _parse_cond(term: Term, line: int, path: str | None) -> IfPls:
-    try:
-        return parse_if_pls(term)
-    except EngineConditionError as exc:
-        raise MalformedDirectiveError(str(exc), line, path) from exc

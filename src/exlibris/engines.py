@@ -7,10 +7,12 @@ a name+version pattern with `_` wildcards, `not(...)`, a list (disjunction),
 or the pair form `(Name, [(Version, Op), ...])` whose comparisons are
 conjunctive.
 
-`matches` is the one judge of a condition.  Asked of a concrete engine it
-answers True or False; asked of all engines at once (engine None) it
-answers True (every engine matches), False (none can) or None (it depends
-on the engine).
+`parse_if_pls` decodes a condition term, `render_cond` writes a
+condition's canonical text directly, and `matches` is the one judge of a
+condition.  Asked of a concrete engine it answers True or False; asked of
+all engines at once (engine None) it answers True (every engine matches),
+False (none can) or None (it depends on the engine).  All three work on
+an explicit stack, so a condition's nesting depth has no limit.
 """
 
 from __future__ import annotations
@@ -22,14 +24,17 @@ from typing import Sequence, Union
 
 from .errors import ExlibrisError
 from .terms import (
+    EMPTY_LIST,
+    INFIX_OPERATORS,
+    PREFIX_OPERATORS,
     Atom,
     Compound,
     Integer,
     Term,
     Variable,
+    atom_text,
     is_proper_list,
     list_parts,
-    make_list,
     render_term,
 )
 
@@ -158,29 +163,39 @@ def _decode_component(term: Term, what: str, wildcards: bool):
 
 
 def parse_if_pls(term: Term) -> IfPls:
-    """Decode a condition term; list elements are disjunctive alternatives."""
-    if isinstance(term, Atom):
-        if term.name in ("all", "any"):
-            return ALWAYS
-        if term.name == "[]":
-            raise EngineConditionError("empty condition list")
-        raise EngineConditionError(f"not an engine condition: {render_term(term)}")
-    if isinstance(term, Compound):
-        if term.name == "." and term.arity == 2:
-            items, tail = list_parts(term)
-            if tail != Atom("[]"):
+    """Decode a condition term; list elements are disjunctive alternatives.
+    Decoded left to right on an explicit stack, so nesting depth has no
+    limit and the error raised is the one for the leftmost bad part."""
+    stack: list = [term]  # terms to decode, _NOT marks, list lengths to gather
+    values: list[IfPls] = []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Atom) and item.name in ("all", "any"):
+            values.append(ALWAYS)
+        elif isinstance(item, Compound) and item.arity == 1 and item.name == "not":
+            stack += (_NOT, item.args[0])
+        elif isinstance(item, Compound) and item.arity == 1 and _NAME_RE.match(item.name):
+            pattern = _decode_chain(item.args[0], "a version pattern", wildcards=True)
+            values.append(EnginePattern(item.name, pattern))
+        elif item is _NOT:
+            values[-1] = Negation(values[-1])
+        elif isinstance(item, int):
+            values[-item:] = [Disjunction(values[-item:])]
+        elif isinstance(item, Compound) and item.arity == 2 and item.name == ".":
+            items, tail = list_parts(item)
+            if tail != EMPTY_LIST:
                 raise EngineConditionError(
-                    f"condition list has a non-list tail: {render_term(term)}"
+                    f"condition list has a non-list tail: {render_term(item)}"
                 )
-            return Disjunction(tuple(parse_if_pls(item) for item in items))
-        if term.name == "not" and term.arity == 1:
-            return Negation(parse_if_pls(term.args[0]))
-        if term.name == "," and term.arity == 2:
-            return _parse_constrained(term)
-        if term.arity == 1 and _NAME_RE.match(term.name):
-            pattern = _decode_chain(term.args[0], "a version pattern", wildcards=True)
-            return EnginePattern(term.name, pattern)
-    raise EngineConditionError(f"not an engine condition: {render_term(term)}")
+            stack.append(len(items))
+            stack += reversed(items)
+        elif isinstance(item, Compound) and item.arity == 2 and item.name == ",":
+            values.append(_parse_constrained(item))
+        elif item == EMPTY_LIST:
+            raise EngineConditionError("empty condition list")
+        else:
+            raise EngineConditionError(f"not an engine condition: {render_term(item)}")
+    return values.pop()
 
 
 def _parse_constrained(term: Compound) -> Constrained:
@@ -205,36 +220,40 @@ def _parse_constrained(term: Compound) -> Constrained:
     return Constrained(name_term.name, tuple(conds))
 
 
-def _chain_term(components: Sequence[int | None]) -> Term:
-    parts: list[Term] = [
-        Variable("_") if c is None else Integer(c) for c in components
-    ]
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = Compound(":", (part, term))
-    return term
+def _chain_text(components: Sequence[int | None]) -> str:
+    return ":".join("_" if c is None else str(c) for c in components)
 
 
-def cond_to_term(cond: IfPls) -> Term:
-    """The canonical term form; Always surfaces as `any`."""
-    if isinstance(cond, Always):
-        return Atom("any")
-    if isinstance(cond, EnginePattern):
-        return Compound(cond.name, (_chain_term(cond.pattern),))
-    if isinstance(cond, Negation):
-        return Compound("not", (cond_to_term(cond.inner),))
-    if isinstance(cond, Constrained):
-        pairs = [
-            Compound(",", (_chain_term(v), Atom(op))) for v, op in cond.conds
-        ]
-        return Compound(",", (Atom(cond.name), make_list(pairs)))
-    if isinstance(cond, Disjunction):
-        return make_list([cond_to_term(item) for item in cond.items])
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def render_cond(cond: IfPls) -> str:
-    return render_term(cond_to_term(cond))
+def render_cond(cond: IfPls, max_prec: int = 1200) -> str:
+    """A condition's canonical text: what `render_term` writes for its term
+    form (Always as `any`) at precedence bound `max_prec`, so a pair
+    condition on top is bracketed below 1000, the precedence of `,`.
+    Written on an explicit stack, so nesting depth has no limit."""
+    out: list[str] = []
+    stack: list = [cond]  # conditions to write and literal text, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Always):
+            out.append("any")
+        elif isinstance(item, EnginePattern):
+            out.append(f"{atom_text(item.name)}({_chain_text(item.pattern)})")
+        elif isinstance(item, Negation):
+            stack += (")", item.inner, "not(")
+        elif isinstance(item, Disjunction):
+            parts = [part for inner in reversed(item.items) for part in (",", inner)]
+            stack += ("]", *parts[1:], "[")
+        elif isinstance(item, Constrained):
+            name = atom_text(item.name)
+            if item.name in PREFIX_OPERATORS or item.name in INFIX_OPERATORS:
+                name = f"({name})"  # an operator atom is bracketed as an operand
+            pairs = ",".join(f"({_chain_text(v)},({op}))" for v, op in item.conds)
+            bare = item is cond and max_prec >= 1000
+            out.append(f"{name},[{pairs}]" if bare else f"({name},[{pairs}])")
+        else:
+            raise TypeError(f"not a condition: {item!r}")
+    return "".join(out)
 
 
 def matches(cond: IfPls, engine: PlId | None) -> bool | None:

@@ -4,7 +4,9 @@ An index file maps predicates to the library file that defines them, one
 `index/5` fact per line: name, arity, engine condition, module, and the
 file path relative to the library root without extension.  The module
 value `built_in` marks predicates that need no load on matching engines;
-the fact's file field still records where that declaration lives.
+the fact's file field still records where that declaration lives.  This
+module owns the line format in both directions: `render_index` writes
+each fact as text, and `term_to_entry` decodes one read back.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .directives import FileFacts, FunctorRef, extract
-from .engines import ALWAYS, EngineConditionError, IfPls, cond_to_term, parse_if_pls
+from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
-from .terms import Atom, Compound, Integer, Term, read_terms, render_clause
+from .terms import Atom, Compound, Integer, Term, atom_text, read_terms
 
 logger = logging.getLogger(__name__)
 
@@ -143,19 +145,6 @@ def source_path(
     return None
 
 
-def entry_to_term(entry: IndexEntry) -> Term:
-    return Compound(
-        "index",
-        (
-            Atom(entry.functor.name),
-            Integer(entry.functor.arity),
-            cond_to_term(entry.cond),
-            Atom(entry.module),
-            Atom(entry.file),
-        ),
-    )
-
-
 def term_to_entry(term: Term) -> IndexEntry | None:
     if not (isinstance(term, Compound) and term.name == "index" and term.arity == 5):
         return None
@@ -174,8 +163,13 @@ def term_to_entry(term: Term) -> IndexEntry | None:
 
 
 def render_index(entries: Iterable[IndexEntry]) -> str:
+    """The Index.pl text: the header, then one `index/5` fact per entry."""
     lines = [INDEX_HEADER]
-    lines.extend(render_clause(entry_to_term(entry)) for entry in entries)
+    lines.extend(
+        f"index( {atom_text(e.functor.name)}, {e.functor.arity}, {render_cond(e.cond, 999)}, "
+        f"{atom_text(e.module)}, {atom_text(e.file)} )."
+        for e in entries
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -14,17 +14,15 @@ one per requirement and engine (per candidate when all engines count).
 The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
-it as a leaf.  Each (functor, engine) pair is decided once per walk, and
-each library file a hit names is probed once: a requirement that many
-files repeat, or that many engines resolve to one file, costs one probe.
-The walk reads a file's facts from its `LibrarySet`'s source store
-(`LibrarySet.source`), which on-the-fly indexing already filled, so a
-command reads and parses each file once.
+it as a leaf.  Each (functor, engine) pair is decided once per walk.  A
+command's `LibrarySet` probes each library file once (`source_path`),
+whether an index hit or a `library(...)` reference names it, and holds
+each file's facts (`source`), which on-the-fly indexing already filled,
+so a command reads and parses each file once.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,8 +75,8 @@ class Library:
 
 @dataclass(frozen=True)
 class LibrarySet:
-    """One command's libraries, in search order, and its source store.  The
-    store is never refreshed: build a new set after source files change."""
+    """One command's libraries, in search order, its source store and its
+    probes.  Neither is refreshed: build a new set after source files change."""
 
     syslibs: tuple[Library, ...] = ()
     homelibs: tuple[Library, ...] = ()
@@ -86,6 +84,10 @@ class LibrarySet:
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
     # each file is read and parsed once per command
     sources: SourceStore = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (library root, index file field) -> the file on disk, probed once per command
+    probes: dict[tuple[Path, str], Path | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         roots = [lib.root for lib in self.ordered()]
@@ -99,6 +101,12 @@ class LibrarySet:
         if path not in self.sources:
             self.sources[path] = read_source(path)
         return self.sources[path]
+
+    def source_path(self, root: Path, rel_file: str) -> Path | None:
+        """`index.source_path` under this set's extensions, probed on the first request."""
+        if (root, rel_file) not in self.probes:
+            self.probes[root, rel_file] = source_path(root, rel_file, self.extensions)
+        return self.probes[root, rel_file]
 
     def ordered(self) -> list[Library]:
         libs = []
@@ -208,7 +216,7 @@ def _hit_target(lib: Library, entry: IndexEntry, path: Path | None) -> ResolvedT
 def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
     """First matching index entry in search order, or Unresolved."""
     for lib, entry in _scan(functor, engine, libs):
-        return _hit_target(lib, entry, source_path(lib.root, entry.file, libs.extensions))
+        return _hit_target(lib, entry, libs.source_path(lib.root, entry.file))
     return UNRESOLVED
 
 
@@ -224,7 +232,7 @@ def resolve_file_ref(
     """
     if ref.kind == "library":
         for lib in libs.ordered():
-            path = source_path(lib.root, ref.path, libs.extensions)
+            path = libs.source_path(lib.root, ref.path)
             if path is not None:
                 return lib.kind, lib, path, ref.path
         return None
@@ -301,15 +309,13 @@ def _walk(
     None; loads are followed when their guard can match a target, may_load
     references always.  Files are entered once each, system files never,
     built-in declaration files only with `enter_built_ins`.  Each
-    (functor, engine) pair is looked up once and each library file probed
-    once; `seen` is still judged per step.
+    (functor, engine) pair is looked up once; `seen` is still judged per
+    step.
     """
     engines = (None,) if targets is None else targets
     entered: set[str] = set()
     # (functor, engine) -> (hits, resolved); a hit is (lib, entry, target, path, label)
     decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
-    # a library file is probed once, however many engines' hits name it
-    probe = functools.cache(lambda root, file: source_path(root, file, libs.extensions))
 
     def decide(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
@@ -321,7 +327,7 @@ def _walk(
                     if key not in decided:
                         hits = []
                         for lib, entry in _scan(functor, engine, libs):
-                            path = probe(lib.root, entry.file)
+                            path = libs.source_path(lib.root, entry.file)
                             hits.append((lib, entry, _hit_target(lib, entry, path), path,
                                          f"{functor} {render_cond(entry.cond)}"))
                         decided[key] = hits, tuple(hit[2] for hit in hits) or (UNRESOLVED,)

@@ -7,6 +7,7 @@ import pytest
 from conftest import CHAIN_LENGTH
 from exlibris import cli
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
+from exlibris.index import parse_index, render_index
 
 EXPORT_ARGS = (
     "export",
@@ -200,6 +201,15 @@ class TestMkindex:
         assert (code, err) == (EXIT_OK, "")
         assert "1 entries" in out
 
+    def test_deeply_negated_condition_is_indexed_and_read_back(self, tmp_path, run_cli):
+        cond = "not(" * 2000 + "swi(_)" + ")" * 2000
+        (tmp_path / "a.pl").write_text(f":- defines({cond}, [p/1]).\n", encoding="utf-8")
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert (code, err) == (EXIT_OK, "")
+        text = (tmp_path / "Index.pl").read_text(encoding="utf-8")
+        assert text.splitlines()[1:] == [f"index( p, 1, {cond}, user, a )."]
+        assert render_index(parse_index(tmp_path / "Index.pl").entries) == text
+
     def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):
         (tmp_path / "a.pl").write_text("p(²).\n", encoding="utf-8")
         code, _, err = run_cli("mkindex", str(tmp_path))
@@ -294,6 +304,31 @@ class TestTrace:
         assert (code, err) == (EXIT_OK, "")
         last = CHAIN_LENGTH - 1
         assert out.splitlines()[-1] == "  " * (last - 1) + f"f{last}: load file f{last}.pl"
+
+
+class TestNestedIfPl:
+    """A guard grows three condition levels per nesting, so 1000 nestings
+    go far past Python's default recursion limit."""
+
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            (("graph", "--source", "proj/m.pl"), None),
+            (("trace", "proj/m.pl", "--pl", "swi:5.0.7"), "x: load file x.pl\n"),
+            (("export", "--dest", "out", "--source", "proj/m.pl", "--pl", "sicstus:3.9.0"),
+             None),
+        ],
+        ids=["graph", "trace", "export"],
+    )
+    def test_1000_nested_if_pl_directives(self, tmp_path, run_cli, monkeypatch, args, out):
+        nested = "if_pl(swi(_), " * 1000 + "ensure_loaded(x)" + ")" * 1000
+        (tmp_path / "proj").mkdir()
+        (tmp_path / "proj" / "m.pl").write_text(f":- {nested}.\n", encoding="utf-8")
+        (tmp_path / "proj" / "x.pl").write_text("x.\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(*args)
+        assert (code, err) == (EXIT_OK, "")
+        assert out is None or stdout == out
 
 
 class TestGraph:

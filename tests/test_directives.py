@@ -99,6 +99,16 @@ class TestExtract:
         assert "proj/file1.pl" in str(exc.value)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "directive",
+        ["if_pl(foo(bar), ensure_loaded(x))", "if_pl(swi(_), if_pl(foo(bar), ensure_loaded(x)))"],
+        ids=["top_level", "nested"],
+    )
+    def test_condition_error_names_file_and_line(self, directive):
+        with pytest.raises(MalformedDirectiveError) as exc:
+            facts_of(f":- {directive}.", path="lib/a.pl")
+        assert str(exc.value) == "lib/a.pl:1: bad version component in a version pattern: bar"
+
     def test_if_pl_loads_are_guarded(self):
         facts = facts_of(":- if_pl(swi(_), consult(a), consult(b)).")
         assert [(str(l.ref), l.predicate) for l in facts.loads] == [

@@ -27,10 +27,10 @@ from exlibris.engines import (
     PlId,
     can_match,
     compare_versions,
-    cond_to_term,
     conjoin,
     matches,
     parse_if_pls,
+    render_cond,
 )
 from exlibris.terms import read_term, render_term
 
@@ -135,7 +135,29 @@ class TestParseIfPls:
     @given(SEEDS)
     def test_cond_term_round_trip(self, seed):
         cond = cond_from_seed(seed)
-        assert parse_if_pls(read_term(render_term(cond_to_term(cond)))) == cond
+        assert parse_if_pls(read_term(render_cond(cond))) == cond
+
+    @given(SEEDS)
+    def test_cond_text_is_the_canonical_text_of_its_term(self, seed):
+        text = render_cond(cond_from_seed(seed))
+        assert render_term(read_term(text)) == text
+
+    @pytest.mark.parametrize(
+        "cond, top, argument",
+        [
+            (Constrained("sicstus", (((3, 9, 0), ">="),)),
+             "sicstus,[(3:9:0,(>=))]", "(sicstus,[(3:9:0,(>=))])"),
+            (Constrained("not", (((2,), "\\="), ((3,), "<"))),
+             "(not),[(2,(\\=)),(3,(<))]", "((not),[(2,(\\=)),(3,(<))])"),
+            (Negation(Constrained("swi", ())), "not((swi,[]))", "not((swi,[]))"),
+            (Disjunction((ALWAYS, EnginePattern("yap", (4, None)))), "[any,yap(4:_)]",
+             "[any,yap(4:_)]"),
+        ],
+        ids=["pair", "operator_name", "negated_pair", "list"],
+    )
+    def test_pair_condition_is_bracketed_below_the_comma(self, cond, top, argument):
+        assert (render_cond(cond), render_cond(cond, 999)) == (top, argument)
+        assert parse_if_pls(read_term(top)) == cond
 
 
 class TestMatches:

@@ -22,6 +22,7 @@ from exlibris.index import (
     render_index,
     write_index,
 )
+from exlibris.terms import read_term, render_clause
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -194,7 +195,7 @@ class TestParseIndex:
 
 def entry_from_seed(seed: int) -> IndexEntry:
     rng = random.Random(seed)
-    name = rng.choice(("f", "g", "has space", "x_1", "lists"))
+    name = rng.choice(("f", "g", "has space", "x_1", "lists", "-", "it's", "[]", "Up"))
     functor = FunctorRef(name, rng.randrange(0, 6))
     cond = helpers.gen_cond(rng, 2)[1]
     module = rng.choice(("user", "built_in", "lists", "my mod"))
@@ -209,3 +210,8 @@ class TestRoundTripProperty:
         text = render_index(entries)
         parsed = parse_index_text(text, Path("."))
         assert parsed.entries == entries
+
+    @given(st.lists(SEEDS, max_size=50))
+    def test_each_line_is_the_canonical_clause_of_its_term(self, seeds):
+        lines = render_index(entry_from_seed(seed) for seed in seeds).splitlines()[1:]
+        assert lines == [render_clause(read_term(line)) for line in lines]

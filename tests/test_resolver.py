@@ -517,7 +517,8 @@ class TestLookupCost:
         assert calls["eq"] < len(unrelated)
 
     def test_each_library_file_is_probed_once_per_walk(self, tmp_path, monkeypatch):
-        """Both targets' hits for p/1, and swi's for q/2, name file a: one probe."""
+        """Both targets' hits for p/1, swi's for q/2, two `library(a)` loads and
+        a later lookup all name file a: one probe per library set."""
         home = tmp_path / "HomeLib"
         home.mkdir()
         (home / "Index.pl").write_text(
@@ -528,18 +529,22 @@ class TestLookupCost:
         )
         for name in ("a", "b"):
             (home / f"{name}.pl").write_text(f"{name}.\n", encoding="utf-8")
-        entry = tmp_path / "e.pl"
-        entry.write_text(":- requires( [p/1, q/2] ).\n", encoding="utf-8")
+        entries = [tmp_path / "e.pl", tmp_path / "f.pl"]
+        entries[0].write_text(
+            ":- requires( [p/1, q/2] ).\n:- ensure_loaded(library(a)).\n", encoding="utf-8"
+        )
+        entries[1].write_text(":- ensure_loaded(library(a)).\n", encoding="utf-8")
         libs = LibrarySet.build(homelibs=[home])
 
         probes = Counter()
         source_path = resolve_module.source_path
 
         def counting(root, file, extensions):
-            probes[file] += 1
+            probes[root, file] += 1
             return source_path(root, file, extensions)
 
         monkeypatch.setattr(resolve_module, "source_path", counting)
-        clo = closure([entry], libs, (SWI, SICSTUS))
+        clo = closure(entries, libs, (SWI, SICSTUS))
         assert clo.home_files == {(str(home), "a"), (str(home), "b")}
-        assert probes == {"a": 1, "b": 1}
+        assert resolve_functor(FunctorRef("p", 1), SWI, libs) == LoadFile("home", home, "a")
+        assert probes == {(home, "a"): 1, (home, "b"): 1}
