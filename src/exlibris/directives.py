@@ -201,8 +201,9 @@ def _decode_functor_arg(term: Term, directive: str, line: int, path: str | None)
     return tuple(functors)
 
 
-def deconstruct_if_pl(directive: Term) -> list[tuple[IfPls, Term]]:
-    """Expand an `if_pl/2,3` body into (guard, loading call) pairs.
+def deconstruct_if_pl(directive: Term, cond: IfPls) -> list[tuple[IfPls, Term]]:
+    """Expand an `if_pl/2,3` body, whose condition decodes to `cond`, into
+    (guard, loading call) pairs.
 
     The else branch of `if_pl/3` is guarded by the negated condition, and
     nesting conjoins guards.  Conjunctions, disjunctions, and `->` inside a
@@ -221,7 +222,7 @@ def deconstruct_if_pl(directive: Term) -> list[tuple[IfPls, Term]]:
         if isinstance(goal, Compound) and goal.arity == 2 and goal.name in (",", ";", "->"):
             stack += (guard, goal.args[1]), (guard, goal.args[0])
         elif isinstance(goal, Compound) and goal.name == "if_pl" and goal.arity in (2, 3):
-            inner = parse_if_pls(goal.args[0])
+            inner = cond if goal is directive else parse_if_pls(goal.args[0])
             if goal.arity == 3:
                 stack.append((conjoin(guard, Negation(inner)), goal.args[2]))
             stack.append((conjoin(guard, inner), goal.args[1]))
@@ -286,7 +287,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     cond = parse_if_pls(body.args[0])
                     else_call = body.args[2] if arity == 3 else None
                     if_pls.append(IfPlDirective(cond, else_call, span))
-                    for guard, call in deconstruct_if_pl(body):
+                    for guard, call in deconstruct_if_pl(body, cond):
                         refs, predicate = recognize_loading_call(call)
                         for ref in refs:
                             loads.append(Load(guard, ref, predicate, span))

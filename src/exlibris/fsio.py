@@ -3,6 +3,7 @@ comparisons stay byte-exact.  `read_text` is the package's only decoder."""
 
 from __future__ import annotations
 
+import errno
 from pathlib import Path
 
 from .errors import ExlibrisError
@@ -25,3 +26,13 @@ def read_text(path: Path | str) -> str:
 def write_text(path: Path | str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def is_file(path: Path) -> bool:
+    """Whether `path` is a file; a name too long for the file system names none."""
+    try:
+        return path.is_file()
+    except OSError as exc:
+        if exc.errno == errno.ENAMETOOLONG:
+            return False
+        raise

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .directives import FileFacts, FunctorRef, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
 from .errors import ExlibrisError
-from .fsio import read_text, write_text
+from .fsio import is_file, read_text, write_text
 from .terms import Atom, Compound, Integer, Term, atom_text, read_terms
 
 logger = logging.getLogger(__name__)
@@ -39,10 +39,20 @@ class IndexEntry:
     file: str  # '/'-separated, relative to the library root, no extension
 
     def __post_init__(self):
-        if "\\" in self.file or self.file.startswith("/") or not self.file:
+        if not is_library_name(self.file):
             raise ValueError(
-                f"index file fields are relative, /-separated paths: {self.file!r}"
+                "index file fields are relative, /-separated paths inside the library: "
+                f"{self.file!r}"
             )
+
+
+def is_library_name(name: str) -> bool:
+    """Whether a library-relative name can name a file under its library root:
+    non-empty, /-separated, not absolute, and with no `..` segment."""
+    return (
+        bool(name) and "\\" not in name and not name.startswith("/")
+        and ".." not in name.split("/")
+    )
 
 
 # path -> text and facts of each source file a command has read
@@ -140,7 +150,7 @@ def source_path(
     extensions that exists, or None."""
     for ext in extensions:
         candidate = root / (rel_file + ext)
-        if candidate.is_file():
+        if is_file(candidate):
             return candidate
     return None
 

@@ -31,12 +31,14 @@ from typing import Iterator, NamedTuple, Sequence, Union
 from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement
 from .engines import PlId, can_match, matches, render_cond
 from .errors import ExlibrisError
+from .fsio import is_file
 from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
     BUILT_IN_MODULE,
     IndexEntry,
     LibraryIndex,
+    is_library_name,
     mkindex,
     parse_index,
     SourceStore,
@@ -228,9 +230,12 @@ def resolve_file_ref(
     Library aliases search the library roots in resolution order; relative
     refs resolve against the referring file's directory and are then
     classified by which library root, if any, contains them.  Returns
-    (kind, library, absolute path, library-relative file) or None.
+    (kind, library, absolute path, library-relative file) or None; a
+    library alias that `is_library_name` rejects names no file.
     """
     if ref.kind == "library":
+        if not is_library_name(ref.path):
+            return None
         for lib in libs.ordered():
             path = libs.source_path(lib.root, ref.path)
             if path is not None:
@@ -241,7 +246,7 @@ def resolve_file_ref(
     if raw.suffix:
         candidates.insert(0, raw)
     for candidate in candidates:
-        if not candidate.is_file():
+        if not is_file(candidate):
             continue
         for lib in libs.ordered():
             if candidate.is_relative_to(lib.root):

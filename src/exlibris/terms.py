@@ -18,7 +18,9 @@ first token of a statement.
 Clauses are parsed by operator precedence over the token list in one loop.
 Each construct still waiting for an operand (an operator, a parenthesis, an
 argument list, a list or a list tail) is a frame on an explicit stack, so
-nesting depth has no limit other than memory.
+nesting depth has no limit other than memory.  Terms are written the same
+way: one loop over a stack of subterms, each with its precedence bound, and
+the literal text between them.
 """
 
 from __future__ import annotations
@@ -443,69 +445,59 @@ def _emit(buf: list[str], piece: str):
     buf.append(piece)
 
 
-def _render(term: Term, buf: list[str], max_prec: int):
-    if isinstance(term, Atom):
-        _emit(buf, atom_text(term.name))
-        return
-    if isinstance(term, Integer):
-        _emit(buf, str(term.value))
-        return
-    if isinstance(term, Variable):
-        _emit(buf, term.name)
-        return
-    if term.name == "." and term.arity == 2:
-        _emit(buf, "[")
-        items, tail = list_parts(term)
-        for i, item in enumerate(items):
-            if i:
-                buf.append(",")
-            _render(item, buf, 999)
-        if tail != EMPTY_LIST:
-            buf.append("|")
-            _render(tail, buf, 999)
-        buf.append("]")
-        return
-    if term.arity == 2 and term.name in INFIX_OPERATORS:
-        prec, kind = INFIX_OPERATORS[term.name]
-        wrap = prec > max_prec
-        if wrap:
-            buf.append("(")
-        left_max = prec - 1 if kind in ("xfx", "xfy") else prec
-        right_max = prec if kind == "xfy" else prec - 1
-        _render_operand(term.args[0], buf, left_max)
-        _emit(buf, term.name)
-        _render_operand(term.args[1], buf, right_max)
-        if wrap:
-            buf.append(")")
-        return
-    _emit(buf, atom_text(term.name))
-    buf.append("(")
-    for i, arg in enumerate(term.args):
-        if i:
-            buf.append(",")
-        _render(arg, buf, 999)
-    buf.append(")")
-
-
 _OPERATOR_ATOMS = frozenset(PREFIX_OPERATORS) | frozenset(INFIX_OPERATORS)
 
 
-def _render_operand(child: Term, buf: list[str], child_max: int):
-    """An atom that is itself an operator is bracketed as an operand, so
-    `:-`(not, x) prints as (not):-x and reads back unambiguously."""
-    if isinstance(child, Atom) and child.name in _OPERATOR_ATOMS:
-        buf.append("(")
-        _emit(buf, atom_text(child.name))
-        buf.append(")")
-        return
-    _render(child, buf, child_max)
+def _render(term: Term, max_prec: int) -> str:
+    """Canonical compact text of `term` at precedence bound `max_prec`.
+
+    Written over an explicit stack of (term, bound) pairs and literal text,
+    so nesting depth has no limit.  An atom that is itself an operator is
+    bracketed as an operand, so `:-`(not, x) prints as (not):-x and reads
+    back unambiguously.
+    """
+    buf: list[str] = []
+    stack: list = [(term, max_prec)]  # terms to write and literal text, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            _emit(buf, item)
+            continue
+        term, bound = item
+        if isinstance(term, Atom):
+            _emit(buf, atom_text(term.name))
+        elif isinstance(term, Integer):
+            _emit(buf, str(term.value))
+        elif isinstance(term, Variable):
+            _emit(buf, term.name)
+        elif term.name == "." and term.arity == 2:
+            items, tail = list_parts(term)
+            parts = [part for elem in reversed(items) for part in (",", (elem, 999))]
+            stack.append("]")
+            if tail != EMPTY_LIST:
+                stack += (tail, 999), "|"
+            stack += (*parts[1:], "[")
+        elif term.arity == 2 and term.name in INFIX_OPERATORS:
+            prec, kind = INFIX_OPERATORS[term.name]
+            left_max = prec - 1 if kind in ("xfx", "xfy") else prec
+            right_max = prec if kind == "xfy" else prec - 1
+            left, right = (
+                f"({atom_text(arg.name)})"
+                if isinstance(arg, Atom) and arg.name in _OPERATOR_ATOMS
+                else (arg, arg_max)
+                for arg, arg_max in zip(term.args, (left_max, right_max))
+            )
+            parts = (right, term.name, left)
+            stack += (")", *parts, "(") if prec > bound else parts
+        else:
+            parts = [part for arg in reversed(term.args) for part in (",", (arg, 999))]
+            stack += (")", *parts[1:], "(", atom_text(term.name))
+    return "".join(buf)
 
 
 def render_term(term: Term) -> str:
     """Canonical compact text; reading it back yields an equal term."""
-    buf: list[str] = []
-    _render(term, buf, 1200)
-    return "".join(buf)
+    return _render(term, 1200)
 
 
 def render_clause(term: Term) -> str:
@@ -515,28 +507,15 @@ def render_clause(term: Term) -> str:
     space inside its parentheses with `, `-separated arguments, while the
     nested arguments stay compact.
     """
+    prefix, bound = "", 1200
     if isinstance(term, Compound) and term.name == ":-" and term.arity == 1:
-        return f":- {_clause_body(term.args[0], 1199)}."
-    return f"{_clause_body(term, 1200)}."
-
-
-def _clause_body(term: Term, max_prec: int) -> str:
-    if (
-        isinstance(term, Compound)
-        and not (term.name == "." and term.arity == 2)
-        and not (term.arity == 2 and term.name in INFIX_OPERATORS)
+        prefix, bound, term = ":- ", 1199, term.args[0]
+    if isinstance(term, Compound) and not (
+        term.arity == 2 and (term.name == "." or term.name in INFIX_OPERATORS)
     ):
-        args = ", ".join(_arg_text(arg) for arg in term.args)
-        return f"{atom_text(term.name)}( {args} )"
-    buf: list[str] = []
-    _render(term, buf, max_prec)
-    return "".join(buf)
-
-
-def _arg_text(arg: Term) -> str:
-    buf: list[str] = []
-    _render(arg, buf, 999)
-    return "".join(buf)
+        args = ", ".join(_render(arg, 999) for arg in term.args)
+        return f"{prefix}{atom_text(term.name)}( {args} )."
+    return f"{prefix}{_render(term, bound)}."
 
 
 def splice(text: str, edits: Sequence[tuple[Span, str]]) -> str:

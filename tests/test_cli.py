@@ -8,6 +8,7 @@ from conftest import CHAIN_LENGTH
 from exlibris import cli
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
 from exlibris.index import parse_index, render_index
+from exlibris.terms import read_terms
 
 EXPORT_ARGS = (
     "export",
@@ -17,6 +18,10 @@ EXPORT_ARGS = (
     "--homelib", "HomeLib",
     "--loclib", "lib",
 )
+
+
+def deep_f(depth: int) -> str:
+    return "f(" * depth + "x" + ")" * depth
 
 
 class TestDefaults:
@@ -94,6 +99,74 @@ class TestExport:
             assert (tmp_path / "out" / "lib" / rel).read_text(encoding="utf-8") == files[
                 f"HomeLib/{rel}"
             ]
+
+    def test_deep_else_call_is_written_and_reads_back(self, tmp_path, run_cli, monkeypatch):
+        (tmp_path / "proj").mkdir()
+        (tmp_path / "proj" / "m.pl").write_text(
+            f":- if_pl(swi(_), ensure_loaded(x), {deep_f(2000)}).\n", encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            "export", "--dest", "out", "--source", "proj/m.pl", "--pl", "sicstus:3.9.0"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        text = (tmp_path / "out" / "m.pl").read_text(encoding="utf-8")
+        assert text == f":- library_directory( 'lib' ).\n:- f( {deep_f(1999)} ).\n"
+        assert len(read_terms(text)) == 2
+
+    @pytest.mark.parametrize(
+        "index, entry, unresolved",
+        [
+            ("index( p, 1, any, user, '../../evil' ).\n", ":- requires([p/1]).\n", "p/1"),
+            ("", ":- ensure_loaded(library('../../evil')).\n", "library(../../evil)"),
+        ],
+        ids=["index_entry", "library_alias"],
+    )
+    def test_dot_dot_library_name_names_no_file(
+        self, tmp_path, run_cli, monkeypatch, index, entry, unresolved
+    ):
+        work = tmp_path / "a" / "b"
+        files = {
+            "a/evil.pl": ":- defines([p/1]).\np(1).\n",
+            "a/b/HomeLib/Index.pl": index,
+            "a/b/proj/m.pl": entry,
+        }
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(work)
+        args = ("export", "--dest", "out", "--source", "proj/m.pl", "--homelib", "HomeLib")
+        code, _, err = run_cli(*args, "--strict")
+        assert code == EXIT_UNRESOLVED
+        assert f"warning: unresolved {unresolved} (from" in err
+        code, out, err = run_cli(*args)
+        assert code == EXIT_OK
+        assert f"warning: unresolved {unresolved} (from" in err
+        assert "evil" not in out
+        written = {
+            p.relative_to(tmp_path).as_posix()
+            for p in tmp_path.rglob("*")
+            if p.is_file() and not p.is_relative_to(work / "out")
+        }
+        assert written == set(files)
+
+    @pytest.mark.parametrize(
+        "ref",
+        ["library(" + "/".join(["d"] * 2500) + ")", "a" * 300],
+        ids=["library_alias", "relative"],
+    )
+    def test_name_too_long_for_the_file_system_is_unresolved(
+        self, tmp_path, run_cli, monkeypatch, ref
+    ):
+        (tmp_path / "proj").mkdir()
+        (tmp_path / "HomeLib").mkdir()
+        (tmp_path / "proj" / "m.pl").write_text(f":- ensure_loaded({ref}).\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            "export", "--dest", "out", "--source", "proj/m.pl", "--homelib", "HomeLib", "--strict"
+        )
+        assert code == EXIT_UNRESOLVED
+        assert err.startswith(f"warning: unresolved {ref} (from ")
 
 
 class TestUsageErrors:
@@ -209,6 +282,27 @@ class TestMkindex:
         text = (tmp_path / "Index.pl").read_text(encoding="utf-8")
         assert text.splitlines()[1:] == [f"index( p, 1, {cond}, user, a )."]
         assert render_index(parse_index(tmp_path / "Index.pl").entries) == text
+
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            (f"requires({deep_f(2000)})",
+             f"requires expects name/arity terms, got {deep_f(2000)}"),
+            ("requires(" + "[" * 2000 + "x" + "]" * 2000 + ")",
+             "requires expects name/arity terms, got " + "[" * 1999 + "x" + "]" * 1999),
+            (f"defines(not({deep_f(2000)}), [p/1])",
+             f"bad version component in a version pattern: {deep_f(1999)}"),
+            (f"if_pl({deep_f(2000)}, ensure_loaded(x))",
+             f"bad version component in a version pattern: {deep_f(1999)}"),
+            (f"defines((sicstus, [({deep_f(2000)}, >=)]), [p/1])",
+             f"bad version component in a version constraint: {deep_f(2000)}"),
+        ],
+        ids=["requires", "requires_list", "defines_not", "if_pl_guard", "pair_condition"],
+    )
+    def test_deep_bad_term_is_a_located_error(self, tmp_path, run_cli, directive, message):
+        (tmp_path / "a.pl").write_text(f":- {directive}.\n", encoding="utf-8")
+        code, _, err = run_cli("mkindex", str(tmp_path))
+        assert (code, err) == (EXIT_ERROR, f"exlibris: {tmp_path / 'a.pl'}:1: {message}\n")
 
     def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):
         (tmp_path / "a.pl").write_text("p(²).\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from exlibris.directives import (
     extract,
     recognize_loading_call,
 )
-from exlibris.engines import ALWAYS, matches, parse_if_pls
+from exlibris.engines import ALWAYS, Negation, matches, parse_if_pls
 from exlibris.terms import Atom, Compound, Integer, Term, read_term, read_terms
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
@@ -119,6 +119,20 @@ class TestExtract:
         assert matches(facts.loads[0].guard, swi) and not matches(facts.loads[0].guard, sicstus)
         assert matches(facts.loads[1].guard, sicstus) and not matches(facts.loads[1].guard, swi)
 
+    def test_if_pl_condition_is_decoded_once(self, monkeypatch):
+        calls = []
+
+        def counting(term):
+            calls.append(term)
+            return parse_if_pls(term)
+
+        monkeypatch.setattr("exlibris.directives.parse_if_pls", counting)
+        facts = facts_of(":- if_pl(swi(_), ensure_loaded(x), ensure_loaded(y)).")
+        assert calls == [read_term("swi(_)")]
+        cond = parse_if_pls(read_term("swi(_)"))
+        assert facts.if_pls[0].cond == cond
+        assert [l.guard for l in facts.loads] == [cond, Negation(cond)]
+
     def test_extract_is_deterministic(self):
         text = ":- requires([f/1]).\n:- may_load(x).\np.\n"
         assert facts_of(text) == facts_of(text)
@@ -164,7 +178,8 @@ class TestRecognizeLoadingCall:
 
 def _guards_for(text: str):
     directive = read_term(text)
-    return deconstruct_if_pl(directive.args[0] if directive.name == ":-" else directive)
+    body = directive.args[0] if directive.name == ":-" else directive
+    return deconstruct_if_pl(body, parse_if_pls(body.args[0]))
 
 
 def _truth(guard, expected_fn):
@@ -225,7 +240,7 @@ class TestDeconstructIfPl:
 
     def test_non_if_pl_rejected(self):
         with pytest.raises(ValueError):
-            deconstruct_if_pl(read_term("consult(a)"))
+            deconstruct_if_pl(read_term("consult(a)"), ALWAYS)
 
     @given(SEEDS)
     def test_else_guards_are_exhaustive(self, seed):

@@ -1,0 +1,174 @@
+"""End to end: no generated input ends in a traceback.
+
+Each example writes a small world: a home library of 1-4 files, with or
+without an `Index.pl`, one project entry, and a file two levels above the
+library that only a `..` name could reach.  The statements mix deep terms,
+malformed directives, bad conditions, load cycles, `..` and absolute library
+names and non-UTF-8 bytes.  `graph`, `trace`, `export` and `mkindex` then run
+over it through `cli.main`.  Each must end in a documented exit code without
+an internal error, and write nothing but what it owns: export its
+destination, mkindex the library's `Index.pl`, graph and trace nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from exlibris.cli import main
+
+# Past the recursion limit, which Hypothesis raises to 2000 frames above the
+# test while it runs.
+DEEP = 2500
+
+
+def nested(opening: str, leaf: str, closing: str) -> str:
+    return opening * DEEP + leaf + closing * DEEP
+
+
+FUNCTORS = st.sampled_from(["p/1", "[p/1, q/2]", "[]", "'it''s'/0", "[q/2, r/0, p/1]"])
+TERMS = st.sampled_from([
+    "x",
+    "X",
+    "f(x)",
+    "[p/1|T]",
+    "-3",
+    nested("f(", "x", ")"),
+    nested("[", "x", "]"),
+    nested("not(", "p/1", ")"),
+    "(" + ",".join(["x"] * DEEP) + ")",
+])
+CONDS = st.sampled_from([
+    "any",
+    "swi(_)",
+    "not(swi(_))",
+    "[swi(_), sicstus(3:_:_)]",
+    "(sicstus,[(3:9:0,>=)])",
+    nested("not(", "swi(_)", ")"),
+    nested("[", "swi(_)", "]"),
+])
+BAD_CONDS = st.sampled_from([
+    "foo(bar)",
+    "swi(V)",
+    "[]",
+    "(sicstus,x)",
+    "(sicstus,[(3:9:0,like)])",
+    nested("not(", "f(x)", ")"),
+    f"(sicstus,[({nested('f(', 'x', ')')},>=)])",
+])
+REFS = st.sampled_from([
+    "library('../../evil')",
+    "m",  # the entry itself
+    "library(m0)",
+    "m0",
+    "library(a/'..'/'..'/'..'/evil)",
+    "sub/m2",
+    "'../HomeLib/m1'",
+    "library(sub/m2)",
+    "library(m3)",
+    "library('/evil')",
+    "library(" + "/".join(["d"] * DEEP) + ")",
+    "[m0, library(m1)]",
+    "missing",
+])
+STATEMENTS = st.one_of(
+    st.builds(":- requires({}).".format, FUNCTORS),
+    st.builds(":- defines({}, {}).".format, CONDS, FUNCTORS),
+    st.builds(":- defines({}).".format, FUNCTORS),
+    st.builds(":- ensure_loaded({}).".format, REFS),
+    st.builds(":- if_pl({}, ensure_loaded({})).".format, CONDS, REFS),
+    st.builds(":- if_pl({}, ensure_loaded({}), {}).".format, CONDS, REFS, TERMS),
+    st.builds(":- module(m, {}).".format, FUNCTORS),
+    st.sampled_from([
+        "p(1).",
+        "q(X, Y) :- r(X), s(Y).",
+        ":- library_directory('/elsewhere').",
+        ":- defines_module(built_in).",
+    ]),
+)
+# A statement every command that reads its file refuses with a located error;
+# at most one per world, so that many runs get past reading the library.
+FAULTS = st.one_of(
+    st.builds(":- requires({}).".format, TERMS),
+    st.builds(":- defines({}, [p/1]).".format, BAD_CONDS),
+    st.builds(":- if_pl({}, ensure_loaded(m0)).".format, BAD_CONDS),
+    st.sampled_from([":- requires([broken).", ":- if_pl(swi(_)).", "r(", "s('open", "t(\xff)."]),
+)
+SOURCES = st.lists(STATEMENTS, max_size=4).map(lambda lines: "".join(f"{s}\n" for s in lines))
+INDEX_LINES = st.builds(
+    "index( {}, {}, {}, user, {} ).".format,
+    st.sampled_from(["p", "q", "'[]'"]),
+    st.sampled_from(["1", "2", "-1"]),
+    CONDS,
+    st.sampled_from(["m0", "'sub/m2'", "'../../evil'", "'/evil'", "''", "ghost"]),
+) | st.sampled_from(["index( p ).", "junk(", "index( p, 1, any, user, m0 )."])
+INDEXES = st.none() | st.lists(INDEX_LINES, max_size=4).map(
+    lambda lines: "".join(f"{line}\n" for line in lines)
+)
+LIBRARY_NAMES = ("m0.pl", "m1.pl", "sub/m2.pl", "m3.pl")
+ENGINES = st.sampled_from([(), ("--pl", "swi:5.0.7"), ("--pl", "sicstus:3.9.0")])
+
+
+def run(*args: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, err.getvalue()
+
+
+def snapshot(root: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    st.lists(SOURCES, min_size=1, max_size=4),
+    INDEXES,
+    SOURCES,
+    st.none() | st.tuples(st.integers(0, 4), FAULTS),
+    ENGINES,
+    st.booleans(),
+)
+def test_commands_end_in_a_documented_exit_code(libraries, index, entry, fault, engines, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        world = root / "w"
+        sources = [entry, *libraries]
+        if fault is not None:
+            where, statement = fault
+            sources[where % len(sources)] += f"{statement}\n"
+        files = {"evil.pl": ":- defines([p/1]).\np(1).\n", "w/proj/m.pl": sources[0]}
+        files.update(zip((f"w/HomeLib/{name}" for name in LIBRARY_NAMES), sources[1:]))
+        if index is not None:
+            files["w/HomeLib/Index.pl"] = index
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(text.encode("latin-1"))
+        libs = ("--homelib", str(world / "HomeLib"))
+        entry_path = str(world / "proj" / "m.pl")
+        export = ("export", "--dest", str(world / "out"), "--source", entry_path)
+        # each command with the paths it may write
+        for args, writes in (
+            (("graph", "--source", entry_path, *libs, *engines), ()),
+            (("trace", entry_path, "--pl", "sicstus:3.9.0", *libs), ()),
+            ((*export, *libs, *engines, *(("--strict",) if strict else ())), ("w/out/",)),
+            (("mkindex", str(world / "HomeLib")), ("w/HomeLib/Index.pl",)),
+        ):
+            before = snapshot(root)
+            code, err = run(*args)
+            assert code in (0, 1, 2, 3), (args[0], err)
+            assert "internal error" not in err, (args[0], err)
+            after = snapshot(root)
+            kept = {k: v for k, v in after.items() if not k.startswith(writes)}
+            assert kept == {k: v for k, v in before.items() if not k.startswith(writes)}

@@ -177,6 +177,9 @@ class TestParseErrors:
         )
 
 
+DEEP = 20000
+
+
 class TestDepth:
     """Nesting is bounded by memory, not by the Python stack.  Shapes are
     checked by loops because dataclass `==` recurses."""
@@ -206,6 +209,37 @@ class TestDepth:
             assert isinstance(term, Compound) and term.name == name and term.arity == 1
             term = term.args[0]
         assert term == Atom("a")
+
+    @pytest.mark.parametrize(
+        "wrap, text, clause",
+        [
+            (lambda t: Compound("f", (t,)), "f(" * DEEP + "a" + ")" * DEEP,
+             "f( " + "f(" * (DEEP - 1) + "a" + ")" * (DEEP - 1) + " )."),
+            (lambda t: make_list([t]), "[" * DEEP + "a" + "]" * DEEP,
+             "[" * DEEP + "a" + "]" * DEEP + "."),
+            (lambda t: Compound(",", (Atom("a"), t)), "a," * DEEP + "a", "a," * DEEP + "a."),
+            (lambda t: Compound("/", (Atom("a"), t)), "a/(" * (DEEP - 1) + "a/a" + ")" * (DEEP - 1),
+             "a/(" * (DEEP - 1) + "a/a" + ")" * (DEEP - 1) + "."),
+        ],
+        ids=["compound", "list", "conjunction", "bracketed_operand"],
+    )
+    def test_deep_term_renders_and_reads_back(self, wrap, text, clause):
+        term = Atom("a")
+        for _ in range(DEEP):
+            term = wrap(term)
+        assert render_term(term) == text
+        assert render_clause(term) == clause
+        assert render_clause(Compound(":-", (term,))) == f":- {clause}"
+        for written in (text, clause):
+            pairs = [(read_term(written), term)]
+            while pairs:
+                got, want = pairs.pop()
+                if isinstance(want, Compound):
+                    assert isinstance(got, Compound)
+                    assert (got.name, got.arity) == (want.name, want.arity)
+                    pairs += zip(got.args, want.args)
+                else:
+                    assert got == want
 
 
 class TestTokens:
