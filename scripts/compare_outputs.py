@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Compare every command's output under this tree's `src/` and another one.
+
+    git archive HEAD~1 src | tar -x -C /tmp/parent
+    python3 scripts/compare_outputs.py /tmp/parent/src --seeds 1,2,3
+
+For each workload and seed, the benchmark's world (`bench/world.py`, with
+the shapes of `bench/run.py` and the tiny ones of `bench/selfcheck.py`) is
+built in one directory.  There, under this tree's `src/` and then under
+OTHER_SRC, one process per side runs `graph` (no targets, and all three),
+`trace` of every entry under each target, `export` (no targets, all three,
+and swi alone) and `mkindex` of both libraries.  Every difference in exit
+code, standard output, standard error or written files (export's
+destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any,
+0 if there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import hashlib
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def commands(world) -> list[dict]:
+    """Each command's argv and the path it may write, relative to the world."""
+    import run
+    import world as worlds
+
+    libs = list(run.LIBS)
+    targets = [arg for flag in worlds.TARGET_FLAGS for arg in ("--pl", flag)]
+    swi = ["--pl", worlds.TARGET_FLAGS[0]]
+    found = [{"argv": ["graph", "--source", "proj", *libs, *pls], "writes": None}
+             for pls in ([], targets)]
+    found.extend(
+        {"argv": ["trace", f"proj/{entry.rel}", "--pl", flag, *libs], "writes": None}
+        for entry in world.entries for flag in worlds.TARGET_FLAGS
+    )
+    found.extend(
+        {"argv": ["export", "--dest", "out", "--source", "proj", *libs, *pls], "writes": "out"}
+        for pls in ([], targets, swi)
+    )
+    found.extend({"argv": ["mkindex", lib], "writes": f"{lib}/{worlds.INDEX_NAME}"}
+                 for lib in ("SysLib", "HomeLib"))
+    return found
+
+
+def written(path: Path) -> dict[str, str]:
+    """A digest of each file at `path`, a file or a directory tree."""
+    files = [path] if path.is_file() else sorted(p for p in path.rglob("*") if p.is_file())
+    return {
+        p.relative_to(path.parent).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in files
+    }
+
+
+def work(src: str) -> int:
+    """Run the commands read from stdin in the current directory, under `src`;
+    write their results to stdout as JSON, leaving the directory as found."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, src)
+    from exlibris import cli
+
+    if Path(cli.__file__).resolve().parent != (Path(src) / "exlibris").resolve():
+        print(f"compare_outputs: imported exlibris from {cli.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    results = []
+    for command in json.load(sys.stdin):
+        writes = Path(command["writes"]) if command["writes"] else None
+        before = writes.read_bytes() if writes is not None and writes.is_file() else None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command["argv"])
+        files = written(writes) if writes is not None and writes.exists() else {}
+        if writes is not None and writes.is_dir():
+            shutil.rmtree(writes)
+        elif before is not None:
+            writes.write_bytes(before)
+        elif writes is not None and writes.exists():
+            writes.unlink()
+        results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                        "files": files})
+    json.dump(results, sys.stdout)
+    return 0
+
+
+def run_side(src: Path, workdir: Path, todo: list[dict]) -> list[dict]:
+    result = subprocess.run(
+        [sys.executable, __file__, "--worker", str(src)],
+        cwd=workdir, input=json.dumps(todo), capture_output=True, text=True, check=False,
+    )
+    if result.returncode != 0:
+        raise SystemExit(f"compare_outputs: worker for {src} failed:\n{result.stderr}")
+    return json.loads(result.stdout)
+
+
+def differences(mine: dict, other: dict) -> list[str]:
+    """Readable lines for each way two results of one command differ."""
+    found = []
+    if mine["code"] != other["code"]:
+        found.append(f"exit code: {mine['code']} here, {other['code']} in OTHER_SRC")
+    for stream in ("stdout", "stderr"):
+        if mine[stream] != other[stream]:
+            found.append(f"{stream} differs (- OTHER_SRC, + here):")
+            diff = difflib.unified_diff(
+                other[stream].splitlines(), mine[stream].splitlines(), lineterm="", n=0
+            )
+            found.extend(f"  {line}" for line in diff if not line.startswith(("---", "+++", "@@")))
+    for rel in sorted(set(mine["files"]) | set(other["files"])):
+        here, there = mine["files"].get(rel), other["files"].get(rel)
+        if here != there:
+            state = "missing here" if here is None else (
+                "missing in OTHER_SRC" if there is None else "contents differ")
+            found.append(f"written file {rel}: {state}")
+    return found
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--worker"]:
+        return work(sys.argv[2])
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(REPO / "bench"))
+    import run
+    import selfcheck
+    import world as worlds
+
+    shapes = {**run.SHAPES, **selfcheck.TINY}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", metavar="OTHER_SRC",
+                        help="a source tree holding the exlibris package")
+    parser.add_argument("--workloads", default="dense,sparse,cold",
+                        help=f"comma-separated, of: {', '.join(shapes)}")
+    parser.add_argument("--seeds", default="1")
+    args = parser.parse_args()
+    other = Path(args.other_src).resolve()
+    if not (other / "exlibris" / "cli.py").is_file():
+        parser.error(f"no exlibris package under {other}")
+    names = args.workloads.split(",")
+    unknown = sorted(set(names) - set(shapes))
+    if unknown:
+        parser.error(f"unknown workloads: {', '.join(unknown)}")
+
+    total = different = 0
+    for name in names:
+        for seed in (int(s) for s in args.seeds.split(",")):
+            world = worlds.generate(shapes[name], seed)
+            todo = commands(world)
+            with tempfile.TemporaryDirectory() as tmp:
+                workdir = Path(tmp)
+                world.materialize(workdir)
+                mine = run_side(REPO / "src", workdir, todo)
+                theirs = run_side(other, workdir, todo)
+            for command, here, there in zip(todo, mine, theirs):
+                total += 1
+                found = differences(here, there)
+                if found:
+                    different += 1
+                    print(f"{name} seed {seed}: exlibris {' '.join(command['argv'])}")
+                    print("\n".join(f"  {line}" for line in found))
+    print(f"{total} commands, {different} with differences")
+    return 1 if different else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

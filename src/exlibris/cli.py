@@ -63,19 +63,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="exlibris", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
+    libraries = argparse.ArgumentParser(add_help=False)  # every command but mkindex
+    libraries.add_argument("--syslib", action="append", default=[], metavar="DIR",
+                           help="system library directory (repeatable)")
+    libraries.add_argument("--homelib", action="append", default=[], metavar="DIR",
+                           help="home library directory (repeatable)")
+    libraries.add_argument("--loclib", default="lib", metavar="PATH",
+                           help="local library path, relative (default: lib)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--syslib", action="append", default=[], metavar="DIR",
-                        help="system library directory (repeatable)")
-    common.add_argument("--homelib", action="append", default=[], metavar="DIR",
-                        help="home library directory (repeatable)")
-    common.add_argument("--loclib", default="lib", metavar="PATH",
-                        help="local library path, relative (default: lib)")
     common.add_argument("--config", metavar="FILE",
                         help=f"key=value config file (or ${CONFIG_ENV})")
     common.add_argument("--ext", action="append", default=[], metavar=".EXT",
                         help="source extension (repeatable, default: .pl)")
 
-    p_export = sub.add_parser("export", parents=[common],
+    p_export = sub.add_parser("export", parents=[libraries, common],
                               help="export sources with home dependencies vendored")
     p_export.add_argument("--dest", required=True, metavar="DIR")
     p_export.add_argument("--source", action="append", required=True, default=[],
@@ -96,13 +97,13 @@ def _build_parser() -> _Parser:
     p_mkindex.add_argument("--no-subdirs", action="store_true",
                            help="do not descend into subdirectories")
 
-    p_trace = sub.add_parser("trace", parents=[common],
+    p_trace = sub.add_parser("trace", parents=[libraries, common],
                              help="show load decisions for one entry and engine")
     p_trace.add_argument("entry", metavar="FILE")
     p_trace.add_argument("--pl", action="append", type=_pl_flag, default=[],
                          metavar="NAME:V.V.V")
 
-    p_graph = sub.add_parser("graph", parents=[common],
+    p_graph = sub.add_parser("graph", parents=[libraries, common],
                              help="emit the dependency graph in DOT format")
     p_graph.add_argument("--source", action="append", required=True, default=[],
                          metavar="PATH")
@@ -132,15 +133,16 @@ def _load_config(path: str | None) -> dict[str, list[str]]:
 
 
 def _settings(args) -> tuple[list[str], list[str], tuple[str, ...]]:
-    """Flag values win; the config file supplies defaults."""
+    """Flag values win; the config file supplies defaults.  mkindex takes
+    no library flags and reads no library settings."""
     config = _load_config(args.config)
+    extensions = args.ext or [
+        ext for value in config.get("extensions", []) for ext in value.split(",")
+    ]
+    if args.command == "mkindex":
+        return [], [], tuple(extensions) or DEFAULT_EXTENSIONS
     syslibs = args.syslib or config.get("syslib", [])
     homelibs = args.homelib or config.get("homelib", [])
-    extensions = args.ext
-    if not extensions:
-        extensions = [
-            ext for value in config.get("extensions", []) for ext in value.split(",")
-        ]
     return syslibs, homelibs, tuple(extensions) or DEFAULT_EXTENSIONS
 
 

@@ -1,7 +1,7 @@
 """Export planning and application.
 
-An export copies entry sources and everything they transitively need into a
-fresh destination tree.  Home-library files land inside the destination's
+An export writes edited entry files and copies what they transitively need into
+a fresh destination tree.  Home-library files land inside the destination's
 local library directory with their home-relative paths preserved, the local
 library's Index.pl is regenerated to cover them, and entry files receive two
 edits: their library_directory declarations are dropped and a single
@@ -20,7 +20,7 @@ from typing import Sequence
 from .directives import FileFacts
 from .engines import PlId, can_match
 from .errors import ExlibrisError
-from .fsio import read_text, write_text
+from .fsio import write_text
 from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
@@ -91,9 +91,10 @@ class CopyItem:
 
 @dataclass(frozen=True)
 class RewriteItem:
+    """An entry file's edited text, spliced from the text the walk parsed."""
+
     dest_rel: str
-    src: Path
-    edits: tuple[tuple[Span, str], ...]
+    text: str
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class ExportPlan:
     dest: Path
     copies: tuple[CopyItem, ...]
     rewrites: tuple[RewriteItem, ...]
-    index_writes: tuple[IndexWrite, ...]
+    index: IndexWrite | None
     report: ExportReport
 
 
@@ -243,7 +244,7 @@ def transform_entry(
 
 
 def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
-    """Compute the copies, rewrites, and index writes of one export run.
+    """Compute the copies, rewrites, and index write of one export run.
 
     Purely a plan: nothing is touched on disk.  Refuses an existing
     destination up front.
@@ -292,70 +293,66 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
             continue
         put(path.relative_to(spec.base).as_posix(), path)
 
-    rewrites: list[RewriteItem] = []
+    rewrites: dict[str, str] = {}
     for path, dest_rel in entries:
         text, facts = libs.source(path)
-        entry_dir = posixpath.dirname(dest_rel)
-        rel_to_loclib = posixpath.relpath(opts.loclib, entry_dir or ".")
-        edits = transform_entry(text, facts, rel_to_loclib, opts.pls)
-        rewrites.append(RewriteItem(dest_rel, path, tuple(edits)))
+        rel_to_loclib = posixpath.relpath(opts.loclib, posixpath.dirname(dest_rel) or ".")
+        rewrites[dest_rel] = splice(text, transform_entry(text, facts, rel_to_loclib, opts.pls))
+        copy_map.pop(dest_rel, None)  # written by its rewrite alone
 
-    # library-relative file fields, without extension, of the files vendored
-    prefix = f"{opts.loclib}/"
-    vendored = {
-        dest_rel[len(prefix):len(dest_rel) - len(ext)]
-        for dest_rel in copy_map if dest_rel.startswith(prefix)
-        for ext in libs.extensions if dest_rel.endswith(ext)
-    }
-    index_entries: list[IndexEntry] = []
-    if libs.loclib is not None:
-        index_entries.extend(e for e in libs.loclib.index.entries if e.file in vendored)
-    for lib in libs.homelibs:
-        index_entries.extend(e for e in lib.index.entries if e.file in vendored)
-    index_writes = []
-    if index_entries:
-        index_writes.append(
-            IndexWrite(f"{opts.loclib}/{INDEX_FILENAME}", tuple(index_entries))
-        )
-
-    copies = tuple(
-        CopyItem(src, dest_rel) for dest_rel, src in sorted(copy_map.items())
+    # (library root, file field as walked or mirrored) of each file copied into loclib
+    libraries = [lib for lib in (libs.loclib, *libs.homelibs) if lib is not None]
+    vendored = set()
+    for dest_rel, src in copy_map.items():
+        for lib in libraries:
+            if src.suffix not in libs.extensions or not src.is_relative_to(lib.root):
+                continue
+            rel = clo.library_paths.get(src) or posixpath.relpath(src.with_suffix(""), lib.root)
+            if dest_rel == f"{opts.loclib}/{rel}{src.suffix}":
+                vendored.add((lib.root, rel))
+    index_entries = tuple(
+        e for lib in libraries for e in lib.index.entries if (lib.root, e.file) in vendored
     )
-    rewrite_targets = {r.dest_rel for r in rewrites}
-    assert rewrite_targets <= set(copy_map), "entry files must be copied before editing"
-    return ExportPlan(dest, copies, tuple(rewrites), tuple(index_writes), report)
+    index = None
+    if index_entries:
+        index = IndexWrite(f"{opts.loclib}/{INDEX_FILENAME}", index_entries)
+        copy_map.pop(index.dest_rel, None)  # a mirrored Index.pl is replaced, not copied
+
+    copies = tuple(CopyItem(src, dest_rel) for dest_rel, src in sorted(copy_map.items()))
+    rewrite_items = tuple(RewriteItem(*item) for item in sorted(rewrites.items()))
+    return ExportPlan(dest, copies, rewrite_items, index, report)
 
 
 def apply_plan(plan: ExportPlan) -> ExportReport:
     """Create the destination and perform the planned steps, in order.
 
-    Copies first, then rewrites, then index writes.  A failure aborts the
-    remaining steps; completed ones stay on disk and are named in the
-    raised error's report.
+    Copies first, then rewrites, then the index write; each destination
+    file has one of them.  A failure aborts the remaining steps; completed
+    ones stay on disk and are named in the raised error's report.
     """
     if plan.dest.exists():
         raise DestinationExistsError(f"destination must not exist: {plan.dest}")
     report = ExportReport(
         warnings=list(plan.report.warnings), unresolved=plan.report.unresolved
     )
+
+    def target(dest_rel: str) -> Path:
+        path = plan.dest / dest_rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
+
     try:
         plan.dest.mkdir(parents=True)
         report.lines.append(f"create {plan.dest}")
         for item in plan.copies:
-            target = plan.dest / item.dest_rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(item.src, target)
+            shutil.copyfile(item.src, target(item.dest_rel))
             report.lines.append(f"copy {item.src} -> {item.dest_rel}")
-        for item in sorted(plan.rewrites, key=lambda r: r.dest_rel):
-            text = read_text(item.src)
-            target = plan.dest / item.dest_rel
-            write_text(target, splice(text, item.edits))
+        for item in plan.rewrites:
+            write_text(target(item.dest_rel), item.text)
             report.lines.append(f"rewrite {item.dest_rel}")
-        for item in plan.index_writes:
-            target = plan.dest / item.dest_rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            write_text(target, render_index(item.entries))
-            report.lines.append(f"write {item.dest_rel} ({len(item.entries)} entries)")
+        if plan.index is not None:
+            write_text(target(plan.index.dest_rel), render_index(plan.index.entries))
+            report.lines.append(f"write {plan.index.dest_rel} ({len(plan.index.entries)} entries)")
     except OSError as exc:
         raise ExportApplyError(exc, report) from exc
     return report

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .directives import FileFacts, FunctorRef, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
 from .errors import ExlibrisError
-from .fsio import is_file, read_text, write_text
+from .fsio import read_text, write_text
 from .terms import Atom, Compound, Integer, Term, atom_text, read_terms
 
 logger = logging.getLogger(__name__)
@@ -143,18 +143,6 @@ def mkindex(
     return LibraryIndex(root, tuple(ordered), sources)
 
 
-def source_path(
-    root: Path, rel_file: str, extensions: Sequence[str] = DEFAULT_EXTENSIONS
-) -> Path | None:
-    """The file an extensionless index file field names: the first of its
-    extensions that exists, or None."""
-    for ext in extensions:
-        candidate = root / (rel_file + ext)
-        if is_file(candidate):
-            return candidate
-    return None
-
-
 def term_to_entry(term: Term) -> IndexEntry | None:
     if not (isinstance(term, Compound) and term.name == "index" and term.arity == 5):
         return None
@@ -173,13 +161,21 @@ def term_to_entry(term: Term) -> IndexEntry | None:
 
 
 def render_index(entries: Iterable[IndexEntry]) -> str:
-    """The Index.pl text: the header, then one `index/5` fact per entry."""
+    """The Index.pl text: the header, then one `index/5` fact per entry.
+
+    Each distinct condition object is written once: a `defines` group's
+    entries share one.  The memo is keyed by identity, because hashing a
+    deep condition walks all of it, and holds the condition so its id stays
+    its own."""
+    conds: dict[int, tuple[IfPls, str]] = {}
     lines = [INDEX_HEADER]
-    lines.extend(
-        f"index( {atom_text(e.functor.name)}, {e.functor.arity}, {render_cond(e.cond, 999)}, "
-        f"{atom_text(e.module)}, {atom_text(e.file)} )."
-        for e in entries
-    )
+    for e in entries:
+        if id(e.cond) not in conds:
+            conds[id(e.cond)] = e.cond, render_cond(e.cond, 999)
+        lines.append(
+            f"index( {atom_text(e.functor.name)}, {e.functor.arity}, {conds[id(e.cond)][1]}, "
+            f"{atom_text(e.module)}, {atom_text(e.file)} )."
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -15,10 +15,10 @@ The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
 it as a leaf.  Each (functor, engine) pair is decided once per walk.  A
-command's `LibrarySet` probes each library file once (`source_path`),
-whether an index hit or a `library(...)` reference names it, and holds
-each file's facts (`source`), which on-the-fly indexing already filled,
-so a command reads and parses each file once.
+command's `LibrarySet` probes each candidate path once (`is_file`), whether
+an index hit, a `library(...)` reference or a relative load names it, and
+holds each file's facts (`source`), which on-the-fly indexing already
+filled, so a command reads and parses each file once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .index import (
     parse_index,
     SourceStore,
     read_source,
-    source_path,
 )
 
 KIND_SYSTEM = "system"
@@ -86,10 +85,8 @@ class LibrarySet:
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
     # each file is read and parsed once per command
     sources: SourceStore = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (library root, index file field) -> the file on disk, probed once per command
-    probes: dict[tuple[Path, str], Path | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # path -> whether it is a file, probed once per command
+    probes: dict[Path, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = [lib.root for lib in self.ordered()]
@@ -104,11 +101,20 @@ class LibrarySet:
             self.sources[path] = read_source(path)
         return self.sources[path]
 
+    def is_file(self, path: Path) -> bool:
+        """`fsio.is_file`, probed on the first request."""
+        if path not in self.probes:
+            self.probes[path] = is_file(path)
+        return self.probes[path]
+
     def source_path(self, root: Path, rel_file: str) -> Path | None:
-        """`index.source_path` under this set's extensions, probed on the first request."""
-        if (root, rel_file) not in self.probes:
-            self.probes[root, rel_file] = source_path(root, rel_file, self.extensions)
-        return self.probes[root, rel_file]
+        """The file an extensionless index file field names: the first of
+        this set's extensions that is a file, or None."""
+        for ext in self.extensions:
+            candidate = root / (rel_file + ext)
+            if self.is_file(candidate):
+                return candidate
+        return None
 
     def ordered(self) -> list[Library]:
         libs = []
@@ -246,7 +252,7 @@ def resolve_file_ref(
     if raw.suffix:
         candidates.insert(0, raw)
     for candidate in candidates:
-        if not is_file(candidate):
+        if not libs.is_file(candidate):
             continue
         for lib in libs.ordered():
             if candidate.is_relative_to(lib.root):
@@ -396,10 +402,7 @@ def closure(
     file on disk behind each home and local file, the one export copies.
     """
     resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
-    home_files: set[tuple[str, str]] = set()
-    local_files: set[str] = set()
-    project_files: set[str] = set()
-    library_paths: dict[Path, str] = {}
+    reached: dict[Path, _File] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
 
@@ -412,29 +415,18 @@ def closure(
             unresolved.add(UnresolvedRef(src, str(step.subject), step.engine))
             edges.add(DepEdge(src, "unresolved", str(step.subject)))
         elif step.file is not None:
-            reached = step.file
-            edges.add(DepEdge(src, reached.display, step.label))
-            if reached.kind == KIND_HOME:
-                home_files.add((str(reached.lib.root), reached.rel))
-                library_paths[reached.path] = reached.rel
-            elif reached.kind == KIND_LOCAL:
-                local_files.add(reached.rel)
-                library_paths[reached.path] = reached.rel
-            elif reached.kind == KIND_PROJECT:
-                project_files.add(str(reached.path))
+            edges.add(DepEdge(src, step.file.display, step.label))
+            reached[step.file.path] = step.file
 
-    ordered_unresolved = tuple(
-        sorted(unresolved, key=lambda u: (u.source, u.subject, str(u.engine)))
-    )
-    ordered_edges = tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.label)))
+    files = reached.values()
     return DepClosure(
         resolution=resolution,
-        home_files=frozenset(home_files),
-        local_files=frozenset(local_files),
-        project_files=frozenset(project_files),
-        library_paths=library_paths,
-        unresolved=ordered_unresolved,
-        edges=ordered_edges,
+        home_files=frozenset((str(f.lib.root), f.rel) for f in files if f.kind == KIND_HOME),
+        local_files=frozenset(f.rel for f in files if f.kind == KIND_LOCAL),
+        project_files=frozenset(str(f.path) for f in files if f.kind == KIND_PROJECT),
+        library_paths={f.path: f.rel for f in files if f.kind in (KIND_HOME, KIND_LOCAL)},
+        unresolved=tuple(sorted(unresolved, key=lambda u: (u.source, u.subject, str(u.engine)))),
+        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.label))),
     )
 
 

@@ -217,6 +217,22 @@ class TestUsageErrors:
 
 
 class TestMkindex:
+    @pytest.mark.parametrize(
+        "flag", [("--homelib", "/nonexistent"), ("--syslib", "/nope"), ("--loclib", "/abs")]
+    )
+    def test_library_flags_are_usage_errors(self, worked_example, run_cli, flag):
+        """mkindex reads only --ext and --config; a library flag is not ignored."""
+        before = (worked_example / "HomeLib" / "Index.pl").read_bytes()
+        code, out, err = run_cli("mkindex", "HomeLib", *flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert (worked_example / "HomeLib" / "Index.pl").read_bytes() == before
+
+    def test_ext_and_config_are_accepted(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_text("syslib=SysLib\n", encoding="utf-8")
+        code, out, _ = run_cli("mkindex", "HomeLib", "--ext", ".pl", "--config", "exlibris.cfg")
+        assert (code, out) == (EXIT_OK, "wrote HomeLib/Index.pl (3 entries)\n")
+
     def test_writes_index(self, worked_example, run_cli):
         code, out, _ = run_cli("mkindex", "HomeLib")
         assert code == EXIT_OK

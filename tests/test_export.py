@@ -135,15 +135,13 @@ class TestPlanExport:
         opts = worked_opts(tmp_path)
         plan = plan_export(opts, build_library_set(opts))
         assert {c.dest_rel for c in plan.copies} == {
-            "file1.pl",
             "lib/meta/maplist.pl",
             "lib/list/flatten.pl",
             "lib/compat/swi/built_ins.pl",
         }
         assert [r.dest_rel for r in plan.rewrites] == ["file1.pl"]
-        (index_write,) = plan.index_writes
-        assert index_write.dest_rel == "lib/Index.pl"
-        assert len(index_write.entries) == 4
+        assert plan.index.dest_rel == "lib/Index.pl"
+        assert len(plan.index.entries) == 4
 
     def test_plan_parses_each_file_once(self, tmp_path, monkeypatch):
         import exlibris.index
@@ -249,6 +247,88 @@ class TestApplyPlan:
         )
         run_export(tmp_path)
         assert (tmp_path / "out" / "helper.pl").is_file()
+
+
+class TestEachFileOnce:
+    """Each destination file has one producer, and the plan carries the text."""
+
+    def test_index_takes_entries_only_from_the_library_a_file_came_from(self, tmp_path):
+        for rel, text in {
+            "H1/a.pl": ":- defines([p/1]).\n",
+            "H2/a.pl": ":- defines([q/1]).\n",
+            "proj/m.pl": ":- requires([p/1]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(
+            dest=tmp_path / "out",
+            sources=(tmp_path / "proj" / "m.pl",),
+            homelibs=(tmp_path / "H1", tmp_path / "H2"),
+        )
+        report = apply_plan(plan_export(opts, build_library_set(opts)))
+        assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
+            "% generated by exlibris mkindex\nindex( p, 1, any, user, a ).\n"
+        )
+        assert report.lines[-1] == "write lib/Index.pl (1 entries)"
+
+    def test_index_keeps_walked_names_and_mirrored_local_files(self, tmp_path):
+        """An entry names its file as the walk did (`./a`), and a local file
+        that only `--copy recursive` brought keeps its entries."""
+        for rel, text in {
+            "H/Index.pl": "index( p, 1, any, user, './a' ).\nindex( q, 1, any, user, b ).\n",
+            "H/a.pl": "p(1).\n",
+            "H/b.pl": "q(1).\n",
+            "proj/lib/Index.pl": "index( r, 0, any, user, extra ).\n",
+            "proj/lib/extra.pl": "r.\n",
+            "proj/m.pl": ":- requires([p/1]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(
+            dest=tmp_path / "out", sources=(tmp_path / "proj",), homelibs=(tmp_path / "H",),
+            copy="recursive",
+        )
+        apply_plan(plan_export(opts, build_library_set(opts)))
+        assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
+            "% generated by exlibris mkindex\n"
+            "index( r, 0, any, user, extra ).\n"
+            "index( p, 1, any, user, './a' ).\n"
+        )
+
+    def test_entry_is_written_as_planned_without_reading_it_again(self, tmp_path, monkeypatch):
+        import sys
+
+        from exlibris.fsio import read_text
+
+        build_worked_example(tmp_path)
+        opts = worked_opts(tmp_path)
+        plan = plan_export(opts, build_library_set(opts))
+        (tmp_path / "proj" / "file1.pl").write_text("% edited later\n", encoding="utf-8")
+        reads = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("exlibris") and getattr(module, "read_text", None) is read_text:
+                monkeypatch.setattr(module, "read_text", lambda path: reads.append(path))
+        report = apply_plan(plan)
+        assert reads == []
+        assert (tmp_path / "out" / "file1.pl").read_text(encoding="utf-8") == REWRITTEN_FILE1
+        assert "rewrite file1.pl" in report.lines
+        assert not any(line.endswith("-> file1.pl") for line in report.lines)
+
+    def test_entry_named_by_two_sources_is_written_once(self, tmp_path):
+        build_worked_example(tmp_path)
+        report, _ = run_export(
+            tmp_path, sources=(tmp_path / "proj", tmp_path / "proj" / "file1.pl")
+        )
+        assert [line for line in report.lines if "file1.pl" in line] == ["rewrite file1.pl"]
+        assert (tmp_path / "out" / "file1.pl").read_text(encoding="utf-8") == REWRITTEN_FILE1
+
+    def test_mirrored_index_is_written_once_and_not_copied(self, tmp_path):
+        build_worked_example(tmp_path)
+        report, _ = run_export(tmp_path, sources=(tmp_path / "proj",), copy="recursive")
+        index_lines = [line for line in report.lines if "lib/Index.pl" in line]
+        assert index_lines == ["write lib/Index.pl (4 entries)"]
+        text = (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8")
+        assert text == EXPORTED_INDEX
 
 
 def _normalize(report: str) -> str:

@@ -8,6 +8,7 @@ names and non-UTF-8 bytes.  `graph`, `trace`, `export` and `mkindex` then run
 over it through `cli.main`.  Each must end in a documented exit code without
 an internal error, and write nothing but what it owns: export its
 destination, mkindex the library's `Index.pl`, graph and trace nothing.
+No export plan names a destination file twice.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from exlibris import cli
 from exlibris.cli import main
 
 # Past the recursion limit, which Hypothesis raises to 2000 frames above the
@@ -121,6 +124,23 @@ def run(*args: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def keeping_plans(plans: list):
+    """Patch `cli.plan_export` to append each plan it makes to `plans`."""
+    plan_export = cli.plan_export
+
+    def keeping(opts, libs):
+        plans.append(plan_export(opts, libs))
+        return plans[-1]
+
+    return mock.patch.object(cli, "plan_export", keeping)
+
+
+def destinations(plan) -> list[str]:
+    """Every file a plan writes, once per step that writes it."""
+    index = [plan.index.dest_rel] if plan.index is not None else []
+    return [c.dest_rel for c in plan.copies] + [r.dest_rel for r in plan.rewrites] + index
+
+
 def snapshot(root: Path) -> dict[str, bytes]:
     return {
         p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
@@ -166,7 +186,12 @@ def test_commands_end_in_a_documented_exit_code(libraries, index, entry, fault, 
             (("mkindex", str(world / "HomeLib")), ("w/HomeLib/Index.pl",)),
         ):
             before = snapshot(root)
-            code, err = run(*args)
+            plans = []
+            with keeping_plans(plans):
+                code, err = run(*args)
+            for plan in plans:
+                written = destinations(plan)
+                assert len(set(written)) == len(written), written
             assert code in (0, 1, 2, 3), (args[0], err)
             assert "internal error" not in err, (args[0], err)
             after = snapshot(root)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef
-from exlibris.engines import ALWAYS
+from exlibris.engines import ALWAYS, render_cond
 from exlibris.index import (
     IndexEntry,
     LibraryIndex,
@@ -145,6 +145,30 @@ class TestWriteIndex:
         index = mkindex(tmp_path / "HomeLib")
         path = write_index(index)
         assert parse_index(path).entries == index.entries
+
+
+    def test_each_condition_object_is_rendered_once(self, tmp_path, monkeypatch):
+        """A defines group shares one condition: it is written once, and the
+        bytes are those of writing it once per entry."""
+        import exlibris.index as index_module
+
+        deep = "not(" * 600 + "swi(_)" + ")" * 600
+        functors = ", ".join(f"p{i}/1" for i in range(1500))
+        write(tmp_path, "a.pl", f":- defines({deep}, [{functors}]).\n")
+        write(tmp_path, "b.pl", ":- defines(swi(_), [q/1, r/2]).\n:- defines(any, [s/0]).\n")
+        entries = mkindex(tmp_path).entries
+        expected = "% generated by exlibris mkindex\n" + "".join(
+            f"index( {e.functor.name}, {e.functor.arity}, {render_cond(e.cond, 999)}, "
+            f"user, {e.file} ).\n"
+            for e in entries
+        )
+        rendered = []
+        monkeypatch.setattr(
+            index_module, "render_cond",
+            lambda cond, max_prec=1200: rendered.append(cond) or render_cond(cond, max_prec),
+        )
+        assert render_index(entries) == expected
+        assert len(rendered) == len({id(e.cond) for e in entries}) == 3
 
 
 class TestParseIndex:

@@ -64,6 +64,16 @@ def worked_libs(root: Path) -> LibrarySet:
     )
 
 
+def counting_probes(monkeypatch) -> Counter:
+    """Count the `is_file` probes `exlibris.resolve` makes, per path."""
+    probes = Counter()
+    is_file = resolve_module.is_file
+    monkeypatch.setattr(
+        resolve_module, "is_file", lambda path: probes.update([path]) or is_file(path)
+    )
+    return probes
+
+
 def simplify(target):
     if isinstance(target, Unresolved):
         return ("unresolved", None)
@@ -536,15 +546,20 @@ class TestLookupCost:
         entries[1].write_text(":- ensure_loaded(library(a)).\n", encoding="utf-8")
         libs = LibrarySet.build(homelibs=[home])
 
-        probes = Counter()
-        source_path = resolve_module.source_path
-
-        def counting(root, file, extensions):
-            probes[root, file] += 1
-            return source_path(root, file, extensions)
-
-        monkeypatch.setattr(resolve_module, "source_path", counting)
+        probes = counting_probes(monkeypatch)
         clo = closure(entries, libs, (SWI, SICSTUS))
         assert clo.home_files == {(str(home), "a"), (str(home), "b")}
         assert resolve_functor(FunctorRef("p", 1), SWI, libs) == LoadFile("home", home, "a")
-        assert probes == {(home, "a"): 1, (home, "b"): 1}
+        assert probes == {home / "a.pl": 1, home / "b.pl": 1}
+
+    def test_relative_loads_probe_each_candidate_once(self, tmp_path, monkeypatch):
+        """Three files loading `helper` and one loading `helper.pl` probe
+        `helper.pl` once; a name with a suffix is tried as written first."""
+        for name in ("e", "f", "g"):
+            (tmp_path / f"{name}.pl").write_text(":- ensure_loaded(helper).\n", encoding="utf-8")
+        (tmp_path / "h.pl").write_text(":- ensure_loaded('helper.pl').\n", encoding="utf-8")
+        (tmp_path / "helper.pl").write_text("helper.\n", encoding="utf-8")
+        probes = counting_probes(monkeypatch)
+        clo = closure([tmp_path / f"{name}.pl" for name in "efgh"], LibrarySet(), None)
+        assert clo.project_files == {str(tmp_path / "helper.pl")}
+        assert probes == {tmp_path / "helper.pl": 1}
