@@ -19,7 +19,6 @@ from .export import (
     ExportApplyError,
     ExportOptions,
     apply_plan,
-    build_library_set,
     check_loclib,
     default_loclib_root,
     discover_entries,
@@ -35,6 +34,7 @@ EXIT_ERROR = 2
 EXIT_UNRESOLVED = 3
 
 CONFIG_ENV = "EXLIBRIS_CONFIG"
+CONFIG_KEYS = ("syslib", "homelib", "extensions")
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     libraries = argparse.ArgumentParser(add_help=False)  # every command but mkindex
+    libraries.add_argument("--pl", action="append", type=_pl_flag, default=[],
+                           metavar="NAME:V.V.V",
+                           help="target engine (repeatable; default: all engines)")
     libraries.add_argument("--syslib", action="append", default=[], metavar="DIR",
                            help="system library directory (repeatable)")
     libraries.add_argument("--homelib", action="append", default=[], metavar="DIR",
@@ -83,9 +86,6 @@ def _build_parser() -> _Parser:
                           metavar="PATH", help="entry file or directory (repeatable)")
     p_export.add_argument("--copy", choices=["selective", "recursive"],
                           default="selective")
-    p_export.add_argument("--pl", action="append", type=_pl_flag, default=[],
-                          metavar="NAME:V.V.V",
-                          help="target engine (repeatable; default: all engines)")
     p_export.add_argument("--strict", action="store_true",
                           help="fail with exit 3 when references stay unresolved")
 
@@ -100,15 +100,11 @@ def _build_parser() -> _Parser:
     p_trace = sub.add_parser("trace", parents=[libraries, common],
                              help="show load decisions for one entry and engine")
     p_trace.add_argument("entry", metavar="FILE")
-    p_trace.add_argument("--pl", action="append", type=_pl_flag, default=[],
-                         metavar="NAME:V.V.V")
 
     p_graph = sub.add_parser("graph", parents=[libraries, common],
                              help="emit the dependency graph in DOT format")
     p_graph.add_argument("--source", action="append", required=True, default=[],
                          metavar="PATH")
-    p_graph.add_argument("--pl", action="append", type=_pl_flag, default=[],
-                         metavar="NAME:V.V.V")
 
     return parser
 
@@ -125,25 +121,45 @@ def _load_config(path: str | None) -> dict[str, list[str]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise ExlibrisError(f"{path}: expected key=value, got {raw!r}")
-        values.setdefault(key.strip(), []).append(value.strip())
+            raise ExlibrisError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in CONFIG_KEYS:
+            raise ExlibrisError(f"{path}:{lineno}: unknown config key {key!r}")
+        values.setdefault(key, []).append(value)
     return values
 
 
-def _settings(args) -> tuple[list[str], list[str], tuple[str, ...]]:
-    """Flag values win; the config file supplies defaults.  mkindex takes
-    no library flags and reads no library settings."""
+def _settings(args) -> tuple[dict[str, list[str]], tuple[str, ...]]:
+    """The config file's values and the extensions; flag values win over
+    the config file.  An extension that is not one file suffix, such as
+    `.pro`, is a usage error."""
     config = _load_config(args.config)
     extensions = args.ext or [
-        ext for value in config.get("extensions", []) for ext in value.split(",")
+        ext.strip() for value in config.get("extensions", []) for ext in value.split(",")
     ]
-    if args.command == "mkindex":
-        return [], [], tuple(extensions) or DEFAULT_EXTENSIONS
-    syslibs = args.syslib or config.get("syslib", [])
-    homelibs = args.homelib or config.get("homelib", [])
-    return syslibs, homelibs, tuple(extensions) or DEFAULT_EXTENSIONS
+    for ext in extensions:
+        if len(ext) < 2 or Path(f"x{ext}").suffix != ext:
+            raise SystemExit(_usage_error(f"extension must be a suffix like '.pl', got {ext!r}"))
+    return config, tuple(extensions) or DEFAULT_EXTENSIONS
+
+
+def _libraries(args, sources: Sequence[Path]) -> tuple[LibrarySet, str]:
+    """The setup of export, graph and trace: the command's LibrarySet, with
+    the development-side local library found next to `sources`, and the
+    checked --loclib."""
+    config, extensions = _settings(args)
+    try:
+        loclib = check_loclib(args.loclib)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from exc
+    libs = LibrarySet.build(
+        args.syslib or config.get("syslib", []),
+        args.homelib or config.get("homelib", []),
+        default_loclib_root(sources, loclib),
+        extensions,
+    )
+    return libs, loclib
 
 
 def _print_report(report) -> None:
@@ -154,24 +170,18 @@ def _print_report(report) -> None:
 
 
 def _cmd_export(args) -> int:
-    syslibs, homelibs, extensions = _settings(args)
-    try:
-        opts = ExportOptions(
-            dest=Path(args.dest),
-            sources=tuple(Path(s) for s in args.source),
-            copy=args.copy,
-            syslibs=tuple(Path(s) for s in syslibs),
-            homelibs=tuple(Path(s) for s in homelibs),
-            loclib=args.loclib,
-            pls=tuple(args.pl) or None,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    libs = build_library_set(opts, extensions)
+    sources = tuple(Path(s) for s in args.source)
+    libs, loclib = _libraries(args, sources)
+    opts = ExportOptions(
+        dest=Path(args.dest),
+        sources=sources,
+        copy=args.copy,
+        loclib=loclib,
+        pls=tuple(args.pl) or None,
+    )
     plan = plan_export(opts, libs)
     if args.strict and plan.report.unresolved:
-        for warning in plan.report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        _print_report(plan.report)
         print("strict mode: unresolved references, nothing exported", file=sys.stderr)
         return EXIT_UNRESOLVED
     report = apply_plan(plan)
@@ -180,7 +190,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_mkindex(args) -> int:
-    _, _, extensions = _settings(args)
+    _, extensions = _settings(args)
     index = mkindex(
         Path(args.directory),
         follow_subdirs=not args.no_subdirs,
@@ -195,12 +205,10 @@ def _cmd_mkindex(args) -> int:
 def _cmd_trace(args) -> int:
     if len(args.pl) != 1:
         return _usage_error("trace needs exactly one --pl")
-    syslibs, homelibs, extensions = _settings(args)
     entry = Path(args.entry)
     if not entry.is_file():
         raise ExlibrisError(f"entry file does not exist: {entry}")
-    loclib = default_loclib_root([entry], _loclib(args))
-    libs = LibrarySet.build(syslibs, homelibs, loclib, extensions)
+    libs, _ = _libraries(args, [entry])
     sys.stdout.write(trace(entry, args.pl[0], libs))
     return EXIT_OK
 
@@ -210,20 +218,10 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _loclib(args) -> str:
-    """--loclib under export's rule, so graph and trace reject what it rejects."""
-    try:
-        return check_loclib(args.loclib)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc))) from exc
-
-
 def _cmd_graph(args) -> int:
-    syslibs, homelibs, extensions = _settings(args)
     sources = [Path(s) for s in args.source]
-    loclib = _loclib(args)
-    libs = LibrarySet.build(syslibs, homelibs, default_loclib_root(sources, loclib), extensions)
-    entries = discover_entries(sources, loclib, extensions)
+    libs, loclib = _libraries(args, sources)
+    entries = discover_entries(sources, loclib, libs.extensions)
     clo = closure([path for path, _ in entries], libs, tuple(args.pl) or None)
     names = {str(path): rel for path, rel in entries}
     sys.stdout.write(_render_dot(clo, names))

@@ -56,16 +56,12 @@ class ExportOptions:
     dest: Path
     sources: tuple[Path, ...]
     copy: str = COPY_SELECTIVE
-    syslibs: tuple[Path, ...] = ()
-    homelibs: tuple[Path, ...] = ()
     loclib: str = "lib"
     pls: tuple[PlId, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dest", Path(self.dest))
         object.__setattr__(self, "sources", tuple(Path(s) for s in self.sources))
-        object.__setattr__(self, "syslibs", tuple(Path(s) for s in self.syslibs))
-        object.__setattr__(self, "homelibs", tuple(Path(s) for s in self.homelibs))
         if self.pls is not None:
             object.__setattr__(self, "pls", tuple(self.pls))
         if not self.sources:
@@ -151,11 +147,6 @@ def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
         if candidate.is_dir():
             return canon(candidate)
     return None
-
-
-def build_library_set(opts: ExportOptions, extensions=DEFAULT_EXTENSIONS) -> LibrarySet:
-    loclib = default_loclib_root(opts.sources, opts.loclib)
-    return LibrarySet.build(opts.syslibs, opts.homelibs, loclib, extensions)
 
 
 def _discover_entries(

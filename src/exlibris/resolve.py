@@ -228,16 +228,23 @@ def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> Reso
     return UNRESOLVED
 
 
-def resolve_file_ref(
-    ref: FileRef, base_dir: Path, libs: LibrarySet
-) -> tuple[str, Library | None, Path, str | None] | None:
+class _File(NamedTuple):
+    """A file the walk reaches; `lib` and `rel` are None for project files."""
+
+    kind: str
+    lib: Library | None
+    path: Path
+    rel: str | None
+
+
+def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | None:
     """Locate a file reference on disk.
 
     Library aliases search the library roots in resolution order; relative
     refs resolve against the referring file's directory and are then
-    classified by which library root, if any, contains them.  Returns
-    (kind, library, absolute path, library-relative file) or None; a
-    library alias that `is_library_name` rejects names no file.
+    classified by which library root, if any, contains them.  Returns the
+    file found, or None; a library alias that `is_library_name` rejects
+    names no file.
     """
     if ref.kind == "library":
         if not is_library_name(ref.path):
@@ -245,7 +252,7 @@ def resolve_file_ref(
         for lib in libs.ordered():
             path = libs.source_path(lib.root, ref.path)
             if path is not None:
-                return lib.kind, lib, path, ref.path
+                return _File(lib.kind, lib, path, ref.path)
         return None
     raw = canon(base_dir / ref.path)
     candidates = [raw.parent / (raw.name + ext) for ext in libs.extensions]
@@ -257,22 +264,9 @@ def resolve_file_ref(
         for lib in libs.ordered():
             if candidate.is_relative_to(lib.root):
                 rel = candidate.relative_to(lib.root).with_suffix("").as_posix()
-                return lib.kind, lib, candidate, rel
-        return KIND_PROJECT, None, candidate, None
+                return _File(lib.kind, lib, candidate, rel)
+        return _File(KIND_PROJECT, None, candidate, None)
     return None
-
-
-class _File(NamedTuple):
-    """A file the walk reaches; `lib` and `rel` are None for project files."""
-
-    kind: str
-    lib: Library | None
-    path: Path
-    rel: str | None
-
-    @property
-    def display(self) -> str:
-        return f"{self.kind}:{self.rel}" if self.lib is not None else str(self.path)
 
 
 LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
@@ -301,11 +295,7 @@ class _Step:
 
 def _directives(facts: FileFacts) -> list[Requirement | Load | MayLoad]:
     """A file's requirements, loads and may_loads in source order."""
-    events = [(r.span.start, i, r) for i, r in enumerate(facts.requires)]
-    events.extend((l.span.start, i, l) for i, l in enumerate(facts.loads))
-    events.extend((m.span.start, i, m) for i, m in enumerate(facts.may_load))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return [event for _, _, event in events]
+    return sorted((*facts.requires, *facts.loads, *facts.may_load), key=lambda d: d.span.start)
 
 
 def _walk(
@@ -324,7 +314,7 @@ def _walk(
     step.
     """
     engines = (None,) if targets is None else targets
-    entered: set[str] = set()
+    entered: set[Path] = set()
     # (functor, engine) -> (hits, resolved); a hit is (lib, entry, target, path, label)
     decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
 
@@ -355,7 +345,7 @@ def _walk(
                         yield _Step(depth, file, functor, engine, BUILT_IN if built_in else LOAD,
                                     label + " built-in" if built_in else label,
                                     _File(lib.kind, lib, path, entry.file),
-                                    str(path) in entered, resolved)
+                                    path in entered, resolved)
                 continue
             ref = directive.ref
             label = render_cond(directive.guard) if isinstance(directive, Load) else "may_load"
@@ -366,11 +356,10 @@ def _walk(
             if hit is None:
                 yield _Step(depth, file, ref, None, MISSING, str(ref))
             else:
-                yield _Step(depth, file, ref, None, LOAD, label, _File(*hit),
-                            str(hit[2]) in entered)
+                yield _Step(depth, file, ref, None, LOAD, label, hit, hit.path in entered)
 
     roots = list(dict.fromkeys(canon(raw) for raw in entries))
-    entered.update(str(path) for path in roots)
+    entered.update(roots)
     stack = [decide(_File(KIND_PROJECT, None, path, None), 0) for path in reversed(roots)]
     while stack:
         step = next(stack[-1], None)
@@ -382,7 +371,7 @@ def _walk(
         if reached is not None and not step.seen and reached.kind != KIND_SYSTEM and (
             step.verdict == LOAD or enter_built_ins
         ):
-            entered.add(str(reached.path))
+            entered.add(reached.path)
             stack.append(decide(reached, step.depth + 1))
 
 
@@ -405,17 +394,25 @@ def closure(
     reached: dict[Path, _File] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
+    # a library file's name in edges and warnings: `kind:rel`, or `home2:rel`... for
+    # the second and later library of a kind, so that distinct files stay distinct
+    names = {lib.root: lib.kind for lib in libs.ordered()}
+    for group in (libs.syslibs, libs.homelibs):
+        names.update((lib.root, f"{lib.kind}{n}") for n, lib in enumerate(group[1:], 2))
+
+    def show(file: _File) -> str:
+        return f"{names[file.lib.root]}:{file.rel}" if file.lib is not None else str(file.path)
 
     engines = None if targets is None else tuple(targets)
     for step in _walk(entries, libs, engines, enter_built_ins=True):
-        src = step.src.display
+        src = show(step.src)
         if step.resolved:
             resolution[(step.subject, step.engine)] = step.resolved
         if step.verdict in (UNRESOLVED_FUNCTOR, MISSING):
             unresolved.add(UnresolvedRef(src, str(step.subject), step.engine))
             edges.add(DepEdge(src, "unresolved", str(step.subject)))
         elif step.file is not None:
-            edges.add(DepEdge(src, step.file.display, step.label))
+            edges.add(DepEdge(src, show(step.file), step.label))
             reached[step.file.path] = step.file
 
     files = reached.values()

@@ -367,6 +367,11 @@ def oracle_closure(root: Path, world: World, libs, targets):
         libs.homelibs
     )
 
+    def lib_name(lib):
+        """`home` for the first home library, `home2`, `home3`... for later ones."""
+        n = [other.root for other in ordered_libs if other.kind == lib.kind].index(lib.root) + 1
+        return lib.kind if n == 1 else f"{lib.kind}{n}"
+
     def naive_resolve(functor, engine):
         for lib in ordered_libs:
             for entry in lib.index.entries:
@@ -432,7 +437,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                 if key not in reached:
                     reached.add(key)
                     display[key] = (
-                        f"{lib.kind}:{file_rel}" if lib is not None else key
+                        f"{lib_name(lib)}:{file_rel}" if lib is not None else key
                     )
                     changed = True
 

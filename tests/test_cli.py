@@ -24,6 +24,21 @@ def deep_f(depth: int) -> str:
     return "f(" * depth + "x" + ")" * depth
 
 
+def write_files(root, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+
+
+# Two home libraries that each hold an `a.pl`, both reached from proj/m.pl.
+TWO_HOMES = {
+    "H1/a.pl": ":- defines([p/1]).\n:- requires([r/1]).\n",
+    "H2/a.pl": ":- defines([q/1]).\n:- requires([z/0]).\n",
+    "H2/b.pl": ":- defines([r/1]).\n",
+    "proj/m.pl": ":- requires([p/1, q/1]).\n",
+}
+
+
 class TestDefaults:
     def test_documented_defaults(self):
         args = _build_parser().parse_args(
@@ -79,6 +94,70 @@ class TestExport:
         code, _, _ = run_cli(*EXPORT_ARGS, "--pl", "sicstus:3.9.0")
         assert code == EXIT_OK
         assert not (worked_example / "out" / "lib" / "compat").exists()
+
+    def test_two_library_files_for_one_destination_is_exit_2(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write_files(tmp_path, TWO_HOMES)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            "export", "--dest", "out", "--source", "proj", "--homelib", "H1", "--homelib", "H2"
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == (
+            f"exlibris: both {tmp_path / 'H1' / 'a.pl'} and {tmp_path / 'H2' / 'a.pl'}"
+            " would be exported as lib/a.pl\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_file_outside_the_sources_is_a_warning_and_not_copied(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write_files(tmp_path, {
+            "proj/m.pl": ":- ensure_loaded('../other/x').\n",
+            "other/x.pl": "x.\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("export", "--dest", "out", "--source", "proj/m.pl")
+        assert code == EXIT_OK
+        assert out == f"create {tmp_path / 'out'}\nrewrite m.pl\n"
+        assert err == (
+            f"warning: referenced file outside the export sources: {tmp_path / 'other' / 'x.pl'}\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["m.pl"]
+
+    def test_no_entry_files_is_exit_2(self, tmp_path, run_cli, monkeypatch):
+        (tmp_path / "proj").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("export", "--dest", "out", "--source", "proj")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "exlibris: no entry files found in the given sources\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_root_as_two_libraries_is_exit_2(self, worked_example, run_cli):
+        code, out, err = run_cli(
+            "export", "--dest", "out", "--source", "proj/file1.pl",
+            "--syslib", "HomeLib", "--homelib", "HomeLib",
+        )
+        assert (code, out, err) == (EXIT_ERROR, "", "exlibris: library roots must be disjoint\n")
+        assert not (worked_example / "out").exists()
+
+    def test_failure_mid_apply_reports_completed_steps(self, worked_example, run_cli, monkeypatch):
+        def fail(path, text):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("exlibris.export.write_text", fail)
+        code, out, err = run_cli(*EXPORT_ARGS)
+        assert code == EXIT_ERROR
+        assert out == (
+            f"create {worked_example / 'out'}\n"
+            f"copy {worked_example / 'HomeLib' / 'compat' / 'swi' / 'built_ins.pl'}"
+            " -> lib/compat/swi/built_ins.pl\n"
+            f"copy {worked_example / 'HomeLib' / 'list' / 'flatten.pl'} -> lib/list/flatten.pl\n"
+            f"copy {worked_example / 'proj' / 'lib' / 'meta' / 'maplist.pl'}"
+            " -> lib/meta/maplist.pl\n"
+        )
+        assert err == "exlibris: no space left on device\n"
 
 
     def test_library_file_loaded_with_its_own_extension(self, tmp_path, run_cli, monkeypatch):
@@ -456,6 +535,34 @@ class TestGraph:
             ' [label="flatten/2 swi(_) built-in"];'
         ) in out
 
+    def test_second_library_of_a_kind_has_its_own_names(self, tmp_path, run_cli, monkeypatch):
+        write_files(tmp_path, TWO_HOMES)
+        monkeypatch.chdir(tmp_path)
+        libs = ("--homelib", "H1", "--homelib", "H2")
+        code, out, err = run_cli("graph", "--source", "proj", *libs)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "digraph exlibris {\n"
+            '  "home2:a";\n'
+            '  "home2:b";\n'
+            '  "home:a";\n'
+            '  "m.pl";\n'
+            '  "unresolved";\n'
+            '  "home2:a" -> "unresolved" [label="z/0"];\n'
+            '  "home:a" -> "home2:b" [label="r/1 any"];\n'
+            '  "m.pl" -> "home2:a" [label="q/1 any"];\n'
+            '  "m.pl" -> "home:a" [label="p/1 any"];\n'
+            "}\n"
+        )
+        # only H2's a.pl is reached, so export plans; its warning names that file
+        (tmp_path / "proj" / "m.pl").write_text(":- requires([q/1]).\n", encoding="utf-8")
+        code, out, err = run_cli("export", "--dest", "out", "--source", "proj", *libs, "--strict")
+        assert (code, out) == (EXIT_UNRESOLVED, "")
+        assert err == (
+            "warning: unresolved z/0 (from home2:a)\n"
+            "strict mode: unresolved references, nothing exported\n"
+        )
+
     def test_byte_stable_across_runs(self, worked_example, run_cli):
         args = (
             "graph", "--source", "proj/file1.pl",
@@ -514,3 +621,84 @@ class TestConfigFile:
         (worked_example / "exlibris.cfg").write_text("nonsense\n", encoding="utf-8")
         code, _, err = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")
         assert code == EXIT_ERROR
+
+    def test_bad_config_line_names_its_line(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_text("# libraries\nnonsense\n", encoding="utf-8")
+        code, out, err = run_cli(*EXPORT_ARGS, "--config", "exlibris.cfg")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "exlibris: exlibris.cfg:2: expected key=value, got 'nonsense'\n"
+        assert not (worked_example / "out").exists()
+
+    def test_unknown_config_key_is_exit_2_naming_its_line(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_text(
+            "syslib=SysLib\nhomelibs=HomeLib\n", encoding="utf-8"
+        )
+        code, out, err = run_cli(
+            "trace", "proj/file1.pl", "--pl", "swi:5.0.7", "--config", "exlibris.cfg"
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "exlibris: exlibris.cfg:2: unknown config key 'homelibs'\n"
+
+    def test_spaces_after_commas_in_extensions(self, tmp_path, run_cli, monkeypatch):
+        write_files(tmp_path, {
+            "L/a.pl": ":- defines([a/0]).\n",
+            "L/b.pro": ":- defines([b/0]).\n",
+            "exlibris.cfg": "extensions=.pl, .pro\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("mkindex", "L", "--config", "exlibris.cfg")
+        assert (code, out, err) == (EXIT_OK, "wrote L/Index.pl (2 entries)\n", "")
+        assert (tmp_path / "L" / "Index.pl").read_text(encoding="utf-8") == (
+            "% generated by exlibris mkindex\n"
+            "index( a, 0, any, user, a ).\n"
+            "index( b, 0, any, user, b ).\n"
+        )
+
+
+class TestBadExtensions:
+    """An extension is one file suffix; anything else is a usage error,
+    raised before a library is read or a file written."""
+
+    @pytest.mark.parametrize("ext", ["pl", ".", "", ".pl,.pro", ".p/l", " .pl"])
+    def test_ext_flag(self, worked_example, run_cli, ext):
+        before = (worked_example / "HomeLib" / "Index.pl").read_bytes()
+        code, out, err = run_cli("mkindex", "HomeLib", "--ext", ext)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"exlibris: error: extension must be a suffix like '.pl', got {ext!r}\n"
+        assert (worked_example / "HomeLib" / "Index.pl").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "line, ext", [("extensions=.pl,", ""), ("extensions=pl", "pl"), ("extensions=", "")]
+    )
+    def test_config(self, worked_example, run_cli, line, ext):
+        (worked_example / "HomeLib" / "README").write_text("Not Prolog.\n", encoding="utf-8")
+        (worked_example / "exlibris.cfg").write_text(line + "\n", encoding="utf-8")
+        before = (worked_example / "HomeLib" / "Index.pl").read_bytes()
+        code, out, err = run_cli("mkindex", "HomeLib", "--config", "exlibris.cfg")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"exlibris: error: extension must be a suffix like '.pl', got {ext!r}\n"
+        assert (worked_example / "HomeLib" / "Index.pl").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            EXPORT_ARGS,
+            ("graph", "--source", "proj"),
+            ("trace", "proj/file1.pl", "--pl", "swi:5.0.7"),
+        ],
+        ids=["export", "graph", "trace"],
+    )
+    def test_library_commands(self, worked_example, run_cli, command):
+        code, out, err = run_cli(*command, "--ext", "pl")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "exlibris: error: extension must be a suffix like '.pl', got 'pl'\n"
+        assert not (worked_example / "out").exists()
+
+
+class TestParserShape:
+    @pytest.mark.parametrize("command", ["export", "graph", "trace", "mkindex"])
+    def test_help_exits_0(self, run_cli, command):
+        code, out, err = run_cli(command, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"usage: exlibris {command}")
+        assert ("--pl NAME:V.V.V" in out) == (command != "mkindex")

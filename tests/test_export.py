@@ -15,7 +15,6 @@ from exlibris.export import (
     ExportOptions,
     ExportPlanError,
     apply_plan,
-    build_library_set,
     default_loclib_root,
     plan_export,
     transform_entry,
@@ -42,16 +41,23 @@ def worked_opts(root: Path, dest: str = "out", **kwargs) -> ExportOptions:
     defaults = dict(
         dest=root / dest,
         sources=(root / "proj" / "file1.pl",),
-        syslibs=(root / "SysLib",),
-        homelibs=(root / "HomeLib",),
     )
     defaults.update(kwargs)
     return ExportOptions(**defaults)
 
 
+def build_library_set(opts: ExportOptions, syslibs=(), homelibs=()) -> LibrarySet:
+    """The LibrarySet `exlibris export` builds for these options and libraries."""
+    return LibrarySet.build(syslibs, homelibs, default_loclib_root(opts.sources, opts.loclib))
+
+
+def worked_libs(root: Path, opts: ExportOptions) -> LibrarySet:
+    return build_library_set(opts, (root / "SysLib",), (root / "HomeLib",))
+
+
 def run_export(root: Path, **kwargs):
     opts = worked_opts(root, **kwargs)
-    libs = build_library_set(opts)
+    libs = worked_libs(root, opts)
     return apply_plan(plan_export(opts, libs)), opts
 
 
@@ -108,6 +114,26 @@ class TestTransformEntry:
             ":- library_directory( 'lib' ).\n:- if_pl(yap(_), consult(y)).\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, rewritten",
+        [
+            (
+                "% file1\r\n:- library_directory(x).\r\n:- requires([maplist/3]).\r\n",
+                ":- library_directory( 'lib' ).\n% file1\r\n:- requires([maplist/3]).\r\n",
+            ),
+            (
+                ":- requires([maplist/3]).\n:- library_directory(x). \t",
+                ":- library_directory( 'lib' ).\n:- requires([maplist/3]).\n",
+            ),
+        ],
+        ids=["crlf", "last_line_without_newline"],
+    )
+    def test_deleted_line_ending_is_exported_byte_exact(self, tmp_path, text, rewritten):
+        build_worked_example(tmp_path)
+        (tmp_path / "proj" / "file1.pl").write_bytes(text.encode("utf-8"))
+        run_export(tmp_path)
+        assert (tmp_path / "out" / "file1.pl").read_bytes() == rewritten.encode("utf-8")
+
     def test_trailing_comment_preserved_on_deletion(self):
         text = ":- library_directory(x). % why\np.\n"
         assert splice(text, self._edits(text)) == (
@@ -120,7 +146,7 @@ class TestPlanExport:
         build_worked_example(tmp_path)
         (tmp_path / "out").mkdir()
         opts = worked_opts(tmp_path)
-        libs = build_library_set(opts)
+        libs = worked_libs(tmp_path, opts)
         with pytest.raises(DestinationExistsError):
             plan_export(opts, libs)
 
@@ -128,12 +154,12 @@ class TestPlanExport:
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path, sources=(tmp_path / "nope.pl",))
         with pytest.raises(ExportPlanError):
-            plan_export(opts, build_library_set(worked_opts(tmp_path)))
+            plan_export(opts, worked_libs(tmp_path, worked_opts(tmp_path)))
 
     def test_worked_example_plan_contents(self, tmp_path):
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
-        plan = plan_export(opts, build_library_set(opts))
+        plan = plan_export(opts, worked_libs(tmp_path, opts))
         assert {c.dest_rel for c in plan.copies} == {
             "lib/meta/maplist.pl",
             "lib/list/flatten.pl",
@@ -155,7 +181,7 @@ class TestPlanExport:
         monkeypatch.setattr(exlibris.index, "read_terms", counting)
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
-        plan = plan_export(opts, build_library_set(opts))
+        plan = plan_export(opts, worked_libs(tmp_path, opts))
         assert [r.dest_rel for r in plan.rewrites] == ["file1.pl"]
         assert str(tmp_path / "proj" / "file1.pl") in parsed
         assert len(parsed) == len(set(parsed))
@@ -220,7 +246,7 @@ class TestApplyPlan:
     def test_apply_refuses_destination_created_after_planning(self, tmp_path):
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
-        plan = plan_export(opts, build_library_set(opts))
+        plan = plan_export(opts, worked_libs(tmp_path, opts))
         (tmp_path / "out").mkdir()
         with pytest.raises(DestinationExistsError):
             apply_plan(plan)
@@ -229,7 +255,7 @@ class TestApplyPlan:
     def test_partial_failure_reports_completed_steps(self, tmp_path):
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
-        plan = plan_export(opts, build_library_set(opts))
+        plan = plan_export(opts, worked_libs(tmp_path, opts))
         (tmp_path / "HomeLib" / "compat" / "swi" / "built_ins.pl").unlink()
         with pytest.raises(ExportApplyError) as exc:
             apply_plan(plan)
@@ -263,9 +289,9 @@ class TestEachFileOnce:
         opts = ExportOptions(
             dest=tmp_path / "out",
             sources=(tmp_path / "proj" / "m.pl",),
-            homelibs=(tmp_path / "H1", tmp_path / "H2"),
         )
-        report = apply_plan(plan_export(opts, build_library_set(opts)))
+        libs = build_library_set(opts, homelibs=(tmp_path / "H1", tmp_path / "H2"))
+        report = apply_plan(plan_export(opts, libs))
         assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
             "% generated by exlibris mkindex\nindex( p, 1, any, user, a ).\n"
         )
@@ -285,10 +311,9 @@ class TestEachFileOnce:
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
         opts = ExportOptions(
-            dest=tmp_path / "out", sources=(tmp_path / "proj",), homelibs=(tmp_path / "H",),
-            copy="recursive",
+            dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive",
         )
-        apply_plan(plan_export(opts, build_library_set(opts)))
+        apply_plan(plan_export(opts, build_library_set(opts, homelibs=(tmp_path / "H",))))
         assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
             "% generated by exlibris mkindex\n"
             "index( r, 0, any, user, extra ).\n"
@@ -302,7 +327,7 @@ class TestEachFileOnce:
 
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
-        plan = plan_export(opts, build_library_set(opts))
+        plan = plan_export(opts, worked_libs(tmp_path, opts))
         (tmp_path / "proj" / "file1.pl").write_text("% edited later\n", encoding="utf-8")
         reads = []
         for name, module in list(sys.modules.items()):
@@ -355,9 +380,8 @@ class TestExportInvariants:
         opts = ExportOptions(
             dest=tmp_path / "out2",
             sources=(out,),
-            syslibs=(tmp_path / "SysLib",),
         )
-        apply_plan(plan_export(opts, build_library_set(opts)))
+        apply_plan(plan_export(opts, build_library_set(opts, syslibs=(tmp_path / "SysLib",))))
         first = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         second_root = tmp_path / "out2"
         second = sorted(
@@ -397,10 +421,9 @@ class TestExportInvariants:
         opts = ExportOptions(
             dest=tmp_path / "out2",
             sources=(out,),
-            syslibs=(tmp_path / "SysLib",),
             copy="recursive",
         )
-        apply_plan(plan_export(opts, build_library_set(opts)))
+        apply_plan(plan_export(opts, build_library_set(opts, syslibs=(tmp_path / "SysLib",))))
         out2 = tmp_path / "out2"
         first = {
             p.relative_to(out).as_posix(): p.read_bytes()
