@@ -63,23 +63,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="exlibris", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
-    libraries = argparse.ArgumentParser(add_help=False)  # every command but mkindex
-    libraries.add_argument("--pl", action="append", type=_pl_flag, default=[],
-                           metavar="NAME:V.V.V",
-                           help="target engine (repeatable; default: all engines)")
-    libraries.add_argument("--syslib", action="append", default=[], metavar="DIR",
-                           help="system library directory (repeatable)")
-    libraries.add_argument("--homelib", action="append", default=[], metavar="DIR",
-                           help="home library directory (repeatable)")
-    libraries.add_argument("--loclib", default="lib", metavar="PATH",
-                           help="local library path, relative (default: lib)")
+    def libraries(pl_help: str) -> argparse.ArgumentParser:  # every command but mkindex
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--pl", action="append", type=_pl_flag, default=[],
+                            metavar="NAME:V.V.V", help=pl_help)
+        parent.add_argument("--syslib", action="append", default=[], metavar="DIR",
+                            help="system library directory (repeatable)")
+        parent.add_argument("--homelib", action="append", default=[], metavar="DIR",
+                            help="home library directory (repeatable)")
+        parent.add_argument("--loclib", default="lib", metavar="PATH",
+                            help="local library path, relative (default: lib)")
+        return parent
+
+    any_engines = libraries("target engine (repeatable; default: all engines)")
+    one_engine = libraries("target engine (exactly one required)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help=f"key=value config file (or ${CONFIG_ENV})")
     common.add_argument("--ext", action="append", default=[], metavar=".EXT",
                         help="source extension (repeatable, default: .pl)")
 
-    p_export = sub.add_parser("export", parents=[libraries, common],
+    p_export = sub.add_parser("export", parents=[any_engines, common],
                               help="export sources with home dependencies vendored")
     p_export.add_argument("--dest", required=True, metavar="DIR")
     p_export.add_argument("--source", action="append", required=True, default=[],
@@ -97,11 +101,11 @@ def _build_parser() -> _Parser:
     p_mkindex.add_argument("--no-subdirs", action="store_true",
                            help="do not descend into subdirectories")
 
-    p_trace = sub.add_parser("trace", parents=[libraries, common],
+    p_trace = sub.add_parser("trace", parents=[one_engine, common],
                              help="show load decisions for one entry and engine")
     p_trace.add_argument("entry", metavar="FILE")
 
-    p_graph = sub.add_parser("graph", parents=[libraries, common],
+    p_graph = sub.add_parser("graph", parents=[any_engines, common],
                              help="emit the dependency graph in DOT format")
     p_graph.add_argument("--source", action="append", required=True, default=[],
                          metavar="PATH")

@@ -6,12 +6,20 @@ file path relative to the library root without extension.  The module
 value `built_in` marks predicates that need no load on matching engines;
 the fact's file field still records where that declaration lives.  This
 module owns the line format in both directions: `render_index` writes
-each fact as text, and `term_to_entry` decodes one read back.
+each fact as text, and `read_rendered` reads those lines back.
+
+A file made only of the lines `render_index` writes, plus `%` comments and
+blank lines, is read line by line: one regex match per line, and each
+distinct condition text decoded once, so entries with the same condition
+text share one condition object.  Any other file is read by the general
+reader (`parse_index_text`, which decodes each term with `term_to_entry`),
+with the same entries and warnings, only slower.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -21,7 +29,17 @@ from .directives import FileFacts, FunctorRef, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
-from .terms import Atom, Compound, Integer, Term, atom_text, read_terms
+from .terms import (
+    Atom,
+    Compound,
+    Integer,
+    Term,
+    TermSyntaxError,
+    atom_text,
+    read_term,
+    read_terms,
+    unquote_atom,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -179,6 +197,60 @@ def render_index(entries: Iterable[IndexEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# An atom in each form `atom_text` writes: a lowercase ASCII word, a
+# symbol-char run not opening a comment, `[]`, `!`, `;`, or a quoted atom with
+# the escapes it writes.
+_ATOM = r"[a-z][A-Za-z0-9_]*|(?!/\*)[+\-*/\\^<>=~:?@#&$]+|\[\]|!|;|'(?:[^'\\]|\\[\\'nt])*'"
+# One fact as `render_index` writes it; the condition holds only characters
+# `render_cond` writes, so it has no layout, quote, comment or period.
+_INDEX_LINE = re.compile(
+    rf"index\( ({_ATOM}), (0|[1-9][0-9]*), ([a-z0-9_:()\[\],=<>\\]+), ({_ATOM}), ({_ATOM}) \)\."
+)
+
+
+def read_rendered(text: str) -> tuple[IndexEntry, ...] | None:
+    """The entries of an index text made only of lines `render_index` writes,
+    `%` comments and blank lines; None if any other line is present.
+
+    A line counts only if it is exactly the line `render_index` writes for
+    the entry read from it, so the general reader would read the same entry
+    from it without a warning.  Each distinct quoted atom and condition text
+    is decoded once, and entries with the same condition text share one
+    condition object.
+    """
+    conds: dict[str, IfPls] = {}
+    quoted: dict[str, str] = {}
+
+    def name(raw: str) -> str:
+        if raw[0] != "'":
+            return raw
+        if raw not in quoted:
+            quoted[raw] = unquote_atom(raw)
+        return quoted[raw]
+
+    entries = []
+    for line in text.split("\n"):
+        if not line or line[0] == "%":
+            continue
+        m = _INDEX_LINE.fullmatch(line)
+        if m is None:
+            return None
+        functor, arity, cond_text, module, file = m.groups()
+        try:
+            if cond_text not in conds:
+                conds[cond_text] = parse_if_pls(read_term(cond_text))
+            entries.append(IndexEntry(
+                FunctorRef(name(functor), int(arity)), conds[cond_text], name(module), name(file)
+            ))
+        except (EngineConditionError, TermSyntaxError, ValueError):
+            return None
+    if any(atom_text(n) != raw for raw, n in quoted.items()) or any(
+        render_cond(cond, 999) != raw for raw, cond in conds.items()
+    ):
+        return None
+    return tuple(entries)
+
+
 def write_index(index: LibraryIndex) -> Path:
     """Write root/Index.pl and return its path."""
     path = index.root / INDEX_FILENAME
@@ -202,7 +274,12 @@ def parse_index_text(text: str, root: Path, path: str | None = None) -> LibraryI
 
 
 def parse_index(path: Path | str) -> LibraryIndex:
-    """Read an Index.pl file; entry order is preserved verbatim."""
+    """Read an Index.pl file; entry order is preserved verbatim.  A file
+    `render_index` could have written is read line by line, any other by
+    the general reader."""
     path = Path(path)
     text = read_text(path)
-    return parse_index_text(text, path.parent, str(path))
+    entries = read_rendered(text)
+    if entries is None:
+        return parse_index_text(text, path.parent, str(path))
+    return LibraryIndex(path.parent, entries)

@@ -218,7 +218,7 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
         start, pos = m.span(kind)
         value = text[start:pos]
         if kind == "qatom":
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group()], value[1:-1])
+            value = unquote_atom(value)
         elif kind == "word":
             first = value[0]
             if first.islower() and first.isalpha():
@@ -422,17 +422,24 @@ _UNQUOTED_ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
 
 def atom_text(name: str) -> str:
-    """The written form of an atom, quoted exactly when re-reading needs it."""
+    """The written form of an atom, quoted exactly when re-reading needs it:
+    a symbol-char run is quoted when it starts with `/*`, which would open a
+    comment."""
     if name and name[0] in _UNQUOTED_ALPHA:
         if all(c.isalnum() or c == "_" for c in name):
             return name
-    if name and all(c in _SYMBOL_CHARS for c in name):
+    if name and all(c in _SYMBOL_CHARS for c in name) and not name.startswith("/*"):
         return name
     if name in ("[]", "!", ";"):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
     return f"'{escaped}'"
+
+
+def unquote_atom(text: str) -> str:
+    """The name a quoted atom reads as, from its written form with quotes."""
+    return _ESCAPE.sub(lambda e: _ESCAPES[e.group()], text[1:-1])
 
 
 def _emit(buf: list[str], piece: str):

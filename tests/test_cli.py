@@ -702,3 +702,16 @@ class TestParserShape:
         assert (code, err) == (EXIT_OK, "")
         assert out.startswith(f"usage: exlibris {command}")
         assert ("--pl NAME:V.V.V" in out) == (command != "mkindex")
+
+    @pytest.mark.parametrize(
+        "command, pl_help",
+        [
+            ("export", "target engine (repeatable; default: all engines)"),
+            ("graph", "target engine (repeatable; default: all engines)"),
+            ("trace", "target engine (exactly one required)"),
+        ],
+    )
+    def test_pl_help_says_how_many_engines(self, run_cli, command, pl_help):
+        code, out, _ = run_cli(command, "--help")
+        assert code == EXIT_OK
+        assert f"--pl NAME:V.V.V {pl_help}" in " ".join(out.split())

@@ -1,7 +1,8 @@
 """End to end: no generated input ends in a traceback.
 
 Each example writes a small world: a home library of 1-4 files, with or
-without an `Index.pl`, one project entry, and a file two levels above the
+without an `Index.pl` (some whose lines only look like the ones `mkindex`
+writes), one project entry, and a file two levels above the
 library that only a `..` name could reach.  The statements mix deep terms,
 malformed directives, bad conditions, load cycles, `..` and absolute library
 names and non-UTF-8 bytes.  `graph`, `trace`, `export` and `mkindex` then run
@@ -110,7 +111,18 @@ INDEX_LINES = st.builds(
     CONDS,
     st.sampled_from(["m0", "'sub/m2'", "'../../evil'", "'/evil'", "''", "ghost"]),
 ) | st.sampled_from(["index( p ).", "junk(", "index( p, 1, any, user, m0 )."])
-INDEXES = st.none() | st.lists(INDEX_LINES, max_size=4).map(
+# Whole index files whose lines look like the ones mkindex writes but which
+# the line reader must leave to the general reader.
+HOSTILE_INDEXES = st.sampled_from([
+    "index( p, 1, any, user, m0 ).\r\nindex( q, 2, any, user, m0 ).\r\n",
+    "/*\nindex( p, 1, any, user, m0 ).\n*/\nindex( q, 2, swi(_), user, 'sub/m2' ).\n",
+    "index( p, 1, any, user, m0 ).\n/* open\nindex( q, 2, any, user, m0 ).\n",
+    "index( p, 1, any, user, m0 ). % index( q, 2, any, user, m0 ).\n",
+    "index( /*, 1, any, user, m0 ).\n",
+    f"index( p, 1, {nested('not(', 'swi(_)', ')')}, user, m0 ).\n",
+    f"index( p, 1, {nested('[', 'swi(_)', ']')}, user, m0 ).\nindex( q, 02, any, user, m0 ).\n",
+])
+INDEXES = st.none() | HOSTILE_INDEXES | st.lists(INDEX_LINES, max_size=4).map(
     lambda lines: "".join(f"{line}\n" for line in lines)
 )
 LIBRARY_NAMES = ("m0.pl", "m1.pl", "sub/m2.pl", "m3.pl")

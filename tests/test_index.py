@@ -4,25 +4,33 @@ from __future__ import annotations
 
 import logging
 import random
+import tempfile
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import exlibris.index as index_module
 import helpers
 from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef
 from exlibris.engines import ALWAYS, render_cond
+from exlibris.errors import ExlibrisError
 from exlibris.index import (
+    INDEX_HEADER,
     IndexEntry,
     LibraryIndex,
     mkindex,
     parse_index,
     parse_index_text,
+    read_rendered,
     render_index,
     write_index,
 )
-from exlibris.terms import read_term, render_clause
+from exlibris.terms import atom_text, read_term, render_clause
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -150,8 +158,6 @@ class TestWriteIndex:
     def test_each_condition_object_is_rendered_once(self, tmp_path, monkeypatch):
         """A defines group shares one condition: it is written once, and the
         bytes are those of writing it once per entry."""
-        import exlibris.index as index_module
-
         deep = "not(" * 600 + "swi(_)" + ")" * 600
         functors = ", ".join(f"p{i}/1" for i in range(1500))
         write(tmp_path, "a.pl", f":- defines({deep}, [{functors}]).\n")
@@ -219,7 +225,9 @@ class TestParseIndex:
 
 def entry_from_seed(seed: int) -> IndexEntry:
     rng = random.Random(seed)
-    name = rng.choice(("f", "g", "has space", "x_1", "lists", "-", "it's", "[]", "Up"))
+    name = rng.choice(
+        ("f", "g", "has space", "x_1", "lists", "-", "it's", "[]", "Up", "/*", "a\\b", "x\ty")
+    )
     functor = FunctorRef(name, rng.randrange(0, 6))
     cond = helpers.gen_cond(rng, 2)[1]
     module = rng.choice(("user", "built_in", "lists", "my mod"))
@@ -239,3 +247,116 @@ class TestRoundTripProperty:
     def test_each_line_is_the_canonical_clause_of_its_term(self, seeds):
         lines = render_index(entry_from_seed(seed) for seed in seeds).splitlines()[1:]
         assert lines == [render_clause(read_term(line)) for line in lines]
+
+    @given(st.lists(SEEDS, max_size=50))
+    def test_rendered_index_is_read_without_the_general_reader(self, seeds):
+        entries = tuple(entry_from_seed(seed) for seed in seeds)
+        general = []
+
+        def counting(text, *args):
+            general.append(text)
+            return parse_index_text(text, *args)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "Index.pl"
+            path.write_text(render_index(entries), encoding="utf-8")
+            with mock.patch.object(index_module, "parse_index_text", counting):
+                parsed = parse_index(path).entries
+        assert general == []
+        assert parsed == entries
+        # entries with the same condition text share one condition object
+        shared = {}
+        for entry in parsed:
+            assert shared.setdefault(render_cond(entry.cond, 999), entry.cond) is entry.cond
+
+
+def index_line(entry: IndexEntry, **fields: str) -> str:
+    """The line `render_index` writes for `entry`, with some fields' text replaced."""
+    text = {
+        "name": atom_text(entry.functor.name),
+        "arity": str(entry.functor.arity),
+        "cond": render_cond(entry.cond, 999),
+        "module": atom_text(entry.module),
+        "file": atom_text(entry.file),
+    }
+    text.update(fields)
+    return "index( {name}, {arity}, {cond}, {module}, {file} ).".format(**text)
+
+
+# Ways to turn one rendered line into text the line reader must not take.
+MUTATIONS = {
+    "doubled spaces": lambda e: index_line(e).replace(", ", ",  "),
+    "missing spaces": lambda e: index_line(e).replace("( ", "(").replace(" )", ")"),
+    "trailing comment": lambda e: index_line(e) + " % c",
+    "block comment over lines": lambda e: "/* " + index_line(e) + "\n*/",
+    "crlf": lambda e: index_line(e) + "\r",
+    "other fact": lambda e: "other(1).\n" + index_line(e),
+    "arity with leading zero": lambda e: index_line(e, arity=f"0{e.functor.arity}"),
+    "character code arity": lambda e: index_line(e, arity="0'c"),
+    "doubled quote in atom": lambda e: index_line(e, name="'0''c'"),
+    "hex escape in atom": lambda e: index_line(e, module="'\\x41\\'"),
+    "comment opener name": lambda e: index_line(e, name="/*"),
+    "absolute file": lambda e: index_line(e, file="'/abs'"),
+    "dot-dot file": lambda e: index_line(e, file="'a/../b'"),
+    "undecodable condition": lambda e: index_line(e, cond="foo(bar)"),
+    "named variable in condition": lambda e: index_line(e, cond="swi(V)"),
+    "non-canonical condition": lambda e: index_line(e, cond="all"),
+    "non-ASCII unquoted name": lambda e: index_line(e, name="p\u00b2"),
+    "quoted plain name": lambda e: index_line(e, name="'f'"),
+}
+
+
+ANY_NAMES = st.text(alphabet="az_AZ09 +-*/\\<>=:.,!;[]'%()\t\n\u00e9\u00b2", min_size=1, max_size=4)
+
+
+class TestLineReaderAgreesWithGeneralReader:
+    """A mutated index is left to the general reader: `parse_index` gives the
+    entries, warnings or error that `parse_index_text` gives."""
+
+    @staticmethod
+    def outcome(read, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="exlibris.index"):
+            try:
+                entries = read().entries
+            except ExlibrisError as exc:
+                return "error", str(exc)
+        return entries, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_mutated_line(self, mutation, tmp_path, caplog):
+        path = tmp_path / "Index.pl"
+        for seed in range(25):
+            rng = random.Random(seed)
+            entries = [entry_from_seed(rng.randrange(2**32)) for _ in range(rng.randrange(1, 6))]
+            lines = [INDEX_HEADER, *map(index_line, entries)]
+            at = rng.randrange(len(entries))
+            lines[at + 1] = MUTATIONS[mutation](entries[at])
+            text = "\n".join(lines) + "\n"
+            path.write_text(text, encoding="utf-8")
+            assert read_rendered(text) is None
+            fast = self.outcome(lambda: parse_index(path), caplog)
+            general = self.outcome(lambda: parse_index_text(text, tmp_path, str(path)), caplog)
+            assert fast == general
+
+    @given(st.lists(st.tuples(ANY_NAMES, ANY_NAMES, SEEDS), max_size=8))
+    def test_any_rendered_name_reads_as_the_general_reader_reads_it(self, rows):
+        entries = tuple(
+            IndexEntry(FunctorRef(name, 1), helpers.gen_cond(random.Random(seed), 2)[1], module, "f")
+            for name, module, seed in rows
+        )
+        text = render_index(entries)
+        try:
+            general = parse_index_text(text, Path(".")).entries
+        except ExlibrisError as exc:
+            general = exc
+        fast = read_rendered(text)
+        assert fast is None or fast == general == entries
+        # every form `atom_text` writes for an ASCII name is a line-reader form
+        assert fast is not None or not text.isascii()
+
+    def test_comments_and_blank_lines_are_skipped(self):
+        entry = entry_from_seed(7)
+        text = f"% a\n\n{index_line(entry)}\n%\n{index_line(entry)}"
+        assert read_rendered(text) == (entry, entry)
+        assert read_rendered("") == read_rendered("% only\n") == ()

@@ -17,6 +17,7 @@ from exlibris.terms import (
     SpliceError,
     TermSyntaxError,
     Variable,
+    atom_text,
     make_list,
     read_term,
     read_terms,
@@ -309,6 +310,14 @@ class TestRender:
 
     def test_atom_quoting_forced_by_slash(self):
         assert render_term(Atom("list/flatten")) == "'list/flatten'"
+
+    def test_comment_opener_atom_is_quoted(self):
+        assert [atom_text(name) for name in ("/*", "/*/", "+/*", "/")] == [
+            "'/*'", "'/*/'", "+/*", "/",
+        ]
+        term = Compound("f", (Atom("/*"), Atom("x")))
+        assert render_term(term) == "f('/*',x)"
+        assert read_term(render_term(term)) == term
 
     def test_directive_style(self):
         term = read_term(":- requires([member/2]).")
