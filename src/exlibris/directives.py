@@ -69,7 +69,6 @@ class Requirement:
 class DefinesGroup:
     cond: IfPls
     functors: tuple[FunctorRef, ...]
-    span: Span
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     if arity == 2:
                         cond = parse_if_pls(body.args[0])
                     functors = _decode_functor_arg(functor_arg, "defines", span.line, path)
-                    defines.append(DefinesGroup(cond, functors, span))
+                    defines.append(DefinesGroup(cond, functors))
                 elif name == "may_load" and arity == 1:
                     for ref in _decode_ref_arg(body.args[0]):
                         may_load.append(MayLoad(ref, span))

@@ -35,6 +35,7 @@ from .terms import (
     Integer,
     Term,
     TermSyntaxError,
+    UNQUOTED_ATOM,
     atom_text,
     read_term,
     read_terms,
@@ -197,10 +198,9 @@ def render_index(entries: Iterable[IndexEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# An atom in each form `atom_text` writes: a lowercase ASCII word, a
-# symbol-char run not opening a comment, `[]`, `!`, `;`, or a quoted atom with
-# the escapes it writes.
-_ATOM = r"[a-z][A-Za-z0-9_]*|(?!/\*)[+\-*/\\^<>=~:?@#&$]+|\[\]|!|;|'(?:[^'\\]|\\[\\'nt])*'"
+# An atom in each form `atom_text` writes: unquoted, or quoted with the
+# escapes it writes.
+_ATOM = rf"{UNQUOTED_ATOM}|'(?:[^'\\]|\\[\\'nt])*'"
 # One fact as `render_index` writes it; the condition holds only characters
 # `render_cond` writes, so it has no layout, quote, comment or period.
 _INDEX_LINE = re.compile(

@@ -14,11 +14,11 @@ one per requirement and engine (per candidate when all engines count).
 The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
-it as a leaf.  Each (functor, engine) pair is decided once per walk.  A
-command's `LibrarySet` probes each candidate path once (`is_file`), whether
-an index hit, a `library(...)` reference or a relative load names it, and
-holds each file's facts (`source`), which on-the-fly indexing already
-filled, so a command reads and parses each file once.
+it as a leaf.  One function decides each (functor, engine) pair, once per
+walk, and `resolve_functor` too.  A command's `LibrarySet` probes each
+candidate path once, whether an index hit, a `library(...)` reference or
+a relative load names it, and holds each file's facts, which on-the-fly
+indexing already filled, so a command reads and parses each file once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
     BUILT_IN_MODULE,
-    IndexEntry,
     LibraryIndex,
     is_library_name,
     mkindex,
@@ -193,41 +192,6 @@ class DepClosure:
     edges: tuple[DepEdge, ...]
 
 
-def _scan(
-    functor: FunctorRef, engine: PlId | None, libs: LibrarySet
-) -> Iterator[tuple[Library, IndexEntry]]:
-    """Index entries for `functor` in search order.
-
-    For a concrete engine only the first matching entry.  For engine None
-    every entry that `matches` does not rule out for all engines (extra
-    candidates only ever widen an export), up to the first that holds for
-    every engine, since nothing later can win for any engine.
-    """
-    for lib in libs.ordered():
-        for entry in lib.index.by_functor.get(functor, ()):
-            verdict = matches(entry.cond, engine)
-            if verdict is not False:
-                yield lib, entry
-            if verdict:
-                return
-
-
-def _hit_target(lib: Library, entry: IndexEntry, path: Path | None) -> ResolvedTarget:
-    """What an index hit resolves to, given the file it names if that exists."""
-    if path is None:
-        return UNRESOLVED
-    if entry.module == BUILT_IN_MODULE:
-        return BuiltIn(lib.kind, lib.root, entry.file)
-    return LoadFile(lib.kind, lib.root, entry.file)
-
-
-def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
-    """First matching index entry in search order, or Unresolved."""
-    for lib, entry in _scan(functor, engine, libs):
-        return _hit_target(lib, entry, libs.source_path(lib.root, entry.file))
-    return UNRESOLVED
-
-
 class _File(NamedTuple):
     """A file the walk reaches; `lib` and `rel` are None for project files."""
 
@@ -235,6 +199,49 @@ class _File(NamedTuple):
     lib: Library | None
     path: Path
     rel: str | None
+
+
+LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
+    "load", "built-in", "skip", "unresolved", "missing"
+)
+
+
+def _decide(
+    functor: FunctorRef, engine: PlId | None, libs: LibrarySet
+) -> tuple[list[tuple[str, str, _File | None]], tuple[ResolvedTarget, ...]]:
+    """A requirement's index hits in search order, as (verdict, label, file
+    or None), and their targets; a missing file or no hit is unresolved.
+
+    For a concrete engine only the first matching entry.  For engine None
+    every entry that `matches` does not rule out for all engines (extra
+    candidates only ever widen an export), up to the first that holds for
+    every engine, since nothing later can win for any engine.
+    """
+    unresolved = (UNRESOLVED_FUNCTOR, str(functor), None)
+    hits, resolved = [], []
+    for lib in libs.ordered():
+        for entry in lib.index.by_functor.get(functor, ()):
+            holds = matches(entry.cond, engine)
+            if holds is False:
+                continue
+            path = libs.source_path(lib.root, entry.file)
+            if path is None:
+                hits.append(unresolved)
+                resolved.append(UNRESOLVED)
+            else:
+                built_in = entry.module == BUILT_IN_MODULE
+                label = f"{functor} {render_cond(entry.cond)}" + (" built-in" if built_in else "")
+                file = _File(lib.kind, lib, path, entry.file)
+                hits.append((BUILT_IN if built_in else LOAD, label, file))
+                resolved.append((BuiltIn if built_in else LoadFile)(lib.kind, lib.root, file.rel))
+            if holds:
+                return hits, tuple(resolved)
+    return (hits, tuple(resolved)) if hits else ([unresolved], (UNRESOLVED,))
+
+
+def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
+    """First matching index entry in search order, or Unresolved."""
+    return _decide(functor, engine, libs)[1][0]
 
 
 def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | None:
@@ -255,23 +262,14 @@ def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | 
                 return _File(lib.kind, lib, path, ref.path)
         return None
     raw = canon(base_dir / ref.path)
-    candidates = [raw.parent / (raw.name + ext) for ext in libs.extensions]
-    if raw.suffix:
-        candidates.insert(0, raw)
-    for candidate in candidates:
-        if not libs.is_file(candidate):
-            continue
-        for lib in libs.ordered():
-            if candidate.is_relative_to(lib.root):
-                rel = candidate.relative_to(lib.root).with_suffix("").as_posix()
-                return _File(lib.kind, lib, candidate, rel)
-        return _File(KIND_PROJECT, None, candidate, None)
-    return None
-
-
-LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
-    "load", "built-in", "skip", "unresolved", "missing"
-)
+    path = raw if raw.suffix and libs.is_file(raw) else libs.source_path(raw.parent, raw.name)
+    if path is None:
+        return None
+    for lib in libs.ordered():
+        if path.is_relative_to(lib.root):
+            rel = path.relative_to(lib.root).with_suffix("").as_posix()
+            return _File(lib.kind, lib, path, rel)
+    return _File(KIND_PROJECT, None, path, None)
 
 
 @dataclass(frozen=True)
@@ -315,10 +313,9 @@ def _walk(
     """
     engines = (None,) if targets is None else targets
     entered: set[Path] = set()
-    # (functor, engine) -> (hits, resolved); a hit is (lib, entry, target, path, label)
-    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
+    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}  # (functor, engine) -> _decide
 
-    def decide(file: _File, depth: int) -> Iterator[_Step]:
+    def visit(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
         for directive in _directives(facts):
             if isinstance(directive, Requirement):
@@ -326,26 +323,11 @@ def _walk(
                 for engine in engines:
                     key = (functor, engine)
                     if key not in decided:
-                        hits = []
-                        for lib, entry in _scan(functor, engine, libs):
-                            path = libs.source_path(lib.root, entry.file)
-                            hits.append((lib, entry, _hit_target(lib, entry, path), path,
-                                         f"{functor} {render_cond(entry.cond)}"))
-                        decided[key] = hits, tuple(hit[2] for hit in hits) or (UNRESOLVED,)
+                        decided[key] = _decide(functor, engine, libs)
                     hits, resolved = decided[key]
-                    if not hits:
-                        yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
-                                    str(functor), resolved=resolved)
-                    for lib, entry, target, path, label in hits:
-                        if isinstance(target, Unresolved):
-                            yield _Step(depth, file, functor, engine, UNRESOLVED_FUNCTOR,
-                                        str(functor), resolved=resolved)
-                            continue
-                        built_in = isinstance(target, BuiltIn)
-                        yield _Step(depth, file, functor, engine, BUILT_IN if built_in else LOAD,
-                                    label + " built-in" if built_in else label,
-                                    _File(lib.kind, lib, path, entry.file),
-                                    path in entered, resolved)
+                    for verdict, label, hit in hits:
+                        yield _Step(depth, file, functor, engine, verdict, label, hit,
+                                    hit is not None and hit.path in entered, resolved)
                 continue
             ref = directive.ref
             label = render_cond(directive.guard) if isinstance(directive, Load) else "may_load"
@@ -360,7 +342,7 @@ def _walk(
 
     roots = list(dict.fromkeys(canon(raw) for raw in entries))
     entered.update(roots)
-    stack = [decide(_File(KIND_PROJECT, None, path, None), 0) for path in reversed(roots)]
+    stack = [visit(_File(KIND_PROJECT, None, path, None), 0) for path in reversed(roots)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -372,7 +354,7 @@ def _walk(
             step.verdict == LOAD or enter_built_ins
         ):
             entered.add(reached.path)
-            stack.append(decide(reached, step.depth + 1))
+            stack.append(visit(reached, step.depth + 1))
 
 
 def closure(

@@ -156,7 +156,12 @@ INFIX_OPERATORS: dict[str, tuple[int, str]] = {
     ":": (200, "xfy"),
 }
 
-_SYMBOL_CHARS = frozenset("+-*/\\^<>=~:?@#&$")
+_SYMBOL_CHARS = "+-*/\\^<>=~:?@#&$"
+_SYMBOL_RUN = f"[{re.escape(_SYMBOL_CHARS)}]+"
+# The atoms written without quotes: a word starting with a lowercase ASCII
+# letter, a symbol-char run that does not open a comment, `[]`, `!` and `;`.
+UNQUOTED_ATOM = rf"[a-z]\w*|(?!/\*){_SYMBOL_RUN}|\[\]|!|;"
+_UNQUOTED = re.compile(UNQUOTED_ATOM)
 
 
 class _Token(NamedTuple):
@@ -181,7 +186,7 @@ _TOKEN = re.compile(
       |(?P<int>\d+)
       |(?P<word>[^\W\d]\w*)
       |(?P<end>\.(?=[ \t\r\n%]|\Z))
-      |(?P<atom>[;!.]|[+\-*/\\^<>=~:?@#&$]+)
+      |(?P<atom>[;!.]|{_SYMBOL_RUN})
       |(?P<punct>[()\[\],|])
       |(?P<bad>.)
     )?""",
@@ -351,7 +356,7 @@ def _parse_clause(tokens: list[_Token], i: int, text: str, path: str | None) -> 
                 prec = 0
                 punct = tok.kind == "punct"
                 if tag == "paren":
-                    if tok.text != ")":
+                    if not punct or tok.text != ")":
                         raise _error("expected ')'", text, tok.start, path)
                 elif tag == "args":
                     frame[3].append(term)
@@ -418,19 +423,11 @@ def read_term(text: str, path: str | None = None) -> Term:
     return terms[0].term
 
 
-_UNQUOTED_ALPHA = "abcdefghijklmnopqrstuvwxyz"
-
-
 def atom_text(name: str) -> str:
     """The written form of an atom, quoted exactly when re-reading needs it:
     a symbol-char run is quoted when it starts with `/*`, which would open a
     comment."""
-    if name and name[0] in _UNQUOTED_ALPHA:
-        if all(c.isalnum() or c == "_" for c in name):
-            return name
-    if name and all(c in _SYMBOL_CHARS for c in name) and not name.startswith("/*"):
-        return name
-    if name in ("[]", "!", ";"):
+    if _UNQUOTED.fullmatch(name):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")

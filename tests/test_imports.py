@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, only `fsio`
-opens or reads files, and only listed functions recurse."""
+"""Every name a package module imports is used in that module, and every
+private top-level name it defines is read there; only `fsio` opens or reads
+files, and only listed functions recurse."""
 
 from __future__ import annotations
 
@@ -32,6 +33,45 @@ def test_module_uses_every_import(path):
 def test_an_unused_import_is_reported():
     source = "from .errors import ExlibrisError\nimport os\n\nos.getcwd()\n"
     assert unused_imports(source) == ["ExlibrisError (line 1)"]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private top-level functions, classes and constants the module never reads."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_private_name_is_reported():
+    source = (
+        "def _scan():\n    pass\n\nclass _Hit:\n    pass\n\n"
+        "_A, B = 1, 2\n_C: int = 3\n_D = 4\n__all__ = []\n\n"
+        "def f():\n    _E = 5\n    return _D\n"
+    )
+    assert unread_private_names(source) == [
+        "_scan (line 1)", "_Hit (line 4)", "_A (line 7)", "_C (line 8)"
+    ]
 
 
 def direct_reads(source: str) -> list[str]:

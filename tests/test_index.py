@@ -301,7 +301,6 @@ MUTATIONS = {
     "undecodable condition": lambda e: index_line(e, cond="foo(bar)"),
     "named variable in condition": lambda e: index_line(e, cond="swi(V)"),
     "non-canonical condition": lambda e: index_line(e, cond="all"),
-    "non-ASCII unquoted name": lambda e: index_line(e, name="p\u00b2"),
     "quoted plain name": lambda e: index_line(e, name="'f'"),
 }
 
@@ -352,11 +351,17 @@ class TestLineReaderAgreesWithGeneralReader:
             general = exc
         fast = read_rendered(text)
         assert fast is None or fast == general == entries
-        # every form `atom_text` writes for an ASCII name is a line-reader form
-        assert fast is not None or not text.isascii()
+        # every form `atom_text` writes is a line-reader form
+        assert fast is not None
 
     def test_comments_and_blank_lines_are_skipped(self):
         entry = entry_from_seed(7)
         text = f"% a\n\n{index_line(entry)}\n%\n{index_line(entry)}"
         assert read_rendered(text) == (entry, entry)
         assert read_rendered("") == read_rendered("% only\n") == ()
+
+    def test_non_ascii_unquoted_names_are_read_line_by_line(self):
+        text = "".join(
+            f"index( {name}, 1, any, user, a ).\n" for name in ("p\u00e9", "p\u00b2", "a\u00df")
+        )
+        assert read_rendered(text) == parse_index_text(text, Path(".")).entries

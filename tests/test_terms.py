@@ -134,8 +134,11 @@ class TestReadTerms:
         with pytest.raises(TermSyntaxError):
             read_terms("p(a)")
 
-    def test_parenthesis_closes_on_any_token_reading_close(self):
-        assert read_term("(a ')'") == Atom("a")
+    def test_parenthesis_closes_only_on_punctuation(self):
+        for text in ("(a ')'", "(a ')')"):
+            with pytest.raises(TermSyntaxError) as exc:
+                read_term(text)
+            assert str(exc.value) == "line 1, column 4: expected ')'"
 
 
 # Each parser error with the position it is reported at; input that ends
