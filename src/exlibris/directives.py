@@ -1,9 +1,10 @@
 """Extraction of dependency facts from parsed source files.
 
-One pass over a file's terms collects everything the resolver and exporter
-consume: `requires`, `defines`, `may_load`, module and library_directory
-declarations, direct loading calls, and loading calls guarded by `if_pl`
-directives (deconstructed to any depth, with nested guards conjoined).
+One pass over a file's terms collects what the resolver, indexer and exporter
+consume: `FileFacts.deps` lists `requires`, `may_load` and loading calls, direct
+or guarded by `if_pl` (to any depth, nested guards conjoined), in source order;
+besides it come `defines`, module and library_directory declarations, whole
+`if_pl` directives for export, and clause heads.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class FileRef:
 @dataclass(frozen=True)
 class Requirement:
     functor: FunctorRef
-    span: Span
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class DefinesGroup:
 @dataclass(frozen=True)
 class MayLoad:
     ref: FileRef
-    span: Span
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,6 @@ class Load:
 
     guard: IfPls
     ref: FileRef
-    predicate: str
-    span: Span
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,8 @@ class IfPlDirective:
 
 @dataclass(frozen=True)
 class FileFacts:
-    requires: tuple[Requirement, ...] = ()
+    deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
     defines: tuple[DefinesGroup, ...] = ()
-    may_load: tuple[MayLoad, ...] = ()
-    loads: tuple[Load, ...] = ()
     module_decl: ModuleDecl | None = None
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
     clause_heads: tuple[FunctorRef, ...] = ()
@@ -156,18 +151,16 @@ def _decode_ref_arg(term: Term) -> list[FileRef]:
     return refs
 
 
-def recognize_loading_call(goal: Term) -> tuple[tuple[FileRef, ...], str] | None:
-    """Identify a goal that loads files, returning its refs and predicate name.
+def recognize_loading_call(goal: Term) -> tuple[FileRef, ...] | None:
+    """The refs of a goal that loads files, or None for any other goal.
 
     The bracketed-list goal `[f1, f2]` counts as consult.
     """
     if isinstance(goal, Compound) and goal.name == "." and goal.arity == 2:
-        if is_proper_list(goal):
-            return tuple(_decode_ref_arg(goal)), "consult"
-        return None
+        return tuple(_decode_ref_arg(goal)) if is_proper_list(goal) else None
     if isinstance(goal, Compound) and goal.name in LOADING_PREDICATES:
         if goal.arity in LOADING_PREDICATES[goal.name]:
-            return tuple(_decode_ref_arg(goal.args[0])), goal.name
+            return tuple(_decode_ref_arg(goal.args[0]))
     return None
 
 
@@ -237,10 +230,8 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     complaint.  Non-directive clauses contribute their head functor, in
     definition order and deduplicated.
     """
-    requires: list[Requirement] = []
+    deps: list[Requirement | Load | MayLoad] = []
     defines: list[DefinesGroup] = []
-    may_load: list[MayLoad] = []
-    loads: list[Load] = []
     module_decl: ModuleDecl | None = None
     library_dirs: list[Span] = []
     heads: list[FunctorRef] = []
@@ -257,7 +248,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 arity = body.arity if isinstance(body, Compound) else 0
                 if name == "requires" and arity == 1:
                     for functor in _decode_functor_arg(body.args[0], "requires", span.line, path):
-                        requires.append(Requirement(functor, span))
+                        deps.append(Requirement(functor))
                 elif name == "defines" and arity in (1, 2):
                     cond = ALWAYS
                     functor_arg = body.args[-1]
@@ -266,8 +257,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     functors = _decode_functor_arg(functor_arg, "defines", span.line, path)
                     defines.append(DefinesGroup(cond, functors))
                 elif name == "may_load" and arity == 1:
-                    for ref in _decode_ref_arg(body.args[0]):
-                        may_load.append(MayLoad(ref, span))
+                    deps.extend(MayLoad(ref) for ref in _decode_ref_arg(body.args[0]))
                 elif name == "module" and arity == 2:
                     if module_decl is None:
                         exports = tuple(
@@ -287,15 +277,9 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     else_call = body.args[2] if arity == 3 else None
                     if_pls.append(IfPlDirective(cond, else_call, span))
                     for guard, call in deconstruct_if_pl(body, cond):
-                        refs, predicate = recognize_loading_call(call)
-                        for ref in refs:
-                            loads.append(Load(guard, ref, predicate, span))
+                        deps.extend(Load(guard, ref) for ref in recognize_loading_call(call))
                 else:
-                    recognized = recognize_loading_call(body)
-                    if recognized is not None:
-                        refs, predicate = recognized
-                        for ref in refs:
-                            loads.append(Load(ALWAYS, ref, predicate, span))
+                    deps.extend(Load(ALWAYS, ref) for ref in recognize_loading_call(body) or ())
             except EngineConditionError as exc:  # from any condition, nested ones too
                 raise MalformedDirectiveError(str(exc), span.line, path) from exc
             continue
@@ -315,10 +299,8 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
             heads.append(functor)
 
     return FileFacts(
-        requires=tuple(requires),
+        deps=tuple(deps),
         defines=tuple(defines),
-        may_load=tuple(may_load),
-        loads=tuple(loads),
         module_decl=module_decl,
         library_dirs=tuple(library_dirs),
         clause_heads=tuple(heads),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .directives import FileFacts, FileRef, FunctorRef, Load, MayLoad, Requirement
+from .directives import FileFacts, FileRef, FunctorRef, Load, Requirement
 from .engines import PlId, can_match, matches, render_cond
 from .errors import ExlibrisError
 from .fsio import is_file
@@ -88,8 +88,8 @@ class LibrarySet:
     probes: dict[Path, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        roots = [lib.root for lib in self.ordered()]
-        if len(set(roots)) != len(roots):
+        roots = sorted(lib.root for lib in self.ordered())  # a root sorts just before its subdirs
+        if any(inner.is_relative_to(outer) for outer, inner in zip(roots, roots[1:])):
             raise ExlibrisError("library roots must be disjoint")
         for lib in self.ordered():
             self.sources.update(lib.index.sources)
@@ -201,6 +201,13 @@ class _File(NamedTuple):
     rel: str | None
 
 
+def _library_file(lib: Library, path: Path) -> _File:
+    """A file of `lib`, named by its path under the root however it was spelled:
+    `relative_to(lib.root).with_suffix("")`, without building paths, as each hit pays it."""
+    rel = "/".join(path.parts[len(lib.root.parts):])
+    return _File(lib.kind, lib, path, rel[: len(rel) - len(path.suffix)])
+
+
 LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
     "load", "built-in", "skip", "unresolved", "missing"
 )
@@ -231,7 +238,7 @@ def _decide(
             else:
                 built_in = entry.module == BUILT_IN_MODULE
                 label = f"{functor} {render_cond(entry.cond)}" + (" built-in" if built_in else "")
-                file = _File(lib.kind, lib, path, entry.file)
+                file = _library_file(lib, path)
                 hits.append((BUILT_IN if built_in else LOAD, label, file))
                 resolved.append((BuiltIn if built_in else LoadFile)(lib.kind, lib.root, file.rel))
             if holds:
@@ -259,7 +266,7 @@ def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | 
         for lib in libs.ordered():
             path = libs.source_path(lib.root, ref.path)
             if path is not None:
-                return _File(lib.kind, lib, path, ref.path)
+                return _library_file(lib, path)
         return None
     raw = canon(base_dir / ref.path)
     path = raw if raw.suffix and libs.is_file(raw) else libs.source_path(raw.parent, raw.name)
@@ -267,8 +274,7 @@ def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | 
         return None
     for lib in libs.ordered():
         if path.is_relative_to(lib.root):
-            rel = path.relative_to(lib.root).with_suffix("").as_posix()
-            return _File(lib.kind, lib, path, rel)
+            return _library_file(lib, path)
     return _File(KIND_PROJECT, None, path, None)
 
 
@@ -289,11 +295,6 @@ class _Step:
     file: _File | None = None
     seen: bool = False
     resolved: tuple[ResolvedTarget, ...] = ()
-
-
-def _directives(facts: FileFacts) -> list[Requirement | Load | MayLoad]:
-    """A file's requirements, loads and may_loads in source order."""
-    return sorted((*facts.requires, *facts.loads, *facts.may_load), key=lambda d: d.span.start)
 
 
 def _walk(
@@ -317,7 +318,7 @@ def _walk(
 
     def visit(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
-        for directive in _directives(facts):
+        for directive in facts.deps:
             if isinstance(directive, Requirement):
                 functor = directive.functor
                 for engine in engines:

@@ -360,7 +360,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
     brute_matches, its own file-ref resolution, and a fixpoint loop instead
     of a worklist.  Only file parsing is shared with the implementation.
     """
-    from exlibris.directives import extract
+    from exlibris.directives import Load, MayLoad, Requirement, extract
     from exlibris.terms import read_terms
 
     ordered_libs = ([libs.loclib] if libs.loclib else []) + list(libs.syslibs) + list(
@@ -441,7 +441,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                     )
                     changed = True
 
-            for req in facts.requires:
+            for req in (d for d in facts.deps if isinstance(d, Requirement)):
                 for engine in targets:
                     verdict, lib, file_rel = naive_resolve(req.functor, engine)
                     resolution[(req.functor, engine)] = (verdict, file_rel)
@@ -449,7 +449,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                         unresolved.add((src, str(req.functor), engine))
                     else:
                         note(lib, file_rel, lib.root / (file_rel + ".pl"))
-            for load in facts.loads:
+            for load in (d for d in facts.deps if isinstance(d, Load)):
                 if not any(brute_matches(load.guard, e) for e in targets):
                     continue
                 hit = naive_ref(load.ref, path.parent)
@@ -457,7 +457,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
                     unresolved.add((src, str(load.ref), None))
                 else:
                     note(hit[0], hit[2], hit[1])
-            for item in facts.may_load:
+            for item in (d for d in facts.deps if isinstance(d, MayLoad)):
                 hit = naive_ref(item.ref, path.parent)
                 if hit is None:
                     unresolved.add((src, str(item.ref), None))

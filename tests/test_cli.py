@@ -142,6 +142,17 @@ class TestExport:
         assert (code, out, err) == (EXIT_ERROR, "", "exlibris: library roots must be disjoint\n")
         assert not (worked_example / "out").exists()
 
+    @pytest.mark.parametrize("libs", [
+        ("--homelib", "HomeLib", "--homelib", "HomeLib/sub"),
+        ("--homelib", "HomeLib/sub", "--homelib", "HomeLib"),
+        ("--syslib", "HomeLib/sub", "--homelib", "HomeLib"),
+    ], ids=["outer_first", "inner_first", "across_kinds"])
+    def test_nested_library_roots_are_exit_2(self, worked_example, run_cli, libs):
+        (worked_example / "HomeLib" / "sub").mkdir()
+        code, out, err = run_cli("export", "--dest", "out", "--source", "proj/file1.pl", *libs)
+        assert (code, out, err) == (EXIT_ERROR, "", "exlibris: library roots must be disjoint\n")
+        assert not (worked_example / "out").exists()
+
     def test_failure_mid_apply_reports_completed_steps(self, worked_example, run_cli, monkeypatch):
         def fail(path, text):
             raise OSError("no space left on device")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -13,13 +13,16 @@ from helpers import ENGINE_UNIVERSE
 from exlibris.directives import (
     FileRef,
     FunctorRef,
+    Load,
     MalformedDirectiveError,
+    MayLoad,
+    Requirement,
     deconstruct_if_pl,
     extract,
     recognize_loading_call,
 )
 from exlibris.engines import ALWAYS, Negation, matches, parse_if_pls
-from exlibris.terms import Atom, Compound, Integer, Term, read_term, read_terms
+from exlibris.terms import read_term, read_terms
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -28,10 +31,15 @@ def facts_of(text: str, path: str | None = None):
     return extract(read_terms(text, path), path)
 
 
+def deps_of(facts, kind) -> list:
+    """The records of one kind in `facts.deps`, in their order there."""
+    return [dep for dep in facts.deps if isinstance(dep, kind)]
+
+
 class TestExtract:
     def test_requires_list(self):
         facts = facts_of(":- requires([member/2,maplist/3,flatten/2]).")
-        assert [r.functor for r in facts.requires] == [
+        assert [r.functor for r in deps_of(facts, Requirement)] == [
             FunctorRef("member", 2),
             FunctorRef("maplist", 3),
             FunctorRef("flatten", 2),
@@ -39,11 +47,11 @@ class TestExtract:
 
     def test_requires_singleton_normalized(self):
         facts = facts_of(":- requires(member/2).")
-        assert [r.functor for r in facts.requires] == [FunctorRef("member", 2)]
+        assert [r.functor for r in deps_of(facts, Requirement)] == [FunctorRef("member", 2)]
 
     def test_may_load_relative(self):
         facts = facts_of(":- may_load(f).")
-        assert [m.ref for m in facts.may_load] == [FileRef("relative", "f")]
+        assert [m.ref for m in deps_of(facts, MayLoad)] == [FileRef("relative", "f")]
 
     def test_clause_heads_deduplicated_in_order(self):
         facts = facts_of("p(1).\np(2).\nq.\np(3).\n")
@@ -84,14 +92,13 @@ class TestExtract:
 
     def test_unguarded_load_carries_always(self):
         facts = facts_of(":- ensure_loaded(library(lists)).")
-        (load,) = facts.loads
+        (load,) = deps_of(facts, Load)
         assert load.guard == ALWAYS
         assert load.ref == FileRef("library", "lists")
-        assert load.predicate == "ensure_loaded"
 
     def test_unknown_directives_ignored(self):
         facts = facts_of(":- set_prolog_flag(double_quotes, codes).\n:- dynamic(foo/1).\n")
-        assert facts.requires == () and facts.loads == ()
+        assert facts.deps == ()
 
     def test_malformed_requires_names_file_and_line(self):
         with pytest.raises(MalformedDirectiveError) as exc:
@@ -111,13 +118,11 @@ class TestExtract:
 
     def test_if_pl_loads_are_guarded(self):
         facts = facts_of(":- if_pl(swi(_), consult(a), consult(b)).")
-        assert [(str(l.ref), l.predicate) for l in facts.loads] == [
-            ("a", "consult"),
-            ("b", "consult"),
-        ]
+        loads = deps_of(facts, Load)
+        assert [str(l.ref) for l in loads] == ["a", "b"]
         swi, sicstus = helpers.SWI, helpers.SICSTUS
-        assert matches(facts.loads[0].guard, swi) and not matches(facts.loads[0].guard, sicstus)
-        assert matches(facts.loads[1].guard, sicstus) and not matches(facts.loads[1].guard, swi)
+        assert matches(loads[0].guard, swi) and not matches(loads[0].guard, sicstus)
+        assert matches(loads[1].guard, sicstus) and not matches(loads[1].guard, swi)
 
     def test_if_pl_condition_is_decoded_once(self, monkeypatch):
         calls = []
@@ -131,7 +136,7 @@ class TestExtract:
         assert calls == [read_term("swi(_)")]
         cond = parse_if_pls(read_term("swi(_)"))
         assert facts.if_pls[0].cond == cond
-        assert [l.guard for l in facts.loads] == [cond, Negation(cond)]
+        assert [l.guard for l in deps_of(facts, Load)] == [cond, Negation(cond)]
 
     def test_extract_is_deterministic(self):
         text = ":- requires([f/1]).\n:- may_load(x).\np.\n"
@@ -140,39 +145,34 @@ class TestExtract:
 
 class TestRecognizeLoadingCall:
     def test_ensure_loaded_alias(self):
-        refs, name = recognize_loading_call(read_term("ensure_loaded(library(lists))"))
+        refs = recognize_loading_call(read_term("ensure_loaded(library(lists))"))
         assert refs == (FileRef("library", "lists"),)
-        assert name == "ensure_loaded"
 
     def test_use_module_file_in_first_arg(self):
-        refs, name = recognize_loading_call(
-            read_term("use_module(library(lists), [member/2])")
-        )
+        refs = recognize_loading_call(read_term("use_module(library(lists), [member/2])"))
         assert refs == (FileRef("library", "lists"),)
-        assert name == "use_module"
 
     def test_non_loading_call(self):
         assert recognize_loading_call(read_term("format('hi')")) is None
 
     def test_bracketed_list_goal(self):
-        refs, name = recognize_loading_call(read_term("[f1, f2]"))
+        refs = recognize_loading_call(read_term("[f1, f2]"))
         assert refs == (FileRef("relative", "f1"), FileRef("relative", "f2"))
-        assert name == "consult"
 
     def test_list_argument(self):
-        refs, _ = recognize_loading_call(read_term("consult([a, library(b)])"))
+        refs = recognize_loading_call(read_term("consult([a, library(b)])"))
         assert refs == (FileRef("relative", "a"), FileRef("library", "b"))
 
     def test_slash_alias_path(self):
-        refs, _ = recognize_loading_call(read_term("ensure_loaded(library(meta/maplist))"))
+        refs = recognize_loading_call(read_term("ensure_loaded(library(meta/maplist))"))
         assert refs == (FileRef("library", "meta/maplist"),)
-        refs, _ = recognize_loading_call(
+        refs = recognize_loading_call(
             read_term("consult([library(a/(b/c)/d), library(a/1), library(b/X/c)])")
         )
         assert refs == (FileRef("library", "a/b/c/d"),)
 
     def test_undecodable_args_skipped(self):
-        refs, _ = recognize_loading_call(read_term("consult(X)"))
+        refs = recognize_loading_call(read_term("consult(X)"))
         assert refs == ()
 
 
@@ -251,40 +251,34 @@ class TestDeconstructIfPl:
             assert matches(then_guard, engine) != matches(else_guard, engine)
 
 
-def _contains(haystack: Term, needle: Term) -> bool:
-    if haystack == needle:
-        return True
-    if isinstance(haystack, Compound):
-        return any(_contains(arg, needle) for arg in haystack.args)
-    return False
-
-
-class TestSpans:
-    @given(st.lists(SEEDS, min_size=1, max_size=4))
-    def test_reported_spans_reread_to_covering_terms(self, seeds):
-        lines = []
-        for seed in seeds:
+class TestSourceOrder:
+    @given(st.lists(st.tuples(st.integers(0, 3), SEEDS), min_size=1, max_size=6))
+    @example([(2, 0), (0, 0), (1, 0), (3, 0), (0, 1)])
+    def test_deps_follow_the_source_order_of_their_directives(self, directives):
+        """Requirements, loads and may_loads interleave as their directives do,
+        and the records of one directive keep their order within it."""
+        lines, expected = [], []
+        for n, (kind, seed) in enumerate(directives):
             rng = random.Random(seed)
-            name, arity = rng.choice((("f", 1), ("g", 2), ("h", 0)))
-            kind = rng.randrange(3)
             if kind == 0:
-                lines.append(f":- requires([{name}/{arity}]).")
+                functors = [FunctorRef(f"f{n}_{k}", k) for k in range(rng.randrange(1, 3))]
+                lines.append(f":- requires([{', '.join(map(str, functors))}]).")
+                expected += [Requirement(functor) for functor in functors]
             elif kind == 1:
-                lines.append(":- may_load('sub/x').")
+                lines.append(f":- may_load('sub/x{n}').")
+                expected.append(MayLoad(FileRef("relative", f"sub/x{n}")))
+            elif kind == 2:
+                lines.append(f":- ensure_loaded([library(a{n}), b{n}]).")
+                expected += [
+                    Load(ALWAYS, FileRef("library", f"a{n}")),
+                    Load(ALWAYS, FileRef("relative", f"b{n}")),
+                ]
             else:
-                cond_text, _ = helpers.gen_cond(rng, 1)
-                lines.append(f":- if_pl({cond_text}, consult(y)).")
-        text = "% header\n" + "\n".join(lines) + "\n"
-        facts = facts_of(text)
-        for requirement in facts.requires:
-            snippet = text[requirement.span.start : requirement.span.end]
-            (term,) = read_terms(snippet)
-            needle = Compound(
-                "/",
-                (Atom(requirement.functor.name), Integer(requirement.functor.arity)),
-            )
-            assert _contains(term.term, needle)
-        for item in list(facts.may_load) + list(facts.loads):
-            snippet = text[item.span.start : item.span.end]
-            (term,) = read_terms(snippet)
-            assert _contains(term.term, Atom(item.ref.path))
+                cond_text, cond = helpers.gen_cond(rng, 1)
+                lines.append(f":- if_pl({cond_text}, consult(y{n}), consult(z{n})).")
+                expected += [
+                    Load(cond, FileRef("relative", f"y{n}")),
+                    Load(Negation(cond), FileRef("relative", f"z{n}")),
+                ]
+        text = "% header\np.\n" + "\n".join(lines) + "\n"
+        assert list(facts_of(text).deps) == expected

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLE, build_worked_example
-from helpers import SICSTUS, SWI
+from helpers import SICSTUS, SWI, gen_world
 from exlibris.directives import extract
 from exlibris.export import (
     DestinationExistsError,
@@ -19,7 +24,7 @@ from exlibris.export import (
     plan_export,
     transform_entry,
 )
-from exlibris.resolve import LibrarySet, closure, trace
+from exlibris.resolve import UNRESOLVED, LibrarySet, closure, trace
 from exlibris.terms import read_terms, splice
 
 REWRITTEN_FILE1 = (
@@ -320,6 +325,46 @@ class TestEachFileOnce:
             "index( p, 1, any, user, './a' ).\n"
         )
 
+    def test_a_library_file_has_one_name_however_the_index_spells_it(self, tmp_path):
+        for rel, text in {
+            "H/Index.pl": "index( p, 0, any, user, 'd/./a' ).\n"
+                          "index( q, 0, any, user, 'd/a' ).\n"
+                          "index( r, 0, any, user, 'd//a' ).\n",
+            "H/d/a.pl": "p.\nq.\nr.\n",
+            "proj/m.pl": ":- requires([p/0, q/0, r/0]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        libs = build_library_set(opts, homelibs=(tmp_path / "H",))
+        edges = closure([tmp_path / "proj" / "m.pl"], libs, None).edges
+        assert {edge.dst for edge in edges} == {"home:d/a"}
+        report = apply_plan(plan_export(opts, libs))
+        assert report.lines[1:] == [
+            f"copy {tmp_path / 'H' / 'd' / 'a.pl'} -> lib/d/a.pl",
+            "rewrite m.pl",
+            "write lib/Index.pl (3 entries)",
+        ]
+
+    def test_two_files_one_library_name_are_refused(self, tmp_path):
+        for rel, text in {
+            "H1/Index.pl": "index( p, 0, any, user, './a' ).\n",
+            "H1/a.pl": "p.\n",
+            "H2/Index.pl": "index( q, 0, any, user, a ).\n",
+            "H2/a.pl": "q.\n",
+            "proj/m.pl": ":- requires([p/0, q/0]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        libs = build_library_set(opts, homelibs=(tmp_path / "H1", tmp_path / "H2"))
+        with pytest.raises(ExportPlanError) as exc:
+            plan_export(opts, libs)
+        assert str(exc.value) == (
+            f"both {tmp_path / 'H1' / 'a.pl'} and {tmp_path / 'H2' / 'a.pl'}"
+            " would be exported as lib/a.pl"
+        )
+
     def test_entry_is_written_as_planned_without_reading_it_again(self, tmp_path, monkeypatch):
         import sys
 
@@ -451,3 +496,52 @@ class TestExportInvariants:
             dev = trace(tmp_path / "proj" / "file1.pl", engine, dev_libs)
             exported = trace(out / "file1.pl", engine, exported_libs)
             assert _normalize(dev) == _normalize(exported)
+
+
+def _respell(index_text: str, rng: random.Random) -> str:
+    """About half of the file fields of an `Index.pl` written `./rel`."""
+    return "".join(
+        re.sub(r", '([^']*)' \)\.$", r", './\1' ).", line) if rng.random() < 0.5 else line
+        for line in index_text.splitlines(keepends=True)
+    )
+
+
+class TestExportsAreSelfContained:
+    @pytest.mark.parametrize("respelled", [False, True], ids=["canonical", "respelled"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    @example(seed=667)  # respelled: one file reached as `./sub/m0` and as `sub/m0`
+    def test_resolved_pairs_stay_resolved_in_the_export(self, respelled, seed):
+        """What the source closure resolves, the exported tree resolves against
+        the same system libraries, whatever spelling named each library file."""
+        rng = random.Random(seed)
+        world = gen_world(rng)
+        if respelled:
+            for rel, text in world.files.items():
+                if rel.endswith("/Index.pl"):
+                    world.files[rel] = _respell(text, rng)
+        with tempfile.TemporaryDirectory() as raw:
+            root = Path(raw)
+            world.materialize(root)
+            syslibs = [root / name for name in world.syslibs]
+            libs = LibrarySet.build(
+                syslibs, [root / name for name in world.homelibs],
+                root / world.loclib if world.loclib else None,
+            )
+            entries = [root / rel for rel in world.entries]
+            before = closure(entries, libs, world.engines)
+            opts = ExportOptions(dest=root / "out", sources=tuple(entries), pls=world.engines)
+            try:
+                plan = plan_export(opts, libs)
+            except ExportPlanError as exc:
+                assume("would be exported as" not in str(exc))  # two libraries, one name
+                raise
+            apply_plan(plan)
+            out = root / "out"
+            loclib = out / "lib" if (out / "lib").is_dir() else None
+            exported = LibrarySet.build(syslibs, (), loclib)
+            entries = [out / Path(rel).name for rel in world.entries]
+            after = closure(entries, exported, world.engines)
+            for key, targets in before.resolution.items():
+                if targets[0] != UNRESOLVED:
+                    assert after.resolution.get(key, (UNRESOLVED,))[0] != UNRESOLVED, key
