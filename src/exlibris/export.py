@@ -291,19 +291,13 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         rewrites[dest_rel] = splice(text, transform_entry(text, facts, rel_to_loclib, opts.pls))
         copy_map.pop(dest_rel, None)  # written by its rewrite alone
 
-    # (library root, name under it) of each file copied into loclib, walked or mirrored
-    libraries = [lib for lib in (libs.loclib, *libs.homelibs) if lib is not None]
-    vendored = set()
-    for dest_rel, src in copy_map.items():
-        for lib in libraries:
-            if src.suffix not in libs.extensions or not src.is_relative_to(lib.root):
-                continue
-            rel = posixpath.relpath(src.with_suffix(""), lib.root)
-            if dest_rel == f"{opts.loclib}/{rel}{src.suffix}":
-                vendored.add((lib.root, rel))
+    # an entry is kept when `<loclib>/<n>` copies its `<root>/<n>`, n = normpath(field + ext)
+    copied = {dest_rel: str(src) for dest_rel, src in copy_map.items()}
     index_entries = tuple(
-        e for lib in libraries for e in lib.index.entries
-        if (lib.root, posixpath.normpath(e.file)) in vendored
+        e for lib in (libs.loclib, *libs.homelibs) if lib is not None
+        for root in [posixpath.join(str(lib.root), "")] for e in lib.index.entries
+        if any(copied.get(f"{opts.loclib}/{n}") == root + n
+               for ext in libs.extensions for n in [posixpath.normpath(e.file + ext)])
     )
     index = None
     if index_entries:

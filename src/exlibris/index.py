@@ -33,6 +33,7 @@ from .terms import (
     Atom,
     Compound,
     Integer,
+    QUOTED_ATOM,
     Term,
     TermSyntaxError,
     UNQUOTED_ATOM,
@@ -198,9 +199,9 @@ def render_index(entries: Iterable[IndexEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# An atom in each form `atom_text` writes: unquoted, or quoted with the
-# escapes it writes.
-_ATOM = rf"{UNQUOTED_ATOM}|'(?:[^'\\]|\\[\\'nt])*'"
+# An atom as the tokenizer reads it; `read_rendered` keeps a quoted one only
+# if `atom_text` writes it that way.
+_ATOM = rf"{UNQUOTED_ATOM}|{QUOTED_ATOM}"
 # One fact as `render_index` writes it; the condition holds only characters
 # `render_cond` writes, so it has no layout, quote, comment or period.
 _INDEX_LINE = re.compile(
@@ -267,7 +268,7 @@ def parse_index_text(text: str, root: Path, path: str | None = None) -> LibraryI
             logger.warning("%s:%d: skipping index fact: %s", path, st.span.line, exc)
             continue
         if entry is None:
-            logger.warning("%s: ignoring non-index term at line %d", path, st.span.line)
+            logger.warning("%s:%d: ignoring non-index term", path, st.span.line)
             continue
         entries.append(entry)
     return LibraryIndex(root, tuple(entries))

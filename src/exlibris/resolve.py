@@ -24,6 +24,7 @@ indexing already filled, so a command reads and parses each file once.
 from __future__ import annotations
 
 import os
+import posixpath
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -268,8 +269,9 @@ def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | 
             if path is not None:
                 return _library_file(lib, path)
         return None
-    raw = canon(base_dir / ref.path)
-    path = raw if raw.suffix and libs.is_file(raw) else libs.source_path(raw.parent, raw.name)
+    head, name = posixpath.split(ref.path)  # as for an index field, name + ext is not normalised
+    raw, head = canon(base_dir / ref.path), canon(base_dir / head)
+    path = raw if raw.suffix and libs.is_file(raw) else libs.source_path(head, name)
     if path is None:
         return None
     for lib in libs.ordered():

@@ -171,10 +171,11 @@ class _Token(NamedTuple):
     end: int
 
 
-# An opening quote and the longest run of valid atom text after it.  The
-# closing quote of a full atom must not start a doubled one, so `'a''b`
-# cannot backtrack into `'a'`.
+# An opening quote and the longest run of valid atom text after it, and a
+# full quoted atom.  The closing quote of a full atom must not start a
+# doubled one, so `'a''b` cannot backtrack into `'a'`.
 _QUOTED = r"'(?:[^'\\]|\\[\\'nt]|'')*"
+QUOTED_ATOM = rf"{_QUOTED}'(?!')"
 
 # One match per token: layout and comments first, then exactly one
 # alternative.  `comment` is reached only by a block comment the layout could
@@ -182,7 +183,7 @@ _QUOTED = r"'(?:[^'\\]|\\[\\'nt]|'')*"
 _TOKEN = re.compile(
     rf"""(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*
     (?:(?P<comment>/\*)
-      |(?P<qatom>{_QUOTED}'(?!'))
+      |(?P<qatom>{QUOTED_ATOM})
       |(?P<int>\d+)
       |(?P<word>[^\W\d]\w*)
       |(?P<end>\.(?=[ \t\r\n%]|\Z))

@@ -273,6 +273,12 @@ class TestUsageErrors:
         code, _, err = run_cli(*EXPORT_ARGS, "--pl", "swi-5.0.7")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["swi:1.x", "swi:-1"])
+    def test_bad_engine_version(self, worked_example, run_cli, flag):
+        code, out, err = run_cli("trace", "proj/file1.pl", "--pl", flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument --pl:" in err
+
     def test_no_subcommand(self, run_cli):
         code, _, err = run_cli()
         assert code == EXIT_USAGE
@@ -402,8 +408,17 @@ class TestMkindex:
              f"bad version component in a version pattern: {deep_f(1999)}"),
             (f"defines((sicstus, [({deep_f(2000)}, >=)]), [p/1])",
              f"bad version component in a version constraint: {deep_f(2000)}"),
+            ("defines(swi(a), [p/0])", "bad version component in a version pattern: a"),
+            ("defines([swi(_)|x], [p/0])", "condition list has a non-list tail: [swi(_)|x]"),
+            ("defines((swi,[x]), [p/0])", "not a (version, op) pair: x"),
+            ("defines((swi,[(1,foo)]), [p/0])", "unknown comparison: foo"),
+            ("defines(('Swi',[(1,(=))]), [p/0])",
+             "pair condition needs an engine name first: 'Swi',[(1,(=))]"),
+            ("defines((swi,x), [p/0])",
+             "pair condition needs a list of (version, op) pairs: swi,x"),
         ],
-        ids=["requires", "requires_list", "defines_not", "if_pl_guard", "pair_condition"],
+        ids=["requires", "requires_list", "defines_not", "if_pl_guard", "pair_condition",
+             "bad_version", "list_tail", "not_a_pair", "unknown_op", "no_engine", "no_pairs"],
     )
     def test_deep_bad_term_is_a_located_error(self, tmp_path, run_cli, directive, message):
         (tmp_path / "a.pl").write_text(f":- {directive}.\n", encoding="utf-8")
@@ -473,6 +488,28 @@ class TestTrace:
             "member/2: built-in (home compat/swi/built_ins)\n"
             "maplist/3: load local meta/maplist\n"
             "flatten/2: built-in (home compat/swi/built_ins)\n"
+        )
+
+    def test_unresolved_and_missing_lines(self, tmp_path, run_cli, monkeypatch):
+        """Each failed decision is a line, indented under the file it is in."""
+        write_files(tmp_path, {
+            "S/Index.pl": "index( q, 0, any, user, a ).\n",
+            "S/a.pl": "q.\n",
+            "proj/m.pl": ":- requires([q/0, nope/0]).\n:- ensure_loaded(library(gone)).\n"
+                         ":- ensure_loaded(missing_rel).\n:- ensure_loaded(sub).\n",
+            "proj/sub.pl": ":- requires([nope/0]).\n:- ensure_loaded(ghost).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("trace", "proj/m.pl", "--pl", "swi:1.0.0", "--syslib", "S")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "q/0: load system a\n"
+            "nope/0: unresolved\n"
+            "library(gone): missing\n"
+            "missing_rel: missing\n"
+            "sub: load file sub.pl\n"
+            "  nope/0: unresolved\n"
+            "  ghost: missing\n"
         )
 
     def test_missing_entry_is_exit_2(self, worked_example, run_cli):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import posixpath
 import random
 import re
 import tempfile
@@ -24,6 +25,7 @@ from exlibris.export import (
     plan_export,
     transform_entry,
 )
+from exlibris.index import is_library_name
 from exlibris.resolve import UNRESOLVED, LibrarySet, closure, trace
 from exlibris.terms import read_terms, splice
 
@@ -346,6 +348,41 @@ class TestEachFileOnce:
             "write lib/Index.pl (3 entries)",
         ]
 
+    def test_field_ending_in_a_slash_keeps_its_entry(self, tmp_path):
+        """`'a/'` names `a/.pl`; its exported entry names the copy `lib/a/.pl`."""
+        for rel, text in {
+            "H/Index.pl": "index( p, 0, any, user, 'a/' ).\n",
+            "H/a/.pl": "p.\n",
+            "proj/m.pl": ":- requires([p/0]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        report = apply_plan(plan_export(opts, build_library_set(opts, homelibs=(tmp_path / "H",))))
+        assert report.lines[1:] == [
+            f"copy {tmp_path / 'H' / 'a' / '.pl'} -> lib/a/.pl",
+            "rewrite m.pl",
+            "write lib/Index.pl (1 entries)",
+        ]
+        exported = LibrarySet.build(loclib=tmp_path / "out" / "lib")
+        assert trace(tmp_path / "out" / "m.pl", SWI, exported) == "p/0: load local a/.pl\n"
+
+    def test_entry_whose_field_lands_with_two_extensions_is_kept_once(self, tmp_path):
+        for rel, text in {
+            "proj/lib/Index.pl": "index( r, 0, any, user, a ).\n",
+            "proj/lib/a.pl": "r.\n",
+            "proj/lib/a.pro": "r.\n",
+            "proj/m.pl": ":- requires([r/0]).\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive")
+        libs = LibrarySet.build(loclib=tmp_path / "proj" / "lib", extensions=(".pl", ".pro"))
+        apply_plan(plan_export(opts, libs))
+        assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
+            "% generated by exlibris mkindex\nindex( r, 0, any, user, a ).\n"
+        )
+
     def test_two_files_one_library_name_are_refused(self, tmp_path):
         for rel, text in {
             "H1/Index.pl": "index( p, 0, any, user, './a' ).\n",
@@ -399,6 +436,24 @@ class TestEachFileOnce:
         assert index_lines == ["write lib/Index.pl (4 entries)"]
         text = (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8")
         assert text == EXPORTED_INDEX
+
+
+# Library names from segments that normalising changes: empty (`//`, a
+# trailing `/`), `.` (`./`) and dotfiles.
+LIBRARY_NAMES = st.lists(
+    st.sampled_from(["", ".", "a", ".a", "b.c", "..."]), min_size=1, max_size=5
+).map("/".join).filter(is_library_name)
+
+
+@given(LIBRARY_NAMES, st.sampled_from([".pl", ".pro", ".P"]), st.sampled_from(["/", "/r/lib"]))
+@example(name="a/", ext=".pl", root="/")
+def test_export_names_a_library_file_as_the_walk_reaches_it(name, ext, root):
+    """The walk reaches `root / (name + ext)`; export finds that file as
+    `<root>/<normpath(name + ext)>`, and copies it to that name under loclib."""
+    path = Path(root) / (name + ext)
+    rel = posixpath.normpath(name + ext)
+    assert rel == "/".join(path.parts[len(Path(root).parts):])
+    assert posixpath.join(root, "") + rel == str(path)
 
 
 def _normalize(report: str) -> str:

@@ -210,6 +210,14 @@ class TestParseIndex:
         assert [e.functor for e in index.entries] == [FunctorRef("f", 1)]
         assert any("ignoring" in rec.message for rec in caplog.records)
 
+    def test_non_index_term_warning_names_file_and_line(self, tmp_path, caplog):
+        path = write(tmp_path, "Index.pl", "% header\nindex( p, x, any, user, a ).\n")
+        with caplog.at_level(logging.WARNING, logger="exlibris.index"):
+            assert parse_index(path).entries == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:2: ignoring non-index term"
+        ]
+
     def test_absolute_or_backslash_file_fields_skipped(self, tmp_path, caplog):
         path = write(
             tmp_path,

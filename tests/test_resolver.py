@@ -27,7 +27,7 @@ from exlibris.resolve import (
     resolve_functor,
     trace,
 )
-from exlibris.terms import read_term
+from exlibris.terms import atom_text, read_term
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -265,6 +265,34 @@ class TestTrace:
         first = trace(tmp_path / "proj" / "file1.pl", SWI, libs)
         second = trace(tmp_path / "proj" / "file1.pl", SWI, worked_libs(tmp_path))
         assert first == second
+
+
+class TestRelativeLoads:
+    """A relative load gets its extension before any normalising, as an
+    index field does; only the directory part is normalised."""
+
+    @pytest.fixture
+    def proj(self, tmp_path):
+        for rel in ("proj.pl", "proj/sub.pl", "proj/sub/.pl", "other/x.pl", "top.pl"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("p.\n", encoding="utf-8")
+        return tmp_path / "proj"
+
+    def trace_of(self, proj, name):
+        (proj / "m.pl").write_text(f":- ensure_loaded({atom_text(name)}).\n", encoding="utf-8")
+        return trace(proj / "m.pl", SWI, LibrarySet.build())
+
+    @pytest.mark.parametrize("name", ["", "."])
+    def test_empty_or_dot_names_no_file_outside(self, proj, name):
+        assert self.trace_of(proj, name) == f"{name}: missing\n"
+
+    def test_trailing_slash_names_the_dotfile_inside(self, proj):
+        assert self.trace_of(proj, "sub/") == "sub/: load file sub/.pl\n"
+
+    def test_absolute_and_parent_names_are_unchanged(self, proj):
+        top = str(proj.parent / "top")
+        assert self.trace_of(proj, top) == f"{top}: load file ../top.pl\n"
+        assert self.trace_of(proj, "../other/x") == "../other/x: load file ../other/x.pl\n"
 
 
 class TestDeepChain:

@@ -134,6 +134,18 @@ class TestReadTerms:
         with pytest.raises(TermSyntaxError):
             read_terms("p(a)")
 
+    def test_read_term_takes_exactly_one_term(self):
+        with pytest.raises(TermSyntaxError) as exc:
+            read_term("a. b.")
+        assert str(exc.value) == "line 1, column 1: expected exactly one term"
+
+    @pytest.mark.parametrize("text, term", [
+        ("not:x", Compound(":", (Atom("not"), Atom("x")))),
+        ("- = 1", Compound("=", (Atom("-"), Integer(1)))),
+    ])
+    def test_prefix_operator_as_an_infix_operand(self, text, term):
+        assert read_term(text) == term
+
     def test_parenthesis_closes_only_on_punctuation(self):
         for text in ("(a ')'", "(a ')')"):
             with pytest.raises(TermSyntaxError) as exc:
