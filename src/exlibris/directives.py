@@ -3,8 +3,9 @@
 One pass over a file's terms collects what the resolver, indexer and exporter
 consume: `FileFacts.deps` lists `requires`, `may_load` and loading calls, direct
 or guarded by `if_pl` (to any depth, nested guards conjoined), in source order;
-besides it come `defines`, module and library_directory declarations, whole
-`if_pl` directives for export, and clause heads.
+`FileFacts.provides` is what the file declares it defines, the one place that
+ranks a `module/2` over `defines`; besides them come library_directory spans,
+whole `if_pl` directives for export, and clause heads.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ class Requirement:
 
 
 @dataclass(frozen=True)
-class DefinesGroup:
-    cond: IfPls
-    functors: tuple[FunctorRef, ...]
-
-
-@dataclass(frozen=True)
 class MayLoad:
     ref: FileRef
 
@@ -82,12 +77,6 @@ class Load:
 
     guard: IfPls
     ref: FileRef
-
-
-@dataclass(frozen=True)
-class ModuleDecl:
-    name: str
-    exports: tuple[FunctorRef, ...]
 
 
 @dataclass(frozen=True)
@@ -102,12 +91,10 @@ class IfPlDirective:
 @dataclass(frozen=True)
 class FileFacts:
     deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
-    defines: tuple[DefinesGroup, ...] = ()
-    module_decl: ModuleDecl | None = None
+    provides: tuple[tuple[FunctorRef, IfPls, str], ...] = ()  # (functor, condition, module)
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
     clause_heads: tuple[FunctorRef, ...] = ()
     if_pls: tuple[IfPlDirective, ...] = ()
-    defines_module: str | None = None
 
 
 # Loading predicates recognized inside directives and if_pl branches; the
@@ -193,21 +180,15 @@ def _decode_functor_arg(term: Term, directive: str, line: int, path: str | None)
     return tuple(functors)
 
 
-def deconstruct_if_pl(directive: Term, cond: IfPls) -> list[tuple[IfPls, Term]]:
-    """Expand an `if_pl/2,3` body, whose condition decodes to `cond`, into
-    (guard, loading call) pairs.
+def deconstruct_if_pl(directive: Compound, cond: IfPls) -> list[tuple[IfPls, FileRef]]:
+    """Expand an `if_pl/2,3` body, whose condition decodes to `cond`, into a
+    (guard, file) pair for each file its loading calls name.
 
     The else branch of `if_pl/3` is guarded by the negated condition, and
     nesting conjoins guards.  Conjunctions, disjunctions, and `->` inside a
     branch are walked; anything that is not a loading call is dropped.
     """
-    if not (
-        isinstance(directive, Compound)
-        and directive.name == "if_pl"
-        and directive.arity in (2, 3)
-    ):
-        raise ValueError(f"not an if_pl directive: {render_term(directive)}")
-    out: list[tuple[IfPls, Term]] = []
+    out: list[tuple[IfPls, FileRef]] = []
     stack: list[tuple[IfPls, Term]] = [(ALWAYS, directive)]  # depth-first, left first
     while stack:
         guard, goal = stack.pop()
@@ -218,8 +199,8 @@ def deconstruct_if_pl(directive: Term, cond: IfPls) -> list[tuple[IfPls, Term]]:
             if goal.arity == 3:
                 stack.append((conjoin(guard, Negation(inner)), goal.args[2]))
             stack.append((conjoin(guard, inner), goal.args[1]))
-        elif recognize_loading_call(goal) is not None:
-            out.append((guard, goal))
+        else:
+            out.extend((guard, ref) for ref in recognize_loading_call(goal) or ())
     return out
 
 
@@ -229,15 +210,20 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     Directives are `:- Body` terms; unknown directives pass through without
     complaint.  Non-directive clauses contribute their head functor, in
     definition order and deduplicated.
+
+    What the file provides comes from its first `module/2` with an atom name
+    (its exports, condition `any`), wherever that stands; a file without one
+    provides its `defines` groups, each functor under its group's condition
+    object, in the module of its first `defines_module`, else `user`.
     """
     deps: list[Requirement | Load | MayLoad] = []
-    defines: list[DefinesGroup] = []
-    module_decl: ModuleDecl | None = None
+    provides: list[tuple[FunctorRef, IfPls, str]] | None = None  # set by a module/2
+    defines: list[tuple[FunctorRef, IfPls]] = []
+    defines_module: str | None = None
     library_dirs: list[Span] = []
     heads: list[FunctorRef] = []
     seen_heads: set[FunctorRef] = set()
     if_pls: list[IfPlDirective] = []
-    defines_module: str | None = None
 
     for st in terms:
         term, span = st.term, st.span
@@ -250,23 +236,18 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     for functor in _decode_functor_arg(body.args[0], "requires", span.line, path):
                         deps.append(Requirement(functor))
                 elif name == "defines" and arity in (1, 2):
-                    cond = ALWAYS
-                    functor_arg = body.args[-1]
-                    if arity == 2:
-                        cond = parse_if_pls(body.args[0])
-                    functors = _decode_functor_arg(functor_arg, "defines", span.line, path)
-                    defines.append(DefinesGroup(cond, functors))
+                    cond = parse_if_pls(body.args[0]) if arity == 2 else ALWAYS
+                    functors = _decode_functor_arg(body.args[-1], "defines", span.line, path)
+                    defines.extend((functor, cond) for functor in functors)
                 elif name == "may_load" and arity == 1:
                     deps.extend(MayLoad(ref) for ref in _decode_ref_arg(body.args[0]))
                 elif name == "module" and arity == 2:
-                    if module_decl is None:
-                        exports = tuple(
-                            f
+                    if provides is None and isinstance(body.args[0], Atom):
+                        provides = [
+                            (f, ALWAYS, body.args[0].name)
                             for f in map(_decode_functor, list_parts(body.args[1])[0])
                             if f is not None
-                        )
-                        if isinstance(body.args[0], Atom):
-                            module_decl = ModuleDecl(body.args[0].name, exports)
+                        ]
                 elif name == "defines_module" and arity == 1:
                     if defines_module is None and isinstance(body.args[0], Atom):
                         defines_module = body.args[0].name
@@ -276,8 +257,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     cond = parse_if_pls(body.args[0])
                     else_call = body.args[2] if arity == 3 else None
                     if_pls.append(IfPlDirective(cond, else_call, span))
-                    for guard, call in deconstruct_if_pl(body, cond):
-                        deps.extend(Load(guard, ref) for ref in recognize_loading_call(call))
+                    deps.extend(Load(guard, ref) for guard, ref in deconstruct_if_pl(body, cond))
                 else:
                     deps.extend(Load(ALWAYS, ref) for ref in recognize_loading_call(body) or ())
             except EngineConditionError as exc:  # from any condition, nested ones too
@@ -298,12 +278,13 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
             seen_heads.add(functor)
             heads.append(functor)
 
+    if provides is None:
+        module = defines_module or "user"
+        provides = [(functor, cond, module) for functor, cond in defines]
     return FileFacts(
         deps=tuple(deps),
-        defines=tuple(defines),
-        module_decl=module_decl,
+        provides=tuple(provides),
         library_dirs=tuple(library_dirs),
         clause_heads=tuple(heads),
         if_pls=tuple(if_pls),
-        defines_module=defines_module,
     )

@@ -72,9 +72,10 @@ class ExportOptions:
 
 
 def check_loclib(loclib: str) -> str:
-    """The normalized loclib option; ValueError if it leaves the destination."""
+    """The normalized loclib option; ValueError unless it names a directory
+    below the destination (`.` would put home files over the entry files)."""
     loclib = posixpath.normpath(loclib)
-    if posixpath.isabs(loclib) or loclib.startswith(".."):
+    if posixpath.isabs(loclib) or loclib.startswith("..") or loclib == ".":
         raise ValueError("loclib must be a relative path inside the destination")
     return loclib
 

@@ -109,23 +109,6 @@ def read_source(path: Path) -> tuple[str, FileFacts]:
     return text, extract(read_terms(text, str(path)), str(path))
 
 
-def _entries_for_file(facts: FileFacts, rel_file: str) -> list[IndexEntry]:
-    """Apply the three information sources in strict priority order."""
-    if facts.module_decl is not None:
-        return [
-            IndexEntry(functor, ALWAYS, facts.module_decl.name, rel_file)
-            for functor in facts.module_decl.exports
-        ]
-    if facts.defines:
-        module = facts.defines_module or "user"
-        return [
-            IndexEntry(functor, group.cond, module, rel_file)
-            for group in facts.defines
-            for functor in group.functors
-        ]
-    return []
-
-
 def mkindex(
     root: Path | str,
     *,
@@ -135,13 +118,11 @@ def mkindex(
 ) -> LibraryIndex:
     """Scan a library directory and assemble its index.
 
-    Per file, entries come from the first applicable source: a module
-    declaration (condition `any`, declared module), else `defines`
-    directives (their conditions, module `user` unless the file carries a
-    `defines_module` override), else, when enabled, the clause heads
-    (condition `any`, module `user`).  Files yielding nothing are skipped.
-    Output order is a stable sort on (name, arity) over discovery order,
-    so an unchanged tree always produces identical bytes.
+    Per file, entries come from what the file provides (`FileFacts.provides`:
+    a `module/2`'s exports, else its `defines`), or, when that is empty and
+    `clause_fallback` is on, from its clause heads (condition `any`, module
+    `user`).  Output order is a stable sort on (name, arity) over discovery
+    order, so an unchanged tree always produces identical bytes.
     """
     root = Path(root)
     discovered: list[IndexEntry] = []
@@ -149,16 +130,13 @@ def mkindex(
     for source in find_sources(root, extensions, follow_subdirs):
         _, facts = sources[source] = read_source(source)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
+        provides = facts.provides
+        if not provides and clause_fallback:
+            provides = [(functor, ALWAYS, "user") for functor in facts.clause_heads]
         try:
-            entries = _entries_for_file(facts, rel_file)
-            if not entries and clause_fallback:
-                entries = [
-                    IndexEntry(functor, ALWAYS, "user", rel_file)
-                    for functor in facts.clause_heads
-                ]
+            discovered.extend(IndexEntry(f, cond, module, rel_file) for f, cond, module in provides)
         except ValueError as exc:  # a file name an index fact cannot hold
             raise ExlibrisError(f"{source}: {exc}") from exc
-        discovered.extend(entries)
     ordered = sorted(discovered, key=lambda e: (e.functor.name, e.functor.arity))
     return LibraryIndex(root, tuple(ordered), sources)
 

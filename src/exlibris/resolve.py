@@ -270,8 +270,10 @@ def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | 
                 return _library_file(lib, path)
         return None
     head, name = posixpath.split(ref.path)  # as for an index field, name + ext is not normalised
-    raw, head = canon(base_dir / ref.path), canon(base_dir / head)
-    path = raw if raw.suffix and libs.is_file(raw) else libs.source_path(head, name)
+    head = canon(base_dir / head)
+    path = head / name  # as written, only if its last segment has a suffix
+    if not (Path(name).suffix and libs.is_file(path)):
+        path = libs.source_path(head, name)
     if path is None:
         return None
     for lib in libs.ordered():

@@ -506,7 +506,8 @@ def render_term(term: Term) -> str:
 
 
 def render_clause(term: Term) -> str:
-    """One source line in index-file house style, period included.
+    """One clause as a source line, period included, as export writes the
+    `:- ElseCall.` that replaces a pruned `if_pl/3` directive.
 
     Directives render as `:- body.`; a plain compound head gets a single
     space inside its parentheses with `, `-separated arguments, while the

@@ -301,6 +301,20 @@ class TestUsageErrors:
         code, out, err = run_cli(*command, "--syslib", "SysLib", "--loclib", loclib)
         assert (code, out, err) == (EXIT_USAGE, "", export_err)
 
+    @pytest.mark.parametrize("loclib", [".", "", "./", "x/.."])
+    def test_loclib_that_is_the_destination_rejected(self, worked_example, run_cli, loclib):
+        """A local library at the destination's top would put vendored home
+        files over the entry files of the same name."""
+        code, out, err = run_cli(*EXPORT_ARGS[:-1], loclib)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "relative path inside the destination" in err
+        assert not (worked_example / "out").exists()
+        for command in (
+            ("graph", "--source", "proj"), ("trace", "proj/file1.pl", "--pl", "swi:5.0.7")
+        ):
+            result = run_cli(*command, "--syslib", "SysLib", "--loclib", loclib)
+            assert result == (EXIT_USAGE, "", err)
+
     def test_trace_needs_exactly_one_engine(self, worked_example, run_cli):
         code, _, err = run_cli("trace", "proj/file1.pl", "--syslib", "SysLib")
         assert code == EXIT_USAGE

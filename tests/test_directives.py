@@ -65,23 +65,25 @@ class TestExtract:
         facts = facts_of(
             ":- defines([f/1]).\n:- defines(swi(_), [g/2, h/0]).\n"
         )
-        assert facts.defines[0].cond == ALWAYS
-        assert facts.defines[0].functors == (FunctorRef("f", 1),)
-        assert facts.defines[1].cond == parse_if_pls(read_term("swi(_)"))
-        assert facts.defines[1].functors == (FunctorRef("g", 2), FunctorRef("h", 0))
+        swi = parse_if_pls(read_term("swi(_)"))
+        assert facts.provides == (
+            (FunctorRef("f", 1), ALWAYS, "user"),
+            (FunctorRef("g", 2), swi, "user"),
+            (FunctorRef("h", 0), swi, "user"),
+        )
+        assert facts.provides[1][1] is facts.provides[2][1]  # one object per group
 
     def test_module_declaration(self):
         facts = facts_of(":- module(lists, [member/2, append/3]).")
-        assert facts.module_decl is not None
-        assert facts.module_decl.name == "lists"
-        assert facts.module_decl.exports == (
-            FunctorRef("member", 2),
-            FunctorRef("append", 3),
+        assert facts.provides == (
+            (FunctorRef("member", 2), ALWAYS, "lists"),
+            (FunctorRef("append", 3), ALWAYS, "lists"),
         )
 
     def test_defines_module_marker(self):
         facts = facts_of(":- defines_module(built_in).\n:- defines(swi(_), [f/1]).\n")
-        assert facts.defines_module == "built_in"
+        swi = parse_if_pls(read_term("swi(_)"))
+        assert facts.provides == ((FunctorRef("f", 1), swi, "built_in"),)
 
     def test_library_directory_directive_and_clause(self):
         text = ":- library_directory('/home/me/HomeLib').\nlibrary_directory('/srv/other').\n"
@@ -193,24 +195,24 @@ class TestDeconstructIfPl:
 
     def test_single_branch(self):
         out = _guards_for("if_pl(swi(_), ensure_loaded(library(a)))")
-        assert [call for _, call in out] == [read_term("ensure_loaded(library(a))")]
+        assert [ref for _, ref in out] == [FileRef("library", "a")]
         _truth(out[0][0], lambda e: e.name == "swi")
 
     def test_else_branch_negates(self):
         out = _guards_for("if_pl(swi(_), consult(a), consult(b))")
-        assert [call for _, call in out] == [read_term("consult(a)"), read_term("consult(b)")]
+        assert [str(ref) for _, ref in out] == ["a", "b"]
         _truth(out[0][0], lambda e: e.name == "swi")
         _truth(out[1][0], lambda e: e.name != "swi")
 
     def test_conjunction_in_branch(self):
         out = _guards_for("if_pl(yap(_), (consult(a), consult(b)))")
-        assert [call for _, call in out] == [read_term("consult(a)"), read_term("consult(b)")]
+        assert [str(ref) for _, ref in out] == ["a", "b"]
         for guard, _ in out:
             _truth(guard, lambda e: e.name == "yap")
 
     def test_nested_if_pl_conjoins(self):
         out = _guards_for("if_pl(swi(_), if_pl(sicstus(_), consult(a)))")
-        assert [call for _, call in out] == [read_term("consult(a)")]
+        assert [str(ref) for _, ref in out] == ["a"]
         _truth(out[0][0], lambda e: e.name == "swi" and e.name == "sicstus")
 
     def test_disjunctive_guard_with_nested_else(self):
@@ -218,11 +220,7 @@ class TestDeconstructIfPl:
             "if_pl([swi(_),yap(_)], consult(a),"
             " (consult(b), if_pl(sicstus(3:_:_), ensure_loaded(c))))"
         )
-        assert [call for _, call in out] == [
-            read_term("consult(a)"),
-            read_term("consult(b)"),
-            read_term("ensure_loaded(c)"),
-        ]
+        assert [str(ref) for _, ref in out] == ["a", "b", "c"]
         _truth(out[0][0], lambda e: e.name in ("swi", "yap"))
         _truth(out[1][0], lambda e: e.name not in ("swi", "yap"))
         _truth(
@@ -234,13 +232,9 @@ class TestDeconstructIfPl:
 
     def test_semicolon_branches_walked(self):
         out = _guards_for("if_pl(all, (format(x), consult(a) ; consult(b)))")
-        assert [call for _, call in out] == [read_term("consult(a)"), read_term("consult(b)")]
+        assert [str(ref) for _, ref in out] == ["a", "b"]
         for guard, _ in out:
             _truth(guard, lambda e: True)
-
-    def test_non_if_pl_rejected(self):
-        with pytest.raises(ValueError):
-            deconstruct_if_pl(read_term("consult(a)"), ALWAYS)
 
     @given(SEEDS)
     def test_else_guards_are_exhaustive(self, seed):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and every
-private top-level name it defines is read there; only `fsio` opens or reads
-files, and only listed functions recurse."""
+private top-level name it defines is read there; every annotated class field
+is read somewhere in the package; only `fsio` opens or reads files, and only
+listed functions recurse."""
 
 from __future__ import annotations
 
@@ -72,6 +73,40 @@ def test_an_unread_private_name_is_reported():
     assert unread_private_names(source) == [
         "_scan (line 1)", "_Hit (line 4)", "_A (line 7)", "_C (line 8)"
     ]
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """Annotated class fields, as `Class.field`, that no source reads as an attribute."""
+    fields: dict[str, str] = {}
+    read: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{node.name}.{item.target.id}"] = item.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [field for field, name in fields.items() if name not in read]
+
+
+# Fields kept for callers outside the package: the acceptance gate
+# (tests/test_acceptance.py) checks a closure's resolution and the library
+# files it reaches against its oracle.
+READ_OUTSIDE = {"DepClosure.resolution", "DepClosure.home_files", "DepClosure.local_files"}
+
+
+def test_package_reads_every_field():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert set(unread_fields(sources)) == READ_OUTSIDE
+
+
+def test_an_unread_field_is_reported():
+    sources = [
+        "class Facts:\n    deps: tuple = ()\n    spans: tuple = ()\n    size = 0\n",
+        "def f(facts):\n    facts.spans = ()\n    return facts.deps, facts.size\n",
+    ]
+    assert unread_fields(sources) == ["Facts.spans"]
 
 
 def direct_reads(source: str) -> list[str]:

@@ -74,6 +74,42 @@ class TestMkindex:
         assert [e.functor for e in index.entries] == [FunctorRef("a", 1)]
         assert index.entries[0].module == "m"
 
+    @pytest.mark.parametrize(
+        "text, clause_fallback, facts",
+        [
+            (":- defines([b/2]).\n:- module(m, [a/1]).\n", False, ["a, 1, any, m"]),
+            (":- module(m, [a/1]).\n:- module(n, [b/2]).\n", False, ["a, 1, any, m"]),
+            (":- module(M, [a/1]).\n:- module(n, [b/2]).\n", False, ["b, 2, any, n"]),
+            (
+                ":- defines(swi(_), [b/2]).\n:- defines_module(built_in).\n",
+                False,
+                ["b, 2, swi(_), built_in"],
+            ),
+            (
+                ":- defines_module(x).\n:- defines([b/2]).\n:- defines_module(y).\n",
+                False,
+                ["b, 2, any, x"],
+            ),
+            (":- module(m, []).\n:- defines([b/2]).\na(1).\n", False, []),
+            (":- module(m, []).\n:- defines([b/2]).\na(1).\n", True, ["a, 1, any, user"]),
+        ],
+        ids=[
+            "defines_before_module",
+            "first_module_counts",
+            "non_atom_module_skipped",
+            "defines_module_after_defines",
+            "first_defines_module_counts",
+            "empty_module_blocks_defines",
+            "empty_module_allows_clause_fallback",
+        ],
+    )
+    def test_what_a_file_provides(self, tmp_path, text, clause_fallback, facts):
+        write(tmp_path, "f.pl", text)
+        index = mkindex(tmp_path, clause_fallback=clause_fallback)
+        assert render_index(index.entries) == "".join(
+            f"{line}\n" for line in [INDEX_HEADER, *(f"index( {fact}, f )." for fact in facts)]
+        )
+
     def test_clause_fallback_off_by_default(self, tmp_path):
         write(tmp_path, "plain.pl", "p(1).\np(2).\nq :- p(1).\n")
         assert mkindex(tmp_path).entries == ()

@@ -269,11 +269,15 @@ class TestTrace:
 
 class TestRelativeLoads:
     """A relative load gets its extension before any normalising, as an
-    index field does; only the directory part is normalised."""
+    index field does; only the directory part is normalised.  A name whose
+    last segment has a suffix is first tried as written."""
 
     @pytest.fixture
     def proj(self, tmp_path):
-        for rel in ("proj.pl", "proj/sub.pl", "proj/sub/.pl", "other/x.pl", "top.pl"):
+        for rel in (
+            "proj.pl", "proj/sub.pl", "proj/sub/.pl", "proj/a.pl", "proj/g.txt", "other/x.pl",
+            "top.pl",
+        ):
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text("p.\n", encoding="utf-8")
         return tmp_path / "proj"
@@ -288,6 +292,14 @@ class TestRelativeLoads:
 
     def test_trailing_slash_names_the_dotfile_inside(self, proj):
         assert self.trace_of(proj, "sub/") == "sub/: load file sub/.pl\n"
+
+    @pytest.mark.parametrize("name", ["a.pl/", "a.pl/."])
+    def test_a_suffix_before_a_trailing_segment_names_no_file(self, proj, name):
+        assert self.trace_of(proj, name) == f"{name}: missing\n"
+
+    @pytest.mark.parametrize("name", ["a.pl", "./a.pl", "sub/../a.pl", "g.txt"])
+    def test_a_name_with_a_suffix_loads_as_written(self, proj, name):
+        assert self.trace_of(proj, name) == f"{name}: load file {Path(name).name}\n"
 
     def test_absolute_and_parent_names_are_unchanged(self, proj):
         top = str(proj.parent / "top")
