@@ -1,11 +1,14 @@
-"""Extraction of dependency facts from parsed source files.
+"""Extraction of dependency facts from the statements read from a file.
 
-One pass over a file's terms collects what the resolver, indexer and exporter
-consume: `FileFacts.deps` lists `requires`, `may_load` and loading calls, direct
-or guarded by `if_pl` (to any depth, nested guards conjoined), in source order;
-`FileFacts.provides` is what the file declares it defines, the one place that
-ranks a `module/2` over `defines`; besides them come library_directory spans,
-whole `if_pl` directives for export, and clause heads.
+A file is normally read for its directives and `library_directory` clauses
+only (`terms.read_directives`): every fact below but the clause heads comes
+from them.  One pass over those terms collects what the resolver, indexer
+and exporter consume: `FileFacts.deps` lists `requires`, `may_load` and
+loading calls, direct or guarded by `if_pl` (to any depth, nested guards
+conjoined), in source order; `FileFacts.provides` is what the file declares
+it defines, the one place that ranks a `module/2` over `defines`; besides
+them come library_directory spans, whole `if_pl` directives for export, and
+the heads of the clauses given.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class FileFacts:
     deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
     provides: tuple[tuple[FunctorRef, IfPls, str], ...] = ()  # (functor, condition, module)
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
-    clause_heads: tuple[FunctorRef, ...] = ()
+    clause_heads: tuple[FunctorRef, ...] = ()  # of the clauses read; all only for --clause-fallback
     if_pls: tuple[IfPlDirective, ...] = ()
 
 
@@ -205,7 +208,7 @@ def deconstruct_if_pl(directive: Compound, cond: IfPls) -> list[tuple[IfPls, Fil
 
 
 def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
-    """Collect the dependency-relevant facts of one parsed file.
+    """Collect the dependency-relevant facts of the statements read from one file.
 
     Directives are `:- Body` terms; unknown directives pass through without
     complaint.  Non-directive clauses contribute their head functor, in

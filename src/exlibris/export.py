@@ -75,7 +75,7 @@ def check_loclib(loclib: str) -> str:
     """The normalized loclib option; ValueError unless it names a directory
     below the destination (`.` would put home files over the entry files)."""
     loclib = posixpath.normpath(loclib)
-    if posixpath.isabs(loclib) or loclib.startswith("..") or loclib == ".":
+    if posixpath.isabs(loclib) or loclib in (".", "..") or loclib.startswith("../"):
         raise ValueError("loclib must be a relative path inside the destination")
     return loclib
 

@@ -38,6 +38,7 @@ from .terms import (
     TermSyntaxError,
     UNQUOTED_ATOM,
     atom_text,
+    read_directives,
     read_term,
     read_terms,
     unquote_atom,
@@ -103,10 +104,12 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
     )
 
 
-def read_source(path: Path) -> tuple[str, FileFacts]:
-    """A source file's text and the facts extracted from its parse."""
+def read_source(path: Path, clause_heads: bool = False) -> tuple[str, FileFacts]:
+    """A source file's text and the facts extracted from its directives; with
+    `clause_heads`, every clause is parsed too, for `FileFacts.clause_heads`."""
     text = read_text(path)
-    return text, extract(read_terms(text, str(path)), str(path))
+    read = read_terms if clause_heads else read_directives
+    return text, extract(read(text, str(path)), str(path))
 
 
 def mkindex(
@@ -128,7 +131,7 @@ def mkindex(
     discovered: list[IndexEntry] = []
     sources: SourceStore = {}
     for source in find_sources(root, extensions, follow_subdirs):
-        _, facts = sources[source] = read_source(source)
+        _, facts = sources[source] = read_source(source, clause_fallback)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
         provides = facts.provides
         if not provides and clause_fallback:

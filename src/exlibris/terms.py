@@ -8,12 +8,23 @@ from a file carries a source span covering its text up to and including
 the terminating period, which is what makes comment-preserving rewrites
 possible.
 
+A source file is read for its directives only (`read_directives`).  One
+lexical pass (`split_statements`) finds where each statement ends, one
+pattern match per statement: it knows quoted atoms, strings, back-quoted
+text, `0'c` codes, comments and symbol-char runs, so a `.` inside any of
+them ends nothing, and it parses nothing.  Only a statement whose first
+token is `:-` or `library_directory` is then parsed, in place over its
+offsets in the file text.  `read_terms` parses every statement of a text;
+`Index.pl`'s general reader, `read_term` and `mkindex --clause-fallback`
+use it.
+
 Tokens are read by one compiled pattern, one match per token: the match
 skips layout and comments, then takes exactly one alternative (quoted atom,
 integer, word, end, symbol atom, punctuation), and anything no alternative
-takes is a located error.  Tokens carry offsets only: a line and column are
-worked out from the offset where one is read, for a syntax error or for the
-first token of a statement.
+takes is a located error.  The splitter is built from the same comment,
+end and symbol-run patterns.  Tokens carry offsets only: a line and column
+are worked out from the offset where one is read, for a syntax error or for
+the first token of a statement.
 
 Clauses are parsed by operator precedence over the token list in one loop.
 Each construct still waiting for an operand (an operator, a parenthesis, an
@@ -132,9 +143,13 @@ class SourceTerm:
 
 # Fixed operator table; immutable for the life of the process.  `:` sits low
 # so version chains like 3:9:0 read as :(3, :(9, 0)), and `-` exists only to
-# give negative integer literals a reading.
+# give negative integer literals a reading.  The declaration prefixes are
+# those SWI, SICStus and YAP share.
 PREFIX_OPERATORS: dict[str, tuple[int, str]] = {
     ":-": (1200, "fx"),
+    "dynamic": (1150, "fx"),
+    "multifile": (1150, "fx"),
+    "discontiguous": (1150, "fx"),
     "not": (900, "fy"),
     "-": (200, "fy"),
 }
@@ -157,10 +172,14 @@ INFIX_OPERATORS: dict[str, tuple[int, str]] = {
 }
 
 _SYMBOL_CHARS = "+-*/\\^<>=~:?@#&$"
-_SYMBOL_RUN = f"[{re.escape(_SYMBOL_CHARS)}]+"
+# A symbol-char run as both lexers read it.  As in ISO, `.` is a symbol char,
+# so `=..` is one atom and the `.` of `+.` ends nothing; at the start of a
+# token an end `.` and a `/*` are taken before this.
+_SYMBOL_RUN = f"[{re.escape(_SYMBOL_CHARS)}.]+"
 # The atoms written without quotes: a word starting with a lowercase ASCII
-# letter, a symbol-char run that does not open a comment, `[]`, `!` and `;`.
-UNQUOTED_ATOM = rf"[a-z]\w*|(?!/\*){_SYMBOL_RUN}|\[\]|!|;"
+# letter, a run of symbol chars other than `.` that does not open a comment,
+# `[]`, `!` and `;`.
+UNQUOTED_ATOM = rf"[a-z]\w*|(?!/\*)[{re.escape(_SYMBOL_CHARS)}]+|\[\]|!|;"
 _UNQUOTED = re.compile(UNQUOTED_ATOM)
 
 
@@ -177,23 +196,63 @@ class _Token(NamedTuple):
 _QUOTED = r"'(?:[^'\\]|\\[\\'nt]|'')*"
 QUOTED_ATOM = rf"{_QUOTED}'(?!')"
 
+_LINE_COMMENT = r"%[^\n]*"
+_BLOCK_COMMENT = r"/\*.*?\*/"
+_END = r"\.(?=[ \t\r\n%]|\Z)"
+
 # One match per token: layout and comments first, then exactly one
 # alternative.  `comment` is reached only by a block comment the layout could
 # not close, and `bad` by anything no other alternative takes.
 _TOKEN = re.compile(
-    rf"""(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*
+    rf"""(?:[ \t\r\n]+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*
     (?:(?P<comment>/\*)
       |(?P<qatom>{QUOTED_ATOM})
       |(?P<int>\d+)
       |(?P<word>[^\W\d]\w*)
-      |(?P<end>\.(?=[ \t\r\n%]|\Z))
-      |(?P<atom>[;!.]|{_SYMBOL_RUN})
+      |(?P<end>{_END})
+      |(?P<atom>[;!]|{_SYMBOL_RUN})
       |(?P<punct>[()\[\],|])
       |(?P<bad>.)
     )?""",
     re.VERBOSE | re.DOTALL,
 )
 _QUOTED_PREFIX = re.compile(_QUOTED)
+
+
+def _escape(name: str) -> str:
+    """A backslash escape as the splitter reads it: `\\x41\\`, `\\101\\` or
+    one character.  It is matched inside a lookahead, which never backtracks,
+    so an unterminated quote is given up in one pass."""
+    return rf"\\(?=(?P<{name}>x[0-9a-fA-F]*\\|[0-7]+\\|.))(?P={name})"
+
+
+def _quoted_item(quote: str, name: str) -> str:
+    """Quoted text up to its closing quote; a doubled quote stands for one."""
+    return rf"{quote}(?:[^{quote}\\]|{quote}{quote}|{_escape(name)})*{quote}(?!{quote})"
+
+
+# One match per statement: everything up to and including its end token.
+# The loop takes whole tokens of the classes that can hold a `.` or a quote
+# (quoted atoms, strings, back-quoted text, `0'c`, comments and symbol-char
+# runs) and runs of any other characters; it stops only where a named group
+# below can match, so the match never fails and never backtracks into the
+# loop.  A quoted atom that `_TOKEN` reads ends at the same character here.
+_STATEMENT = re.compile(
+    rf"""(?:[^'"`%0{re.escape(_SYMBOL_CHARS)}.]+
+      |{_quoted_item("'", "q")}|{_quoted_item('"', "s")}|{_quoted_item("`", "b")}
+      |{_LINE_COMMENT}|{_BLOCK_COMMENT}
+      |(?<!\w)0'(?:''|{_escape("c")}|.)|0
+      |(?!/\*|{_END}){_SYMBOL_RUN}
+    )*
+    (?:(?P<end>\.)|(?P<quote>')|(?P<string>")|(?P<backquote>`)|(?P<comment>/\*)|(?P<eof>)\Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+_UNTERMINATED = {
+    "quote": "unterminated quoted atom",
+    "string": "unterminated string",
+    "backquote": "unterminated back-quoted text",
+    "comment": "unterminated block comment",
+}
 _ESCAPE = re.compile(r"\\.|''")
 _ESCAPES = {"\\\\": "\\", "\\'": "'", "\\n": "\n", "\\t": "\t", "''": "'"}
 
@@ -213,11 +272,14 @@ def _int_value(tok: _Token, text: str, path: str | None) -> int:
         raise _error(message, text, tok.start, path) from None
 
 
-def _tokenize(text: str, path: str | None) -> list[_Token]:
+def _tokenize(
+    text: str, path: str | None, pos: int = 0, endpos: int | None = None
+) -> list[_Token]:
+    """The tokens of `text[pos:endpos]`, read in place, with offsets into `text`."""
+    endpos = len(text) if endpos is None else endpos
     tokens: list[_Token] = []
-    pos = 0
     while True:
-        m = _TOKEN.match(text, pos)
+        m = _TOKEN.match(text, pos, endpos)
         kind = m.lastgroup
         if kind is None:
             return tokens
@@ -237,8 +299,8 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
             raise _error("unterminated block comment", text, start, path)
         if kind == "bad":
             if value == "'":
-                stop = _QUOTED_PREFIX.match(text, start).end()
-                what = "unterminated" if stop == len(text) else "unknown escape in"
+                stop = _QUOTED_PREFIX.match(text, start, endpos).end()
+                what = "unterminated" if stop == endpos else "unknown escape in"
                 raise _error(f"{what} quoted atom", text, start, path)
             raise _error(f"unexpected character {value[0]!r}", text, start, path)
         tokens.append(_Token(kind, value, start, pos))
@@ -413,6 +475,67 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     return out
 
 
+def _parse(text: str, start: int, end: int, path: str | None) -> Term:
+    """The term of the one statement in `text[start:end]`, read in place."""
+    tokens = _tokenize(text, path, start, end)
+    tokens.append(tokens[-1]._replace(kind="eof", text=""))
+    term, i = _parse_clause(tokens, 0, text, path)
+    if i != len(tokens) - 1:  # an end token the splitter did not see as one
+        raise _error("expected '.' at end of term", text, tokens[i - 1].start, path)
+    return term
+
+
+def split_statements(text: str, path: str | None = None) -> list[tuple[int, int, str]]:
+    """Each statement's start and end offsets and its first token's text, in
+    file order, found in one lexical pass that parses nothing.
+
+    A statement starts at its first token and ends after its end token, so
+    its offsets are those of its `read_terms` span; a quoted first token is
+    given unquoted.  An unterminated quoted atom, string, back-quoted text or
+    block comment is a TermSyntaxError at its opening, and text after the
+    last end token is parsed to report where it goes wrong.
+    """
+    out = []
+    for m in _STATEMENT.finditer(text):
+        first = _TOKEN.match(text, m.start())
+        kind = first.lastgroup
+        stop = m.lastgroup
+        if stop in _UNTERMINATED:
+            raise _error(_UNTERMINATED[stop], text, m.start(stop), path)
+        if kind is None:  # only layout and comments were left
+            return out
+        start = first.start(kind)
+        if stop == "eof":
+            _parse(text, start, len(text), path)  # raises: the text has no end token
+            raise _error("expected '.' at end of term", text, start, path)
+        token = first.group(kind)
+        out.append((start, m.end(), unquote_atom(token) if kind == "qatom" else token))
+    return out
+
+
+def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
+    """Read the directives and `library_directory` clauses of a file, in file
+    order: each statement whose first token is `:-` or `library_directory`.
+
+    Every other statement is split off by `split_statements` and never
+    parsed, so a syntax error inside one goes unreported.  Each kept
+    statement is parsed in place over its offsets, so terms, spans and error
+    positions are those `read_terms` gives.
+    """
+    out: list[SourceTerm] = []
+    line, line_start = 1, 0  # of the previous kept statement's first token
+    for start, end, first in split_statements(text, path):
+        if first != ":-" and first != "library_directory":
+            continue
+        newline = text.rfind("\n", line_start, start)
+        if newline >= 0:
+            line += text.count("\n", line_start, newline + 1)
+            line_start = newline + 1
+        term = _parse(text, start, end, path)
+        out.append(SourceTerm(term, Span(start, end, line, start - line_start + 1)))
+    return out
+
+
 def read_term(text: str, path: str | None = None) -> Term:
     """Read exactly one term; the terminating period is optional."""
     tokens = _tokenize(text, path)
@@ -521,7 +644,9 @@ def render_clause(term: Term) -> str:
     ):
         args = ", ".join(_render(arg, 999) for arg in term.args)
         return f"{prefix}{atom_text(term.name)}( {args} )."
-    return f"{prefix}{_render(term, bound)}."
+    text = _render(term, bound)
+    # a `.` straight after a symbol char would join its run
+    return f"{prefix}{text} ." if text[-1] in _SYMBOL_CHARS else f"{prefix}{text}."
 
 
 def splice(text: str, edits: Sequence[tuple[Span, str]]) -> str:

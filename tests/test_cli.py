@@ -301,6 +301,18 @@ class TestUsageErrors:
         code, out, err = run_cli(*command, "--syslib", "SysLib", "--loclib", loclib)
         assert (code, out, err) == (EXIT_USAGE, "", export_err)
 
+    @pytest.mark.parametrize("loclib", ["..", "../x", "x/../.."])
+    def test_loclib_above_the_destination_rejected(self, worked_example, run_cli, loclib):
+        code, out, err = run_cli(*EXPORT_ARGS[:-1], loclib)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "relative path inside the destination" in err
+        assert not (worked_example / "out").exists()
+
+    def test_loclib_whose_name_starts_with_two_dots_accepted(self, worked_example, run_cli):
+        code, _, _ = run_cli(*EXPORT_ARGS[:-1], "..lib")
+        assert code == EXIT_OK
+        assert (worked_example / "out" / "..lib" / "Index.pl").is_file()
+
     @pytest.mark.parametrize("loclib", [".", "", "./", "x/.."])
     def test_loclib_that_is_the_destination_rejected(self, worked_example, run_cli, loclib):
         """A local library at the destination's top would put vendored home
@@ -440,16 +452,20 @@ class TestMkindex:
         assert (code, err) == (EXIT_ERROR, f"exlibris: {tmp_path / 'a.pl'}:1: {message}\n")
 
     def test_non_decimal_digit_is_a_located_parse_error(self, tmp_path, run_cli):
-        (tmp_path / "a.pl").write_text("p(²).\n", encoding="utf-8")
+        (tmp_path / "a.pl").write_text(":- p(²).\n", encoding="utf-8")
         code, _, err = run_cli("mkindex", str(tmp_path))
         assert code == EXIT_ERROR
-        assert "a.pl:1:3: unexpected character '²'" in err
+        assert "a.pl:1:6: unexpected character '²'" in err
 
     @pytest.mark.parametrize(
         "name, data, message",
         [
             ("a.pl", b"p(a).\n\xff\n", ":2: cannot decode byte 0xff as UTF-8\n"),
-            ("a.pl", b"p(" + b"1" * 5000 + b").\n", ":1:3: integer of 5000 digits is too long\n"),
+            (
+                "a.pl",
+                b":- p(" + b"1" * 5000 + b").\n",
+                ":1:6: integer of 5000 digits is too long\n",
+            ),
             ("a\\b.pl", b":- module(m, [q/1]).\n", ": index file fields are relative"),
         ],
         ids=["not_utf8", "5000_digit_integer", "backslash_in_name"],
@@ -465,17 +481,18 @@ class TestParseOnce:
     def test_each_command_parses_each_file_once(self, worked_example, run_cli, monkeypatch):
         import sys
 
-        from exlibris.terms import read_terms
+        from exlibris.terms import read_directives
 
         parsed = []
 
         def counting(text, path=None):
             parsed.append(path)
-            return read_terms(text, path)
+            return read_directives(text, path)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("exlibris") and getattr(module, "read_terms", None) is read_terms:
-                monkeypatch.setattr(module, "read_terms", counting)
+            bound = getattr(module, "read_directives", None)
+            if name.startswith("exlibris") and bound is read_directives:
+                monkeypatch.setattr(module, "read_directives", counting)
         for index in worked_example.rglob("Index.pl"):
             index.unlink()
         libs = ("--syslib", "SysLib", "--homelib", "HomeLib")

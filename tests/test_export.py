@@ -27,7 +27,7 @@ from exlibris.export import (
 )
 from exlibris.index import is_library_name
 from exlibris.resolve import UNRESOLVED, LibrarySet, closure, trace
-from exlibris.terms import read_terms, splice
+from exlibris.terms import read_directives, read_terms, splice
 
 REWRITTEN_FILE1 = (
     ":- library_directory( 'lib' ).\n"
@@ -183,9 +183,9 @@ class TestPlanExport:
 
         def counting(text, path=None):
             parsed.append(path)
-            return read_terms(text, path)
+            return read_directives(text, path)
 
-        monkeypatch.setattr(exlibris.index, "read_terms", counting)
+        monkeypatch.setattr(exlibris.index, "read_directives", counting)
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
         plan = plan_export(opts, worked_libs(tmp_path, opts))

@@ -9,7 +9,8 @@ names and non-UTF-8 bytes.  `graph`, `trace`, `export` and `mkindex` then run
 over it through `cli.main`.  Each must end in a documented exit code without
 an internal error, and write nothing but what it owns: export its
 destination, mkindex the library's `Index.pl`, graph and trace nothing.
-No export plan names a destination file twice.
+No export plan names a destination file twice.  Library files on which a
+backtracking statement splitter would not finish end in a located error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,8 @@ STATEMENTS = st.one_of(
     st.sampled_from([
         "p(1).",
         "q(X, Y) :- r(X), s(Y).",
+        "q(X) :- Y is X + 1, \\+ Y =.. [_], Z = \"a. b\", C = 0'., D = 1.5.",
+        ":- dynamic q/1.",
         ":- library_directory('/elsewhere').",
         ":- defines_module(built_in).",
     ]),
@@ -102,7 +106,9 @@ FAULTS = st.one_of(
     st.builds(":- requires({}).".format, TERMS),
     st.builds(":- defines({}, [p/1]).".format, BAD_CONDS),
     st.builds(":- if_pl({}, ensure_loaded(m0)).".format, BAD_CONDS),
-    st.sampled_from([":- requires([broken).", ":- if_pl(swi(_)).", "r(", "s('open", "t(\xff)."]),
+    st.sampled_from(
+        [":- requires([broken).", ":- if_pl(swi(_)).", "r(", "s('open", "t(\xff).", 'u("open']
+    ),
 )
 SOURCES = st.lists(STATEMENTS, max_size=4).map(lambda lines: "".join(f"{s}\n" for s in lines))
 INDEX_LINES = st.builds(
@@ -213,3 +219,37 @@ def test_commands_end_in_a_documented_exit_code(libraries, index, entry, fault, 
             after = snapshot(root)
             kept = {k: v for k, v in after.items() if not k.startswith(writes)}
             assert kept == {k: v for k, v in before.items() if not k.startswith(writes)}
+
+
+# Library files on which a splitter that backtracks would not finish: long
+# unterminated quotes and comments, many comment openers, and a `0'` with
+# nothing after it.
+PATHOLOGICAL = {
+    "quote": "p :- X = '" + "a" * 100_000,
+    "quote_in_directive": ":- x('" + "a" * 100_000,
+    "escapes": "p :- X = '" + "\\x41\\\\1\\" * 10_000,
+    "string": 'p :- X = "' + "a. " * 30_000,
+    "backquote": "p :- X = `" + "a" * 100_000,
+    "block_comment": "p :- /*" + "a" * 100_000,
+    "comment_openers": "p. " + "/* " * 10_000,
+    "code_at_end": "p :- X = 0'",
+}
+
+
+@pytest.mark.parametrize("text", PATHOLOGICAL.values(), ids=PATHOLOGICAL)
+def test_pathological_library_file_is_a_located_error(tmp_path, text):
+    bad = tmp_path / "HomeLib" / "bad.pl"
+    bad.parent.mkdir()
+    bad.write_text(text, encoding="utf-8")
+    (tmp_path / "HomeLib" / "ok.pl").write_text(":- defines([p/1]).\np(1).\n", encoding="utf-8")
+    (tmp_path / "m.pl").write_text(":- requires([p/1]).\n", encoding="utf-8")
+    libs = ("--homelib", str(tmp_path / "HomeLib"))
+    for args in (
+        ("graph", "--source", str(tmp_path / "m.pl"), *libs),
+        ("trace", str(tmp_path / "m.pl"), "--pl", "swi:5.0.7", *libs),
+        ("export", "--dest", str(tmp_path / "out"), "--source", str(tmp_path / "m.pl"), *libs),
+        ("mkindex", str(tmp_path / "HomeLib")),
+    ):
+        code, err = run(*args)
+        assert code == 2, (args[0], err)
+        assert err.startswith(f"exlibris: {bad}:1:"), (args[0], err)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,11 +23,13 @@ from exlibris.terms import (
     Variable,
     atom_text,
     make_list,
+    read_directives,
     read_term,
     read_terms,
     render_clause,
     render_term,
     splice,
+    split_statements,
 )
 
 
@@ -192,6 +198,16 @@ class TestParseErrors:
             f"line {line}, column {col}: {message}", line, col
         )
 
+    @pytest.mark.parametrize("text", [text for text, *_ in PARSE_ERRORS if text[0] not in ".,"])
+    def test_directive_is_reported_as_read_terms_reports_it(self, text):
+        text = f"a.\n:- {text}"
+        errors = []
+        for read in (read_terms, read_directives):
+            with pytest.raises(TermSyntaxError) as exc:
+                read(text)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
 
 DEEP = 20000
 
@@ -304,6 +320,81 @@ class TestTokens:
         assert [t.term for t in read_terms("a. % done")] == [Atom("a")]
         assert [t.term for t in read_terms("a.% done")] == [Atom("a")]
         assert read_terms("% only") == []
+
+
+class TestSymbolRuns:
+    """As in ISO, `.` is a symbol char: it joins the run before it."""
+
+    def test_dot_joins_a_symbol_run(self):
+        assert read_term("=..") == Atom("=..")
+        assert [t.term for t in read_terms("p(+.).\nq :- - .\n")] == [
+            Compound("p", (Atom("+."),)),
+            Compound(":-", (Atom("q"), Atom("-"))),
+        ]
+
+    def test_clause_ending_in_a_symbol_char_keeps_its_end(self):
+        term = Compound("=", (Atom("a"), Atom("+")))
+        assert render_clause(term) == "a= + ."
+        assert [t.term for t in read_terms(render_clause(term))] == [term]
+
+
+class TestSplit:
+    """Statements are split without a parse; only directives are parsed."""
+
+    @pytest.mark.parametrize("clause", [
+        r"q(X) :- Y is X + 1.",
+        r"q(X) :- X =.. [F|_], \+ F == a, X @< 3.",
+        r'q("a. b", "it\"s", "x""y").',
+        r"q(`a. b`).",
+        r"q(0'., 0'a, 0''', 0'\n, 0'\\).",
+        r"q(1.5, {a}).",
+        r"q --> b, [c], {d}.",
+        r"q('\x41\', '\101\', 'a\e. b').",
+        "q :- X = \"%\", Y = '/*'.",
+        r"q(a0'b', 10'c', " + '"d").',
+    ])
+    def test_clause_in_everyday_syntax_is_one_statement(self, clause):
+        text = f"{clause}\n:- requires([p/1]).\n"
+        assert split_statements(text) == [
+            (0, len(clause), "q"),
+            (len(clause) + 1, len(text) - 1, ":-"),
+        ]
+        (directive,) = read_directives(text)
+        assert directive.span == Span(len(clause) + 1, len(text) - 1, 2, 1)
+
+    def test_statements_kept_by_their_first_token(self):
+        text = (
+            "library_directory('/a').\n'library_directory'(b).\nlibrary_directory_x(c).\n"
+            ":-dynamic(d).\n:-(e, f).\n?- g.\n:-- h.\n"
+        )
+        assert [text[t.span.start : t.span.end] for t in read_directives(text)] == [
+            "library_directory('/a').", "'library_directory'(b).", ":-dynamic(d).", ":-(e, f).",
+        ]
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("a. 'bc", "unterminated quoted atom", 4),
+        ("a. 'b\\", "unterminated quoted atom", 4),
+        ('a. "bc', "unterminated string", 4),
+        ("a. `bc", "unterminated back-quoted text", 4),
+        ("a. /* bc", "unterminated block comment", 4),
+        ("x :- 0'", "unterminated quoted atom", 7),
+        ("a. b(c", "expected ',' or ')' in argument list", 6),
+        ("a. q(X) :- Y is X", "expected '.' at end of term", 14),
+        ("a. :- p(", "expected a term", 8),
+    ])
+    def test_located_errors(self, text, message, col):
+        for read in (split_statements, read_directives):
+            with pytest.raises(TermSyntaxError) as exc:
+                read(text, "f.pl")
+            assert str(exc.value) == f"f.pl:1:{col}: {message}"
+
+    def test_syntax_error_inside_a_clause_is_not_reported(self):
+        assert read_directives("p(²).\nq :- ) (.\n") == []
+
+    def test_syntax_error_inside_a_directive_is_located(self):
+        with pytest.raises(TermSyntaxError) as exc:
+            read_directives("p.\n:- q(²).\n", "f.pl")
+        assert str(exc.value) == "f.pl:2:6: unexpected character '²'"
 
 
 class TestRender:
@@ -448,6 +539,100 @@ class TestProperties:
             assert exc.line >= 1 and exc.col >= 1
         else:
             assert all(isinstance(item, SourceTerm) for item in out)
+
+
+class TestDeclarationOperators:
+    @pytest.mark.parametrize("name", ["dynamic", "multifile", "discontiguous"])
+    def test_prefix_declaration_reads(self, name):
+        both = Compound(",", (functor("foo", 1), functor("bar", 2)))
+        assert read_term(f":- {name} foo/1, bar/2") == Compound(
+            ":-", (Compound(name, (both,)),)
+        )
+        assert read_term(f"{name}(foo/1)") == Compound(name, (functor("foo", 1),))
+        assert read_term(name) == Atom(name)
+        assert read_term(f"{name} = x") == Compound("=", (Atom(name), Atom("x")))
+
+    @given(st.sampled_from(["dynamic", "multifile", "discontiguous"]), TERMS)
+    def test_round_trip(self, name, term):
+        declaration = Compound(name, (term,))
+        assert read_term(render_term(declaration)) == declaration
+        operand = Compound("=", (Atom(name), term))
+        assert read_term(render_term(operand)) == operand
+        directive = Compound(":-", (declaration,))
+        assert [t.term for t in read_terms(render_clause(directive))] == [directive]
+
+
+# A statement whose first token is `:-` or `library_directory`, the ones
+# `read_directives` parses.
+KEPT = re.compile(r":-(?![-+*/\\^<>=~:?@#&$.])|library_directory\b|'library_directory'")
+
+
+def agrees_with_read_terms(text: str) -> bool:
+    """Where `read_terms` accepts `text`, the splitter finds its statements'
+    spans and `read_directives` the same directives; False if it does not."""
+    try:
+        expected = read_terms(text)
+    except TermSyntaxError:
+        return False
+    spans = [(t.span.start, t.span.end) for t in expected]
+    assert [(start, end) for start, end, _ in split_statements(text)] == spans
+    assert read_directives(text) == [t for t in expected if KEPT.match(text, t.span.start)]
+    return True
+
+
+# Statements `read_terms` reads, of each kind the splitter must tell apart:
+# clauses and directives, `library_directory` clauses, and tokens that hold,
+# or stand next to, a `.`, a quote or a comment opener.
+SPLIT_STATEMENTS = st.one_of(
+    TERMS.map(render_clause),
+    TERMS.map(lambda term: render_clause(Compound(":-", (term,)))),
+    st.sampled_from([
+        "library_directory('/srv/lib').",
+        "'library_directory'(x) :- y.",
+        "library_directory_x(a).",
+        ":-(a, b).",
+        ":-dynamic(p/1).",
+        ":- multifile p/1, q/2.",
+        "x :- +/* .",
+        "x :- '.' = '%'.",
+        "q('a. b', 'c''d.', '/*').",
+        "r :- - .",
+        "s(.(a, b)).",
+        "t :- a = -. .",
+        "u(a) /* c. */ .",
+        "v :- [a|b] % c.\n.",
+        "w :- p(=..), 'a\\\\'.",
+        "y(0, '0''.', a0).",
+    ]),
+)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+class TestSplitAgreesWithReadTerms:
+    @given(st.lists(st.tuples(SPAN_LAYOUT, SPLIT_STATEMENTS), max_size=6), SPAN_LAYOUT)
+    def test_generated_statements(self, pieces, trailer):
+        text = "".join(f"{layout}{statement} " for layout, statement in pieces) + trailer
+        assert agrees_with_read_terms(text)
+
+    @given(st.text(alphabet=st.sampled_from(PROLOGISH + list("\"`0x")), max_size=300))
+    def test_any_text(self, text):
+        try:
+            if not agrees_with_read_terms(text):
+                read_directives(text)
+        except TermSyntaxError as exc:
+            assert exc.line >= 1 and exc.col >= 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["dense", "sparse", "cold"])
+    def test_every_file_of_a_bench_world(self, monkeypatch, workload, seed):
+        monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+        import run
+        import world
+
+        files = world.generate(run.SHAPES[workload], seed).files
+        assert all(agrees_with_read_terms(text) for text in files.values())
 
 
 class TestSplice:
