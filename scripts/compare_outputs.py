@@ -9,10 +9,13 @@ the shapes of `bench/run.py` and the tiny ones of `bench/selfcheck.py`) is
 built in one directory.  There, under this tree's `src/` and then under
 OTHER_SRC, one process per side runs `graph` (no targets, and all three),
 `trace` of every entry under each target, `export` (no targets, all three,
-and swi alone) and `mkindex` of both libraries.  Every difference in exit
-code, standard output, standard error or written files (export's
-destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any,
-0 if there is none.
+and swi alone) and `mkindex` of both libraries, without and with
+`--clause-fallback`.  Where HomeLib keeps an `Index.pl`, `graph` (no
+targets, and all three) also runs on a copy of HomeLib whose `Index.pl` has
+a comment after every fact, so that the general reader reads it.  Every
+difference in exit code, standard output, standard error or written files
+(export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if there
+is any, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -30,6 +33,24 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+RESPELLED = "HomeLibRespelled"  # the copy of HomeLib with a commented Index.pl
+
+
+def respelled(world) -> dict[str, str]:
+    """HomeLib's files under RESPELLED, with ` % respelled` after every
+    fact of its `Index.pl`; none if HomeLib keeps no `Index.pl`."""
+    import world as worlds
+
+    index = world.files.get(f"HomeLib/{worlds.INDEX_NAME}")
+    if index is None:
+        return {}
+    copy = {f"{RESPELLED}/{rel.removeprefix('HomeLib/')}": text
+            for rel, text in world.files.items() if rel.startswith("HomeLib/")}
+    copy[f"{RESPELLED}/{worlds.INDEX_NAME}"] = "".join(
+        f"{line} % respelled\n" if line.startswith("index(") else f"{line}\n"
+        for line in index.splitlines()
+    )
+    return copy
 
 
 def commands(world) -> list[dict]:
@@ -42,6 +63,12 @@ def commands(world) -> list[dict]:
     swi = ["--pl", worlds.TARGET_FLAGS[0]]
     found = [{"argv": ["graph", "--source", "proj", *libs, *pls], "writes": None}
              for pls in ([], targets)]
+    if f"{RESPELLED}/{worlds.INDEX_NAME}" in world.files:
+        respelled_libs = [RESPELLED if arg == "HomeLib" else arg for arg in libs]
+        found.extend(
+            {"argv": ["graph", "--source", "proj", *respelled_libs, *pls], "writes": None}
+            for pls in ([], targets)
+        )
     found.extend(
         {"argv": ["trace", f"proj/{entry.rel}", "--pl", flag, *libs], "writes": None}
         for entry in world.entries for flag in worlds.TARGET_FLAGS
@@ -50,8 +77,8 @@ def commands(world) -> list[dict]:
         {"argv": ["export", "--dest", "out", "--source", "proj", *libs, *pls], "writes": "out"}
         for pls in ([], targets, swi)
     )
-    found.extend({"argv": ["mkindex", lib], "writes": f"{lib}/{worlds.INDEX_NAME}"}
-                 for lib in ("SysLib", "HomeLib"))
+    found.extend({"argv": ["mkindex", lib, *fallback], "writes": f"{lib}/{worlds.INDEX_NAME}"}
+                 for fallback in ([], ["--clause-fallback"]) for lib in ("SysLib", "HomeLib"))
     return found
 
 
@@ -155,6 +182,7 @@ def main() -> int:
     for name in names:
         for seed in (int(s) for s in args.seeds.split(",")):
             world = worlds.generate(shapes[name], seed)
+            world.files.update(respelled(world))
             todo = commands(world)
             with tempfile.TemporaryDirectory() as tmp:
                 workdir = Path(tmp)

@@ -94,7 +94,8 @@ class IfPlDirective:
 @dataclass(frozen=True)
 class FileFacts:
     deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
-    provides: tuple[tuple[FunctorRef, IfPls, str], ...] = ()  # (functor, condition, module)
+    # (functor, condition, module); None when the file declares nothing
+    provides: tuple[tuple[FunctorRef, IfPls, str], ...] | None = None
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
     clause_heads: tuple[FunctorRef, ...] = ()  # of the clauses read; all only for --clause-fallback
     if_pls: tuple[IfPlDirective, ...] = ()
@@ -155,15 +156,18 @@ def recognize_loading_call(goal: Term) -> tuple[FileRef, ...] | None:
 
 
 def _decode_functor(term: Term) -> FunctorRef | None:
+    """`Name/Arity`, or a grammar rule's `Name//Arity`, which is the
+    predicate `Name/(Arity+2)`."""
     if (
         isinstance(term, Compound)
-        and term.name == "/"
+        and term.name in ("/", "//")
         and term.arity == 2
         and isinstance(term.args[0], Atom)
         and isinstance(term.args[1], Integer)
         and term.args[1].value >= 0
     ):
-        return FunctorRef(term.args[0].name, term.args[1].value)
+        extra = 2 if term.name == "//" else 0
+        return FunctorRef(term.args[0].name, term.args[1].value + extra)
     return None
 
 
@@ -217,11 +221,12 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     What the file provides comes from its first `module/2` with an atom name
     (its exports, condition `any`), wherever that stands; a file without one
     provides its `defines` groups, each functor under its group's condition
-    object, in the module of its first `defines_module`, else `user`.
+    object, in the module of its first `defines_module`, else `user`.  A
+    file with neither declares nothing: its `provides` is None.
     """
     deps: list[Requirement | Load | MayLoad] = []
     provides: list[tuple[FunctorRef, IfPls, str]] | None = None  # set by a module/2
-    defines: list[tuple[FunctorRef, IfPls]] = []
+    defines: list[tuple[FunctorRef, IfPls]] | None = None  # set by a defines
     defines_module: str | None = None
     library_dirs: list[Span] = []
     heads: list[FunctorRef] = []
@@ -241,6 +246,7 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 elif name == "defines" and arity in (1, 2):
                     cond = parse_if_pls(body.args[0]) if arity == 2 else ALWAYS
                     functors = _decode_functor_arg(body.args[-1], "defines", span.line, path)
+                    defines = defines or []
                     defines.extend((functor, cond) for functor in functors)
                 elif name == "may_load" and arity == 1:
                     deps.extend(MayLoad(ref) for ref in _decode_ref_arg(body.args[0]))
@@ -281,12 +287,12 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
             seen_heads.add(functor)
             heads.append(functor)
 
-    if provides is None:
+    if provides is None and defines is not None:
         module = defines_module or "user"
         provides = [(functor, cond, module) for functor, cond in defines]
     return FileFacts(
         deps=tuple(deps),
-        provides=tuple(provides),
+        provides=None if provides is None else tuple(provides),
         library_dirs=tuple(library_dirs),
         clause_heads=tuple(heads),
         if_pls=tuple(if_pls),

@@ -122,10 +122,11 @@ def mkindex(
     """Scan a library directory and assemble its index.
 
     Per file, entries come from what the file provides (`FileFacts.provides`:
-    a `module/2`'s exports, else its `defines`), or, when that is empty and
-    `clause_fallback` is on, from its clause heads (condition `any`, module
-    `user`).  Output order is a stable sort on (name, arity) over discovery
-    order, so an unchanged tree always produces identical bytes.
+    a `module/2`'s exports, else its `defines`), or, when it declares
+    neither and `clause_fallback` is on, from its clause heads (condition
+    `any`, module `user`).  Output order is a stable sort on (name, arity)
+    over discovery order, so an unchanged tree always produces identical
+    bytes.
     """
     root = Path(root)
     discovered: list[IndexEntry] = []
@@ -134,8 +135,8 @@ def mkindex(
         _, facts = sources[source] = read_source(source, clause_fallback)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
         provides = facts.provides
-        if not provides and clause_fallback:
-            provides = [(functor, ALWAYS, "user") for functor in facts.clause_heads]
+        if provides is None:
+            provides = [(f, ALWAYS, "user") for f in facts.clause_heads] if clause_fallback else ()
         try:
             discovered.extend(IndexEntry(f, cond, module, rel_file) for f, cond, module in provides)
         except ValueError as exc:  # a file name an index fact cannot hold

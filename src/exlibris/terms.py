@@ -8,23 +8,24 @@ from a file carries a source span covering its text up to and including
 the terminating period, which is what makes comment-preserving rewrites
 possible.
 
-A source file is read for its directives only (`read_directives`).  One
-lexical pass (`split_statements`) finds where each statement ends, one
-pattern match per statement: it knows quoted atoms, strings, back-quoted
-text, `0'c` codes, comments and symbol-char runs, so a `.` inside any of
-them ends nothing, and it parses nothing.  Only a statement whose first
-token is `:-` or `library_directory` is then parsed, in place over its
-offsets in the file text.  `read_terms` parses every statement of a text;
-`Index.pl`'s general reader, `read_term` and `mkindex --clause-fallback`
-use it.
+Only `split_statements` finds where statements end, in one lexical pass,
+one pattern match per statement: it knows quoted atoms, strings,
+back-quoted text, `0'c` codes, comments and symbol-char runs, so a `.`
+inside any of them ends nothing, and it reports an unterminated quote or
+block comment before any statement is parsed.  The readers then parse
+statements in place over their offsets in the file text, so they give the
+same ends and errors: `read_directives`, which source files are read with,
+only those whose first token is `:-` or `library_directory`; `read_terms`
+all (`Index.pl`'s general reader, `read_term`, `mkindex --clause-fallback`).
 
-Tokens are read by one compiled pattern, one match per token: the match
-skips layout and comments, then takes exactly one alternative (quoted atom,
-integer, word, end, symbol atom, punctuation), and anything no alternative
-takes is a located error.  The splitter is built from the same comment,
-end and symbol-run patterns.  Tokens carry offsets only: a line and column
-are worked out from the offset where one is read, for a syntax error or for
-the first token of a statement.
+Tokens are read inside one statement only, by one compiled pattern, one
+match per token: the match skips layout and comments, then takes exactly
+one alternative (quoted atom, integer, word, end, symbol atom,
+punctuation), and anything no alternative takes is a located error.  The
+splitter is built from the same comment, end and symbol-run patterns.
+Tokens carry offsets only: a line and column are worked out from the
+offset where one is read, for a syntax error or for the first token of a
+statement.
 
 Clauses are parsed by operator precedence over the token list in one loop.
 Each construct still waiting for an operand (an operator, a parenthesis, an
@@ -144,10 +145,11 @@ class SourceTerm:
 # Fixed operator table; immutable for the life of the process.  `:` sits low
 # so version chains like 3:9:0 read as :(3, :(9, 0)), and `-` exists only to
 # give negative integer literals a reading.  The declaration prefixes are
-# those SWI, SICStus and YAP share.
+# those SWI, SICStus and YAP share, and `//` is ISO's, for `Name//Arity`.
 PREFIX_OPERATORS: dict[str, tuple[int, str]] = {
     ":-": (1200, "fx"),
     "dynamic": (1150, "fx"),
+    "meta_predicate": (1150, "fx"),
     "multifile": (1150, "fx"),
     "discontiguous": (1150, "fx"),
     "not": (900, "fy"),
@@ -168,6 +170,7 @@ INFIX_OPERATORS: dict[str, tuple[int, str]] = {
     "=<": (700, "xfx"),
     ">=": (700, "xfx"),
     "/": (400, "yfx"),
+    "//": (400, "yfx"),
     ":": (200, "xfy"),
 }
 
@@ -201,12 +204,12 @@ _BLOCK_COMMENT = r"/\*.*?\*/"
 _END = r"\.(?=[ \t\r\n%]|\Z)"
 
 # One match per token: layout and comments first, then exactly one
-# alternative.  `comment` is reached only by a block comment the layout could
-# not close, and `bad` by anything no other alternative takes.
+# alternative; `bad` is reached by anything no other alternative takes.  A
+# block comment the layout cannot close is never seen here: the splitter
+# reports it before any statement is tokenized.
 _TOKEN = re.compile(
     rf"""(?:[ \t\r\n]+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*
-    (?:(?P<comment>/\*)
-      |(?P<qatom>{QUOTED_ATOM})
+    (?:(?P<qatom>{QUOTED_ATOM})
       |(?P<int>\d+)
       |(?P<word>[^\W\d]\w*)
       |(?P<end>{_END})
@@ -295,8 +298,6 @@ def _tokenize(
                 kind = "var"
             else:
                 kind = "bad"
-        if kind == "comment":
-            raise _error("unterminated block comment", text, start, path)
         if kind == "bad":
             if value == "'":
                 stop = _QUOTED_PREFIX.match(text, start, endpos).end()
@@ -447,34 +448,6 @@ def _parse_clause(tokens: list[_Token], i: int, text: str, path: str | None) -> 
             bound = frame[1]
 
 
-def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
-    """Read every clause and directive of a file, in file order.
-
-    Comments and layout are skipped but remain addressable through the
-    returned spans.  Raises TermSyntaxError at the first offending token;
-    unterminated quoted atoms and block comments are reported at their
-    opening position, and a term cut short by the end of input at the last
-    token.
-    """
-    tokens = _tokenize(text, path)
-    out: list[SourceTerm] = []
-    if not tokens:
-        return out
-    tokens.append(tokens[-1]._replace(kind="eof", text=""))
-    i = 0
-    line, line_start = 1, 0  # of the previous statement's first token
-    while tokens[i].kind != "eof":
-        start = tokens[i].start
-        newline = text.rfind("\n", line_start, start)
-        if newline >= 0:
-            line += text.count("\n", line_start, newline + 1)
-            line_start = newline + 1
-        term, i = _parse_clause(tokens, i, text, path)
-        span = Span(start, tokens[i - 1].end, line, start - line_start + 1)
-        out.append(SourceTerm(term, span))
-    return out
-
-
 def _parse(text: str, start: int, end: int, path: str | None) -> Term:
     """The term of the one statement in `text[start:end]`, read in place."""
     tokens = _tokenize(text, path, start, end)
@@ -489,11 +462,11 @@ def split_statements(text: str, path: str | None = None) -> list[tuple[int, int,
     """Each statement's start and end offsets and its first token's text, in
     file order, found in one lexical pass that parses nothing.
 
-    A statement starts at its first token and ends after its end token, so
-    its offsets are those of its `read_terms` span; a quoted first token is
-    given unquoted.  An unterminated quoted atom, string, back-quoted text or
-    block comment is a TermSyntaxError at its opening, and text after the
-    last end token is parsed to report where it goes wrong.
+    A statement starts at its first token and ends after its end token, as
+    the readers' spans do; a quoted first token is given unquoted.  An
+    unterminated quoted atom, string, back-quoted text or block comment is a
+    TermSyntaxError at its opening, and text after the last end token is
+    parsed to report where it goes wrong.
     """
     out = []
     for m in _STATEMENT.finditer(text):
@@ -513,19 +486,13 @@ def split_statements(text: str, path: str | None = None) -> list[tuple[int, int,
     return out
 
 
-def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
-    """Read the directives and `library_directory` clauses of a file, in file
-    order: each statement whose first token is `:-` or `library_directory`.
-
-    Every other statement is split off by `split_statements` and never
-    parsed, so a syntax error inside one goes unreported.  Each kept
-    statement is parsed in place over its offsets, so terms, spans and error
-    positions are those `read_terms` gives.
-    """
+def _read(text: str, path: str | None, directives_only: bool) -> list[SourceTerm]:
+    """Each statement `split_statements` finds, or with `directives_only`
+    each whose first token is `:-` or `library_directory`, parsed in place."""
     out: list[SourceTerm] = []
     line, line_start = 1, 0  # of the previous kept statement's first token
     for start, end, first in split_statements(text, path):
-        if first != ":-" and first != "library_directory":
+        if directives_only and first != ":-" and first != "library_directory":
             continue
         newline = text.rfind("\n", line_start, start)
         if newline >= 0:
@@ -536,10 +503,28 @@ def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
     return out
 
 
+def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
+    """Read every clause and directive of a file, in file order.  Raises
+    TermSyntaxError as `split_statements` does, then at the first offending
+    token of the first statement that does not parse."""
+    return _read(text, path, False)
+
+
+def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
+    """Read the directives and `library_directory` clauses of a file, in file
+    order: each statement whose first token is `:-` or `library_directory`.
+
+    Every other statement is split off and never parsed, so a syntax error
+    inside one goes unreported; terms, spans and errors are `read_terms`'.
+    """
+    return _read(text, path, True)
+
+
 def read_term(text: str, path: str | None = None) -> Term:
     """Read exactly one term; the terminating period is optional."""
-    tokens = _tokenize(text, path)
-    if not tokens or tokens[-1].kind != "end":
+    # a token after the last end token needs one; an unterminated quote stops first
+    stop = next(m for m in _STATEMENT.finditer(text) if m.lastgroup != "end")
+    if stop.lastgroup == "eof" and _TOKEN.match(text, stop.start()).lastgroup:
         text += "\n."  # on a line of its own, out of reach of a trailing % comment
     terms = read_terms(text, path)
     if len(terms) != 1:

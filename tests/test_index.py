@@ -91,7 +91,14 @@ class TestMkindex:
                 ["b, 2, any, x"],
             ),
             (":- module(m, []).\n:- defines([b/2]).\na(1).\n", False, []),
-            (":- module(m, []).\n:- defines([b/2]).\na(1).\n", True, ["a, 1, any, user"]),
+            (":- module(m, []).\n:- defines([b/2]).\na(1).\n", True, []),
+            (":- defines([]).\na(1).\n", True, []),
+            (
+                ":- module(m, [digits//1, a/1]).\n:- meta_predicate foldl(3, ?, +, -).\n"
+                "digits([D|T]) --> digit(D), digits(T).\n",
+                False,
+                ["a, 1, any, m", "digits, 3, any, m"],
+            ),
         ],
         ids=[
             "defines_before_module",
@@ -100,7 +107,9 @@ class TestMkindex:
             "defines_module_after_defines",
             "first_defines_module_counts",
             "empty_module_blocks_defines",
-            "empty_module_allows_clause_fallback",
+            "empty_module_blocks_clause_fallback",
+            "empty_defines_blocks_clause_fallback",
+            "grammar_rule_export_and_meta_predicate",
         ],
     )
     def test_what_a_file_provides(self, tmp_path, text, clause_fallback, facts):

@@ -21,6 +21,7 @@ from exlibris.terms import (
     SpliceError,
     TermSyntaxError,
     Variable,
+    _tokenize,
     atom_text,
     make_list,
     read_directives,
@@ -287,9 +288,9 @@ class TestTokens:
             "line 2, column 5: unknown escape in quoted atom", 2, 5
         )
 
-    def test_backslash_at_end_of_input_is_an_unknown_escape(self):
+    def test_backslash_at_end_of_input_leaves_the_atom_unterminated(self):
         assert self.error("p('ab\\") == (
-            "line 1, column 3: unknown escape in quoted atom", 1, 3
+            "line 1, column 3: unterminated quoted atom", 1, 3
         )
 
     def test_escapes_and_doubled_quotes(self):
@@ -383,10 +384,22 @@ class TestSplit:
         ("a. :- p(", "expected a term", 8),
     ])
     def test_located_errors(self, text, message, col):
-        for read in (split_statements, read_directives):
+        for read in (split_statements, read_directives, read_terms):
             with pytest.raises(TermSyntaxError) as exc:
                 read(text, "f.pl")
             assert str(exc.value) == f"f.pl:1:{col}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ('f("bc', "unterminated string"),
+        ("f('b\\", "unterminated quoted atom"),
+        ("f(`bc", "unterminated back-quoted text"),
+        ("f /* bc", "unterminated block comment"),
+    ])
+    def test_read_term_reports_an_unterminated_text_as_the_splitter_does(self, text, message):
+        for read in (split_statements, read_term):
+            with pytest.raises(TermSyntaxError) as exc:
+                read(text, "f.pl")
+            assert str(exc.value) == f"f.pl:1:3: {message}"
 
     def test_syntax_error_inside_a_clause_is_not_reported(self):
         assert read_directives("p(²).\nq :- ) (.\n") == []
@@ -541,8 +554,11 @@ class TestProperties:
             assert all(isinstance(item, SourceTerm) for item in out)
 
 
+DECLARATIONS = ["dynamic", "multifile", "discontiguous", "meta_predicate"]
+
+
 class TestDeclarationOperators:
-    @pytest.mark.parametrize("name", ["dynamic", "multifile", "discontiguous"])
+    @pytest.mark.parametrize("name", DECLARATIONS)
     def test_prefix_declaration_reads(self, name):
         both = Compound(",", (functor("foo", 1), functor("bar", 2)))
         assert read_term(f":- {name} foo/1, bar/2") == Compound(
@@ -552,7 +568,7 @@ class TestDeclarationOperators:
         assert read_term(name) == Atom(name)
         assert read_term(f"{name} = x") == Compound("=", (Atom(name), Atom("x")))
 
-    @given(st.sampled_from(["dynamic", "multifile", "discontiguous"]), TERMS)
+    @given(st.sampled_from(DECLARATIONS), TERMS)
     def test_round_trip(self, name, term):
         declaration = Compound(name, (term,))
         assert read_term(render_term(declaration)) == declaration
@@ -561,6 +577,13 @@ class TestDeclarationOperators:
         directive = Compound(":-", (declaration,))
         assert [t.term for t in read_terms(render_clause(directive))] == [directive]
 
+    def test_double_slash_is_left_associative_at_400(self):
+        digits = Compound("//", (Atom("digits"), Integer(1)))
+        assert read_term("[digits//1, a/1]") == make_list([digits, functor("a", 1)])
+        left = Compound("//", (Atom("a"), Atom("b")))
+        assert read_term("a//b/c") == Compound("/", (left, Atom("c")))
+        assert render_term(Compound("//", (Atom("a"), digits))) == "a//(digits//1)"
+
 
 # A statement whose first token is `:-` or `library_directory`, the ones
 # `read_directives` parses.
@@ -568,14 +591,23 @@ KEPT = re.compile(r":-(?![-+*/\\^<>=~:?@#&$.])|library_directory\b|'library_dire
 
 
 def agrees_with_read_terms(text: str) -> bool:
-    """Where `read_terms` accepts `text`, the splitter finds its statements'
-    spans and `read_directives` the same directives; False if it does not."""
+    """Where `read_terms` accepts `text`, each statement the splitter finds
+    runs from a first token to an end token of the whole text as the
+    tokenizer reads it, and `read_directives` keeps the directives of
+    `read_terms`; False if `read_terms` does not accept `text`."""
     try:
         expected = read_terms(text)
     except TermSyntaxError:
         return False
-    spans = [(t.span.start, t.span.end) for t in expected]
-    assert [(start, end) for start, end, _ in split_statements(text)] == spans
+    windows, start = [], None
+    for token in _tokenize(text, None):
+        start = token.start if start is None else start
+        if token.kind == "end":
+            windows.append((start, token.end))
+            start = None
+    assert start is None
+    assert [(start, end) for start, end, _ in split_statements(text)] == windows
+    assert [(t.span.start, t.span.end) for t in expected] == windows
     assert read_directives(text) == [t for t in expected if KEPT.match(text, t.span.start)]
     return True
 
@@ -618,11 +650,11 @@ class TestSplitAgreesWithReadTerms:
 
     @given(st.text(alphabet=st.sampled_from(PROLOGISH + list("\"`0x")), max_size=300))
     def test_any_text(self, text):
-        try:
-            if not agrees_with_read_terms(text):
+        if not agrees_with_read_terms(text):
+            try:
                 read_directives(text)
-        except TermSyntaxError as exc:
-            assert exc.line >= 1 and exc.col >= 1
+            except TermSyntaxError as exc:
+                assert exc.line >= 1 and exc.col >= 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("workload", ["dense", "sparse", "cold"])
