@@ -12,10 +12,11 @@ OTHER_SRC, one process per side runs `graph` (no targets, and all three),
 and swi alone) and `mkindex` of both libraries, without and with
 `--clause-fallback`.  Where HomeLib keeps an `Index.pl`, `graph` (no
 targets, and all three) also runs on a copy of HomeLib whose `Index.pl` has
-a comment after every fact, so that the general reader reads it.  Every
-difference in exit code, standard output, standard error or written files
-(export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if there
-is any, 0 if there is none.
+a comment after every fact, which the index reader's fact pattern still
+takes, and in every third fact a doubled space or a line break, which it
+leaves to the parser.  Every difference in exit code, standard output,
+standard error or written files (export's destination, mkindex's
+`Index.pl`) is printed.  Exits 1 if there is any, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -33,12 +34,23 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-RESPELLED = "HomeLibRespelled"  # the copy of HomeLib with a commented Index.pl
+RESPELLED = "HomeLibRespelled"  # the copy of HomeLib with a respelled Index.pl
+
+
+def respell(fact: str, i: int) -> str:
+    """The fact on line `i` of an `Index.pl` with ` % respelled` after it;
+    on every third line also, by turns, a doubled space after `index(` or a
+    line break before `).`."""
+    if i % 6 == 0:
+        fact = fact.replace("index( ", "index(  ", 1)
+    elif i % 6 == 3:
+        fact = fact.removesuffix(" ).") + "\n  )."
+    return f"{fact} % respelled"
 
 
 def respelled(world) -> dict[str, str]:
-    """HomeLib's files under RESPELLED, with ` % respelled` after every
-    fact of its `Index.pl`; none if HomeLib keeps no `Index.pl`."""
+    """HomeLib's files under RESPELLED, with every fact of its `Index.pl`
+    respelled; none if HomeLib keeps no `Index.pl`."""
     import world as worlds
 
     index = world.files.get(f"HomeLib/{worlds.INDEX_NAME}")
@@ -47,8 +59,8 @@ def respelled(world) -> dict[str, str]:
     copy = {f"{RESPELLED}/{rel.removeprefix('HomeLib/')}": text
             for rel, text in world.files.items() if rel.startswith("HomeLib/")}
     copy[f"{RESPELLED}/{worlds.INDEX_NAME}"] = "".join(
-        f"{line} % respelled\n" if line.startswith("index(") else f"{line}\n"
-        for line in index.splitlines()
+        f"{respell(line, i)}\n" if line.startswith("index(") else f"{line}\n"
+        for i, line in enumerate(index.splitlines())
     )
     return copy
 

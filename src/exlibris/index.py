@@ -5,21 +5,15 @@ An index file maps predicates to the library file that defines them, one
 file path relative to the library root without extension.  The module
 value `built_in` marks predicates that need no load on matching engines;
 the fact's file field still records where that declaration lives.  This
-module owns the line format in both directions: `render_index` writes
-each fact as text, and `read_rendered` reads those lines back.
-
-A file made only of the lines `render_index` writes, plus `%` comments and
-blank lines, is read line by line: one regex match per line, and each
-distinct condition text decoded once, so entries with the same condition
-text share one condition object.  Any other file is read by the general
-reader (`parse_index_text`, which decodes each term with `term_to_entry`),
-with the same entries and warnings, only slower.
+module owns the fact format in both directions: `render_index` writes each
+fact as text, and `read_index` reads an index text, one pattern match per
+statement.  A fact exactly as `render_index` writes it is decoded from the
+match; any other statement is parsed, with the same entries and warnings.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -38,9 +32,12 @@ from .terms import (
     TermSyntaxError,
     UNQUOTED_ATOM,
     atom_text,
+    matched_statement,
+    parse_statements,
     read_directives,
     read_term,
     read_terms,
+    statement_pattern,
     unquote_atom,
 )
 
@@ -72,7 +69,7 @@ def is_library_name(name: str) -> bool:
     non-empty, /-separated, not absolute, and with no `..` segment."""
     return (
         bool(name) and "\\" not in name and not name.startswith("/")
-        and ".." not in name.split("/")
+        and "/../" not in f"/{name}/"
     )
 
 
@@ -181,26 +178,25 @@ def render_index(entries: Iterable[IndexEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# An atom as the tokenizer reads it; `read_rendered` keeps a quoted one only
-# if `atom_text` writes it that way.
+# An atom as the tokenizer reads it; `read_index` keeps a quoted one only if
+# `atom_text` writes it that way.
 _ATOM = rf"{UNQUOTED_ATOM}|{QUOTED_ATOM}"
-# One fact as `render_index` writes it; the condition holds only characters
-# `render_cond` writes, so it has no layout, quote, comment or period.
-_INDEX_LINE = re.compile(
-    rf"index\( ({_ATOM}), (0|[1-9][0-9]*), ([a-z0-9_:()\[\],=<>\\]+), ({_ATOM}), ({_ATOM}) \)\."
+# One statement per match: after layout, a fact as `render_index` writes it,
+# whose condition holds only characters `render_cond` writes, so no layout,
+# quote, comment or period; or else any statement, as the splitter finds it.
+_INDEX_STATEMENT = statement_pattern(
+    rf"index\( ({_ATOM}), (0|[1-9][0-9]*), ([a-z0-9_:()\[\],=<>\\]+), ({_ATOM}), ({_ATOM}) \)"
 )
 
 
-def read_rendered(text: str) -> tuple[IndexEntry, ...] | None:
-    """The entries of an index text made only of lines `render_index` writes,
-    `%` comments and blank lines; None if any other line is present.
-
-    A line counts only if it is exactly the line `render_index` writes for
-    the entry read from it, so the general reader would read the same entry
-    from it without a warning.  Each distinct quoted atom and condition text
-    is decoded once, and entries with the same condition text share one
-    condition object.
-    """
+def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
+    """The entries of an index text, in file order.  A fact as `render_index`
+    writes the entry read from it is decoded from its pattern match, each
+    distinct quoted atom and condition text once, so equal condition texts
+    share one object.  Every other statement is parsed once the whole text
+    is split, then decoded by `term_to_entry`; one that names no entry is
+    skipped with a warning, logged only if the whole text reads.  Errors
+    are `read_terms`'."""
     conds: dict[str, IfPls] = {}
     quoted: dict[str, str] = {}
 
@@ -208,30 +204,50 @@ def read_rendered(text: str) -> tuple[IndexEntry, ...] | None:
         if raw[0] != "'":
             return raw
         if raw not in quoted:
-            quoted[raw] = unquote_atom(raw)
+            unquoted = unquote_atom(raw)
+            if atom_text(unquoted) != raw:
+                raise ValueError(raw)
+            quoted[raw] = unquoted
         return quoted[raw]
 
-    entries = []
-    for line in text.split("\n"):
-        if not line or line[0] == "%":
-            continue
-        m = _INDEX_LINE.fullmatch(line)
-        if m is None:
-            return None
-        functor, arity, cond_text, module, file = m.groups()
-        try:
-            if cond_text not in conds:
-                conds[cond_text] = parse_if_pls(read_term(cond_text))
-            entries.append(IndexEntry(
-                FunctorRef(name(functor), int(arity)), conds[cond_text], name(module), name(file)
-            ))
-        except (EngineConditionError, TermSyntaxError, ValueError):
-            return None
-    if any(atom_text(n) != raw for raw, n in quoted.items()) or any(
-        render_cond(cond, 999) != raw for raw, cond in conds.items()
-    ):
-        return None
-    return tuple(entries)
+    entries: list[IndexEntry | None] = []  # None where a parsed statement goes
+    parsed = []
+    for m in _INDEX_STATEMENT.finditer(text):
+        if m.lastgroup == "fact":
+            functor, arity, cond_text, module, file = m.group(2, 3, 4, 5, 6)
+            try:
+                if cond_text not in conds:
+                    cond = parse_if_pls(read_term(cond_text))
+                    if render_cond(cond, 999) != cond_text:
+                        raise ValueError(cond_text)
+                    conds[cond_text] = cond
+                functor = FunctorRef(name(functor), int(arity))
+                entries.append(IndexEntry(functor, conds[cond_text], name(module), name(file)))
+                continue
+            except (EngineConditionError, TermSyntaxError, ValueError):  # written otherwise
+                statement = m.start("fact"), m.end(), "index"
+        else:
+            statement = matched_statement(m, text, path)
+        if statement:
+            entries.append(None)
+            parsed.append(statement)
+    if not parsed:
+        return tuple(entries)
+    read = iter(parse_statements(text, parsed, path))
+    out = []
+    for entry in entries:
+        if entry is None:
+            statement = next(read)
+            try:
+                entry = term_to_entry(statement.term)
+            except (EngineConditionError, ValueError) as exc:
+                logger.warning("%s:%d: skipping index fact: %s", path, statement.span.line, exc)
+                continue
+            if entry is None:
+                logger.warning("%s:%d: ignoring non-index term", path, statement.span.line)
+                continue
+        out.append(entry)
+    return tuple(out)
 
 
 def write_index(index: LibraryIndex) -> Path:
@@ -241,28 +257,7 @@ def write_index(index: LibraryIndex) -> Path:
     return path
 
 
-def parse_index_text(text: str, root: Path, path: str | None = None) -> LibraryIndex:
-    entries = []
-    for st in read_terms(text, path):
-        try:
-            entry = term_to_entry(st.term)
-        except (EngineConditionError, ValueError) as exc:
-            logger.warning("%s:%d: skipping index fact: %s", path, st.span.line, exc)
-            continue
-        if entry is None:
-            logger.warning("%s:%d: ignoring non-index term", path, st.span.line)
-            continue
-        entries.append(entry)
-    return LibraryIndex(root, tuple(entries))
-
-
 def parse_index(path: Path | str) -> LibraryIndex:
-    """Read an Index.pl file; entry order is preserved verbatim.  A file
-    `render_index` could have written is read line by line, any other by
-    the general reader."""
+    """Read an Index.pl file with `read_index`."""
     path = Path(path)
-    text = read_text(path)
-    entries = read_rendered(text)
-    if entries is None:
-        return parse_index_text(text, path.parent, str(path))
-    return LibraryIndex(path.parent, entries)
+    return LibraryIndex(path.parent, read_index(read_text(path), str(path)))

@@ -12,20 +12,21 @@ Only `split_statements` finds where statements end, in one lexical pass,
 one pattern match per statement: it knows quoted atoms, strings,
 back-quoted text, `0'c` codes, comments and symbol-char runs, so a `.`
 inside any of them ends nothing, and it reports an unterminated quote or
-block comment before any statement is parsed.  The readers then parse
-statements in place over their offsets in the file text, so they give the
-same ends and errors: `read_directives`, which source files are read with,
-only those whose first token is `:-` or `library_directory`; `read_terms`
-all (`Index.pl`'s general reader, `read_term`, `mkindex --clause-fallback`).
+block comment before any statement is parsed.  The index reader runs the
+same pass with one alternative of its own (`statement_pattern`) and the
+same per-match step (`matched_statement`).  `parse_statements` then parses
+statements in place, so every reader gives the same ends and errors:
+`read_directives` those whose first token is `:-` or `library_directory`,
+`read_terms` all, the index reader those its own alternative leaves.
 
 Tokens are read inside one statement only, by one compiled pattern, one
 match per token: the match skips layout and comments, then takes exactly
-one alternative (quoted atom, integer, word, end, symbol atom,
-punctuation), and anything no alternative takes is a located error.  The
-splitter is built from the same comment, end and symbol-run patterns.
-Tokens carry offsets only: a line and column are worked out from the
-offset where one is read, for a syntax error or for the first token of a
-statement.
+one alternative (word, punctuation, quoted atom, character code, integer,
+end, symbol atom), and anything no alternative takes is a located error.
+The splitter is built from the same comment, code, end and symbol-run
+patterns.  Tokens carry offsets only: a line and column are worked out
+from the offset where one is read, for a syntax error or for the first
+token of a statement.
 
 Clauses are parsed by operator precedence over the token list in one loop.
 Each construct still waiting for an operand (an operator, a parenthesis, an
@@ -193,33 +194,14 @@ class _Token(NamedTuple):
     end: int
 
 
-# An opening quote and the longest run of valid atom text after it, and a
-# full quoted atom.  The closing quote of a full atom must not start a
-# doubled one, so `'a''b` cannot backtrack into `'a'`.
-_QUOTED = r"'(?:[^'\\]|\\[\\'nt]|'')*"
-QUOTED_ATOM = rf"{_QUOTED}'(?!')"
+# A quoted atom with the escapes `unquote_atom` knows.  The closing quote
+# must not start a doubled one, so `'a''b` cannot backtrack into `'a'`.
+QUOTED_ATOM = r"'(?:[^'\\]|\\[\\'nt]|'')*'(?!')"
 
 _LINE_COMMENT = r"%[^\n]*"
 _BLOCK_COMMENT = r"/\*.*?\*/"
+_LAYOUT = rf"[ \t\r\n]*(?:(?:{_LINE_COMMENT}|{_BLOCK_COMMENT})[ \t\r\n]*)*"
 _END = r"\.(?=[ \t\r\n%]|\Z)"
-
-# One match per token: layout and comments first, then exactly one
-# alternative; `bad` is reached by anything no other alternative takes.  A
-# block comment the layout cannot close is never seen here: the splitter
-# reports it before any statement is tokenized.
-_TOKEN = re.compile(
-    rf"""(?:[ \t\r\n]+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*
-    (?:(?P<qatom>{QUOTED_ATOM})
-      |(?P<int>\d+)
-      |(?P<word>[^\W\d]\w*)
-      |(?P<end>{_END})
-      |(?P<atom>[;!]|{_SYMBOL_RUN})
-      |(?P<punct>[()\[\],|])
-      |(?P<bad>.)
-    )?""",
-    re.VERBOSE | re.DOTALL,
-)
-_QUOTED_PREFIX = re.compile(_QUOTED)
 
 
 def _escape(name: str) -> str:
@@ -227,6 +209,30 @@ def _escape(name: str) -> str:
     one character.  It is matched inside a lookahead, which never backtracks,
     so an unterminated quote is given up in one pass."""
     return rf"\\(?=(?P<{name}>x[0-9a-fA-F]*\\|[0-7]+\\|.))(?P={name})"
+
+
+# A character code as both lexers take it: `0'` and one character, a
+# doubled quote or a backslash escape.
+_CODE = rf"0'(?:''|{_escape('c')}|.)"
+
+# One match per token: layout and comments first, then exactly one
+# alternative, the most frequent first; `bad` is reached by anything no
+# other alternative takes.  Only `code` before `int` and `end` before `atom`
+# can overlap.  A block comment or quote that does not end is never seen
+# here: the splitter reports it before any statement is tokenized.
+_TOKEN = re.compile(
+    rf"""{_LAYOUT}
+    (?:(?P<word>[^\W\d]\w*)
+      |(?P<punct>[()\[\],|])
+      |(?P<qatom>{QUOTED_ATOM})
+      |(?P<code>{_CODE})
+      |(?P<int>\d+)
+      |(?P<end>{_END})
+      |(?P<atom>[;!]|{_SYMBOL_RUN})
+      |(?P<bad>.)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _quoted_item(quote: str, name: str) -> str:
@@ -244,7 +250,7 @@ _STATEMENT = re.compile(
     rf"""(?:[^'"`%0{re.escape(_SYMBOL_CHARS)}.]+
       |{_quoted_item("'", "q")}|{_quoted_item('"', "s")}|{_quoted_item("`", "b")}
       |{_LINE_COMMENT}|{_BLOCK_COMMENT}
-      |(?<!\w)0'(?:''|{_escape("c")}|.)|0
+      |(?<!\w){_CODE}|0
       |(?!/\*|{_END}){_SYMBOL_RUN}
     )*
     (?:(?P<end>\.)|(?P<quote>')|(?P<string>")|(?P<backquote>`)|(?P<comment>/\*)|(?P<eof>)\Z)""",
@@ -290,6 +296,11 @@ def _tokenize(
         value = text[start:pos]
         if kind == "qatom":
             value = unquote_atom(value)
+        elif kind == "code":
+            char = value[2:]
+            if char[0] == "\\" and char not in _ESCAPES:
+                raise _error("unknown escape in character code", text, start, path)
+            kind, value = "int", str(ord(_ESCAPES.get(char, char)))
         elif kind == "word":
             first = value[0]
             if first.islower() and first.isalpha():
@@ -300,9 +311,7 @@ def _tokenize(
                 kind = "bad"
         if kind == "bad":
             if value == "'":
-                stop = _QUOTED_PREFIX.match(text, start, endpos).end()
-                what = "unterminated" if stop == endpos else "unknown escape in"
-                raise _error(f"{what} quoted atom", text, start, path)
+                raise _error("unknown escape in quoted atom", text, start, path)
             raise _error(f"unexpected character {value[0]!r}", text, start, path)
         tokens.append(_Token(kind, value, start, pos))
 
@@ -458,42 +467,57 @@ def _parse(text: str, start: int, end: int, path: str | None) -> Term:
     return term
 
 
-def split_statements(text: str, path: str | None = None) -> list[tuple[int, int, str]]:
-    """Each statement's start and end offsets and its first token's text, in
-    file order, found in one lexical pass that parses nothing.
+def statement_pattern(fact: str) -> re.Pattern:
+    """`split_statements`' pattern, but first trying, after layout, `fact`
+    and an end token as group `fact`, group 1, so `fact`'s own groups count
+    from 2.  `fact` must match only whole statements; `matched_statement`
+    takes every other match."""
+    return re.compile(rf"{_LAYOUT}(?:(?P<fact>{fact}){_END}|(?x:{_STATEMENT.pattern}))", re.DOTALL)
 
-    A statement starts at its first token and ends after its end token, as
-    the readers' spans do; a quoted first token is given unquoted.  An
-    unterminated quoted atom, string, back-quoted text or block comment is a
-    TermSyntaxError at its opening, and text after the last end token is
-    parsed to report where it goes wrong.
-    """
+
+def matched_statement(m: re.Match, text: str, path: str | None) -> tuple[int, int, str] | None:
+    """The start and end offsets and first token (unquoted) of the statement
+    one match took: from its first token to after its end token, as the
+    readers' spans; None for the last match, which takes only layout.  An
+    unterminated quote or block comment is a TermSyntaxError at its opening,
+    and text after the last end token is parsed to report where it goes
+    wrong."""
+    first = _TOKEN.match(text, m.start())
+    kind = first.lastgroup
+    stop = m.lastgroup
+    if stop in _UNTERMINATED:
+        raise _error(_UNTERMINATED[stop], text, m.start(stop), path)
+    if kind is None:
+        return None
+    start = first.start(kind)
+    if stop == "eof":
+        _parse(text, start, len(text), path)  # raises: the text has no end token
+        raise _error("expected '.' at end of term", text, start, path)
+    token = first.group(kind)
+    return start, m.end(), unquote_atom(token) if kind == "qatom" else token
+
+
+def split_statements(text: str, path: str | None = None) -> list[tuple[int, int, str]]:
+    """Each statement as `matched_statement` gives it, in file order, found
+    in one lexical pass that parses nothing."""
     out = []
     for m in _STATEMENT.finditer(text):
-        first = _TOKEN.match(text, m.start())
-        kind = first.lastgroup
-        stop = m.lastgroup
-        if stop in _UNTERMINATED:
-            raise _error(_UNTERMINATED[stop], text, m.start(stop), path)
-        if kind is None:  # only layout and comments were left
+        statement = matched_statement(m, text, path)
+        if statement is None:
             return out
-        start = first.start(kind)
-        if stop == "eof":
-            _parse(text, start, len(text), path)  # raises: the text has no end token
-            raise _error("expected '.' at end of term", text, start, path)
-        token = first.group(kind)
-        out.append((start, m.end(), unquote_atom(token) if kind == "qatom" else token))
+        out.append(statement)
     return out
 
 
-def _read(text: str, path: str | None, directives_only: bool) -> list[SourceTerm]:
-    """Each statement `split_statements` finds, or with `directives_only`
-    each whose first token is `:-` or `library_directory`, parsed in place."""
+def parse_statements(
+    text: str, statements: Iterable[tuple[int, int, str]], path: str | None = None
+) -> list[SourceTerm]:
+    """Parse in place each statement of `text` given as `split_statements`
+    gives them, in file order; raises TermSyntaxError at the first offending
+    token of the first one that does not parse."""
     out: list[SourceTerm] = []
-    line, line_start = 1, 0  # of the previous kept statement's first token
-    for start, end, first in split_statements(text, path):
-        if directives_only and first != ":-" and first != "library_directory":
-            continue
+    line, line_start = 1, 0  # of the previous statement's first token
+    for start, end, _ in statements:
         newline = text.rfind("\n", line_start, start)
         if newline >= 0:
             line += text.count("\n", line_start, newline + 1)
@@ -505,9 +529,8 @@ def _read(text: str, path: str | None, directives_only: bool) -> list[SourceTerm
 
 def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     """Read every clause and directive of a file, in file order.  Raises
-    TermSyntaxError as `split_statements` does, then at the first offending
-    token of the first statement that does not parse."""
-    return _read(text, path, False)
+    TermSyntaxError as `split_statements` does, then as `parse_statements`."""
+    return parse_statements(text, split_statements(text, path), path)
 
 
 def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
@@ -517,7 +540,8 @@ def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
     Every other statement is split off and never parsed, so a syntax error
     inside one goes unreported; terms, spans and errors are `read_terms`'.
     """
-    return _read(text, path, True)
+    kept = [s for s in split_statements(text, path) if s[2] in (":-", "library_directory")]
+    return parse_statements(text, kept, path)
 
 
 def read_term(text: str, path: str | None = None) -> Term:

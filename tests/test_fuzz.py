@@ -10,7 +10,8 @@ over it through `cli.main`.  Each must end in a documented exit code without
 an internal error, and write nothing but what it owns: export its
 destination, mkindex the library's `Index.pl`, graph and trace nothing.
 No export plan names a destination file twice.  Library files on which a
-backtracking statement splitter would not finish end in a located error.
+backtracking statement splitter would not finish end in a located error,
+and so do `Index.pl` files on which a backtracking index reader would not.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ INDEX_LINES = st.builds(
     CONDS,
     st.sampled_from(["m0", "'sub/m2'", "'../../evil'", "'/evil'", "''", "ghost"]),
 ) | st.sampled_from(["index( p ).", "junk(", "index( p, 1, any, user, m0 )."])
-# Whole index files that look like what mkindex writes but are not: lines the
-# line reader must leave to the general reader, and file fields spelled as
-# mkindex never writes them (`./m0`, `sub//m2`, `sub/./m2`).
+# Whole index files that look like what mkindex writes but are not: facts
+# the index reader must leave to the parser or take despite their layout,
+# and file fields spelled as mkindex never writes them (`./m0`, `sub//m2`,
+# `sub/./m2`).
 HOSTILE_INDEXES = st.sampled_from([
     "index( p, 1, any, user, './m0' ).\nindex( q, 2, any, user, m0 ).\n"
     "index( r, 0, any, user, 'sub//m2' ).\nindex( p, 1, swi(_), user, 'sub/./m2' ).\n",
@@ -253,3 +255,32 @@ def test_pathological_library_file_is_a_located_error(tmp_path, text):
         code, err = run(*args)
         assert code == 2, (args[0], err)
         assert err.startswith(f"exlibris: {bad}:1:"), (args[0], err)
+
+
+# Index files on which a reader that backtracks would not finish: a long
+# unterminated quote inside what starts as a fact, many comment openers,
+# and a long unterminated block comment after a fact.
+PATHOLOGICAL_INDEXES = {
+    "quote": "index( '" + "a" * 100_000,
+    "string": 'index( p, 1, any, user, "' + "a. " * 30_000,
+    "comment_openers": "/* " * 10_000,
+    "block_comment": "index( p, 1, any, user, m0 ). /*" + "a" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", PATHOLOGICAL_INDEXES.values(), ids=PATHOLOGICAL_INDEXES)
+def test_pathological_index_file_is_a_located_error(tmp_path, text):
+    index = tmp_path / "HomeLib" / "Index.pl"
+    index.parent.mkdir()
+    index.write_text(text, encoding="utf-8")
+    (tmp_path / "HomeLib" / "m0.pl").write_text(":- defines([p/1]).\np(1).\n", encoding="utf-8")
+    (tmp_path / "m.pl").write_text(":- requires([p/1]).\n", encoding="utf-8")
+    libs = ("--homelib", str(tmp_path / "HomeLib"))
+    for args in (
+        ("graph", "--source", str(tmp_path / "m.pl"), *libs),
+        ("trace", str(tmp_path / "m.pl"), "--pl", "swi:5.0.7", *libs),
+        ("export", "--dest", str(tmp_path / "out"), "--source", str(tmp_path / "m.pl"), *libs),
+    ):
+        code, err = run(*args)
+        assert code == 2, (args[0], err)
+        assert err.startswith(f"exlibris: {index}:1:"), (args[0], err)

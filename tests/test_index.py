@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
 import tempfile
@@ -10,14 +11,14 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exlibris.index as index_module
 import helpers
 from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef
-from exlibris.engines import ALWAYS, render_cond
+from exlibris.engines import ALWAYS, EngineConditionError, render_cond
 from exlibris.errors import ExlibrisError
 from exlibris.index import (
     INDEX_HEADER,
@@ -25,12 +26,12 @@ from exlibris.index import (
     LibraryIndex,
     mkindex,
     parse_index,
-    parse_index_text,
-    read_rendered,
+    read_index,
     render_index,
+    term_to_entry,
     write_index,
 )
-from exlibris.terms import atom_text, read_term, render_clause
+from exlibris.terms import atom_text, read_term, read_terms, render_clause, split_statements
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -288,13 +289,67 @@ def entry_from_seed(seed: int) -> IndexEntry:
     return IndexEntry(functor, cond, module, file)
 
 
+def general_reader(text: str, path: str | None = None) -> tuple:
+    """The reference reader: every statement parsed by `read_terms`, each
+    decoded by `term_to_entry`, then a warning for each that names no entry.
+    Gives the entries and warnings, or the error and no warning."""
+    try:
+        statements = read_terms(text, path)
+    except ExlibrisError as exc:
+        return "error", str(exc), []
+    entries, warnings = [], []
+    for statement in statements:
+        line = statement.span.line
+        try:
+            entry = term_to_entry(statement.term)
+        except (EngineConditionError, ValueError) as exc:
+            warnings.append(f"{path}:{line}: skipping index fact: {exc}")
+            continue
+        if entry is None:
+            warnings.append(f"{path}:{line}: ignoring non-index term")
+            continue
+        entries.append(entry)
+    return tuple(entries), warnings
+
+
+def outcome(read) -> tuple:
+    """What a call of `read` gives, in `general_reader`'s form: the entries
+    and the warnings logged, or the error and the warnings logged."""
+    warnings = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger = logging.getLogger("exlibris.index")
+    logger.addHandler(handler)
+    try:
+        return read(), warnings
+    except ExlibrisError as exc:
+        return "error", str(exc), warnings
+    finally:
+        logger.removeHandler(handler)
+
+
+@contextlib.contextmanager
+def counting_parses():
+    """Patch the index reader's statement parser to record the (start, end)
+    of each statement it is given."""
+    parsed = []
+    parse_statements = index_module.parse_statements
+
+    def counting(text, statements, path=None):
+        statements = list(statements)
+        parsed.extend((start, end) for start, end, _ in statements)
+        return parse_statements(text, statements, path)
+
+    with mock.patch.object(index_module, "parse_statements", counting):
+        yield parsed
+
+
 class TestRoundTripProperty:
     @given(st.lists(SEEDS, max_size=50))
     def test_parse_of_render_is_identity(self, seeds):
         entries = tuple(entry_from_seed(seed) for seed in seeds)
         text = render_index(entries)
-        parsed = parse_index_text(text, Path("."))
-        assert parsed.entries == entries
+        assert general_reader(text) == outcome(lambda: read_index(text)) == (entries, [])
 
     @given(st.lists(SEEDS, max_size=50))
     def test_each_line_is_the_canonical_clause_of_its_term(self, seeds):
@@ -304,22 +359,16 @@ class TestRoundTripProperty:
     @given(st.lists(SEEDS, max_size=50))
     def test_rendered_index_is_read_without_the_general_reader(self, seeds):
         entries = tuple(entry_from_seed(seed) for seed in seeds)
-        general = []
-
-        def counting(text, *args):
-            general.append(text)
-            return parse_index_text(text, *args)
-
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "Index.pl"
             path.write_text(render_index(entries), encoding="utf-8")
-            with mock.patch.object(index_module, "parse_index_text", counting):
-                parsed = parse_index(path).entries
-        assert general == []
-        assert parsed == entries
+            with counting_parses() as parsed:
+                read = parse_index(path).entries
+        assert parsed == []
+        assert read == entries
         # entries with the same condition text share one condition object
         shared = {}
-        for entry in parsed:
+        for entry in read:
             assert shared.setdefault(render_cond(entry.cond, 999), entry.cond) is entry.cond
 
 
@@ -336,7 +385,9 @@ def index_line(entry: IndexEntry, **fields: str) -> str:
     return "index( {name}, {arity}, {cond}, {module}, {file} ).".format(**text)
 
 
-# Ways to turn one rendered line into text the line reader must not take.
+# Ways to respell one rendered line: the fact pattern still takes a few (a
+# trailing comment, a CR before the line end) and leaves the rest to the
+# parser, some only after its match (a condition or name written otherwise).
 MUTATIONS = {
     "doubled spaces": lambda e: index_line(e).replace(", ", ",  "),
     "missing spaces": lambda e: index_line(e).replace("( ", "(").replace(" )", ")"),
@@ -359,24 +410,46 @@ MUTATIONS = {
 
 
 ANY_NAMES = st.text(alphabet="az_AZ09 +-*/\\<>=:.,!;[]'%()\t\n\u00e9\u00b2", min_size=1, max_size=4)
+# Pieces of index text: facts as `render_index` writes them, mutated facts,
+# comments, quotes, line ends and blanks, joined by layout or by nothing.
+PIECES = st.one_of(
+    st.builds(lambda seed: index_line(entry_from_seed(seed)), SEEDS),
+    st.builds(
+        lambda mutation, seed: MUTATIONS[mutation](entry_from_seed(seed)),
+        st.sampled_from(sorted(MUTATIONS)),
+        SEEDS,
+    ),
+    st.sampled_from([
+        "", " ", "\t", "\r", "\n", "% c", "%", "/* c */", "/*", "*/", "'", '"', "`",
+        "'a. b'", "0'a", "0'", ".", "other(1).", "junk(", "index( p ).",
+        "index( f, 1, any, user, f )", "index( f, 1, any, user, f ).",
+    ]),
+)
+INDEX_TEXTS = st.lists(
+    st.tuples(PIECES, st.sampled_from(["\n", "\r\n", " ", "\t", ""]))
+).map(lambda pieces: "".join(piece + sep for piece, sep in pieces))
+
+
+def left_to_the_parser(text: str) -> list[tuple[int, int]]:
+    """The (start, end) of each statement of a text that reads whose text is
+    not the fact `render_index` writes for the entry it reads as."""
+    left = []
+    for (start, end, _), statement in zip(split_statements(text), read_terms(text)):
+        try:
+            entry = term_to_entry(statement.term)
+        except (EngineConditionError, ValueError):
+            entry = None
+        if entry is None or index_line(entry) != text[start:end]:
+            left.append((start, end))
+    return left
 
 
 class TestLineReaderAgreesWithGeneralReader:
-    """A mutated index is left to the general reader: `parse_index` gives the
-    entries, warnings or error that `parse_index_text` gives."""
-
-    @staticmethod
-    def outcome(read, caplog):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="exlibris.index"):
-            try:
-                entries = read().entries
-            except ExlibrisError as exc:
-                return "error", str(exc)
-        return entries, [(r.levelname, r.getMessage()) for r in caplog.records]
+    """`read_index` gives the entries, warnings or error that the reference
+    reader gives, and parses exactly the statements the fact pattern leaves."""
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
-    def test_mutated_line(self, mutation, tmp_path, caplog):
+    def test_mutated_line(self, mutation, tmp_path):
         path = tmp_path / "Index.pl"
         for seed in range(25):
             rng = random.Random(seed)
@@ -386,10 +459,38 @@ class TestLineReaderAgreesWithGeneralReader:
             lines[at + 1] = MUTATIONS[mutation](entries[at])
             text = "\n".join(lines) + "\n"
             path.write_text(text, encoding="utf-8")
-            assert read_rendered(text) is None
-            fast = self.outcome(lambda: parse_index(path), caplog)
-            general = self.outcome(lambda: parse_index_text(text, tmp_path, str(path)), caplog)
-            assert fast == general
+            with counting_parses() as parsed:
+                read = outcome(lambda: parse_index(path).entries)
+            assert read == general_reader(text, str(path))
+            if read[0] != "error":
+                assert parsed == left_to_the_parser(text)
+
+    @settings(max_examples=300)
+    @given(INDEX_TEXTS)
+    def test_any_text(self, text):
+        with counting_parses() as parsed:
+            read = outcome(lambda: read_index(text, "Index.pl"))
+        assert read == general_reader(text, "Index.pl")
+        if read[0] != "error":
+            assert parsed == left_to_the_parser(text)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda lines: "\r\n".join(lines) + "\r\n",
+            lambda lines: "".join(f"{line} % c\n" for line in lines),
+            lambda lines: "".join(f"  \t{line}\n" for line in lines),
+            lambda lines: " ".join(lines) + "\n",
+            lambda lines: "".join(f"/* c */{line}%c\n\n" for line in lines),
+        ],
+        ids=["crlf", "trailing_comment", "indented", "on_one_line", "block_comment_before"],
+    )
+    def test_respaced_canonical_facts_parse_nothing(self, layout):
+        entries = [entry_from_seed(seed) for seed in range(20)]
+        text = f"{INDEX_HEADER}\n" + layout([index_line(entry) for entry in entries])
+        with counting_parses() as parsed:
+            assert read_index(text) == tuple(entries)
+        assert parsed == []
 
     @given(st.lists(st.tuples(ANY_NAMES, ANY_NAMES, SEEDS), max_size=8))
     def test_any_rendered_name_reads_as_the_general_reader_reads_it(self, rows):
@@ -398,23 +499,21 @@ class TestLineReaderAgreesWithGeneralReader:
             for name, module, seed in rows
         )
         text = render_index(entries)
-        try:
-            general = parse_index_text(text, Path(".")).entries
-        except ExlibrisError as exc:
-            general = exc
-        fast = read_rendered(text)
-        assert fast is None or fast == general == entries
-        # every form `atom_text` writes is a line-reader form
-        assert fast is not None
+        # every form `atom_text` writes is taken without a parse
+        with counting_parses() as parsed:
+            assert read_index(text) == general_reader(text)[0] == entries
+        assert parsed == []
 
     def test_comments_and_blank_lines_are_skipped(self):
         entry = entry_from_seed(7)
         text = f"% a\n\n{index_line(entry)}\n%\n{index_line(entry)}"
-        assert read_rendered(text) == (entry, entry)
-        assert read_rendered("") == read_rendered("% only\n") == ()
+        assert read_index(text) == (entry, entry)
+        assert read_index("") == read_index("% only\n") == ()
 
     def test_non_ascii_unquoted_names_are_read_line_by_line(self):
         text = "".join(
             f"index( {name}, 1, any, user, a ).\n" for name in ("p\u00e9", "p\u00b2", "a\u00df")
         )
-        assert read_rendered(text) == parse_index_text(text, Path(".")).entries
+        with counting_parses() as parsed:
+            assert read_index(text) == general_reader(text)[0]
+        assert parsed == []

@@ -293,6 +293,18 @@ class TestTokens:
             "line 1, column 3: unterminated quoted atom", 1, 3
         )
 
+    def test_character_codes_read_as_integers(self):
+        codes = read_term(r"f(0'a, 0'', 0''', 0'\n, 0'\\, 0'\', 0' , 0'., -0'a)")
+        assert codes == Compound("f", tuple(map(Integer, (97, 39, 39, 10, 92, 39, 32, 46, -97))))
+        (directive,) = read_directives(":- X = 0'a.\n")
+        assert directive.term == Compound(":-", (Compound("=", (Variable("X"), Integer(97))),))
+
+    @pytest.mark.parametrize("code", ["0'\\x41\\", "0'\\101\\", "0'\\e", "0'\\\n"])
+    def test_unknown_escape_in_a_character_code_is_located(self, code):
+        assert self.error(f"x.\n  p({code}).") == (
+            "line 2, column 5: unknown escape in character code", 2, 5
+        )
+
     def test_escapes_and_doubled_quotes(self):
         assert read_term("'it''s'") == Atom("it's")
         assert read_term("''''") == Atom("'")
@@ -635,6 +647,7 @@ SPLIT_STATEMENTS = st.one_of(
         "v :- [a|b] % c.\n.",
         "w :- p(=..), 'a\\\\'.",
         "y(0, '0''.', a0).",
+        r"z(0'., 0'a, 0''', 0'', 0'\n, 0'\\, -0'a, 0'%, 0'/, 0'*) :- 0'' = 0' .",
     ]),
 )
 
