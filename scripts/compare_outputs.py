@@ -9,14 +9,17 @@ the shapes of `bench/run.py` and the tiny ones of `bench/selfcheck.py`) is
 built in one directory.  There, under this tree's `src/` and then under
 OTHER_SRC, one process per side runs `graph` (no targets, and all three),
 `trace` of every entry under each target, `export` (no targets, all three,
-and swi alone) and `mkindex` of both libraries, without and with
-`--clause-fallback`.  Where HomeLib keeps an `Index.pl`, `graph` (no
-targets, and all three) also runs on a copy of HomeLib whose `Index.pl` has
-a comment after every fact, which the index reader's fact pattern still
-takes, and in every third fact a doubled space or a line break, which it
-leaves to the parser.  Every difference in exit code, standard output,
-standard error or written files (export's destination, mkindex's
-`Index.pl`) is printed.  Exits 1 if there is any, 0 if there is none.
+and swi alone) and `mkindex`, without and with `--clause-fallback`, of both
+libraries and of a copy of HomeLib where every other file declares nothing:
+its `:- defines` and `:- module` lines are dropped, so the fallback parses
+that file's clauses, while it parses no clause of a file that declares
+something.  Where HomeLib keeps an `Index.pl`, `graph` (no targets, and all
+three) also runs on a copy of HomeLib whose `Index.pl` has a comment after
+every fact, which the index reader's fact pattern still takes, and in every
+third fact a doubled space or a line break, which it leaves to the parser.
+Every difference in exit code, standard output, standard error or written
+files (export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if
+there is any, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RESPELLED = "HomeLibRespelled"  # the copy of HomeLib with a respelled Index.pl
+UNDECLARED = "HomeLibUndeclared"  # the copy of HomeLib where every other file declares nothing
 
 
 def respell(fact: str, i: int) -> str:
@@ -65,6 +69,23 @@ def respelled(world) -> dict[str, str]:
     return copy
 
 
+def undeclared(world) -> dict[str, str]:
+    """HomeLib's source files under UNDECLARED, without its `Index.pl`; from
+    every other one, in sorted order, its `:- defines(` and `:- module(`
+    lines are dropped."""
+    import world as worlds
+
+    sources = sorted(rel for rel in world.files
+                     if rel.startswith("HomeLib/") and not rel.endswith(f"/{worlds.INDEX_NAME}"))
+    copy = {}
+    for i, rel in enumerate(sources):
+        lines = world.files[rel].splitlines(keepends=True)
+        if i % 2:
+            lines = [line for line in lines if not line.startswith((":- defines(", ":- module("))]
+        copy[f"{UNDECLARED}/{rel.removeprefix('HomeLib/')}"] = "".join(lines)
+    return copy
+
+
 def commands(world) -> list[dict]:
     """Each command's argv and the path it may write, relative to the world."""
     import run
@@ -90,7 +111,8 @@ def commands(world) -> list[dict]:
         for pls in ([], targets, swi)
     )
     found.extend({"argv": ["mkindex", lib, *fallback], "writes": f"{lib}/{worlds.INDEX_NAME}"}
-                 for fallback in ([], ["--clause-fallback"]) for lib in ("SysLib", "HomeLib"))
+                 for fallback in ([], ["--clause-fallback"])
+                 for lib in ("SysLib", "HomeLib", UNDECLARED))
     return found
 
 
@@ -195,6 +217,7 @@ def main() -> int:
         for seed in (int(s) for s in args.seeds.split(",")):
             world = worlds.generate(shapes[name], seed)
             world.files.update(respelled(world))
+            world.files.update(undeclared(world))
             todo = commands(world)
             with tempfile.TemporaryDirectory() as tmp:
                 workdir = Path(tmp)

@@ -1,14 +1,13 @@
-"""Extraction of dependency facts from the statements read from a file.
+"""Extraction of dependency facts from the directives read from a file.
 
-A file is normally read for its directives and `library_directory` clauses
-only (`terms.read_directives`): every fact below but the clause heads comes
-from them.  One pass over those terms collects what the resolver, indexer
-and exporter consume: `FileFacts.deps` lists `requires`, `may_load` and
-loading calls, direct or guarded by `if_pl` (to any depth, nested guards
-conjoined), in source order; `FileFacts.provides` is what the file declares
-it defines, the one place that ranks a `module/2` over `defines`; besides
-them come library_directory spans, whole `if_pl` directives for export, and
-the heads of the clauses given.
+A file is read for its directives and `library_directory` clauses only
+(`terms.read_directives`).  One pass over them collects what the resolver,
+indexer and exporter consume: `FileFacts.deps` lists `requires`, `may_load`
+and loading calls, direct or guarded by `if_pl` (to any depth, nested
+guards conjoined), in source order; `FileFacts.provides` is what the file
+declares it defines, the one place that ranks a `module/2` over `defines`;
+besides them come library_directory spans and whole `if_pl` directives for
+export.  `clause_head` names the predicate a clause defines.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ class FileFacts:
     # (functor, condition, module); None when the file declares nothing
     provides: tuple[tuple[FunctorRef, IfPls, str], ...] | None = None
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
-    clause_heads: tuple[FunctorRef, ...] = ()  # of the clauses read; all only for --clause-fallback
     if_pls: tuple[IfPlDirective, ...] = ()
 
 
@@ -110,6 +108,8 @@ LOADING_PREDICATES: dict[str, tuple[int, ...]] = {
     "use_module": (1, 2),
     "load_files": (1, 2),
 }
+
+LIBRARY_DIRECTORY = FunctorRef("library_directory", 1)
 
 
 def decode_file_ref(term: Term) -> FileRef | None:
@@ -187,6 +187,16 @@ def _decode_functor_arg(term: Term, directive: str, line: int, path: str | None)
     return tuple(functors)
 
 
+def clause_head(term: Term) -> FunctorRef | None:
+    """The predicate a clause defines: its head's name and arity (an atom's is
+    0), a rule's (`:-`/2) head being its first argument; None for any other head."""
+    if isinstance(term, Compound) and term.name == ":-" and term.arity == 2:
+        term = term.args[0]
+    if isinstance(term, Atom):
+        return FunctorRef(term.name, 0)
+    return FunctorRef(term.name, term.arity) if isinstance(term, Compound) else None
+
+
 def deconstruct_if_pl(directive: Compound, cond: IfPls) -> list[tuple[IfPls, FileRef]]:
     """Expand an `if_pl/2,3` body, whose condition decodes to `cond`, into a
     (guard, file) pair for each file its loading calls name.
@@ -215,8 +225,8 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     """Collect the dependency-relevant facts of the statements read from one file.
 
     Directives are `:- Body` terms; unknown directives pass through without
-    complaint.  Non-directive clauses contribute their head functor, in
-    definition order and deduplicated.
+    complaint.  Of the other terms, a `library_directory/1` clause is kept as
+    a library_directory span.
 
     What the file provides comes from its first `module/2` with an atom name
     (its exports, condition `any`), wherever that stands; a file without one
@@ -229,8 +239,6 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     defines: list[tuple[FunctorRef, IfPls]] | None = None  # set by a defines
     defines_module: str | None = None
     library_dirs: list[Span] = []
-    heads: list[FunctorRef] = []
-    seen_heads: set[FunctorRef] = set()
     if_pls: list[IfPlDirective] = []
 
     for st in terms:
@@ -271,21 +279,8 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     deps.extend(Load(ALWAYS, ref) for ref in recognize_loading_call(body) or ())
             except EngineConditionError as exc:  # from any condition, nested ones too
                 raise MalformedDirectiveError(str(exc), span.line, path) from exc
-            continue
-
-        head = term
-        if isinstance(term, Compound) and term.name == ":-" and term.arity == 2:
-            head = term.args[0]
-        if isinstance(head, Compound) and head.name == "library_directory" and head.arity == 1:
+        elif clause_head(term) == LIBRARY_DIRECTORY:
             library_dirs.append(span)
-        functor = None
-        if isinstance(head, Atom):
-            functor = FunctorRef(head.name, 0)
-        elif isinstance(head, Compound):
-            functor = FunctorRef(head.name, head.arity)
-        if functor is not None and functor not in seen_heads:
-            seen_heads.add(functor)
-            heads.append(functor)
 
     if provides is None and defines is not None:
         module = defines_module or "user"
@@ -294,6 +289,5 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
         deps=tuple(deps),
         provides=None if provides is None else tuple(provides),
         library_dirs=tuple(library_dirs),
-        clause_heads=tuple(heads),
         if_pls=tuple(if_pls),
     )

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .directives import FileFacts, FunctorRef, extract
+from .directives import LIBRARY_DIRECTORY, FileFacts, FunctorRef, clause_head, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
@@ -36,7 +36,7 @@ from .terms import (
     parse_statements,
     read_directives,
     read_term,
-    read_terms,
+    split_statements,
     statement_pattern,
     unquote_atom,
 )
@@ -101,12 +101,10 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
     )
 
 
-def read_source(path: Path, clause_heads: bool = False) -> tuple[str, FileFacts]:
-    """A source file's text and the facts extracted from its directives; with
-    `clause_heads`, every clause is parsed too, for `FileFacts.clause_heads`."""
+def read_source(path: Path) -> tuple[str, FileFacts]:
+    """A source file's text and its facts, from `terms.read_directives`."""
     text = read_text(path)
-    read = read_terms if clause_heads else read_directives
-    return text, extract(read(text, str(path)), str(path))
+    return text, extract(read_directives(text, str(path)), str(path))
 
 
 def mkindex(
@@ -121,19 +119,27 @@ def mkindex(
     Per file, entries come from what the file provides (`FileFacts.provides`:
     a `module/2`'s exports, else its `defines`), or, when it declares
     neither and `clause_fallback` is on, from its clause heads (condition
-    `any`, module `user`).  Output order is a stable sort on (name, arity)
-    over discovery order, so an unchanged tree always produces identical
-    bytes.
+    `any`, module `user`).  Only then are a file's clauses parsed, after its
+    directives, so an error in a directive is reported before one in a
+    clause.  Output order is a stable sort on (name, arity) over discovery
+    order, so an unchanged tree always produces identical bytes.
     """
     root = Path(root)
     discovered: list[IndexEntry] = []
     sources: SourceStore = {}
     for source in find_sources(root, extensions, follow_subdirs):
-        _, facts = sources[source] = read_source(source, clause_fallback)
+        text, facts = sources[source] = read_source(source)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
-        provides = facts.provides
-        if provides is None:
-            provides = [(f, ALWAYS, "user") for f in facts.clause_heads] if clause_fallback else ()
+        provides = facts.provides or ()
+        if facts.provides is None and clause_fallback:
+            # each statement not starting with `:-` is a clause, parsed here unless
+            # `extract` has already found it to be a library_directory/1 one
+            clauses = [s for s in split_statements(text, str(source)) if s[2] != ":-"]
+            known = {span.start: LIBRARY_DIRECTORY for span in facts.library_dirs}
+            unparsed = [s for s in clauses if s[0] not in known]
+            terms = iter(parse_statements(text, unparsed, str(source)))
+            heads = dict.fromkeys(known.get(s[0]) or clause_head(next(terms).term) for s in clauses)
+            provides = [(f, ALWAYS, "user") for f in heads if f is not None]
         try:
             discovered.extend(IndexEntry(f, cond, module, rel_file) for f, cond, module in provides)
         except ValueError as exc:  # a file name an index fact cannot hold

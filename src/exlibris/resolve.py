@@ -87,13 +87,17 @@ class LibrarySet:
     sources: SourceStore = field(default_factory=dict, init=False, repr=False, compare=False)
     # path -> whether it is a file, probed once per command
     probes: dict[Path, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # root -> name in reports: the kind, then `home2`, `home3`... for a kind's later ones
+    names: dict[Path, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = sorted(lib.root for lib in self.ordered())  # a root sorts just before its subdirs
         if any(inner.is_relative_to(outer) for outer, inner in zip(roots, roots[1:])):
             raise ExlibrisError("library roots must be disjoint")
-        for lib in self.ordered():
-            self.sources.update(lib.index.sources)
+        for group in ((self.loclib,) if self.loclib else (), self.syslibs, self.homelibs):
+            for n, lib in enumerate(group, 1):
+                self.sources.update(lib.index.sources)
+                self.names[lib.root] = f"{lib.kind}{n}" if n > 1 else lib.kind
 
     def source(self, path: Path) -> tuple[str, FileFacts]:
         """A file's text and facts, read and parsed on the first request."""
@@ -381,14 +385,9 @@ def closure(
     reached: dict[Path, _File] = {}
     unresolved: set[UnresolvedRef] = set()
     edges: set[DepEdge] = set()
-    # a library file's name in edges and warnings: `kind:rel`, or `home2:rel`... for
-    # the second and later library of a kind, so that distinct files stay distinct
-    names = {lib.root: lib.kind for lib in libs.ordered()}
-    for group in (libs.syslibs, libs.homelibs):
-        names.update((lib.root, f"{lib.kind}{n}") for n, lib in enumerate(group[1:], 2))
 
-    def show(file: _File) -> str:
-        return f"{names[file.lib.root]}:{file.rel}" if file.lib is not None else str(file.path)
+    def show(file: _File) -> str:  # `kind:rel` for a library file, by `LibrarySet.names`
+        return f"{libs.names[file.lib.root]}:{file.rel}" if file.lib is not None else str(file.path)
 
     engines = None if targets is None else tuple(targets)
     for step in _walk(entries, libs, engines, enter_built_ins=True):
@@ -431,9 +430,9 @@ def trace(entry: Path | str, engine: PlId, libs: LibrarySet) -> str:
         elif reached is None:
             lines.append(f"{head} {step.verdict}")
         elif step.verdict == BUILT_IN:
-            lines.append(f"{head} built-in ({reached.kind} {reached.rel})")
+            lines.append(f"{head} built-in ({libs.names[reached.lib.root]} {reached.rel})")
         else:
-            where = f"{reached.kind} {reached.rel}" if reached.lib else (
+            where = f"{libs.names[reached.lib.root]} {reached.rel}" if reached.lib else (
                 f"file {os.path.relpath(reached.path, base)}"
             )
             lines.append(f"{head} load {where}" + (" (already loaded)" if step.seen else ""))

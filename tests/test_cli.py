@@ -543,6 +543,22 @@ class TestTrace:
             "  ghost: missing\n"
         )
 
+    def test_second_library_of_a_kind_is_named_as_graph_names_it(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write_files(tmp_path, {
+            "H1/a.pl": ":- defines([p/0]).\n",
+            "H2/a.pl": ":- defines([q/0]).\n",
+            "H2/b.pl": ":- defines_module(built_in).\n:- defines([b/0]).\n",
+            "proj/m.pl": ":- requires([p/0, q/0, b/0]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            "trace", "proj/m.pl", "--pl", "swi:1.0.0", "--homelib", "H1", "--homelib", "H2"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "p/0: load home a\nq/0: load home2 a\nb/0: built-in (home2 b)\n"
+
     def test_missing_entry_is_exit_2(self, worked_example, run_cli):
         code, _, err = run_cli("trace", "nope.pl", "--pl", "swi:5.0.7")
         assert code == EXIT_ERROR

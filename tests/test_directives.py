@@ -17,11 +17,13 @@ from exlibris.directives import (
     MalformedDirectiveError,
     MayLoad,
     Requirement,
+    clause_head,
     deconstruct_if_pl,
     extract,
     recognize_loading_call,
 )
 from exlibris.engines import ALWAYS, Negation, matches, parse_if_pls
+from exlibris.index import mkindex
 from exlibris.terms import read_term, read_terms
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
@@ -53,13 +55,29 @@ class TestExtract:
         facts = facts_of(":- may_load(f).")
         assert [m.ref for m in deps_of(facts, MayLoad)] == [FileRef("relative", "f")]
 
-    def test_clause_heads_deduplicated_in_order(self):
-        facts = facts_of("p(1).\np(2).\nq.\np(3).\n")
-        assert facts.clause_heads == (FunctorRef("p", 1), FunctorRef("q", 0))
+    def test_clause_heads_deduplicated_in_order(self, tmp_path):
+        """`clause_head` names each clause's predicate; `--clause-fallback`
+        indexes each of them once."""
+        text = "p(1).\np(2).\nq.\np(3).\n"
+        heads = [clause_head(st.term) for st in read_terms(text)]
+        p1, q0 = FunctorRef("p", 1), FunctorRef("q", 0)
+        assert heads == [p1, p1, q0, p1]
+        (tmp_path / "f.pl").write_text(text, encoding="utf-8")
+        assert [e.functor for e in mkindex(tmp_path, clause_fallback=True).entries] == [p1, q0]
 
     def test_rule_head_counts(self):
-        facts = facts_of("p(X) :- q(X).")
-        assert facts.clause_heads == (FunctorRef("p", 1),)
+        """A rule's head is its first argument; an atom has arity 0; a head
+        that is neither an atom nor a compound names no predicate."""
+        cases = {
+            "p(X) :- q(X)": FunctorRef("p", 1),
+            "q :- true": FunctorRef("q", 0),
+            "'a b'(1, 2)": FunctorRef("a b", 2),
+            ":-(r(1), true)": FunctorRef("r", 1),
+            "(s(1), t) :- true": FunctorRef(",", 2),
+            "X :- q(X)": None,
+            "1": None,
+        }
+        assert {clause: clause_head(read_term(clause)) for clause in cases} == cases
 
     def test_defines_both_arities(self):
         facts = facts_of(

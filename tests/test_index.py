@@ -94,6 +94,13 @@ class TestMkindex:
             (":- module(m, []).\n:- defines([b/2]).\na(1).\n", False, []),
             (":- module(m, []).\n:- defines([b/2]).\na(1).\n", True, []),
             (":- defines([]).\na(1).\n", True, []),
+            (":- library_directory(x).\na(1).\n", True, ["a, 1, any, user"]),
+            (
+                "library_directory(x).\nlibrary_directory(Y) :- y(Y).\nlibrary_directory.\n",
+                True,
+                ["library_directory, 0, any, user", "library_directory, 1, any, user"],
+            ),
+            (":-(p, q).\na.\n", True, ["a, 0, any, user"]),
             (
                 ":- module(m, [digits//1, a/1]).\n:- meta_predicate foldl(3, ?, +, -).\n"
                 "digits([D|T]) --> digit(D), digits(T).\n",
@@ -110,6 +117,9 @@ class TestMkindex:
             "empty_module_blocks_defines",
             "empty_module_blocks_clause_fallback",
             "empty_defines_blocks_clause_fallback",
+            "library_directory_directive_has_no_head",
+            "library_directory_clauses",
+            "a_statement_starting_with_the_neck_is_a_directive",
             "grammar_rule_export_and_meta_predicate",
         ],
     )

@@ -50,10 +50,22 @@ class TestRealSyntax:
         assert run_cli("export", "--dest", "again", "--source", "out")[0] == EXIT_OK
         assert (real / "again" / "main.pl").read_bytes() == (real / "out" / "main.pl").read_bytes()
 
-    def test_clause_fallback_still_parses_every_clause(self, real, run_cli):
+    def test_clause_fallback_writes_the_expected_index(self, real, run_cli):
+        """Only `util/pairs.pl` declares nothing, so only its clauses are
+        parsed; every other file's clauses, in any syntax, are only split."""
+        code, _, err = run_cli("mkindex", "HomeLib", "--clause-fallback")
+        assert (code, err) == (EXIT_OK, "")
+        expected = (REAL / "expected" / "Index-clause-fallback.pl").read_text(encoding="utf-8")
+        assert (real / "HomeLib" / "Index.pl").read_text(encoding="utf-8") == expected
+
+    def test_clause_fallback_stops_at_a_clause_it_cannot_parse(self, real, run_cli):
+        """Still open: in a file that declares nothing, a clause body in
+        everyday syntax stops the run at that clause."""
+        pairs = real / "HomeLib" / "util" / "pairs.pl"
+        pairs.write_text(pairs.read_text(encoding="utf-8") + 'hello("world").\n', encoding="utf-8")
         code, _, err = run_cli("mkindex", "HomeLib", "--clause-fallback")
         assert code == EXIT_ERROR
-        assert err.startswith("exlibris: HomeLib/")
+        assert err == "exlibris: HomeLib/util/pairs.pl:21:7: unexpected character '\"'\n"
 
     def test_an_unneeded_file_in_real_syntax_stops_nothing(self, tmp_path, monkeypatch, run_cli):
         for rel, text in {
@@ -73,31 +85,52 @@ class TestParsesOnlyDirectives:
     DIRECTIVES = [":- defines([p0/1]).", ":- requires([q/1]).", ":- dynamic seen/1."]
     CLAUSES = [f"p{n}(X) :- q(X), r(X, {n})." for n in range(5)]
 
-    @pytest.mark.parametrize("clause_fallback", [False, True])
-    def test_one_read_per_file_and_one_parse_per_statement_kept(
-        self, tmp_path, monkeypatch, clause_fallback
-    ):
-        statements = self.DIRECTIVES[:1] + self.CLAUSES + self.DIRECTIVES[1:]
+    def parses(self, tmp_path, monkeypatch, statements, clause_fallback):
+        """The statements `mkindex` parses in a file of `statements`, in the
+        order parsed, once it has checked that it read the file once."""
         text = "".join(f"{statement}\n" for statement in statements)
         (tmp_path / "f.pl").write_text(text, encoding="utf-8")
         starts = {text.index(statement): statement for statement in statements}
         reads, parsed = [], []
 
-        def counting(reader):
-            def read(text, path=None):
-                reads.append(path)
-                return reader(text, path)
-
-            return read
+        def read_directives(text, path=None):
+            reads.append(path)
+            return reader(text, path)
 
         def parse_clause(tokens, i, text, path):
             parsed.append(starts[tokens[i].start])
             return clause_parser(tokens, i, text, path)
 
-        clause_parser = exlibris.terms._parse_clause
+        reader, clause_parser = exlibris.index.read_directives, exlibris.terms._parse_clause
         monkeypatch.setattr(exlibris.terms, "_parse_clause", parse_clause)
-        for name in ("read_directives", "read_terms"):
-            monkeypatch.setattr(exlibris.index, name, counting(getattr(exlibris.index, name)))
+        monkeypatch.setattr(exlibris.index, "read_directives", read_directives)
         mkindex(tmp_path, clause_fallback=clause_fallback)
         assert reads == [str(tmp_path / "f.pl")]
-        assert parsed == (statements if clause_fallback else self.DIRECTIVES)
+        return parsed
+
+    @pytest.mark.parametrize("clause_fallback", [False, True])
+    def test_one_read_per_file_and_one_parse_per_statement_kept(
+        self, tmp_path, monkeypatch, clause_fallback
+    ):
+        """A file that declares something has only its directives parsed."""
+        statements = self.DIRECTIVES[:1] + self.CLAUSES + self.DIRECTIVES[1:]
+        assert self.parses(tmp_path, monkeypatch, statements, clause_fallback) == self.DIRECTIVES
+
+    def test_a_file_that_declares_nothing_has_each_statement_parsed_once(
+        self, tmp_path, monkeypatch
+    ):
+        """With `--clause-fallback`, its directives and `library_directory`
+        clauses first, then its other clauses; none twice."""
+        directives = [*self.DIRECTIVES[1:], ":- library_directory(here)."]
+        clauses = ["library_directory(there).", *self.CLAUSES]
+        statements = [*directives[:1], *clauses[1:], clauses[0], *directives[1:]]
+        parsed = self.parses(tmp_path, monkeypatch, statements, clause_fallback=True)
+        assert parsed == [directives[0], clauses[0], *directives[1:], *clauses[1:]]
+        functors = [str(e.functor) for e in mkindex(tmp_path, clause_fallback=True).entries]
+        assert functors == ["library_directory/1", *(f"p{n}/1" for n in range(5))]
+
+    def test_a_directive_error_comes_before_a_clause_error(self, tmp_path, run_cli):
+        (tmp_path / "f.pl").write_text('p("x").\n:- requires([q]).\n', encoding="utf-8")
+        code, _, err = run_cli("mkindex", str(tmp_path), "--clause-fallback")
+        assert code == EXIT_ERROR
+        assert err == f"exlibris: {tmp_path / 'f.pl'}:2: requires expects name/arity terms, got q\n"
