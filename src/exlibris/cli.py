@@ -211,7 +211,7 @@ def _cmd_trace(args) -> int:
         return _usage_error("trace needs exactly one --pl")
     entry = Path(args.entry)
     if not entry.is_file():
-        raise ExlibrisError(f"entry file does not exist: {entry}")
+        raise ExlibrisError(f"entry is not a file: {entry}")
     libs, _ = _libraries(args, [entry])
     sys.stdout.write(trace(entry, args.pl[0], libs))
     return EXIT_OK

@@ -25,8 +25,7 @@ from typing import Sequence, Union
 from .errors import ExlibrisError
 from .terms import (
     EMPTY_LIST,
-    INFIX_OPERATORS,
-    PREFIX_OPERATORS,
+    OPERATOR_ATOMS,
     Atom,
     Compound,
     Integer,
@@ -115,7 +114,8 @@ IfPls = Union[Always, EnginePattern, Negation, Constrained, Disjunction]
 
 ALWAYS = Always()
 
-# `engine-version OP given-version`, applied to `compare_versions`' result and 0
+# `engine-version OP given-version`, on version tuples: component-wise,
+# with a strict prefix sorting before its extensions
 _COMPARISONS = {
     "=": operator.eq, "\\=": operator.ne, "<": operator.lt,
     "=<": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -123,43 +123,23 @@ _COMPARISONS = {
 _NOT = object()  # stack marker: negate the value on top
 
 
-def compare_versions(a: Sequence[int], b: Sequence[int]) -> int:
-    """Component-wise comparison; a strict prefix sorts before its extension.
-
-    Returns -1, 0, or 1.
-    """
-    at, bt = tuple(a), tuple(b)
-    if not at or not bt:
-        raise ValueError("versions must have at least one component")
-    if at < bt:
-        return -1
-    if at > bt:
-        return 1
-    return 0
-
-
 def _decode_chain(term: Term, what: str, wildcards: bool) -> tuple:
     """Decode a right-nested `:`-chain of integers (and `_` if allowed)."""
     components: list[int | None] = []
-    while True:
+    while term is not None:
         if isinstance(term, Compound) and term.name == ":" and term.arity == 2:
-            components.append(_decode_component(term.args[0], what, wildcards))
-            term = term.args[1]
+            part, term = term.args
         else:
-            components.append(_decode_component(term, what, wildcards))
-            return tuple(components)
-
-
-def _decode_component(term: Term, what: str, wildcards: bool):
-    if isinstance(term, Integer) and term.value >= 0:
-        return term.value
-    if isinstance(term, Variable):
-        if wildcards and term.is_anonymous:
-            return None
-        raise EngineConditionError(
-            f"named variables have no meaning in {what}: {render_term(term)}"
-        )
-    raise EngineConditionError(f"bad version component in {what}: {render_term(term)}")
+            part, term = term, None
+        if isinstance(part, Integer) and part.value >= 0:
+            components.append(part.value)
+        elif isinstance(part, Variable) and wildcards and part.name == "_":
+            components.append(None)
+        else:
+            named = isinstance(part, Variable)
+            problem = "named variables have no meaning" if named else "bad version component"
+            raise EngineConditionError(f"{problem} in {what}: {render_term(part)}")
+    return tuple(components)
 
 
 def parse_if_pls(term: Term) -> IfPls:
@@ -246,7 +226,7 @@ def render_cond(cond: IfPls, max_prec: int = 1200) -> str:
             stack += ("]", *parts[1:], "[")
         elif isinstance(item, Constrained):
             name = atom_text(item.name)
-            if item.name in PREFIX_OPERATORS or item.name in INFIX_OPERATORS:
+            if item.name in OPERATOR_ATOMS:
                 name = f"({name})"  # an operator atom is bracketed as an operand
             pairs = ",".join(f"({_chain_text(v)},({op}))" for v, op in item.conds)
             bare = item is cond and max_prec >= 1000
@@ -297,7 +277,7 @@ def matches(cond: IfPls, engine: PlId | None) -> bool | None:
             ))
         elif isinstance(item, Constrained):
             values.append(item.name == engine.name and all(
-                _COMPARISONS[op](compare_versions(engine.version, version), 0)
+                _COMPARISONS[op](engine.version, version)
                 for version, op in item.conds
             ))
         else:

@@ -125,6 +125,8 @@ def mkindex(
     order, so an unchanged tree always produces identical bytes.
     """
     root = Path(root)
+    if not root.is_dir():
+        raise ExlibrisError(f"not a library directory: {root}")
     discovered: list[IndexEntry] = []
     sources: SourceStore = {}
     for source in find_sources(root, extensions, follow_subdirs):

@@ -76,10 +76,6 @@ class Variable:
 
     name: str
 
-    @property
-    def is_anonymous(self) -> bool:
-        return self.name == "_"
-
 
 @dataclass(frozen=True)
 class Compound:
@@ -582,7 +578,8 @@ def _emit(buf: list[str], piece: str):
     buf.append(piece)
 
 
-_OPERATOR_ATOMS = frozenset(PREFIX_OPERATORS) | frozenset(INFIX_OPERATORS)
+# atoms written bracketed as operands, here and by `engines.render_cond`
+OPERATOR_ATOMS = frozenset(PREFIX_OPERATORS) | frozenset(INFIX_OPERATORS)
 
 
 def _render(term: Term, max_prec: int) -> str:
@@ -620,7 +617,7 @@ def _render(term: Term, max_prec: int) -> str:
             right_max = prec if kind == "xfy" else prec - 1
             left, right = (
                 f"({atom_text(arg.name)})"
-                if isinstance(arg, Atom) and arg.name in _OPERATOR_ATOMS
+                if isinstance(arg, Atom) and arg.name in OPERATOR_ATOMS
                 else (arg, arg_max)
                 for arg, arg_max in zip(term.args, (left_max, right_max))
             )

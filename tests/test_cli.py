@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from conftest import CHAIN_LENGTH
@@ -373,6 +375,14 @@ class TestMkindex:
         text = (worked_example / "SysLib" / "Index.pl").read_text(encoding="utf-8")
         assert "index( member, 2, any, lists, lists )." in text
 
+    @pytest.mark.parametrize("directory", ["nonexistent", "proj/file1.pl"])
+    def test_missing_directory_or_file_is_exit_2_naming_it(
+        self, worked_example, run_cli, directory
+    ):
+        code, out, err = run_cli("mkindex", directory)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"exlibris: not a library directory: {directory}\n"
+
     def test_unexpected_exception_is_one_line_and_exit_2(
         self, tmp_path, run_cli, monkeypatch
     ):
@@ -563,6 +573,10 @@ class TestTrace:
         code, _, err = run_cli("trace", "nope.pl", "--pl", "swi:5.0.7")
         assert code == EXIT_ERROR
 
+    def test_directory_entry_is_exit_2_saying_it_is_not_a_file(self, worked_example, run_cli):
+        code, _, err = run_cli("trace", "proj", "--pl", "swi:5.0.7")
+        assert (code, err) == (EXIT_ERROR, "exlibris: entry is not a file: proj\n")
+
     def test_reads_the_config_file_once(self, worked_example, run_cli, monkeypatch):
         (worked_example / "exlibris.cfg").write_text(
             "syslib=SysLib\nhomelib=HomeLib\n", encoding="utf-8"
@@ -666,6 +680,32 @@ class TestGraph:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first == second
+
+
+# each library command without library flags, on the worked example
+LIBRARY_COMMANDS = {
+    "export": ("export", "--dest", "out", "--source", "proj/file1.pl"),
+    "graph": ("graph", "--source", "proj"),
+    "trace": ("trace", "proj/file1.pl", "--pl", "swi:5.0.7"),
+}
+
+
+class TestMissingLibrary:
+    """A library directory that does not exist fails the command and is named,
+    rather than acting as an empty library."""
+
+    @pytest.mark.parametrize("command", LIBRARY_COMMANDS)
+    @pytest.mark.parametrize("given", ["--syslib", "--homelib", "syslib=", "homelib="])
+    def test_is_exit_2_naming_it(self, worked_example, run_cli, command, given):
+        if given.startswith("--"):
+            extra = (given, "Nope")
+        else:
+            (worked_example / "exlibris.cfg").write_text(f"{given}Nope\n", encoding="utf-8")
+            extra = ("--config", "exlibris.cfg")
+        code, out, err = run_cli(*LIBRARY_COMMANDS[command], *extra)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"exlibris: not a library directory: {os.path.abspath('Nope')}\n"
+        assert not (worked_example / "out").exists()
 
 
 class TestConfigFile:

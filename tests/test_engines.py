@@ -26,7 +26,6 @@ from exlibris.engines import (
     Negation,
     PlId,
     can_match,
-    compare_versions,
     conjoin,
     matches,
     parse_if_pls,
@@ -43,50 +42,67 @@ def cond_from_seed(seed: int, depth: int = 3):
     return helpers.gen_cond(random.Random(seed), depth)[1]
 
 
+# the six comparisons of a pair condition, as a `lex_compare` result against 0
+LEX_OPS = {
+    "=": lambda c: c == 0, "\\=": lambda c: c != 0, "<": lambda c: c < 0,
+    "=<": lambda c: c <= 0, ">": lambda c: c > 0, ">=": lambda c: c >= 0,
+}
+
+
+def holds(a, op, b) -> bool:
+    """Whether an engine of version `a` satisfies `(e,[(b,op)])`."""
+    return matches(Constrained("e", ((b, op),)), PlId("e", a))
+
+
+def version_order(a, b) -> int:
+    """-1, 0 or 1, read off the pair conditions `<` and `=`."""
+    return -1 if holds(a, "<", b) else 0 if holds(a, "=", b) else 1
+
+
 class TestCompareVersions:
+    """Version order as pair conditions judge it."""
+
     def test_swi_versions(self):
-        assert compare_versions((5, 0, 5), (5, 0, 7)) == -1
+        assert version_order((5, 0, 5), (5, 0, 7)) == -1
 
     def test_reflexive(self):
-        assert compare_versions((3, 9, 0), (3, 9, 0)) == 0
+        assert version_order((3, 9, 0), (3, 9, 0)) == 0
 
     def test_prefix_sorts_first(self):
         # Cross-checked against the standard-order comparison of the two
         # decoded `:` chains before freezing.
         assert term_order(version_chain((4, 3)), version_chain((4, 3, 23))) == -1
-        assert compare_versions((4, 3), (4, 3, 23)) == -1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compare_versions((), (1,))
+        assert version_order((4, 3), (4, 3, 23)) == -1
+        cond = parse_if_pls(read_term("(sicstus,[(3:9,>)])"))
+        assert matches(cond, PlId("sicstus", (3, 9, 0))) is True
 
     @given(VERSIONS, VERSIONS)
     def test_matches_independent_lexicographic(self, a, b):
-        assert compare_versions(a, b) == lex_compare(a, b)
+        for op, expected in LEX_OPS.items():
+            assert holds(a, op, b) == expected(lex_compare(a, b)), op
 
     @given(VERSIONS, VERSIONS)
     def test_antisymmetric(self, a, b):
-        assert compare_versions(a, b) == -compare_versions(b, a)
+        assert version_order(a, b) == -version_order(b, a)
 
     @given(VERSIONS, VERSIONS, VERSIONS)
     def test_transitive(self, a, b, c):
         triple = sorted([a, b, c])
-        assert compare_versions(triple[0], triple[1]) <= 0
-        assert compare_versions(triple[1], triple[2]) <= 0
-        assert compare_versions(triple[0], triple[2]) <= 0
+        assert holds(triple[0], "=<", triple[1])
+        assert holds(triple[1], "=<", triple[2])
+        assert holds(triple[0], "=<", triple[2])
 
     @given(VERSIONS, VERSIONS)
     def test_total(self, a, b):
-        assert compare_versions(a, b) in (-1, 0, 1)
-        if a == b:
-            assert compare_versions(a, b) == 0
+        assert [holds(a, op, b) for op in ("<", "=", ">")].count(True) == 1
+        assert holds(a, "=", b) == (a == b)
 
     @given(VERSIONS, VERSIONS)
     def test_agrees_with_term_order_on_same_length_and_prefix_pairs(self, a, b):
         same_length = len(a) == len(b)
         prefix = a == b[: len(a)] or b == a[: len(b)]
         if same_length or prefix:
-            assert compare_versions(a, b) == term_order(version_chain(a), version_chain(b))
+            assert version_order(a, b) == term_order(version_chain(a), version_chain(b))
 
 
 class TestParseIfPls:

@@ -600,3 +600,34 @@ class TestExportsAreSelfContained:
             for key, targets in before.resolution.items():
                 if targets[0] != UNRESOLVED:
                     assert after.resolution.get(key, (UNRESOLVED,))[0] != UNRESOLVED, key
+
+
+class TestExportKeepsResolutions:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the exported tree searches its local library first, so the "
+        "regenerated lib/Index.pl hides the system answer for m/0",
+    )
+    def test_system_answer_survives_a_home_file_that_also_provides_it(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        files = {
+            "S/Index.pl": "index( m, 0, any, user, s ).\n",
+            "S/s.pl": ":- module(s, [m/0]).\nm.\n",
+            "H/Index.pl": "index( m, 0, any, user, h ).\nindex( q, 0, any, user, h ).\n",
+            "H/h.pl": ":- module(h, [m/0, q/0]).\nm.\nq.\n",
+            "proj/e.pl": ":- requires([m/0, q/0]).\n",
+        }
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        _, source_trace, _ = run_cli(
+            "trace", "proj/e.pl", "--pl", "swi:1.0.0", "--syslib", "S", "--homelib", "H"
+        )
+        assert source_trace.startswith("m/0: load system s\n")
+        code, _, _ = run_cli("export", "--dest", "out", "--source", "proj",
+                             "--syslib", "S", "--homelib", "H")
+        assert code == 0
+        _, exported_trace, _ = run_cli("trace", "out/e.pl", "--pl", "swi:1.0.0", "--syslib", "S")
+        assert exported_trace.startswith("m/0: load system s\n")
