@@ -50,11 +50,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _pl_flag(text: str) -> PlId:
     name, sep, version = text.partition(":")
-    if not sep or not version:
+    parts = version.split(".")
+    if not sep or not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(f"expected name:v.v.v, got {text!r}")
     try:
-        components = tuple(int(part) for part in version.split("."))
-        return PlId(name, components)
+        return PlId(name, tuple(int(part) for part in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -119,7 +119,7 @@ def _load_config(path: str | None) -> dict[str, list[str]]:
     if not path:
         return {}
     values: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).removeprefix("\ufeff").splitlines(), 1):
         if "\0" in raw:
             raise ExlibrisError(f"{path}:{lineno}: NUL byte in config line")
         line = raw.strip()

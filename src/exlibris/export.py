@@ -24,12 +24,11 @@ from .fsio import write_text
 from .index import (
     DEFAULT_EXTENSIONS,
     INDEX_FILENAME,
-    IndexEntry,
     find_sources,
     render_index,
 )
 from .resolve import LibrarySet, UnresolvedRef, canon, closure
-from .terms import Compound, Span, render_clause, splice
+from .terms import Compound, Span, render_clause, splice, text_start
 
 COPY_SELECTIVE = "selective"
 COPY_RECURSIVE = "recursive"
@@ -81,23 +80,12 @@ def check_loclib(loclib: str) -> str:
 
 
 @dataclass(frozen=True)
-class CopyItem:
-    src: Path
-    dest_rel: str
-
-
-@dataclass(frozen=True)
-class RewriteItem:
-    """An entry file's edited text, spliced from the text the walk parsed."""
+class PlannedFile:
+    """One destination file: a copy of a source `Path`, or `str` text to write."""
 
     dest_rel: str
-    text: str
-
-
-@dataclass(frozen=True)
-class IndexWrite:
-    dest_rel: str
-    entries: tuple[IndexEntry, ...]
+    content: Path | str
+    line: str  # the report line of its step
 
 
 @dataclass
@@ -110,9 +98,7 @@ class ExportReport:
 @dataclass
 class ExportPlan:
     dest: Path
-    copies: tuple[CopyItem, ...]
-    rewrites: tuple[RewriteItem, ...]
-    index: IndexWrite | None
+    files: tuple[PlannedFile, ...]  # copies, rewrites, then the index, each by destination
     report: ExportReport
 
 
@@ -218,8 +204,9 @@ def transform_entry(
     ones are replaced by their else call, preserving behaviour for the
     engines that remain.
     """
+    top = text_start(text)
     edits: list[tuple[Span, str]] = [
-        (Span(0, 0, 1, 1), f":- library_directory( {_quoted_atom(rel_to_loclib)} ).\n")
+        (Span(top, top, 1, 1), f":- library_directory( {_quoted_atom(rel_to_loclib)} ).\n")
     ]
     for span in facts.library_dirs:
         edits.append((_deletion_span(text, span), ""))
@@ -236,7 +223,7 @@ def transform_entry(
 
 
 def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
-    """Compute the copies, rewrites, and index write of one export run.
+    """Compute the files one export run writes.
 
     Purely a plan: nothing is touched on disk.  Refuses an existing
     destination up front.
@@ -300,46 +287,38 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         if any(copied.get(f"{opts.loclib}/{n}") == root + n
                for ext in libs.extensions for n in [posixpath.normpath(e.file + ext)])
     )
-    index = None
+    index_rel = f"{opts.loclib}/{INDEX_FILENAME}"
     if index_entries:
-        index = IndexWrite(f"{opts.loclib}/{INDEX_FILENAME}", index_entries)
-        copy_map.pop(index.dest_rel, None)  # a mirrored Index.pl is replaced, not copied
-
-    copies = tuple(CopyItem(src, dest_rel) for dest_rel, src in sorted(copy_map.items()))
-    rewrite_items = tuple(RewriteItem(*item) for item in sorted(rewrites.items()))
-    return ExportPlan(dest, copies, rewrite_items, index, report)
+        copy_map.pop(index_rel, None)  # a mirrored Index.pl is replaced, not copied
+    files = (
+        *(PlannedFile(rel, src, f"copy {src} -> {rel}") for rel, src in sorted(copy_map.items())),
+        *(PlannedFile(rel, text, f"rewrite {rel}") for rel, text in sorted(rewrites.items())),
+    )
+    if index_entries:
+        line = f"write {index_rel} ({len(index_entries)} entries)"
+        files += (PlannedFile(index_rel, render_index(index_entries), line),)
+    return ExportPlan(dest, files, report)
 
 
 def apply_plan(plan: ExportPlan) -> ExportReport:
-    """Create the destination and perform the planned steps, in order.
+    """Create the destination and write the planned files, in order.
 
-    Copies first, then rewrites, then the index write; each destination
-    file has one of them.  A failure aborts the remaining steps; completed
-    ones stay on disk and are named in the raised error's report.
+    A failure aborts the remaining files; those written stay on disk and
+    are named in the raised error's report.
     """
     if plan.dest.exists():
         raise DestinationExistsError(f"destination must not exist: {plan.dest}")
-    report = ExportReport(
-        warnings=list(plan.report.warnings), unresolved=plan.report.unresolved
-    )
-
-    def target(dest_rel: str) -> Path:
-        path = plan.dest / dest_rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
-
     try:
         plan.dest.mkdir(parents=True)
-        report.lines.append(f"create {plan.dest}")
-        for item in plan.copies:
-            shutil.copyfile(item.src, target(item.dest_rel))
-            report.lines.append(f"copy {item.src} -> {item.dest_rel}")
-        for item in plan.rewrites:
-            write_text(target(item.dest_rel), item.text)
-            report.lines.append(f"rewrite {item.dest_rel}")
-        if plan.index is not None:
-            write_text(target(plan.index.dest_rel), render_index(plan.index.entries))
-            report.lines.append(f"write {plan.index.dest_rel} ({len(plan.index.entries)} entries)")
+        plan.report.lines.append(f"create {plan.dest}")
+        for item in plan.files:
+            path = plan.dest / item.dest_rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(item.content, Path):
+                shutil.copyfile(item.content, path)
+            else:
+                write_text(path, item.content)
+            plan.report.lines.append(item.line)
     except OSError as exc:
-        raise ExportApplyError(exc, report) from exc
-    return report
+        raise ExportApplyError(exc, plan.report) from exc
+    return plan.report

@@ -38,6 +38,7 @@ from .terms import (
     read_term,
     split_statements,
     statement_pattern,
+    text_start,
     unquote_atom,
 )
 
@@ -220,7 +221,7 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
 
     entries: list[IndexEntry | None] = []  # None where a parsed statement goes
     parsed = []
-    for m in _INDEX_STATEMENT.finditer(text):
+    for m in _INDEX_STATEMENT.finditer(text, text_start(text)):
         if m.lastgroup == "fact":
             functor, arity, cond_text, module, file = m.group(2, 3, 4, 5, 6)
             try:

@@ -262,10 +262,17 @@ _ESCAPE = re.compile(r"\\.|''")
 _ESCAPES = {"\\\\": "\\", "\\'": "'", "\\n": "\n", "\\t": "\t", "''": "'"}
 
 
+def text_start(text: str) -> int:
+    """Where reading starts: after a leading byte-order mark, which no token
+    takes and no column counts."""
+    return 1 if text.startswith("\ufeff") else 0
+
+
 def _error(message: str, text: str, offset: int, path: str | None) -> TermSyntaxError:
     """A syntax error located at the 1-based line and column of `offset`."""
+    line_start = text.rfind("\n", 0, offset) + 1 or text_start(text)
     line = text.count("\n", 0, offset) + 1
-    return TermSyntaxError(message, line, offset - text.rfind("\n", 0, offset), path)
+    return TermSyntaxError(message, line, offset - line_start + 1, path)
 
 
 def _int_value(tok: _Token, text: str, path: str | None) -> int:
@@ -497,7 +504,7 @@ def split_statements(text: str, path: str | None = None) -> list[tuple[int, int,
     """Each statement as `matched_statement` gives it, in file order, found
     in one lexical pass that parses nothing."""
     out = []
-    for m in _STATEMENT.finditer(text):
+    for m in _STATEMENT.finditer(text, text_start(text)):
         statement = matched_statement(m, text, path)
         if statement is None:
             return out
@@ -512,7 +519,7 @@ def parse_statements(
     gives them, in file order; raises TermSyntaxError at the first offending
     token of the first one that does not parse."""
     out: list[SourceTerm] = []
-    line, line_start = 1, 0  # of the previous statement's first token
+    line, line_start = 1, text_start(text)  # of the previous statement's first token
     for start, end, _ in statements:
         newline = text.rfind("\n", line_start, start)
         if newline >= 0:

@@ -275,11 +275,20 @@ class TestUsageErrors:
         code, _, err = run_cli(*EXPORT_ARGS, "--pl", "swi-5.0.7")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag", ["swi:1.x", "swi:-1"])
+    @pytest.mark.parametrize(
+        "flag", ["swi:1.x", "swi:-1", "swi:1_0.0", "swi:+5.0", "swi: 5.0", "swi:\u0665.0", "swi:5.x"]
+    )
     def test_bad_engine_version(self, worked_example, run_cli, flag):
+        """Each version component is one or more ASCII digits; `int` would
+        also take `1_0`, `+5`, ` 5` and other scripts' digits."""
         code, out, err = run_cli("trace", "proj/file1.pl", "--pl", flag)
         assert (code, out) == (EXIT_USAGE, "")
-        assert "argument --pl:" in err
+        assert err.endswith(f"argument --pl: expected name:v.v.v, got {flag!r}\n")
+
+    def test_engine_name_that_is_not_a_lowercase_atom(self, worked_example, run_cli):
+        code, out, err = run_cli("trace", "proj/file1.pl", "--pl", "Swi:1.0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("argument --pl: engine name must be a lowercase atom: 'Swi'\n")
 
     def test_no_subcommand(self, run_cli):
         code, _, err = run_cli()
@@ -850,3 +859,75 @@ class TestParserShape:
         code, out, _ = run_cli(command, "--help")
         assert code == EXIT_OK
         assert f"--pl NAME:V.V.V {pl_help}" in " ".join(out.split())
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file
+    without it."""
+
+    def test_module_file_is_indexed(self, tmp_path, run_cli, monkeypatch):
+        write_files(tmp_path, {"H/a.pl": f"{BOM}:- module(m, [foo/1]).\nfoo(1).\n"})
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("mkindex", "H") == (EXIT_OK, "wrote H/Index.pl (1 entries)\n", "")
+        assert (tmp_path / "H" / "Index.pl").read_text(encoding="utf-8").endswith(
+            "index( foo, 1, any, m, a ).\n"
+        )
+
+    def test_first_directive_of_an_entry_file_is_followed(self, tmp_path, run_cli, monkeypatch):
+        write_files(tmp_path, {
+            "H/a.pl": ":- defines([foo/1]).\n",
+            "proj/e.pl": f"{BOM}:- requires([foo/1]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli("graph", "--source", "proj/e.pl", "--homelib", "H")
+        assert code == EXIT_OK
+        assert '"e.pl" -> "home:a" [label="foo/1 any"];' in out
+
+    def test_error_in_the_first_directive_is_located_after_the_mark(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write_files(tmp_path, {"proj/e.pl": f"{BOM}:- foo(.\n"})
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("graph", "--source", "proj/e.pl")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"exlibris: {tmp_path / 'proj' / 'e.pl'}:1:8: expected a term\n"
+
+    def test_index_is_read(self, tmp_path, run_cli, monkeypatch):
+        write_files(tmp_path, {
+            "H/a.pl": ":- defines([foo/1]).\n",
+            "H/Index.pl": f"{BOM}index( foo, 1, any, user, a ).\n",
+            "proj/e.pl": ":- requires([foo/1]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("trace", "proj/e.pl", "--pl", "swi:1.0", "--homelib", "H")
+        assert (code, out, err) == (EXIT_OK, "foo/1: load home a\n", "")
+
+    def test_config_is_read(self, worked_example, run_cli):
+        (worked_example / "exlibris.cfg").write_text(f"{BOM}homelib=HomeLib\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "trace", "proj/file1.pl", "--pl", "sicstus:3.9.0", "--config", "exlibris.cfg"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "flatten/2: load home" in out
+
+    def test_export_keeps_the_mark_and_reexports_byte_identically(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write_files(tmp_path, {
+            "H/a.pl": f"{BOM}:- defines([foo/1]).\n",
+            "proj/e.pl": f"{BOM}:- library_directory(old).\n:- requires([foo/1]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("export", "--dest", "out", "--source", "proj", "--homelib", "H")[0] == 0
+        assert (tmp_path / "out" / "e.pl").read_bytes() == (
+            b"\xef\xbb\xbf:- library_directory( 'lib' ).\n:- requires([foo/1]).\n"
+        )
+        assert (tmp_path / "out" / "lib" / "a.pl").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_cli("export", "--dest", "again", "--source", "out")[0] == EXIT_OK
+        first, again = tmp_path / "out", tmp_path / "again"
+        assert {p.relative_to(first): p.read_bytes() for p in first.rglob("*.pl")} == {
+            p.relative_to(again): p.read_bytes() for p in again.rglob("*.pl")
+        }

@@ -275,6 +275,24 @@ class TestAllEngines:
         assert can_match(cond, ()) is False
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("version", [(), (1, -1)], ids=["empty", "negative"])
+    def test_engine_version_without_non_negative_components(self, version):
+        with pytest.raises(ValueError, match="one or more non-negative components"):
+            PlId("swi", version)
+
+    def test_empty_disjunction(self):
+        with pytest.raises(ValueError, match="disjunction lists must be non-empty"):
+            Disjunction(())
+
+    @pytest.mark.parametrize("judge", [
+        lambda item: render_cond(item, 999), lambda item: matches(item, helpers.SWI),
+    ], ids=["render_cond", "matches"])
+    def test_something_that_is_not_a_condition(self, judge):
+        with pytest.raises(TypeError, match=r"not a condition: PlId\(name='swi'"):
+            judge(helpers.SWI)
+
+
 class TestDeepNesting:
     """10,000 levels, far past the recursion limit.  The deep values are
     never compared, hashed or printed: dataclass `__eq__`, `__hash__` and

@@ -148,6 +148,16 @@ class TestTransformEntry:
         )
 
 
+class TestExportOptions:
+    def test_no_sources_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one source is required"):
+            ExportOptions(dest=tmp_path / "out", sources=())
+
+    def test_unknown_copy_mode_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="copy must be selective or recursive, got 'all'"):
+            ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="all")
+
+
 class TestPlanExport:
     def test_refuses_existing_destination(self, tmp_path):
         build_worked_example(tmp_path)
@@ -167,14 +177,14 @@ class TestPlanExport:
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
         plan = plan_export(opts, worked_libs(tmp_path, opts))
-        assert {c.dest_rel for c in plan.copies} == {
+        assert {f.dest_rel for f in plan.files if f.line.startswith("copy ")} == {
             "lib/meta/maplist.pl",
             "lib/list/flatten.pl",
             "lib/compat/swi/built_ins.pl",
         }
-        assert [r.dest_rel for r in plan.rewrites] == ["file1.pl"]
-        assert plan.index.dest_rel == "lib/Index.pl"
-        assert len(plan.index.entries) == 4
+        assert [f.dest_rel for f in plan.files if f.line.startswith("rewrite ")] == ["file1.pl"]
+        assert plan.files[-1].dest_rel == "lib/Index.pl"
+        assert plan.files[-1].line == "write lib/Index.pl (4 entries)"
 
     def test_plan_parses_each_file_once(self, tmp_path, monkeypatch):
         import exlibris.index
@@ -189,7 +199,7 @@ class TestPlanExport:
         build_worked_example(tmp_path)
         opts = worked_opts(tmp_path)
         plan = plan_export(opts, worked_libs(tmp_path, opts))
-        assert [r.dest_rel for r in plan.rewrites] == ["file1.pl"]
+        assert [f.dest_rel for f in plan.files if f.line.startswith("rewrite ")] == ["file1.pl"]
         assert str(tmp_path / "proj" / "file1.pl") in parsed
         assert len(parsed) == len(set(parsed))
 

@@ -161,8 +161,7 @@ def keeping_plans(plans: list):
 
 def destinations(plan) -> list[str]:
     """Every file a plan writes, once per step that writes it."""
-    index = [plan.index.dest_rel] if plan.index is not None else []
-    return [c.dest_rel for c in plan.copies] + [r.dest_rel for r in plan.rewrites] + index
+    return [f.dest_rel for f in plan.files]
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
