@@ -14,12 +14,16 @@ libraries and of a copy of HomeLib where every other file declares nothing:
 its `:- defines` and `:- module` lines are dropped, so the fallback parses
 that file's clauses, while it parses no clause of a file that declares
 something.  Where HomeLib keeps an `Index.pl`, `graph` (no targets, and all
-three) also runs on a copy of HomeLib whose `Index.pl` has a comment after
-every fact, which the index reader's fact pattern still takes, and in every
-third fact a doubled space or a line break, which it leaves to the parser.
-Every difference in exit code, standard output, standard error or written
-files (export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if
-there is any, 0 if there is none.
+three), `trace` of the first entry under each target and `export` (no
+targets, and all three) also run on a copy of HomeLib whose `Index.pl` has
+a comment after every fact, which the index reader's fact pattern still
+takes, and in every third fact a doubled space or a line break, which it
+leaves to the parser.  Its first `any` fact is written with `all`, a
+condition the reader parses, and it holds facts the reader skips with a
+warning, at its start, middle and end, so the warnings' text and order
+are compared too.  Every difference in exit code, standard output,
+standard error or written files (export's destination, mkindex's
+`Index.pl`) is printed.  Exits 1 if there is any, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -52,9 +56,18 @@ def respell(fact: str, i: int) -> str:
     return f"{fact} % respelled"
 
 
+# statements an `Index.pl` reader skips, each with a warning
+SKIPPED = (
+    "index( outside, 1, any, user, '../x' ).",
+    "index( no_cond, 1, sometimes, user, a ).",
+    "note( not_an_index_fact ).",
+)
+
+
 def respelled(world) -> dict[str, str]:
     """HomeLib's files under RESPELLED, with every fact of its `Index.pl`
-    respelled; none if HomeLib keeps no `Index.pl`."""
+    respelled, its first `any` written `all`, and the SKIPPED statements at
+    its start, middle and end; none if HomeLib keeps no `Index.pl`."""
     import world as worlds
 
     index = world.files.get(f"HomeLib/{worlds.INDEX_NAME}")
@@ -62,10 +75,11 @@ def respelled(world) -> dict[str, str]:
         return {}
     copy = {f"{RESPELLED}/{rel.removeprefix('HomeLib/')}": text
             for rel, text in world.files.items() if rel.startswith("HomeLib/")}
-    copy[f"{RESPELLED}/{worlds.INDEX_NAME}"] = "".join(
-        f"{respell(line, i)}\n" if line.startswith("index(") else f"{line}\n"
-        for i, line in enumerate(index.splitlines())
-    )
+    lines = [respell(line, i) if line.startswith("index(") else line
+             for i, line in enumerate(index.replace(", any,", ", all,", 1).splitlines())]
+    for at in (len(lines), len(lines) // 2, 1):
+        lines[at:at] = SKIPPED
+    copy[f"{RESPELLED}/{worlds.INDEX_NAME}"] = "".join(f"{line}\n" for line in lines)
     return copy
 
 
@@ -100,6 +114,16 @@ def commands(world) -> list[dict]:
         respelled_libs = [RESPELLED if arg == "HomeLib" else arg for arg in libs]
         found.extend(
             {"argv": ["graph", "--source", "proj", *respelled_libs, *pls], "writes": None}
+            for pls in ([], targets)
+        )
+        found.extend(
+            {"argv": ["trace", f"proj/{world.entries[0].rel}", "--pl", flag, *respelled_libs],
+             "writes": None}
+            for flag in worlds.TARGET_FLAGS
+        )
+        found.extend(
+            {"argv": ["export", "--dest", "out", "--source", "proj", *respelled_libs, *pls],
+             "writes": "out"}
             for pls in ([], targets)
         )
     found.extend(

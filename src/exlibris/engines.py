@@ -120,7 +120,11 @@ _COMPARISONS = {
     "=": operator.eq, "\\=": operator.ne, "<": operator.lt,
     "=<": operator.le, ">": operator.gt, ">=": operator.ge,
 }
-_NOT = object()  # stack marker: negate the value on top
+# stack markers, of types no caller passes as a condition or a term
+_NOT = object()  # negate the value on top
+_Count = type("_Count", (int,), {})  # combine this many values on top into one
+_Text = type("_Text", (str,), {})  # literal text to write
+_OPEN_NOT, _CLOSE, _OPEN_LIST, _CLOSE_LIST, _COMMA = map(_Text, ("not(", ")", "[", "]", ","))
 
 
 def _decode_chain(term: Term, what: str, wildcards: bool) -> tuple:
@@ -159,7 +163,7 @@ def parse_if_pls(term: Term) -> IfPls:
             values.append(EnginePattern(item.name, pattern))
         elif item is _NOT:
             values[-1] = Negation(values[-1])
-        elif isinstance(item, int):
+        elif isinstance(item, _Count):
             values[-item:] = [Disjunction(values[-item:])]
         elif isinstance(item, Compound) and item.arity == 2 and item.name == ".":
             items, tail = list_parts(item)
@@ -167,7 +171,7 @@ def parse_if_pls(term: Term) -> IfPls:
                 raise EngineConditionError(
                     f"condition list has a non-list tail: {render_term(item)}"
                 )
-            stack.append(len(items))
+            stack.append(_Count(len(items)))
             stack += reversed(items)
         elif isinstance(item, Compound) and item.arity == 2 and item.name == ",":
             values.append(_parse_constrained(item))
@@ -213,17 +217,17 @@ def render_cond(cond: IfPls, max_prec: int = 1200) -> str:
     stack: list = [cond]  # conditions to write and literal text, last first
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if isinstance(item, _Text):
             out.append(item)
         elif isinstance(item, Always):
             out.append("any")
         elif isinstance(item, EnginePattern):
             out.append(f"{atom_text(item.name)}({_chain_text(item.pattern)})")
         elif isinstance(item, Negation):
-            stack += (")", item.inner, "not(")
+            stack += (_CLOSE, item.inner, _OPEN_NOT)
         elif isinstance(item, Disjunction):
-            parts = [part for inner in reversed(item.items) for part in (",", inner)]
-            stack += ("]", *parts[1:], "[")
+            parts = [part for inner in reversed(item.items) for part in (_COMMA, inner)]
+            stack += (_CLOSE_LIST, *parts[1:], _OPEN_LIST)
         elif isinstance(item, Constrained):
             name = atom_text(item.name)
             if item.name in OPERATOR_ATOMS:
@@ -257,11 +261,11 @@ def matches(cond: IfPls, engine: PlId | None) -> bool | None:
         if isinstance(item, Negation):
             stack += (_NOT, item.inner)
         elif isinstance(item, Disjunction):
-            stack.append(len(item.items))
+            stack.append(_Count(len(item.items)))
             stack += item.items
         elif item is _NOT:
             values[-1] = None if values[-1] is None else not values[-1]
-        elif isinstance(item, int):
+        elif isinstance(item, _Count):
             items = values[-item:]
             del values[-item:]
             values.append(True if True in items else None if None in items else False)

@@ -279,13 +279,14 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         rewrites[dest_rel] = splice(text, transform_entry(text, facts, rel_to_loclib, opts.pls))
         copy_map.pop(dest_rel, None)  # written by its rewrite alone
 
-    # an entry is kept when `<loclib>/<n>` copies its `<root>/<n>`, n = normpath(field + ext)
+    # a field's entries are kept when `<loclib>/<n>` copies `<root>/<n>`, n = normpath(field + ext)
     copied = {dest_rel: str(src) for dest_rel, src in copy_map.items()}
     index_entries = tuple(
         e for lib in (libs.loclib, *libs.homelibs) if lib is not None
-        for root in [posixpath.join(str(lib.root), "")] for e in lib.index.entries
-        if any(copied.get(f"{opts.loclib}/{n}") == root + n
-               for ext in libs.extensions for n in [posixpath.normpath(e.file + ext)])
+        for root in [posixpath.join(str(lib.root), "")]
+        for e in lib.index.entries_of_files(lambda field: any(
+            copied.get(f"{opts.loclib}/{n}") == root + n
+            for ext in libs.extensions for n in [posixpath.normpath(field + ext)]))
     )
     index_rel = f"{opts.loclib}/{INDEX_FILENAME}"
     if index_entries:

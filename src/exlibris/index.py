@@ -14,10 +14,10 @@ match; any other statement is parsed, with the same entries and warnings.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .directives import LIBRARY_DIRECTORY, FileFacts, FunctorRef, clause_head, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
@@ -48,6 +48,7 @@ INDEX_FILENAME = "Index.pl"
 INDEX_HEADER = "% generated by exlibris mkindex"
 BUILT_IN_MODULE = "built_in"
 DEFAULT_EXTENSIONS = (".pl",)
+_BAD_FILE = "index file fields are relative, /-separated paths inside the library: {!r}"
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,7 @@ class IndexEntry:
 
     def __post_init__(self):
         if not is_library_name(self.file):
-            raise ValueError(
-                "index file fields are relative, /-separated paths inside the library: "
-                f"{self.file!r}"
-            )
+            raise ValueError(_BAD_FILE.format(self.file))
 
 
 def is_library_name(name: str) -> bool:
@@ -78,20 +76,50 @@ def is_library_name(name: str) -> bool:
 SourceStore = dict[Path, tuple[str, FileFacts]]
 
 
-@dataclass(frozen=True)
+Row = tuple[str, int, IfPls, str, str]  # a held fact: name, arity, condition, module, file
+
+
+def _entry(row: Row) -> IndexEntry:
+    return IndexEntry(FunctorRef(row[0], row[1]), *row[2:])
+
+
+def _row(entry: IndexEntry) -> Row:
+    return entry.functor.name, entry.functor.arity, entry.cond, entry.module, entry.file
+
+
 class LibraryIndex:
-    root: Path
-    entries: tuple[IndexEntry, ...]
-    # the files indexed on the fly, for the command that built the index
-    sources: SourceStore = field(default_factory=dict, repr=False, compare=False)
+    """A library's index facts in index order, held as rows; entries are built when asked."""
+
+    def __init__(self, root: Path, entries: Iterable[IndexEntry] = (),
+                 sources: SourceStore | None = None, *, rows: Sequence[Row] | None = None):
+        self.root = root
+        self._rows = tuple(map(_row, entries)) if rows is None else rows
+        self.sources = {} if sources is None else sources  # the files indexed on the fly
 
     @cached_property
-    def by_functor(self) -> dict[FunctorRef, list[IndexEntry]]:
-        """Each functor's entries in index order; built on the first lookup."""
-        table: dict[FunctorRef, list[IndexEntry]] = {}
-        for entry in self.entries:
-            table.setdefault(entry.functor, []).append(entry)
+    def entries(self) -> tuple[IndexEntry, ...]:
+        return tuple(map(_entry, self._rows))
+
+    @cached_property
+    def _by_functor(self) -> dict[tuple[str, int], list[Row] | tuple[IndexEntry, ...]]:
+        """Each functor's rows, until its first lookup replaces them by its entries."""
+        table: dict = {}
+        for row in self._rows:
+            table.setdefault(row[:2], []).append(row)
         return table
+
+    def lookup(self, functor: FunctorRef) -> tuple[IndexEntry, ...]:
+        """The functor's entries in index order."""
+        key = functor.name, functor.arity
+        found = self._by_functor.get(key, ())
+        if isinstance(found, list):  # rows, on the functor's first lookup
+            found = self._by_functor[key] = tuple(IndexEntry(functor, *row[2:]) for row in found)
+        return found
+
+    def entries_of_files(self, keep: Callable[[str], bool]) -> tuple[IndexEntry, ...]:
+        """The entries, in index order, of each file field `keep` holds for, asked once."""
+        kept = {file: keep(file) for file in dict.fromkeys(row[4] for row in self._rows)}
+        return tuple(_entry(row) for row in self._rows if kept[row[4]])
 
 
 def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = True) -> list[Path]:
@@ -128,7 +156,7 @@ def mkindex(
     root = Path(root)
     if not root.is_dir():
         raise ExlibrisError(f"not a library directory: {root}")
-    discovered: list[IndexEntry] = []
+    discovered: list[Row] = []
     sources: SourceStore = {}
     for source in find_sources(root, extensions, follow_subdirs):
         text, facts = sources[source] = read_source(source)
@@ -143,12 +171,10 @@ def mkindex(
             terms = iter(parse_statements(text, unparsed, str(source)))
             heads = dict.fromkeys(known.get(s[0]) or clause_head(next(terms).term) for s in clauses)
             provides = [(f, ALWAYS, "user") for f in heads if f is not None]
-        try:
-            discovered.extend(IndexEntry(f, cond, module, rel_file) for f, cond, module in provides)
-        except ValueError as exc:  # a file name an index fact cannot hold
-            raise ExlibrisError(f"{source}: {exc}") from exc
-    ordered = sorted(discovered, key=lambda e: (e.functor.name, e.functor.arity))
-    return LibraryIndex(root, tuple(ordered), sources)
+        if provides and not is_library_name(rel_file):  # a name an index fact cannot hold
+            raise ExlibrisError(f"{source}: {_BAD_FILE.format(rel_file)}")
+        discovered.extend((f.name, f.arity, cond, module, rel_file) for f, cond, module in provides)
+    return LibraryIndex(root, (), sources, rows=sorted(discovered, key=lambda row: row[:2]))
 
 
 def term_to_entry(term: Term) -> IndexEntry | None:
@@ -199,15 +225,21 @@ _INDEX_STATEMENT = statement_pattern(
 
 
 def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
-    """The entries of an index text, in file order.  A fact as `render_index`
+    """The entries of an index text, in file order, as `parse_index` reads them."""
+    return tuple(map(_entry, _read_rows(text, path)))
+
+
+def _read_rows(text: str, path: str | None) -> list[Row]:
+    """The rows of an index text, in file order.  A fact as `render_index`
     writes the entry read from it is decoded from its pattern match, each
-    distinct quoted atom and condition text once, so equal condition texts
-    share one object.  Every other statement is parsed once the whole text
-    is split, then decoded by `term_to_entry`; one that names no entry is
-    skipped with a warning, logged only if the whole text reads.  Errors
-    are `read_terms`'."""
+    distinct quoted atom, condition text and file field checked once, so
+    equal condition texts share one object.  Every other statement is parsed
+    once the whole text is split, then decoded by `term_to_entry`; one that
+    names no entry is skipped with a warning, logged if the text reads.
+    Errors are `read_terms`'."""
     conds: dict[str, IfPls] = {}
     quoted: dict[str, str] = {}
+    files: dict[str, str] = {}  # file field -> the library name it writes
 
     def name(raw: str) -> str:
         if raw[0] != "'":
@@ -219,7 +251,7 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
             quoted[raw] = unquoted
         return quoted[raw]
 
-    entries: list[IndexEntry | None] = []  # None where a parsed statement goes
+    rows: list[Row | None] = []  # None where a parsed statement goes
     parsed = []
     for m in _INDEX_STATEMENT.finditer(text, text_start(text)):
         if m.lastgroup == "fact":
@@ -230,22 +262,26 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
                     if render_cond(cond, 999) != cond_text:
                         raise ValueError(cond_text)
                     conds[cond_text] = cond
-                functor = FunctorRef(name(functor), int(arity))
-                entries.append(IndexEntry(functor, conds[cond_text], name(module), name(file)))
+                if file not in files:
+                    if not is_library_name(name(file)):
+                        raise ValueError(file)
+                    files[file] = name(file)
+                row = name(functor), int(arity), conds[cond_text], name(module), files[file]
+                rows.append(row)
                 continue
             except (EngineConditionError, TermSyntaxError, ValueError):  # written otherwise
                 statement = m.start("fact"), m.end(), "index"
         else:
             statement = matched_statement(m, text, path)
         if statement:
-            entries.append(None)
+            rows.append(None)
             parsed.append(statement)
     if not parsed:
-        return tuple(entries)
+        return rows
     read = iter(parse_statements(text, parsed, path))
     out = []
-    for entry in entries:
-        if entry is None:
+    for row in rows:
+        if row is None:
             statement = next(read)
             try:
                 entry = term_to_entry(statement.term)
@@ -255,8 +291,9 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
             if entry is None:
                 logger.warning("%s:%d: ignoring non-index term", path, statement.span.line)
                 continue
-        out.append(entry)
-    return tuple(out)
+            row = _row(entry)
+        out.append(row)
+    return out
 
 
 def write_index(index: LibraryIndex) -> Path:
@@ -267,6 +304,6 @@ def write_index(index: LibraryIndex) -> Path:
 
 
 def parse_index(path: Path | str) -> LibraryIndex:
-    """Read an Index.pl file with `read_index`."""
+    """Read an Index.pl file as `read_index` does, warnings and errors included."""
     path = Path(path)
-    return LibraryIndex(path.parent, read_index(read_text(path), str(path)))
+    return LibraryIndex(path.parent, rows=_read_rows(read_text(path), str(path)))

@@ -3,9 +3,9 @@
 Required functors resolve against library indexes in a fixed search order:
 the local library first, then system libraries, then home libraries; within
 a library the first index entry whose condition matches the target engine
-wins.  A lookup reads only the asked functor's entries, through each
-library's functor table (`LibraryIndex.by_functor`, in index order), so its
-cost does not grow with the size of the index.
+wins.  A lookup asks each library's index for the functor's entries
+(`LibraryIndex.lookup`, in index order), which are built on its first
+lookup, so a command builds entries only for the functors it requires.
 
 `trace`, `graph` and `export` share one depth-first walk from the entry
 files.  It enters every reached home, local and project file once, never a
@@ -232,7 +232,7 @@ def _decide(
     unresolved = (UNRESOLVED_FUNCTOR, str(functor), None)
     hits, resolved = [], []
     for lib in libs.ordered():
-        for entry in lib.index.by_functor.get(functor, ()):
+        for entry in lib.index.lookup(functor):
             holds = matches(entry.cond, engine)
             if holds is False:
                 continue

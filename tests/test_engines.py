@@ -292,6 +292,16 @@ class TestRefusals:
         with pytest.raises(TypeError, match=r"not a condition: PlId\(name='swi'"):
             judge(helpers.SWI)
 
+    def test_an_int_is_not_a_condition_to_matches(self):
+        """The type of the stack's list lengths is none a caller passes."""
+        with pytest.raises(TypeError, match="not a condition: 3"):
+            matches(3, PlId("swi", (5,)))
+
+    def test_a_str_is_not_a_condition_to_render_cond(self):
+        """The type of the stack's literal text is none a caller passes."""
+        with pytest.raises(TypeError, match="not a condition: 'swi'"):
+            render_cond("swi")
+
 
 class TestDeepNesting:
     """10,000 levels, far past the recursion limit.  The deep values are

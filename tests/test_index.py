@@ -20,6 +20,7 @@ from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef
 from exlibris.engines import ALWAYS, EngineConditionError, render_cond
 from exlibris.errors import ExlibrisError
+from exlibris.export import ExportOptions, plan_export
 from exlibris.index import (
     INDEX_HEADER,
     IndexEntry,
@@ -31,6 +32,7 @@ from exlibris.index import (
     term_to_entry,
     write_index,
 )
+from exlibris.resolve import Library, LibrarySet
 from exlibris.terms import atom_text, read_term, read_terms, render_clause, split_statements
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
@@ -527,3 +529,93 @@ class TestLineReaderAgreesWithGeneralReader:
         with counting_parses() as parsed:
             assert read_index(text) == general_reader(text)[0]
         assert parsed == []
+
+
+def generated_index(facts: int) -> str:
+    """An index text of `facts` canonical facts: fact i is for f<i % 3000>,
+    of arity i % 2, in file d<i % 7>/m<i % 1300>, so each functor has 3 or
+    4 facts and each file several."""
+    conds = ("any", "swi(_)", "not(swi(_))", "[sicstus(3:_),yap(_)]")
+    return "".join(
+        [f"{INDEX_HEADER}\n"]
+        + [f"index( f{i % 3000}, {i % 2}, {conds[i % 4]}, user, 'd{i % 7}/m{i % 1300}' ).\n"
+           for i in range(facts)]
+    )
+
+
+def count_built_entries(monkeypatch) -> list[IndexEntry]:
+    """The list every `IndexEntry` built from now on is appended to."""
+    built = []
+    check = IndexEntry.__post_init__
+
+    def counting(entry):
+        built.append(entry)
+        check(entry)
+
+    monkeypatch.setattr(IndexEntry, "__post_init__", counting)
+    return built
+
+
+class TestEntriesFollowWhatIsAsked:
+    """A loaded index builds entries only for the functors looked up and the
+    files export keeps; every warning and error still comes at load time."""
+
+    def test_lookups_build_only_the_asked_functors_entries(self, tmp_path, monkeypatch):
+        text = generated_index(10_000)
+        everything = read_index(text)
+        path = write(tmp_path, "Index.pl", text)
+        built = count_built_entries(monkeypatch)
+        index = parse_index(path)
+        assert built == []
+        asked = [FunctorRef("f7", 1), FunctorRef("f2998", 0), FunctorRef("f7", 0)]
+        for functor in asked + asked:  # a second lookup builds nothing
+            assert index.lookup(functor) == tuple(e for e in everything if e.functor == functor)
+        assert [str(e.functor) for e in built] == ["f7/1"] * 4 + ["f2998/0"] * 3
+
+    def test_export_builds_only_the_kept_files_entries(self, tmp_path, monkeypatch):
+        text = generated_index(10_000) + (
+            "index( p, 1, any, user, a ).\n"
+            "index( q, 0, swi(_), user, a ).\n"
+            "index( r, 0, any, user, b ).\n"
+        )
+        home = tmp_path / "HomeLib"
+        write(home, "Index.pl", text)
+        write(home, "a.pl", "p(1).\nq.\n")
+        write(home, "b.pl", "r.\n")
+        entry = write(tmp_path, "proj/main.pl", ":- requires( [p/1] ).\n")
+        kept = [e for e in read_index(text) if e.file == "a"]
+        built = count_built_entries(monkeypatch)
+        opts = ExportOptions(dest=tmp_path / "out", sources=(entry,))
+        plan = plan_export(opts, LibrarySet.build((), (home,)))
+        assert {f.dest_rel: f.content for f in plan.files}["lib/Index.pl"] == render_index(kept)
+        # one for the lookup of p/1, then the two of file a
+        assert [e.functor.name for e in built] == ["p", "p", "q"]
+
+    def test_warnings_come_at_load_in_file_order(self, tmp_path, caplog):
+        path = write(
+            tmp_path,
+            "Index.pl",
+            "index( f, 1, any, user, '../x' ).\n"
+            "index( g, 1, any, user, ok ).\n"
+            "note( not_an_index_fact ).\n",
+        )
+        with caplog.at_level(logging.WARNING, logger="exlibris.index"):
+            library = Library.load("home", tmp_path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:1: skipping index fact: index file fields are relative, "
+            "/-separated paths inside the library: '../x'",
+            f"{path}:3: ignoring non-index term",
+        ]
+        caplog.clear()
+        assert [e.functor for e in library.index.lookup(FunctorRef("g", 1))] == [FunctorRef("g", 1)]
+        assert caplog.records == []
+
+    def test_unterminated_quote_stops_a_trace_that_looks_nothing_up(self, tmp_path, run_cli):
+        write(tmp_path, "HomeLib/Index.pl", "index( f, 1, any, user, 'a ).\n")
+        entry = write(tmp_path, "proj/main.pl", "main.\n")
+        code, out, err = run_cli(
+            "trace", str(entry), "--pl", "swi:9", "--homelib", str(tmp_path / "HomeLib")
+        )
+        assert (code, out) == (2, "")
+        index = tmp_path / "HomeLib" / "Index.pl"
+        assert err == f"exlibris: {index}:1:25: unterminated quoted atom\n"
