@@ -21,9 +21,16 @@ takes, and in every third fact a doubled space or a line break, which it
 leaves to the parser.  Its first `any` fact is written with `all`, a
 condition the reader parses, and it holds facts the reader skips with a
 warning, at its start, middle and end, so the warnings' text and order
-are compared too.  Every difference in exit code, standard output,
-standard error or written files (export's destination, mkindex's
-`Index.pl`) is printed.  Exits 1 if there is any, 0 if there is none.
+are compared too.  The same commands run on a copy of HomeLib, `Index.pl`
+included, whose `:- defines(`, `:- module(` and `:- defines_module(` lines
+are written by turns as `:-defines(`, `:- /* c */ defines(` and
+`:- 'defines'(`, since the dependency walk picks the directives it leaves
+unparsed by their first body token.  They run once more, with `proj/main.pl` as the
+entry, on the hand-written corpus under `tests/data/real/`, its
+`expected/Index.pl` placed in its HomeLib.  Every difference in exit code,
+standard output, standard error or written files (export's destination,
+mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0 if there is
+none.
 """
 
 from __future__ import annotations
@@ -33,16 +40,21 @@ import contextlib
 import difflib
 import hashlib
 import io
+import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
 RESPELLED = "HomeLibRespelled"  # the copy of HomeLib with a respelled Index.pl
+REDECLARED = "HomeLibRedeclared"  # the copy of HomeLib with respelled declarations
 UNDECLARED = "HomeLibUndeclared"  # the copy of HomeLib where every other file declares nothing
+REAL = REPO / "tests" / "data" / "real"  # the hand-written home library and its entry file
 
 
 def respell(fact: str, i: int) -> str:
@@ -83,6 +95,25 @@ def respelled(world) -> dict[str, str]:
     return copy
 
 
+# how REDECLARED writes a declaration's `:- name(`, by turns
+SPELLINGS = (":-{}(", ":- /* c */ {}(", ":- '{}'(")
+DECLARATION = re.compile(r":- (defines|module|defines_module)\(", re.MULTILINE)
+
+
+def redeclared(world) -> dict[str, str]:
+    """HomeLib's files under REDECLARED, its `Index.pl` included, with every
+    `:- defines(`, `:- module(` and `:- defines_module(` at a line start
+    written by turns as SPELLINGS give; none if HomeLib keeps no `Index.pl`."""
+    import world as worlds
+
+    if f"HomeLib/{worlds.INDEX_NAME}" not in world.files:
+        return {}
+    turns = itertools.cycle(SPELLINGS)
+    return {f"{REDECLARED}/{rel.removeprefix('HomeLib/')}":
+            DECLARATION.sub(lambda m: next(turns).format(m[1]), text)
+            for rel, text in world.files.items() if rel.startswith("HomeLib/")}
+
+
 def undeclared(world) -> dict[str, str]:
     """HomeLib's source files under UNDECLARED, without its `Index.pl`; from
     every other one, in sorted order, its `:- defines(` and `:- module(`
@@ -110,22 +141,10 @@ def commands(world) -> list[dict]:
     swi = ["--pl", worlds.TARGET_FLAGS[0]]
     found = [{"argv": ["graph", "--source", "proj", *libs, *pls], "writes": None}
              for pls in ([], targets)]
-    if f"{RESPELLED}/{worlds.INDEX_NAME}" in world.files:
-        respelled_libs = [RESPELLED if arg == "HomeLib" else arg for arg in libs]
-        found.extend(
-            {"argv": ["graph", "--source", "proj", *respelled_libs, *pls], "writes": None}
-            for pls in ([], targets)
-        )
-        found.extend(
-            {"argv": ["trace", f"proj/{world.entries[0].rel}", "--pl", flag, *respelled_libs],
-             "writes": None}
-            for flag in worlds.TARGET_FLAGS
-        )
-        found.extend(
-            {"argv": ["export", "--dest", "out", "--source", "proj", *respelled_libs, *pls],
-             "writes": "out"}
-            for pls in ([], targets)
-        )
+    for copy in (RESPELLED, REDECLARED):
+        if f"{copy}/{worlds.INDEX_NAME}" in world.files:
+            copy_libs = [copy if arg == "HomeLib" else arg for arg in libs]
+            found.extend(walks(f"proj/{world.entries[0].rel}", copy_libs))
     found.extend(
         {"argv": ["trace", f"proj/{entry.rel}", "--pl", flag, *libs], "writes": None}
         for entry in world.entries for flag in worlds.TARGET_FLAGS
@@ -138,6 +157,30 @@ def commands(world) -> list[dict]:
                  for fallback in ([], ["--clause-fallback"])
                  for lib in ("SysLib", "HomeLib", UNDECLARED))
     return found
+
+
+def walks(entry: str, libs: list[str]) -> list[dict]:
+    """`graph` (no targets, and all three), `trace` of `entry` under each
+    target and `export` (no targets, and all three) of `proj` with `libs`."""
+    import world as worlds
+
+    targets = [arg for flag in worlds.TARGET_FLAGS for arg in ("--pl", flag)]
+    return [
+        *({"argv": ["graph", "--source", "proj", *libs, *pls], "writes": None}
+          for pls in ([], targets)),
+        *({"argv": ["trace", entry, "--pl", flag, *libs], "writes": None}
+          for flag in worlds.TARGET_FLAGS),
+        *({"argv": ["export", "--dest", "out", "--source", "proj", *libs, *pls], "writes": "out"}
+          for pls in ([], targets)),
+    ]
+
+
+def real_world(workdir: Path) -> None:
+    """The hand-written corpus in `workdir`: its `HomeLib`, with
+    `expected/Index.pl` as its `Index.pl`, and its `proj`."""
+    for top in ("HomeLib", "proj"):
+        shutil.copytree(REAL / top, workdir / top)
+    shutil.copyfile(REAL / "expected" / "Index.pl", workdir / "HomeLib" / "Index.pl")
 
 
 def written(path: Path) -> dict[str, str]:
@@ -211,6 +254,25 @@ def differences(mine: dict, other: dict) -> list[str]:
     return found
 
 
+def compare(label: str, build: Callable[[Path], None], todo: list[dict], other: Path) -> int:
+    """Run `todo` under this tree's `src/` and under `other`, in a directory
+    that `build` fills; print each command's differences and return how many
+    commands differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        build(workdir)
+        mine = run_side(REPO / "src", workdir, todo)
+        theirs = run_side(other, workdir, todo)
+    different = 0
+    for command, here, there in zip(todo, mine, theirs):
+        found = differences(here, there)
+        if found:
+            different += 1
+            print(f"{label}: exlibris {' '.join(command['argv'])}")
+            print("\n".join(f"  {line}" for line in found))
+    return different
+
+
 def main() -> int:
     if sys.argv[1:2] == ["--worker"]:
         return work(sys.argv[2])
@@ -241,20 +303,14 @@ def main() -> int:
         for seed in (int(s) for s in args.seeds.split(",")):
             world = worlds.generate(shapes[name], seed)
             world.files.update(respelled(world))
+            world.files.update(redeclared(world))
             world.files.update(undeclared(world))
             todo = commands(world)
-            with tempfile.TemporaryDirectory() as tmp:
-                workdir = Path(tmp)
-                world.materialize(workdir)
-                mine = run_side(REPO / "src", workdir, todo)
-                theirs = run_side(other, workdir, todo)
-            for command, here, there in zip(todo, mine, theirs):
-                total += 1
-                found = differences(here, there)
-                if found:
-                    different += 1
-                    print(f"{name} seed {seed}: exlibris {' '.join(command['argv'])}")
-                    print("\n".join(f"  {line}" for line in found))
+            total += len(todo)
+            different += compare(f"{name} seed {seed}", world.materialize, todo, other)
+    todo = walks("proj/main.pl", ["--homelib", "HomeLib"])
+    total += len(todo)
+    different += compare("tests/data/real", real_world, todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

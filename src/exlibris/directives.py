@@ -7,7 +7,9 @@ and loading calls, direct or guarded by `if_pl` (to any depth, nested
 guards conjoined), in source order; `FileFacts.provides` is what the file
 declares it defines, the one place that ranks a `module/2` over `defines`;
 besides them come library_directory spans and whole `if_pl` directives for
-export.  `clause_head` names the predicate a clause defines.
+export.  Only `mkindex` reads `provides`: the dependency walk reads a file
+without its `PROVIDES_ONLY` directives, so there it is None.  `clause_head`
+names the predicate a clause defines.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class IfPlDirective:
 @dataclass(frozen=True)
 class FileFacts:
     deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
-    # (functor, condition, module); None when the file declares nothing
+    # (functor, condition, module); None when the file declares nothing or
+    # was read without its PROVIDES_ONLY directives
     provides: tuple[tuple[FunctorRef, IfPls, str], ...] | None = None
     library_dirs: tuple[Span, ...] = ()  # where each library_directory/1 stands
     if_pls: tuple[IfPlDirective, ...] = ()
@@ -110,6 +113,12 @@ LOADING_PREDICATES: dict[str, tuple[int, ...]] = {
 }
 
 LIBRARY_DIRECTORY = FunctorRef("library_directory", 1)
+
+# The atoms a directive body starts with when it adds to `FileFacts.provides`
+# alone: `extract` takes nothing else from such a directive, since no infix
+# operator is a name it reads, so a reader that needs no `provides` may leave
+# these directives unparsed (`terms.read_directives`' `skip`).
+PROVIDES_ONLY = frozenset({"defines", "module", "defines_module"})
 
 
 def decode_file_ref(term: Term) -> FileRef | None:

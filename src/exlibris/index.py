@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .directives import LIBRARY_DIRECTORY, FileFacts, FunctorRef, clause_head, extract
 from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
@@ -130,10 +130,11 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
     )
 
 
-def read_source(path: Path) -> tuple[str, FileFacts]:
-    """A source file's text and its facts, from `terms.read_directives`."""
+def read_source(path: Path, skip: Collection[str] = ()) -> tuple[str, FileFacts]:
+    """A source file's text and its facts, from `terms.read_directives`, which
+    leaves the directives `skip` names unparsed."""
     text = read_text(path)
-    return text, extract(read_directives(text, str(path)), str(path))
+    return text, extract(read_directives(text, str(path), skip), str(path))
 
 
 def mkindex(

@@ -19,6 +19,8 @@ walk, and `resolve_functor` too.  A command's `LibrarySet` probes each
 candidate path once, whether an index hit, a `library(...)` reference or
 a relative load names it, and holds each file's facts, which on-the-fly
 indexing already filled, so a command reads and parses each file once.
+The walk reads no file's `provides`, so it leaves the `defines`, `module`
+and `defines_module` directives of a file it reads itself unparsed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .directives import FileFacts, FileRef, FunctorRef, Load, Requirement
+from .directives import PROVIDES_ONLY, FileFacts, FileRef, FunctorRef, Load, Requirement
 from .engines import PlId, can_match, matches, render_cond
 from .errors import ExlibrisError
 from .fsio import is_file
@@ -100,9 +102,10 @@ class LibrarySet:
                 self.names[lib.root] = f"{lib.kind}{n}" if n > 1 else lib.kind
 
     def source(self, path: Path) -> tuple[str, FileFacts]:
-        """A file's text and facts, read and parsed on the first request."""
+        """A file's text and facts: on-the-fly indexing's, or else read on the
+        first request without its `PROVIDES_ONLY` directives (`provides` None)."""
         if path not in self.sources:
-            self.sources[path] = read_source(path)
+            self.sources[path] = read_source(path, PROVIDES_ONLY)
         return self.sources[path]
 
     def is_file(self, path: Path) -> bool:

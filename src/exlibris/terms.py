@@ -17,6 +17,7 @@ same pass with one alternative of its own (`statement_pattern`) and the
 same per-match step (`matched_statement`).  `parse_statements` then parses
 statements in place, so every reader gives the same ends and errors:
 `read_directives` those whose first token is `:-` or `library_directory`,
+less the `:-` ones whose next token is an unquoted atom its caller names,
 `read_terms` all, the index reader those its own alternative leaves.
 
 Tokens are read inside one statement only, by one compiled pattern, one
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ExlibrisError
 
@@ -536,14 +537,24 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     return parse_statements(text, split_statements(text, path), path)
 
 
-def read_directives(text: str, path: str | None = None) -> list[SourceTerm]:
+def read_directives(
+    text: str, path: str | None = None, skip: Collection[str] = ()
+) -> list[SourceTerm]:
     """Read the directives and `library_directory` clauses of a file, in file
-    order: each statement whose first token is `:-` or `library_directory`.
+    order: each statement whose first token is `:-` or `library_directory`,
+    except a `:-` whose next token is an unquoted atom in `skip`.
 
-    Every other statement is split off and never parsed, so a syntax error
-    inside one goes unreported; terms, spans and errors are `read_terms`'.
+    Every other statement is split off and never tokenized past its first
+    token or two, so a syntax error inside one goes unreported; terms, spans
+    and errors are `read_terms`'.
     """
-    kept = [s for s in split_statements(text, path) if s[2] in (":-", "library_directory")]
+    # a `:-` written `':-'` is read as such, but is no prefix operator
+    kept = [
+        s for s in split_statements(text, path)
+        if s[2] == "library_directory" or s[2] == ":-" and not (
+            skip and text[s[0]] == ":" and _TOKEN.match(text, s[0] + 2)["word"] in skip
+        )
+    ]
     return parse_statements(text, kept, path)
 
 

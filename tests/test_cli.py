@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import re
+import shutil
 
 import pytest
 
@@ -504,9 +506,9 @@ class TestParseOnce:
 
         parsed = []
 
-        def counting(text, path=None):
+        def counting(text, path=None, skip=()):
             parsed.append(path)
-            return read_directives(text, path)
+            return read_directives(text, path, skip)
 
         for name, module in list(sys.modules.items()):
             bound = getattr(module, "read_directives", None)
@@ -525,6 +527,99 @@ class TestParseOnce:
             assert (code, err) == (EXIT_OK, "")
             assert any(path.endswith("flatten.pl") for path in parsed)
             assert sorted(parsed) == sorted(set(parsed)), args[0]
+
+
+    def test_graph_tokenizes_no_declaration_of_a_walked_file(
+        self, worked_example, run_cli, monkeypatch
+    ):
+        """Libraries with an `Index.pl` have their files read by the walk
+        alone: each is split, and its `:- defines`, `:- defines_module` and
+        `:- module` statements are never tokenized."""
+        import exlibris.terms
+
+        split, tokenized = [], []
+        splitter, tokenizer = exlibris.terms.split_statements, exlibris.terms._tokenize
+
+        def splitting(text, path=None):
+            split.append(os.path.relpath(path))
+            return splitter(text, path)
+
+        def tokenizing(text, path, pos=0, endpos=None):
+            tokenized.append(text[pos:endpos])
+            return tokenizer(text, path, pos, endpos)
+
+        monkeypatch.setattr(exlibris.terms, "split_statements", splitting)
+        monkeypatch.setattr(exlibris.terms, "_tokenize", tokenizing)
+        code, _, err = run_cli(
+            "graph", "--source", "proj/file1.pl", "--syslib", "SysLib", "--homelib", "HomeLib"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert sorted(split) == [
+            "HomeLib/compat/swi/built_ins.pl", "HomeLib/list/flatten.pl",
+            "proj/file1.pl", "proj/lib/meta/maplist.pl",
+        ]
+        assert ":- requires( [member/2,maplist/3,flatten/2] )." in tokenized
+        assert [s for s in tokenized if re.match(r":-\s*(defines|module|defines_module)\b", s)] == []
+
+
+class TestWalkLeavesDeclarationsUnparsed:
+    """`graph`, `trace` and `export` read no `defines`, `module` or
+    `defines_module` directive of a file they walk, so one that does not
+    parse or decode changes nothing there; `mkindex` still reports it."""
+
+    FILES = {
+        "H/Index.pl": "index( p, 0, any, user, a ).\nindex( q, 0, any, user, b ).\n",
+        "H/a.pl": "{}\n:- requires([q/0]).\np.\n",
+        "H/b.pl": ":- defines([q/0]).\nq.\n",
+        "proj/e.pl": ":- requires([p/0]).\n",
+    }
+    COMMANDS = (
+        ("graph", "--source", "proj", "--homelib", "H"),
+        ("trace", "proj/e.pl", "--pl", "swi:5.0.7", "--homelib", "H"),
+        ("export", "--dest", "out", "--source", "proj", "--homelib", "H"),
+    )
+
+    def run_walks(self, root, run_cli, first_line):
+        """Each of COMMANDS' (exit code, stdout, stderr), `H/a.pl` starting with `first_line`."""
+        write_files(root, {rel: text.replace("{}", first_line) for rel, text in self.FILES.items()})
+        results = []
+        for args in self.COMMANDS:
+            results.append(run_cli(*args))
+            shutil.rmtree(root / "out", ignore_errors=True)
+        return results
+
+    @pytest.mark.parametrize(
+        "first_line, message",
+        [
+            (":- defines(swi(a), [p/0]).", ":1: bad version component in a version pattern: a"),
+            (":- module(m, [p/1).", ":1:18: expected ',', '|' or ']' in list"),
+            (":- defines([p]).", ":1: defines expects name/arity terms, got p"),
+            (":-defines_module(m m).", ":1:20: expected ',' or ')' in argument list"),
+            (":- /* c */ defines(p/0 p/1).", ":1:24: expected ',' or ')' in argument list"),
+        ],
+        ids=["bad_condition", "syntax_error", "bad_functor", "unspaced", "commented"],
+    )
+    def test_walks_ignore_it_and_mkindex_reports_it(
+        self, tmp_path, run_cli, monkeypatch, first_line, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        well_formed = self.run_walks(tmp_path, run_cli, ":- defines([p/0]).")
+        assert [(code, err) for code, _, err in well_formed] == [(EXIT_OK, "")] * 3
+        assert self.run_walks(tmp_path, run_cli, first_line) == well_formed
+        assert run_cli("mkindex", "H") == (EXIT_ERROR, "", f"exlibris: H/a.pl{message}\n")
+
+    def test_a_quoted_name_is_still_parsed(self, tmp_path, run_cli, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        error = "H/a.pl:1: bad version component in a version pattern: a\n"
+        results = self.run_walks(tmp_path, run_cli, ":- 'defines'(swi(a), [p/0]).")
+        assert results == [(EXIT_ERROR, "", f"exlibris: {tmp_path / error}")] * 3
+
+    def test_an_unterminated_quote_still_stops_every_command(self, tmp_path, run_cli, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        error = "H/a.pl:1:10: unterminated quoted atom\n"
+        results = self.run_walks(tmp_path, run_cli, "p :- X = 'abc.")
+        assert results == [(EXIT_ERROR, "", f"exlibris: {tmp_path / error}")] * 3
+        assert run_cli("mkindex", "H") == (EXIT_ERROR, "", f"exlibris: {error}")
 
 
 class TestTrace:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import ENGINE_UNIVERSE
 from exlibris.directives import (
+    PROVIDES_ONLY,
     FileRef,
     FunctorRef,
     Load,
@@ -24,7 +25,7 @@ from exlibris.directives import (
 )
 from exlibris.engines import ALWAYS, Negation, matches, parse_if_pls
 from exlibris.index import mkindex
-from exlibris.terms import read_term, read_terms
+from exlibris.terms import INFIX_OPERATORS, TermSyntaxError, read_term, read_terms
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -294,3 +295,23 @@ class TestSourceOrder:
                 ]
         text = "% header\np.\n" + "\n".join(lines) + "\n"
         assert list(facts_of(text).deps) == expected
+
+
+class TestProvidesOnly:
+    @pytest.mark.parametrize("name", sorted(PROVIDES_ONLY))
+    def test_a_directive_starting_with_one_adds_to_provides_alone(self, name):
+        """Whatever follows the name, alone or joined by any infix operator to a
+        loading call, `extract` takes nothing from it but what it provides, so
+        the walk, which reads the other fields, may leave it unparsed."""
+        bodies = [name, f"{name}(m, [f/1])", f"{name}([f/1])", f"{name}(swi(_), [f/1])"]
+        bodies += [f"{name} {op} ensure_loaded(x)" for op in INFIX_OPERATORS]
+        bodies += [f"{name}(m) {op} [x]" for op in INFIX_OPERATORS]
+        read = 0
+        for body in bodies:
+            try:
+                facts = facts_of(f":- {body}.\n")
+            except (TermSyntaxError, MalformedDirectiveError):
+                continue
+            read += 1
+            assert (facts.deps, facts.library_dirs, facts.if_pls) == ((), (), ()), body
+        assert read > len(INFIX_OPERATORS)

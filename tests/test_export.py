@@ -191,9 +191,9 @@ class TestPlanExport:
 
         parsed = []
 
-        def counting(text, path=None):
+        def counting(text, path=None, skip=()):
             parsed.append(path)
-            return read_directives(text, path)
+            return read_directives(text, path, skip)
 
         monkeypatch.setattr(exlibris.index, "read_directives", counting)
         build_worked_example(tmp_path)

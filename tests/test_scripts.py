@@ -48,5 +48,7 @@ def test_compare_outputs_reports_a_changed_word_and_nothing_else(tmp_path):
     assert changed.returncode == 1, changed.stdout + changed.stderr
     assert "    -rewrote e000.pl\n" in changed.stdout
     assert "    +rewrite e000.pl\n" in changed.stdout
-    # the three exports of HomeLib and the two of its respelled copy
-    assert changed.stdout.endswith(" commands, 5 with differences\n")
+    assert "    +rewrite main.pl\n" in changed.stdout
+    # the three exports of HomeLib, the two of each of its two respelled
+    # copies and the two of the hand-written corpus
+    assert changed.stdout.endswith(" commands, 9 with differences\n")

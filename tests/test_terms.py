@@ -421,6 +421,19 @@ class TestSplit:
             read_directives("p.\n:- q(²).\n", "f.pl")
         assert str(exc.value) == "f.pl:2:6: unexpected character '²'"
 
+    def test_a_skipped_directive_is_not_parsed(self):
+        """A `:-` whose next token, after any layout, is an unquoted atom in
+        `skip` is left unparsed; a quoted or longer name is not skipped."""
+        text = (
+            ":- defines(p q).\n:-defines_module(.\n:- /* c */ % d\n module ) ( .\n"
+            ":- 'defines'(p/0).\n:- definesx(p/0).\n:- requires([p/0]).\n"
+        )
+        skip = {"defines", "module", "defines_module"}
+        kept = [text[t.span.start : t.span.end] for t in read_directives(text, "f.pl", skip)]
+        assert kept == [":- 'defines'(p/0).", ":- definesx(p/0).", ":- requires([p/0])."]
+        with pytest.raises(TermSyntaxError):
+            read_directives(text, "f.pl")
+
 
 class TestRender:
     def test_functor_notation(self):
