@@ -202,7 +202,7 @@ def _cmd_mkindex(args) -> int:
         extensions=extensions,
     )
     path = write_index(index)
-    print(f"wrote {path} ({len(index.entries)} entries)")
+    print(f"wrote {path} ({len(index.rows)} entries)")
     return EXIT_OK
 
 
@@ -274,8 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ExportApplyError as exc:
-        for line in exc.report.lines:
-            print(line)
+        _print_report(exc.report)
         print(f"exlibris: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ExlibrisError, OSError) as exc:

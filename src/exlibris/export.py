@@ -279,25 +279,25 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         rewrites[dest_rel] = splice(text, transform_entry(text, facts, rel_to_loclib, opts.pls))
         copy_map.pop(dest_rel, None)  # written by its rewrite alone
 
-    # a field's entries are kept when `<loclib>/<n>` copies `<root>/<n>`, n = normpath(field + ext)
+    # a field's facts are kept when `<loclib>/<n>` copies `<root>/<n>`, n = normpath(field + ext)
     copied = {dest_rel: str(src) for dest_rel, src in copy_map.items()}
-    index_entries = tuple(
-        e for lib in (libs.loclib, *libs.homelibs) if lib is not None
+    index_rows = tuple(
+        row for lib in (libs.loclib, *libs.homelibs) if lib is not None
         for root in [posixpath.join(str(lib.root), "")]
-        for e in lib.index.entries_of_files(lambda field: any(
+        for row in lib.index.rows_of_files(lambda field: any(
             copied.get(f"{opts.loclib}/{n}") == root + n
             for ext in libs.extensions for n in [posixpath.normpath(field + ext)]))
     )
     index_rel = f"{opts.loclib}/{INDEX_FILENAME}"
-    if index_entries:
+    if index_rows:
         copy_map.pop(index_rel, None)  # a mirrored Index.pl is replaced, not copied
     files = (
         *(PlannedFile(rel, src, f"copy {src} -> {rel}") for rel, src in sorted(copy_map.items())),
         *(PlannedFile(rel, text, f"rewrite {rel}") for rel, text in sorted(rewrites.items())),
     )
-    if index_entries:
-        line = f"write {index_rel} ({len(index_entries)} entries)"
-        files += (PlannedFile(index_rel, render_index(index_entries), line),)
+    if index_rows:
+        line = f"write {index_rel} ({len(index_rows)} entries)"
+        files += (PlannedFile(index_rel, render_index(index_rows), line),)
     return ExportPlan(dest, files, report)
 
 

@@ -8,7 +8,9 @@ the fact's file field still records where that declaration lives.  This
 module owns the fact format in both directions: `render_index` writes each
 fact as text, and `read_index` reads an index text, one pattern match per
 statement.  A fact exactly as `render_index` writes it is decoded from the
-match; any other statement is parsed, with the same entries and warnings.
+match; any other statement is parsed, with the same facts and warnings.
+Inside the package a fact is a `Row` from reader to writer; `IndexEntry`
+is the value type offered to callers, built only when one asks for it.
 """
 
 from __future__ import annotations
@@ -76,50 +78,44 @@ def is_library_name(name: str) -> bool:
 SourceStore = dict[Path, tuple[str, FileFacts]]
 
 
-Row = tuple[str, int, IfPls, str, str]  # a held fact: name, arity, condition, module, file
+Row = tuple[str, int, IfPls, str, str]  # an index fact: name, arity, condition, module, file
 
 
 def _entry(row: Row) -> IndexEntry:
     return IndexEntry(FunctorRef(row[0], row[1]), *row[2:])
 
 
-def _row(entry: IndexEntry) -> Row:
-    return entry.functor.name, entry.functor.arity, entry.cond, entry.module, entry.file
-
-
 class LibraryIndex:
-    """A library's index facts in index order, held as rows; entries are built when asked."""
+    """A library's index facts in index order, held as rows."""
 
     def __init__(self, root: Path, entries: Iterable[IndexEntry] = (),
                  sources: SourceStore | None = None, *, rows: Sequence[Row] | None = None):
         self.root = root
-        self._rows = tuple(map(_row, entries)) if rows is None else rows
+        self.rows = rows if rows is not None else tuple(
+            (e.functor.name, e.functor.arity, e.cond, e.module, e.file) for e in entries
+        )
         self.sources = {} if sources is None else sources  # the files indexed on the fly
 
-    @cached_property
+    @property
     def entries(self) -> tuple[IndexEntry, ...]:
-        return tuple(map(_entry, self._rows))
+        """The facts as `IndexEntry` values, built on each call."""
+        return tuple(map(_entry, self.rows))
 
     @cached_property
-    def _by_functor(self) -> dict[tuple[str, int], list[Row] | tuple[IndexEntry, ...]]:
-        """Each functor's rows, until its first lookup replaces them by its entries."""
-        table: dict = {}
-        for row in self._rows:
+    def _by_functor(self) -> dict[tuple[str, int], list[Row]]:
+        table: dict[tuple[str, int], list[Row]] = {}
+        for row in self.rows:
             table.setdefault(row[:2], []).append(row)
         return table
 
-    def lookup(self, functor: FunctorRef) -> tuple[IndexEntry, ...]:
-        """The functor's entries in index order."""
-        key = functor.name, functor.arity
-        found = self._by_functor.get(key, ())
-        if isinstance(found, list):  # rows, on the functor's first lookup
-            found = self._by_functor[key] = tuple(IndexEntry(functor, *row[2:]) for row in found)
-        return found
+    def lookup(self, functor: FunctorRef) -> Sequence[Row]:
+        """The functor's rows in index order, from a table built on the first lookup."""
+        return self._by_functor.get((functor.name, functor.arity), ())
 
-    def entries_of_files(self, keep: Callable[[str], bool]) -> tuple[IndexEntry, ...]:
-        """The entries, in index order, of each file field `keep` holds for, asked once."""
-        kept = {file: keep(file) for file in dict.fromkeys(row[4] for row in self._rows)}
-        return tuple(_entry(row) for row in self._rows if kept[row[4]])
+    def rows_of_files(self, keep: Callable[[str], bool]) -> tuple[Row, ...]:
+        """The rows, in index order, of each file field `keep` holds for, asked once."""
+        kept = {file: keep(file) for file in dict.fromkeys(row[4] for row in self.rows)}
+        return tuple(row for row in self.rows if kept[row[4]])
 
 
 def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = True) -> list[Path]:
@@ -152,13 +148,15 @@ def mkindex(
     `any`, module `user`).  Only then are a file's clauses parsed, after its
     directives, so an error in a directive is reported before one in a
     clause.  Output order is a stable sort on (name, arity) over discovery
-    order, so an unchanged tree always produces identical bytes.
+    order, so an unchanged tree always produces identical bytes.  Two files
+    whose names differ only in extension are an error when either provides.
     """
     root = Path(root)
     if not root.is_dir():
         raise ExlibrisError(f"not a library directory: {root}")
     discovered: list[Row] = []
     sources: SourceStore = {}
+    named: dict[str, tuple[Path, bool]] = {}  # file field -> its first file, whether it provides
     for source in find_sources(root, extensions, follow_subdirs):
         text, facts = sources[source] = read_source(source)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
@@ -174,11 +172,17 @@ def mkindex(
             provides = [(f, ALWAYS, "user") for f in heads if f is not None]
         if provides and not is_library_name(rel_file):  # a name an index fact cannot hold
             raise ExlibrisError(f"{source}: {_BAD_FILE.format(rel_file)}")
+        first, provided = named.setdefault(rel_file, (source, bool(provides)))
+        if first is not source and (provided or provides):  # a fact could not tell them apart
+            raise ExlibrisError(f"both {first} and {source} would be indexed as {rel_file}")
         discovered.extend((f.name, f.arity, cond, module, rel_file) for f, cond, module in provides)
     return LibraryIndex(root, (), sources, rows=sorted(discovered, key=lambda row: row[:2]))
 
 
-def term_to_entry(term: Term) -> IndexEntry | None:
+def term_to_row(term: Term) -> Row | None:
+    """The row an `index/5` fact states, or None for any other term.  Raises
+    `parse_if_pls`'s errors, then ValueError for a file field that
+    `is_library_name` rejects."""
     if not (isinstance(term, Compound) and term.name == "index" and term.arity == 5):
         return None
     name, arity, cond, module, file = term.args
@@ -190,26 +194,27 @@ def term_to_entry(term: Term) -> IndexEntry | None:
         and isinstance(file, Atom)
     ):
         return None
-    return IndexEntry(
-        FunctorRef(name.name, arity.value), parse_if_pls(cond), module.name, file.name
-    )
+    row = name.name, arity.value, parse_if_pls(cond), module.name, file.name
+    if not is_library_name(file.name):
+        raise ValueError(_BAD_FILE.format(file.name))
+    return row
 
 
-def render_index(entries: Iterable[IndexEntry]) -> str:
-    """The Index.pl text: the header, then one `index/5` fact per entry.
+def render_index(rows: Iterable[Row]) -> str:
+    """The Index.pl text: the header, then one `index/5` fact per row.
 
     Each distinct condition object is written once: a `defines` group's
-    entries share one.  The memo is keyed by identity, because hashing a
+    rows share one.  The memo is keyed by identity, because hashing a
     deep condition walks all of it, and holds the condition so its id stays
     its own."""
     conds: dict[int, tuple[IfPls, str]] = {}
     lines = [INDEX_HEADER]
-    for e in entries:
-        if id(e.cond) not in conds:
-            conds[id(e.cond)] = e.cond, render_cond(e.cond, 999)
+    for name, arity, cond, module, file in rows:
+        if id(cond) not in conds:
+            conds[id(cond)] = cond, render_cond(cond, 999)
         lines.append(
-            f"index( {atom_text(e.functor.name)}, {e.functor.arity}, {conds[id(e.cond)][1]}, "
-            f"{atom_text(e.module)}, {atom_text(e.file)} )."
+            f"index( {atom_text(name)}, {arity}, {conds[id(cond)][1]}, "
+            f"{atom_text(module)}, {atom_text(file)} )."
         )
     return "\n".join(lines) + "\n"
 
@@ -232,11 +237,11 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
 
 def _read_rows(text: str, path: str | None) -> list[Row]:
     """The rows of an index text, in file order.  A fact as `render_index`
-    writes the entry read from it is decoded from its pattern match, each
+    writes the row read from it is decoded from its pattern match, each
     distinct quoted atom, condition text and file field checked once, so
     equal condition texts share one object.  Every other statement is parsed
-    once the whole text is split, then decoded by `term_to_entry`; one that
-    names no entry is skipped with a warning, logged if the text reads.
+    once the whole text is split, then decoded by `term_to_row`; one that
+    states no row is skipped with a warning, logged if the text reads.
     Errors are `read_terms`'."""
     conds: dict[str, IfPls] = {}
     quoted: dict[str, str] = {}
@@ -285,14 +290,13 @@ def _read_rows(text: str, path: str | None) -> list[Row]:
         if row is None:
             statement = next(read)
             try:
-                entry = term_to_entry(statement.term)
+                row = term_to_row(statement.term)
             except (EngineConditionError, ValueError) as exc:
                 logger.warning("%s:%d: skipping index fact: %s", path, statement.span.line, exc)
                 continue
-            if entry is None:
+            if row is None:
                 logger.warning("%s:%d: ignoring non-index term", path, statement.span.line)
                 continue
-            row = _row(entry)
         out.append(row)
     return out
 
@@ -300,7 +304,7 @@ def _read_rows(text: str, path: str | None) -> list[Row]:
 def write_index(index: LibraryIndex) -> Path:
     """Write root/Index.pl and return its path."""
     path = index.root / INDEX_FILENAME
-    write_text(path, render_index(index.entries))
+    write_text(path, render_index(index.rows))
     return path
 
 

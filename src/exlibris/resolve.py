@@ -2,10 +2,9 @@
 
 Required functors resolve against library indexes in a fixed search order:
 the local library first, then system libraries, then home libraries; within
-a library the first index entry whose condition matches the target engine
-wins.  A lookup asks each library's index for the functor's entries
-(`LibraryIndex.lookup`, in index order), which are built on its first
-lookup, so a command builds entries only for the functors it requires.
+a library the first index fact whose condition matches the target engine
+wins.  A lookup asks each library's index for the functor's rows
+(`LibraryIndex.lookup`, in index order) and builds nothing.
 
 `trace`, `graph` and `export` share one depth-first walk from the entry
 files.  It enters every reached home, local and project file once, never a
@@ -91,12 +90,15 @@ class LibrarySet:
     probes: dict[Path, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
     # root -> name in reports: the kind, then `home2`, `home3`... for a kind's later ones
     names: dict[Path, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _order: tuple[Library, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        roots = sorted(lib.root for lib in self.ordered())  # a root sorts just before its subdirs
+        local = (self.loclib,) if self.loclib else ()
+        object.__setattr__(self, "_order", (*local, *self.syslibs, *self.homelibs))
+        roots = sorted(lib.root for lib in self._order)  # a root sorts just before its subdirs
         if any(inner.is_relative_to(outer) for outer, inner in zip(roots, roots[1:])):
             raise ExlibrisError("library roots must be disjoint")
-        for group in ((self.loclib,) if self.loclib else (), self.syslibs, self.homelibs):
+        for group in (local, self.syslibs, self.homelibs):
             for n, lib in enumerate(group, 1):
                 self.sources.update(lib.index.sources)
                 self.names[lib.root] = f"{lib.kind}{n}" if n > 1 else lib.kind
@@ -123,13 +125,9 @@ class LibrarySet:
                 return candidate
         return None
 
-    def ordered(self) -> list[Library]:
-        libs = []
-        if self.loclib is not None:
-            libs.append(self.loclib)
-        libs.extend(self.syslibs)
-        libs.extend(self.homelibs)
-        return libs
+    def ordered(self) -> tuple[Library, ...]:
+        """The libraries in search order: local, then system, then home."""
+        return self._order
 
     @classmethod
     def build(
@@ -227,25 +225,25 @@ def _decide(
     """A requirement's index hits in search order, as (verdict, label, file
     or None), and their targets; a missing file or no hit is unresolved.
 
-    For a concrete engine only the first matching entry.  For engine None
-    every entry that `matches` does not rule out for all engines (extra
+    For a concrete engine only the first matching fact.  For engine None
+    every fact that `matches` does not rule out for all engines (extra
     candidates only ever widen an export), up to the first that holds for
     every engine, since nothing later can win for any engine.
     """
     unresolved = (UNRESOLVED_FUNCTOR, str(functor), None)
     hits, resolved = [], []
     for lib in libs.ordered():
-        for entry in lib.index.lookup(functor):
-            holds = matches(entry.cond, engine)
+        for _, _, cond, module, rel_file in lib.index.lookup(functor):
+            holds = matches(cond, engine)
             if holds is False:
                 continue
-            path = libs.source_path(lib.root, entry.file)
+            path = libs.source_path(lib.root, rel_file)
             if path is None:
                 hits.append(unresolved)
                 resolved.append(UNRESOLVED)
             else:
-                built_in = entry.module == BUILT_IN_MODULE
-                label = f"{functor} {render_cond(entry.cond)}" + (" built-in" if built_in else "")
+                built_in = module == BUILT_IN_MODULE
+                label = f"{functor} {render_cond(cond)}" + (" built-in" if built_in else "")
                 file = _library_file(lib, path)
                 hits.append((BUILT_IN if built_in else LOAD, label, file))
                 resolved.append((BuiltIn if built_in else LoadFile)(lib.kind, lib.root, file.rel))
@@ -255,7 +253,7 @@ def _decide(
 
 
 def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
-    """First matching index entry in search order, or Unresolved."""
+    """First matching index fact in search order, or Unresolved."""
     return _decide(functor, engine, libs)[1][0]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,9 @@ class TestExport:
         def fail(path, text):
             raise OSError("no space left on device")
 
+        entry = worked_example / "proj" / "file1.pl"
+        entry.write_text(entry.read_text(encoding="utf-8") + ":- requires([nothere/0]).\n",
+                         encoding="utf-8")
         monkeypatch.setattr("exlibris.export.write_text", fail)
         code, out, err = run_cli(*EXPORT_ARGS)
         assert code == EXIT_ERROR
@@ -172,7 +176,11 @@ class TestExport:
             f"copy {worked_example / 'proj' / 'lib' / 'meta' / 'maplist.pl'}"
             " -> lib/meta/maplist.pl\n"
         )
-        assert err == "exlibris: no space left on device\n"
+        # the plan's warnings come before the error
+        assert err == (
+            f"warning: unresolved nothere/0 (from {entry})\n"
+            "exlibris: no space left on device\n"
+        )
 
 
     def test_library_file_loaded_with_its_own_extension(self, tmp_path, run_cli, monkeypatch):
@@ -368,6 +376,43 @@ class TestMkindex:
         code, out, _ = run_cli("mkindex", "HomeLib", "--ext", ".pl", "--config", "exlibris.cfg")
         assert (code, out) == (EXIT_OK, "wrote HomeLib/Index.pl (3 entries)\n")
 
+    @pytest.mark.parametrize("exts", [(".pl", ".pro"), (".pro", ".pl")],
+                             ids=["pl_first", "pro_first"])
+    def test_two_files_with_one_name_are_refused(self, tmp_path, run_cli, monkeypatch, exts):
+        """a.pl and a.pro would both be index file field `a`."""
+        write_files(tmp_path, {
+            "H/a.pl": ":- defines([p/0]).\n",
+            "H/a.pro": ":- defines([q/0]).\n",
+            "proj/m.pl": ":- requires([p/0, q/0]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        ext_args = ("--ext", exts[0], "--ext", exts[1])
+        assert run_cli("mkindex", "H", *ext_args) == (
+            EXIT_ERROR, "", "exlibris: both H/a.pl and H/a.pro would be indexed as a\n"
+        )
+        assert not (tmp_path / "H" / "Index.pl").exists()
+        # indexing on the fly stops the same way
+        assert run_cli("trace", "proj/m.pl", "--pl", "swi:1.0", "--homelib", "H", *ext_args) == (
+            EXIT_ERROR, "",
+            f"exlibris: both {tmp_path / 'H' / 'a.pl'} and {tmp_path / 'H' / 'a.pro'}"
+            " would be indexed as a\n",
+        )
+        # one file that provides is enough, whichever it is
+        for pl, pro in ((":- defines([p/0]).\n", "q.\n"), ("p.\n", ":- defines([q/0]).\n")):
+            write_files(tmp_path, {"H/a.pl": pl, "H/a.pro": pro})
+            assert run_cli("mkindex", "H", *ext_args)[0] == EXIT_ERROR
+        # with neither providing there is no fact to confuse
+        write_files(tmp_path, {"H/a.pl": "p.\n", "H/a.pro": "q.\n"})
+        assert run_cli("mkindex", "H", *ext_args) == (EXIT_OK, "wrote H/Index.pl (0 entries)\n", "")
+
+    def test_a_file_of_another_extension_is_no_source(self, tmp_path, run_cli):
+        """With the default `.pl` only, a.pro is not indexed, so it clashes with nothing."""
+        (tmp_path / "a.pl").write_text(":- defines([p/0]).\n", encoding="utf-8")
+        (tmp_path / "a.pro").write_text(":- defines([q/0]).\n", encoding="utf-8")
+        assert run_cli("mkindex", str(tmp_path)) == (
+            EXIT_OK, f"wrote {tmp_path / 'Index.pl'} (1 entries)\n", ""
+        )
+
     def test_writes_index(self, worked_example, run_cli):
         code, out, _ = run_cli("mkindex", "HomeLib")
         assert code == EXIT_OK
@@ -440,7 +485,7 @@ class TestMkindex:
         assert (code, err) == (EXIT_OK, "")
         text = (tmp_path / "Index.pl").read_text(encoding="utf-8")
         assert text.splitlines()[1:] == [f"index( p, 1, {cond}, user, a )."]
-        assert render_index(parse_index(tmp_path / "Index.pl").entries) == text
+        assert render_index(parse_index(tmp_path / "Index.pl").rows) == text
 
     @pytest.mark.parametrize(
         "directive, message",
@@ -1026,3 +1071,53 @@ class TestByteOrderMark:
         assert {p.relative_to(first): p.read_bytes() for p in first.rglob("*.pl")} == {
             p.relative_to(again): p.read_bytes() for p in again.rglob("*.pl")
         }
+
+
+class TestSymlinks:
+    """Files are named by their lexical path under the library root as given:
+    a symlink is never resolved, not for a file and not for a root."""
+
+    @pytest.fixture
+    def linked(self, tmp_path, monkeypatch):
+        """H/link.pl -> ../shared/x.pl, which defines p/0; H/d/real.pl defines q/0; Hlink -> H."""
+        write_files(tmp_path, {
+            "shared/x.pl": ":- defines([p/0]).\np.\n",
+            "H/d/real.pl": ":- defines([q/0]).\nq.\n",
+            "proj/m.pl": ":- requires([p/0, q/0]).\n",
+        })
+        (tmp_path / "H" / "link.pl").symlink_to(Path("..", "shared", "x.pl"))
+        (tmp_path / "Hlink").symlink_to("H", target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_trace_names_files_under_the_linked_root(self, linked, run_cli):
+        assert run_cli("trace", "proj/m.pl", "--pl", "swi:1.0", "--homelib", "Hlink") == (
+            EXIT_OK, "p/0: load home link\nq/0: load home d/real\n", ""
+        )
+
+    def test_export_copies_the_link_as_a_file(self, linked, run_cli):
+        code, out, err = run_cli(
+            "export", "--dest", "out", "--source", "proj", "--homelib", "Hlink"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"copy {linked / 'Hlink' / 'link.pl'} -> lib/link.pl\n" in out
+        copied = linked / "out" / "lib" / "link.pl"
+        assert not copied.is_symlink()
+        assert copied.read_bytes() == (linked / "shared" / "x.pl").read_bytes()
+        assert (linked / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
+            "% generated by exlibris mkindex\n"
+            "index( p, 0, any, user, link ).\n"
+            "index( q, 0, any, user, 'd/real' ).\n"
+        )
+
+    def test_a_root_and_a_link_to_it_are_two_libraries(self, linked, run_cli):
+        """Roots compare lexically, so H and Hlink are disjoint; H, first, answers."""
+        args = ("--homelib", "H", "--homelib", "Hlink")
+        assert run_cli("trace", "proj/m.pl", "--pl", "swi:1.0", *args) == (
+            EXIT_OK, "p/0: load home link\nq/0: load home d/real\n", ""
+        )
+        code, out, err = run_cli("graph", "--source", "proj", *args)
+        assert (code, err) == (EXIT_OK, "")
+        assert '"m.pl" -> "home:link" [label="p/0 any"];\n' in out
+        assert '"m.pl" -> "home:d/real" [label="q/0 any"];\n' in out
+        assert "home2" not in out

@@ -29,7 +29,7 @@ from exlibris.index import (
     parse_index,
     read_index,
     render_index,
-    term_to_entry,
+    term_to_row,
     write_index,
 )
 from exlibris.resolve import Library, LibrarySet
@@ -49,7 +49,7 @@ class TestMkindex:
     def test_home_library_regenerates_published_entries(self, tmp_path):
         build_worked_example(tmp_path)
         index = mkindex(tmp_path / "HomeLib")
-        assert render_index(index.entries) == (
+        assert render_index(index.rows) == (
             "% generated by exlibris mkindex\n"
             "index( flatten, 2, swi(_), built_in, 'compat/swi/built_ins' ).\n"
             "index( flatten, 2, not(swi(_)), user, 'list/flatten' ).\n"
@@ -128,7 +128,7 @@ class TestMkindex:
     def test_what_a_file_provides(self, tmp_path, text, clause_fallback, facts):
         write(tmp_path, "f.pl", text)
         index = mkindex(tmp_path, clause_fallback=clause_fallback)
-        assert render_index(index.entries) == "".join(
+        assert render_index(index.rows) == "".join(
             f"{line}\n" for line in [INDEX_HEADER, *(f"index( {fact}, f )." for fact in facts)]
         )
 
@@ -169,8 +169,8 @@ class TestMkindex:
 
     def test_deterministic_bytes(self, tmp_path):
         build_worked_example(tmp_path)
-        first = render_index(mkindex(tmp_path / "HomeLib").entries)
-        second = render_index(mkindex(tmp_path / "HomeLib").entries)
+        first = render_index(mkindex(tmp_path / "HomeLib").rows)
+        second = render_index(mkindex(tmp_path / "HomeLib").rows)
         assert first == second
 
     def test_probes_no_path_beyond_the_scan(self, tmp_path, monkeypatch):
@@ -220,7 +220,8 @@ class TestWriteIndex:
         functors = ", ".join(f"p{i}/1" for i in range(1500))
         write(tmp_path, "a.pl", f":- defines({deep}, [{functors}]).\n")
         write(tmp_path, "b.pl", ":- defines(swi(_), [q/1, r/2]).\n:- defines(any, [s/0]).\n")
-        entries = mkindex(tmp_path).entries
+        index = mkindex(tmp_path)
+        entries = index.entries
         expected = "% generated by exlibris mkindex\n" + "".join(
             f"index( {e.functor.name}, {e.functor.arity}, {render_cond(e.cond, 999)}, "
             f"user, {e.file} ).\n"
@@ -231,7 +232,7 @@ class TestWriteIndex:
             index_module, "render_cond",
             lambda cond, max_prec=1200: rendered.append(cond) or render_cond(cond, max_prec),
         )
-        assert render_index(entries) == expected
+        assert render_index(index.rows) == expected
         assert len(rendered) == len({id(e.cond) for e in entries}) == 3
 
 
@@ -301,9 +302,20 @@ def entry_from_seed(seed: int) -> IndexEntry:
     return IndexEntry(functor, cond, module, file)
 
 
+def rendered(entries) -> str:
+    """The index text `render_index` writes for `entries`."""
+    return render_index(LibraryIndex(Path(), entries).rows)
+
+
+def entry_of_term(term) -> IndexEntry | None:
+    """The entry of the row `term_to_row` decodes a term to, or None."""
+    row = term_to_row(term)
+    return None if row is None else IndexEntry(FunctorRef(row[0], row[1]), *row[2:])
+
+
 def general_reader(text: str, path: str | None = None) -> tuple:
     """The reference reader: every statement parsed by `read_terms`, each
-    decoded by `term_to_entry`, then a warning for each that names no entry.
+    decoded by `term_to_row`, then a warning for each that names no entry.
     Gives the entries and warnings, or the error and no warning."""
     try:
         statements = read_terms(text, path)
@@ -313,7 +325,7 @@ def general_reader(text: str, path: str | None = None) -> tuple:
     for statement in statements:
         line = statement.span.line
         try:
-            entry = term_to_entry(statement.term)
+            entry = entry_of_term(statement.term)
         except (EngineConditionError, ValueError) as exc:
             warnings.append(f"{path}:{line}: skipping index fact: {exc}")
             continue
@@ -360,12 +372,12 @@ class TestRoundTripProperty:
     @given(st.lists(SEEDS, max_size=50))
     def test_parse_of_render_is_identity(self, seeds):
         entries = tuple(entry_from_seed(seed) for seed in seeds)
-        text = render_index(entries)
+        text = rendered(entries)
         assert general_reader(text) == outcome(lambda: read_index(text)) == (entries, [])
 
     @given(st.lists(SEEDS, max_size=50))
     def test_each_line_is_the_canonical_clause_of_its_term(self, seeds):
-        lines = render_index(entry_from_seed(seed) for seed in seeds).splitlines()[1:]
+        lines = rendered(entry_from_seed(seed) for seed in seeds).splitlines()[1:]
         assert lines == [render_clause(read_term(line)) for line in lines]
 
     @given(st.lists(SEEDS, max_size=50))
@@ -373,7 +385,7 @@ class TestRoundTripProperty:
         entries = tuple(entry_from_seed(seed) for seed in seeds)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "Index.pl"
-            path.write_text(render_index(entries), encoding="utf-8")
+            path.write_text(rendered(entries), encoding="utf-8")
             with counting_parses() as parsed:
                 read = parse_index(path).entries
         assert parsed == []
@@ -448,7 +460,7 @@ def left_to_the_parser(text: str) -> list[tuple[int, int]]:
     left = []
     for (start, end, _), statement in zip(split_statements(text), read_terms(text)):
         try:
-            entry = term_to_entry(statement.term)
+            entry = entry_of_term(statement.term)
         except (EngineConditionError, ValueError):
             entry = None
         if entry is None or index_line(entry) != text[start:end]:
@@ -510,7 +522,7 @@ class TestLineReaderAgreesWithGeneralReader:
             IndexEntry(FunctorRef(name, 1), helpers.gen_cond(random.Random(seed), 2)[1], module, "f")
             for name, module, seed in rows
         )
-        text = render_index(entries)
+        text = rendered(entries)
         # every form `atom_text` writes is taken without a parse
         with counting_parses() as parsed:
             assert read_index(text) == general_reader(text)[0] == entries
@@ -543,6 +555,28 @@ def generated_index(facts: int) -> str:
     )
 
 
+# A home library's sources, and the index `mkindex` writes for them; the
+# facts of s/0 and t/0 name file a as `all` and `'./a'` in `HOME_INDEX`.
+HOME_SOURCES = {
+    "a.pl": ":- defines([p/1, s/0, t/0]).\n:- defines(swi(_), [q/0]).\np(1).\nq.\ns.\nt.\n",
+    "b.pl": ":- defines([r/0]).\nr.\n",
+}
+HOME_MKINDEX = f"""{INDEX_HEADER}
+index( p, 1, any, user, a ).
+index( q, 0, swi(_), user, a ).
+index( r, 0, any, user, b ).
+index( s, 0, any, user, a ).
+index( t, 0, any, user, a ).
+"""
+HOME_INDEX = generated_index(10_000) + (
+    "index( p, 1, any, user, a ).\n"
+    "index( q, 0, swi(_), user, a ).\n"
+    "index( r, 0, any, user, b ).\n"
+    "index( s, 0, all, user, a ).\n"
+    "index( t, 0, any, user, './a' ).\n"
+)
+
+
 def count_built_entries(monkeypatch) -> list[IndexEntry]:
     """The list every `IndexEntry` built from now on is appended to."""
     built = []
@@ -557,8 +591,49 @@ def count_built_entries(monkeypatch) -> list[IndexEntry]:
 
 
 class TestEntriesFollowWhatIsAsked:
-    """A loaded index builds entries only for the functors looked up and the
-    files export keeps; every warning and error still comes at load time."""
+    """An index fact is a row from reader to writer: no command builds an
+    `IndexEntry`, and every warning and error still comes at load time."""
+
+    @pytest.mark.parametrize("index_text", [HOME_INDEX, None], ids=["index_file", "on_the_fly"])
+    def test_no_command_builds_an_entry(self, tmp_path, monkeypatch, run_cli, index_text):
+        home = tmp_path / "HomeLib"
+        for rel, text in HOME_SOURCES.items():
+            write(home, rel, text)
+        if index_text is not None:
+            write(home, "Index.pl", index_text)
+        write(tmp_path, "proj/main.pl", ":- requires( [p/1, q/0, s/0, t/0] ).\n")
+        monkeypatch.chdir(tmp_path)
+        entries = read_index(index_text or HOME_MKINDEX)
+        rows = [(e.functor.name, e.functor.arity, e.cond, e.module, e.file) for e in entries]
+        kept = rendered(e for e in entries if e.file in ("a", "./a"))  # the facts of file a
+        built = count_built_entries(monkeypatch)
+
+        index = Library.load("home", home).index
+        asked = [FunctorRef(*key) for key in (("f7", 1), ("f2998", 0), ("f7", 0), ("s", 0),
+                                              ("t", 0), ("q", 0))]
+        for functor in asked + asked:
+            assert list(index.lookup(functor)) == [
+                row for row in rows if row[:2] == (functor.name, functor.arity)
+            ]
+        home_args = ("--homelib", "HomeLib")
+        code, _, err = run_cli("graph", "--source", "proj", *home_args)
+        assert (code, err) == (0, "")
+        assert run_cli("trace", "proj/main.pl", "--pl", "swi:9", *home_args) == (0, (
+            "p/1: load home a\n"
+            "q/0: load home a (already loaded)\n"
+            "s/0: load home a (already loaded)\n"
+            "t/0: load home a (already loaded)\n"
+        ), "")
+        code, _, err = run_cli("export", "--dest", "out", "--source", "proj", *home_args,
+                               "--pl", "swi:9", "--pl", "yap:6", "--pl", "sicstus:4")
+        assert (code, err) == (0, "".join(
+            f"warning: unresolved q/0 under {pl} (from {tmp_path / 'proj' / 'main.pl'})\n"
+            for pl in ("sicstus(4)", "yap(6)")
+        ))
+        assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == kept
+        assert run_cli("mkindex", "HomeLib") == (0, "wrote HomeLib/Index.pl (5 entries)\n", "")
+        assert (home / "Index.pl").read_text(encoding="utf-8") == HOME_MKINDEX
+        assert built == []
 
     def test_lookups_build_only_the_asked_functors_entries(self, tmp_path, monkeypatch):
         text = generated_index(10_000)
@@ -566,11 +641,13 @@ class TestEntriesFollowWhatIsAsked:
         path = write(tmp_path, "Index.pl", text)
         built = count_built_entries(monkeypatch)
         index = parse_index(path)
-        assert built == []
         asked = [FunctorRef("f7", 1), FunctorRef("f2998", 0), FunctorRef("f7", 0)]
-        for functor in asked + asked:  # a second lookup builds nothing
-            assert index.lookup(functor) == tuple(e for e in everything if e.functor == functor)
-        assert [str(e.functor) for e in built] == ["f7/1"] * 4 + ["f2998/0"] * 3
+        for functor in asked + asked:  # a second lookup gives the same rows
+            assert list(index.lookup(functor)) == [
+                (e.functor.name, e.functor.arity, e.cond, e.module, e.file)
+                for e in everything if e.functor == functor
+            ]
+        assert built == []
 
     def test_export_builds_only_the_kept_files_entries(self, tmp_path, monkeypatch):
         text = generated_index(10_000) + (
@@ -583,13 +660,12 @@ class TestEntriesFollowWhatIsAsked:
         write(home, "a.pl", "p(1).\nq.\n")
         write(home, "b.pl", "r.\n")
         entry = write(tmp_path, "proj/main.pl", ":- requires( [p/1] ).\n")
-        kept = [e for e in read_index(text) if e.file == "a"]
+        kept = rendered(e for e in read_index(text) if e.file == "a")
         built = count_built_entries(monkeypatch)
         opts = ExportOptions(dest=tmp_path / "out", sources=(entry,))
         plan = plan_export(opts, LibrarySet.build((), (home,)))
-        assert {f.dest_rel: f.content for f in plan.files}["lib/Index.pl"] == render_index(kept)
-        # one for the lookup of p/1, then the two of file a
-        assert [e.functor.name for e in built] == ["p", "p", "q"]
+        assert {f.dest_rel: f.content for f in plan.files}["lib/Index.pl"] == kept
+        assert built == []
 
     def test_warnings_come_at_load_in_file_order(self, tmp_path, caplog):
         path = write(
@@ -607,7 +683,7 @@ class TestEntriesFollowWhatIsAsked:
             f"{path}:3: ignoring non-index term",
         ]
         caplog.clear()
-        assert [e.functor for e in library.index.lookup(FunctorRef("g", 1))] == [FunctorRef("g", 1)]
+        assert list(library.index.lookup(FunctorRef("g", 1))) == [("g", 1, ALWAYS, "user", "ok")]
         assert caplog.records == []
 
     def test_unterminated_quote_stops_a_trace_that_looks_nothing_up(self, tmp_path, run_cli):
