@@ -21,13 +21,18 @@ takes, and in every third fact a doubled space or a line break, which it
 leaves to the parser.  Its first `any` fact is written with `all`, a
 condition the reader parses, and it holds facts the reader skips with a
 warning, at its start, middle and end, so the warnings' text and order
-are compared too.  The same commands run on a copy of HomeLib, `Index.pl`
-included, whose `:- defines(`, `:- module(` and `:- defines_module(` lines
-are written by turns as `:-defines(`, `:- /* c */ defines(` and
+are compared too.  The same commands, and `mkindex` without and with
+`--clause-fallback`, run on a copy of HomeLib, `Index.pl` included where
+HomeLib keeps one (else they index it on the fly), whose `:- defines(`,
+`:- module(` and `:- defines_module(` lines are written by turns as they
+stand, which `mkindex`'s declaration pattern takes, and in spellings it
+leaves to the parser: `:-defines(`, `:- /* c */ defines(` and
 `:- 'defines'(`, since the dependency walk picks the directives it leaves
-unparsed by their first body token.  They run once more, with `proj/main.pl` as the
-entry, on the hand-written corpus under `tests/data/real/`, its
-`expected/Index.pl` placed in its HomeLib.  Every difference in exit code,
+unparsed by their first body token, then a doubled space after `(`, a line
+break or a `/* c */` after the first `[`, and `) .`.  The walks run once
+more, with `proj/main.pl` as the entry, on the hand-written corpus under
+`tests/data/real/`, its `expected/Index.pl` placed in its HomeLib, and so
+does `mkindex` of that HomeLib.  Every difference in exit code,
 standard output, standard error or written files (export's destination,
 mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0 if there is
 none.
@@ -95,22 +100,34 @@ def respelled(world) -> dict[str, str]:
     return copy
 
 
-# how REDECLARED writes a declaration's `:- name(`, by turns
-SPELLINGS = (":-{}(", ":- /* c */ {}(", ":- '{}'(")
-DECLARATION = re.compile(r":- (defines|module|defines_module)\(", re.MULTILINE)
+# How REDECLARED writes a declaration `:- name(args).`, by turns: as it
+# stands, which mkindex's declaration pattern takes, then in spellings it
+# leaves to the parser.  The walk leaves the first three unparsed as well,
+# since it picks the directives it skips by their first body token.
+SPELLINGS = (
+    ":- {0}({1}).",
+    ":-{0}({1}).",
+    ":- /* c */ {0}({1}).",
+    ":- '{0}'({1}).",  # the walk parses this one
+    ":- {0}( {1}).",  # a doubled space after `(`
+    ":- {0}({2}).",  # a line break inside the list
+    ":- {0}({3}).",  # a comment inside the list
+    ":- {0}({1}) .",
+)
+DECLARATION = re.compile(r"^:- (defines|module|defines_module)\((.*)\)\.$", re.MULTILINE)
 
 
 def redeclared(world) -> dict[str, str]:
-    """HomeLib's files under REDECLARED, its `Index.pl` included, with every
-    `:- defines(`, `:- module(` and `:- defines_module(` at a line start
-    written by turns as SPELLINGS give; none if HomeLib keeps no `Index.pl`."""
-    import world as worlds
-
-    if f"HomeLib/{worlds.INDEX_NAME}" not in world.files:
-        return {}
+    """HomeLib's files under REDECLARED, its `Index.pl` included if it keeps
+    one, with every `:- defines(`, `:- module(` and `:- defines_module(`
+    line written by turns as SPELLINGS give."""
     turns = itertools.cycle(SPELLINGS)
-    return {f"{REDECLARED}/{rel.removeprefix('HomeLib/')}":
-            DECLARATION.sub(lambda m: next(turns).format(m[1]), text)
+
+    def respell(m: re.Match) -> str:
+        listed = (m[2].replace("[", "[\n    ", 1), m[2].replace("[", "[/* c */ ", 1))
+        return next(turns).format(m[1], m[2], *listed)
+
+    return {f"{REDECLARED}/{rel.removeprefix('HomeLib/')}": DECLARATION.sub(respell, text)
             for rel, text in world.files.items() if rel.startswith("HomeLib/")}
 
 
@@ -142,7 +159,7 @@ def commands(world) -> list[dict]:
     found = [{"argv": ["graph", "--source", "proj", *libs, *pls], "writes": None}
              for pls in ([], targets)]
     for copy in (RESPELLED, REDECLARED):
-        if f"{copy}/{worlds.INDEX_NAME}" in world.files:
+        if any(rel.startswith(f"{copy}/") for rel in world.files):
             copy_libs = [copy if arg == "HomeLib" else arg for arg in libs]
             found.extend(walks(f"proj/{world.entries[0].rel}", copy_libs))
     found.extend(
@@ -153,10 +170,14 @@ def commands(world) -> list[dict]:
         {"argv": ["export", "--dest", "out", "--source", "proj", *libs, *pls], "writes": "out"}
         for pls in ([], targets, swi)
     )
-    found.extend({"argv": ["mkindex", lib, *fallback], "writes": f"{lib}/{worlds.INDEX_NAME}"}
-                 for fallback in ([], ["--clause-fallback"])
-                 for lib in ("SysLib", "HomeLib", UNDECLARED))
+    found.extend(mkindexes(["SysLib", "HomeLib", UNDECLARED, REDECLARED]))
     return found
+
+
+def mkindexes(libs: list[str]) -> list[dict]:
+    """`mkindex` of each of `libs`, without and with `--clause-fallback`."""
+    return [{"argv": ["mkindex", lib, *fallback], "writes": f"{lib}/Index.pl"}
+            for fallback in ([], ["--clause-fallback"]) for lib in libs]
 
 
 def walks(entry: str, libs: list[str]) -> list[dict]:
@@ -308,7 +329,7 @@ def main() -> int:
             todo = commands(world)
             total += len(todo)
             different += compare(f"{name} seed {seed}", world.materialize, todo, other)
-    todo = walks("proj/main.pl", ["--homelib", "HomeLib"])
+    todo = walks("proj/main.pl", ["--homelib", "HomeLib"]) + mkindexes(["HomeLib"])
     total += len(todo)
     different += compare("tests/data/real", real_world, todo, other)
     print(f"{total} commands, {different} with differences")

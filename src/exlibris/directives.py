@@ -268,6 +268,10 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 elif name == "may_load" and arity == 1:
                     deps.extend(MayLoad(ref) for ref in _decode_ref_arg(body.args[0]))
                 elif name == "module" and arity == 2:
+                    if not is_proper_list(body.args[1]):  # `module(m, [])` provides nothing
+                        got = render_term(body.args[1])
+                        message = f"module expects a list of name/arity terms, got {got}"
+                        raise MalformedDirectiveError(message, span.line, path)
                     if provides is None and isinstance(body.args[0], Atom):
                         provides = [
                             (f, ALWAYS, body.args[0].name)

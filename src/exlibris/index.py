@@ -126,11 +126,14 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
     )
 
 
-def read_source(path: Path, skip: Collection[str] = ()) -> tuple[str, FileFacts]:
+def read_source(
+    path: Path, skip: Collection[str] = (), conds: dict | None = None
+) -> tuple[str, FileFacts]:
     """A source file's text and its facts, from `terms.read_directives`, which
-    leaves the directives `skip` names unparsed."""
+    leaves the directives `skip` names unparsed and reads each condition text
+    of a declaration it takes by pattern once per `conds`."""
     text = read_text(path)
-    return text, extract(read_directives(text, str(path), skip), str(path))
+    return text, extract(read_directives(text, str(path), skip, conds), str(path))
 
 
 def mkindex(
@@ -157,8 +160,9 @@ def mkindex(
     discovered: list[Row] = []
     sources: SourceStore = {}
     named: dict[str, tuple[Path, bool]] = {}  # file field -> its first file, whether it provides
+    conds: dict[str, Term | None] = {}  # condition texts read, for this call alone
     for source in find_sources(root, extensions, follow_subdirs):
-        text, facts = sources[source] = read_source(source)
+        text, facts = sources[source] = read_source(source, conds=conds)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
         provides = facts.provides or ()
         if facts.provides is None and clause_fallback:

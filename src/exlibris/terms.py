@@ -12,13 +12,14 @@ Only `split_statements` finds where statements end, in one lexical pass,
 one pattern match per statement: it knows quoted atoms, strings,
 back-quoted text, `0'c` codes, comments and symbol-char runs, so a `.`
 inside any of them ends nothing, and it reports an unterminated quote or
-block comment before any statement is parsed.  The index reader runs the
-same pass with one alternative of its own (`statement_pattern`) and the
-same per-match step (`matched_statement`).  `parse_statements` then parses
-statements in place, so every reader gives the same ends and errors:
-`read_directives` those whose first token is `:-` or `library_directory`,
-less the `:-` ones whose next token is an unquoted atom its caller names,
-`read_terms` all, the index reader those its own alternative leaves.
+block comment before any statement is parsed.  The index reader and
+`read_directives` add one alternative each (`statement_pattern`), a fact
+as `mkindex` writes it and a declaration as libraries are generated, each
+decoded from its match.  `parse_statements` parses others in place, so
+every reader gives the same terms, ends and errors: `read_directives`
+those whose first token is `:-` or `library_directory`, less the `:-` ones
+whose next token is an unquoted atom its caller names, `read_terms` all,
+the index reader those its own alternative leaves.
 
 Tokens are read inside one statement only, by one compiled pattern, one
 match per token: the match skips layout and comments, then takes exactly
@@ -171,6 +172,9 @@ INFIX_OPERATORS: dict[str, tuple[int, str]] = {
     "//": (400, "yfx"),
     ":": (200, "xfy"),
 }
+
+# atoms written bracketed as operands, here and by `engines.render_cond`
+OPERATOR_ATOMS = frozenset(PREFIX_OPERATORS) | frozenset(INFIX_OPERATORS)
 
 _SYMBOL_CHARS = "+-*/\\^<>=~:?@#&$"
 # A symbol-char run as both lexers read it.  As in ISO, `.` is a symbol char,
@@ -501,12 +505,14 @@ def matched_statement(m: re.Match, text: str, path: str | None) -> tuple[int, in
     return start, m.end(), unquote_atom(token) if kind == "qatom" else token
 
 
-def split_statements(text: str, path: str | None = None) -> list[tuple[int, int, str]]:
+def split_statements(text: str, path: str | None = None, pattern: re.Pattern = _STATEMENT) -> list:
     """Each statement as `matched_statement` gives it, in file order, found
-    in one lexical pass that parses nothing."""
+    in one lexical pass that parses nothing; with a `statement_pattern`, one
+    its fact alternative takes has the match in place of its first token."""
     out = []
-    for m in _STATEMENT.finditer(text, text_start(text)):
-        statement = matched_statement(m, text, path)
+    for m in pattern.finditer(text, text_start(text)):
+        fact = m.lastgroup == "fact"
+        statement = (m.start("fact"), m.end(), m) if fact else matched_statement(m, text, path)
         if statement is None:
             return out
         out.append(statement)
@@ -514,19 +520,20 @@ def split_statements(text: str, path: str | None = None) -> list[tuple[int, int,
 
 
 def parse_statements(
-    text: str, statements: Iterable[tuple[int, int, str]], path: str | None = None
+    text: str, statements: Iterable[tuple[int, int, str | Term]], path: str | None = None
 ) -> list[SourceTerm]:
     """Parse in place each statement of `text` given as `split_statements`
-    gives them, in file order; raises TermSyntaxError at the first offending
-    token of the first one that does not parse."""
+    gives them, in file order, but for one given with its term in place of
+    its first token; raises TermSyntaxError at the first offending token of
+    the first one that does not parse."""
     out: list[SourceTerm] = []
     line, line_start = 1, text_start(text)  # of the previous statement's first token
-    for start, end, _ in statements:
+    for start, end, first in statements:
         newline = text.rfind("\n", line_start, start)
         if newline >= 0:
             line += text.count("\n", line_start, newline + 1)
             line_start = newline + 1
-        term = _parse(text, start, end, path)
+        term = _parse(text, start, end, path) if isinstance(first, str) else first
         out.append(SourceTerm(term, Span(start, end, line, start - line_start + 1)))
     return out
 
@@ -537,24 +544,61 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     return parse_statements(text, split_statements(text, path), path)
 
 
+# `:- defines( [p/2] ).` or `:- module(m, [p/2]).`, with items named by words
+# that are no operators, and a condition of characters `_render` writes: no
+# layout, quote, comment or period.
+_NAME = re.compile(rf"(?!(?:{'|'.join(a for a in OPERATOR_ATOMS if a.isidentifier())})\b)[a-z]\w*")
+_ITEM = re.compile(rf"({_NAME.pattern})/([0-9]{{1,9}})")
+_DECLARATION = statement_pattern(
+    rf":- (defines|module)\( ?(?:([a-z0-9_:()\[\],=<>\\]+), )?"
+    rf"\[((?:{_ITEM.pattern}(?:, {_ITEM.pattern})*)?)\] ?\)"
+)
+
+
+def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
+    """The term the parser reads from a statement `_DECLARATION` took, or None
+    for a `module/1`, a module name that is no `_NAME`, or a condition that
+    `_render` does not write back as it stands; `conds` keeps each read."""
+    name, first, items = m.group(2, 3, 4)
+    args = [make_list([Compound("/", (Atom(f), Integer(int(a)))) for f, a in _ITEM.findall(items)])]
+    if name == "module":
+        args.insert(0, Atom(first) if first and _NAME.fullmatch(first) else None)
+    elif first is not None:
+        if first not in conds:
+            try:
+                term = read_term(first)
+            except TermSyntaxError:
+                term = None
+            # written as at argument precedence, it reads there as it reads alone
+            conds[first] = term if term is not None and _render(term, 999) == first else None
+        args.insert(0, conds[first])
+    return None if None in args else Compound(":-", (Compound(name, tuple(args)),))
+
+
 def read_directives(
-    text: str, path: str | None = None, skip: Collection[str] = ()
+    text: str, path: str | None = None, skip: Collection[str] = (), conds: dict | None = None
 ) -> list[SourceTerm]:
     """Read the directives and `library_directory` clauses of a file, in file
     order: each statement whose first token is `:-` or `library_directory`,
-    except a `:-` whose next token is an unquoted atom in `skip`.
+    except a `:-` whose next token is an unquoted atom in `skip`.  One that
+    `_DECLARATION` takes is decoded from its match, each condition text read
+    once per `conds` (by default, per call).
 
     Every other statement is split off and never tokenized past its first
     token or two, so a syntax error inside one goes unreported; terms, spans
     and errors are `read_terms`'.
     """
-    # a `:-` written `':-'` is read as such, but is no prefix operator
-    kept = [
-        s for s in split_statements(text, path)
-        if s[2] == "library_directory" or s[2] == ":-" and not (
-            skip and text[s[0]] == ":" and _TOKEN.match(text, s[0] + 2)["word"] in skip
-        )
-    ]
+    conds = {} if conds is None else conds
+    kept = []
+    for start, end, first in split_statements(text, path, _DECLARATION):
+        if not isinstance(first, str):  # the match of a declaration
+            if first[2] not in skip:
+                kept.append((start, end, _declaration(first, conds) or ":-"))
+        # a `:-` written `':-'` is read as such, but is no prefix operator
+        elif first == "library_directory" or first == ":-" and not (
+            skip and text[start] == ":" and _TOKEN.match(text, start + 2)["word"] in skip
+        ):
+            kept.append((start, end, first))
     return parse_statements(text, kept, path)
 
 
@@ -594,10 +638,6 @@ def _emit(buf: list[str], piece: str):
         if symbolic or wordy:
             buf.append(" ")
     buf.append(piece)
-
-
-# atoms written bracketed as operands, here and by `engines.render_cond`
-OPERATOR_ATOMS = frozenset(PREFIX_OPERATORS) | frozenset(INFIX_OPERATORS)
 
 
 def _render(term: Term, max_prec: int) -> str:

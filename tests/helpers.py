@@ -21,8 +21,19 @@ from exlibris.engines import (
     IfPls,
     Negation,
     PlId,
+    render_cond,
 )
-from exlibris.terms import Atom, Compound, Integer, Term, Variable, make_list
+from exlibris.terms import (
+    Atom,
+    Compound,
+    Integer,
+    SourceTerm,
+    Term,
+    Variable,
+    make_list,
+    parse_statements,
+    split_statements,
+)
 
 SWI = PlId("swi", (5, 0, 7))
 SICSTUS = PlId("sicstus", (3, 9, 0))
@@ -464,3 +475,80 @@ def oracle_closure(root: Path, world: World, libs, targets):
                 else:
                     note(hit[0], hit[2], hit[1])
     return home, local, project, unresolved, resolution
+
+
+# --- declaration files ---------------------------------------------------------
+
+
+def parsed_directives(text: str, path: str | None = None, skip=(), conds=None) -> list[SourceTerm]:
+    """The statements `terms.read_directives` keeps when it skips nothing, each
+    parsed: the reference its declaration pattern must agree with.  It takes
+    `skip` and `conds` only to stand in for the reader; `mkindex` skips
+    nothing."""
+    assert not skip
+    kept = [s for s in split_statements(text, path) if s[2] in (":-", "library_directory")]
+    return parse_statements(text, kept, path)
+
+
+# Item names: words the declaration pattern takes, and names it leaves to
+# the parser (operator atoms, quoted atoms, a variable).
+DECLARED_NAMES = ("p", "q_1", "r2", "p", "q_1", "ä", "not", "dynamic", "'q x'", "Upper")
+MODULE_NAMES = ("m", "lists_ext", "m", "not", "'m x'", "M", "[]")
+# Ways to write a declaration `:- Name(Args).`: as generated libraries do,
+# compactly, and spellings the pattern leaves to the parser.
+DECLARATION_SPELLINGS = (
+    ":- {0}( {1} ).",
+    ":- {0}({1}).",
+    ":- {0}( {1}).",
+    ":- {0}(  {1} ).",
+    ":- {0}( {1} ) .",
+    ":-{0}( {1} ).",
+    ":- /* c */ {0}({1}).",
+    ":- '{0}'( {1} ).",
+)
+
+
+def gen_declaration(rng: random.Random) -> str:
+    """A `:- defines` or `:- module` statement, most often spelled as the
+    declaration pattern takes it, else in one of the ways it leaves to the
+    parser, with a condition or name that may be written otherwise."""
+    items = []
+    for _ in range(rng.randrange(0, 4)):
+        name = rng.choice(DECLARED_NAMES) if rng.random() < 0.3 else rng.choice(DECLARED_NAMES[:4])
+        items.append(f"{name}{rng.choice(['/', '/', '//'])}{rng.choice([0, 1, 2, 12])}")
+    glue = rng.choice([", ", ", ", ",", ",\n    ", ", /* c */ "])
+    listed = f"[{glue.join(items)}]"
+    roll = rng.random()
+    if roll < 0.3:
+        name, args = "defines", listed
+    elif roll < 0.75:
+        cond_text, cond = gen_cond(rng, 2)
+        canonical = render_cond(cond, 999)
+        # unbracketed, a pair condition is two arguments, and any other misreads
+        written = rng.choice([cond_text, canonical, canonical, canonical.removeprefix("(")[:-1]])
+        name, args = "defines", f"{written}, {listed}"
+    else:
+        name, args = "module", f"{rng.choice(MODULE_NAMES)}, {listed}"
+    spelling = 0 if rng.random() < 0.4 else rng.randrange(len(DECLARATION_SPELLINGS))
+    return DECLARATION_SPELLINGS[spelling].format(name, args)
+
+
+OTHER_STATEMENTS = (
+    "p(X) :- q(X), r(X, 1).",
+    "q(a, [b, c]).",
+    ":- requires( [p/1, q/2] ).",
+    ":- defines_module( m ).",
+    ":- dynamic seen/1.",
+    "library_directory( 'lib' ).",
+    ":- module(m).",
+    ":- defines( swi(_), [p/1] ) /* c */ .",
+)
+
+
+def gen_declarations(rng: random.Random) -> str:
+    """A library file whose declarations interleave with other statements."""
+    statements = [
+        gen_declaration(rng) if rng.random() < 0.6 else rng.choice(OTHER_STATEMENTS)
+        for _ in range(rng.randrange(1, 8))
+    ]
+    return "".join(f"{statement}\n" for statement in statements)

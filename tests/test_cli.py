@@ -551,9 +551,9 @@ class TestParseOnce:
 
         parsed = []
 
-        def counting(text, path=None, skip=()):
+        def counting(text, path=None, skip=(), conds=None):
             parsed.append(path)
-            return read_directives(text, path, skip)
+            return read_directives(text, path, skip, conds)
 
         for name, module in list(sys.modules.items()):
             bound = getattr(module, "read_directives", None)
@@ -585,9 +585,9 @@ class TestParseOnce:
         split, tokenized = [], []
         splitter, tokenizer = exlibris.terms.split_statements, exlibris.terms._tokenize
 
-        def splitting(text, path=None):
+        def splitting(text, path=None, *pattern):
             split.append(os.path.relpath(path))
-            return splitter(text, path)
+            return splitter(text, path, *pattern)
 
         def tokenizing(text, path, pos=0, endpos=None):
             tokenized.append(text[pos:endpos])
@@ -641,8 +641,9 @@ class TestWalkLeavesDeclarationsUnparsed:
             (":- defines([p]).", ":1: defines expects name/arity terms, got p"),
             (":-defines_module(m m).", ":1:20: expected ',' or ')' in argument list"),
             (":- /* c */ defines(p/0 p/1).", ":1:24: expected ',' or ')' in argument list"),
+            (":- module(m, p/0).", ":1: module expects a list of name/arity terms, got p/0"),
         ],
-        ids=["bad_condition", "syntax_error", "bad_functor", "unspaced", "commented"],
+        ids=["bad_condition", "syntax_error", "bad_functor", "unspaced", "commented", "no_list"],
     )
     def test_walks_ignore_it_and_mkindex_reports_it(
         self, tmp_path, run_cli, monkeypatch, first_line, message
@@ -665,6 +666,35 @@ class TestWalkLeavesDeclarationsUnparsed:
         results = self.run_walks(tmp_path, run_cli, "p :- X = 'abc.")
         assert results == [(EXIT_ERROR, "", f"exlibris: {tmp_path / error}")] * 3
         assert run_cli("mkindex", "H") == (EXIT_ERROR, "", f"exlibris: {error}")
+
+
+class TestModuleExportList:
+    @pytest.mark.parametrize("exports", ["p/0", "[p/0|T]", "x"])
+    def test_one_that_is_no_list_stops_indexing(self, tmp_path, run_cli, monkeypatch, exports):
+        """From `mkindex`, with or without `--clause-fallback`, and from a
+        command that indexes the library on the fly."""
+        write_files(tmp_path, {
+            "H/a.pl": f":- defines([q/0]).\n:- module(m, {exports}).\np.\n",
+            "proj/e.pl": ":- requires([p/0]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        error = f"H/a.pl:2: module expects a list of name/arity terms, got {exports}\n"
+        for fallback in ((), ("--clause-fallback",)):
+            assert run_cli("mkindex", "H", *fallback) == (EXIT_ERROR, "", f"exlibris: {error}")
+        assert not (tmp_path / "H" / "Index.pl").exists()
+        code, out, err = run_cli("graph", "--source", "proj", "--homelib", "H")
+        assert (code, out, err) == (EXIT_ERROR, "", f"exlibris: {tmp_path / error}")
+
+    @pytest.mark.parametrize(
+        "exports, facts",
+        [("[]", []), ("[op(700, xfx, ===), p/0, q//1]", ["p, 0, any, m", "q, 3, any, m"])],
+        ids=["empty", "op_skipped"],
+    )
+    def test_a_list_still_provides_its_functors(self, tmp_path, run_cli, exports, facts):
+        (tmp_path / "a.pl").write_text(f":- module(m, {exports}).\n:- defines([r/0]).\n")
+        assert run_cli("mkindex", str(tmp_path), "--clause-fallback")[0] == EXIT_OK
+        lines = (tmp_path / "Index.pl").read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [f"index( {fact}, a )." for fact in facts]
 
 
 class TestTrace:

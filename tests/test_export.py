@@ -191,9 +191,9 @@ class TestPlanExport:
 
         parsed = []
 
-        def counting(text, path=None, skip=()):
+        def counting(text, path=None, skip=(), conds=None):
             parsed.append(path)
-            return read_directives(text, path, skip)
+            return read_directives(text, path, skip, conds)
 
         monkeypatch.setattr(exlibris.index, "read_directives", counting)
         build_worked_example(tmp_path)

@@ -12,6 +12,10 @@ destination, mkindex the library's `Index.pl`, graph and trace nothing.
 No export plan names a destination file twice.  Library files on which a
 backtracking statement splitter would not finish end in a located error,
 and so do `Index.pl` files on which a backtracking index reader would not.
+Library files in which declarations that `read_directives` decodes from its
+declaration pattern interleave with ones it parses, with clauses and with
+at most one bad statement, give `mkindex` the same `Index.pl`, or the same
+exit code and message, as a reader that parses every declaration.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import posixpath
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import exlibris.index as index_module
+import helpers
 from exlibris import cli
 from exlibris.cli import main
 
@@ -283,3 +290,55 @@ def test_pathological_index_file_is_a_located_error(tmp_path, text):
         code, err = run(*args)
         assert code == 2, (args[0], err)
         assert err.startswith(f"exlibris: {index}:1:"), (args[0], err)
+
+
+# Library files for the declaration-pattern fuzz case: declarations the
+# pattern takes, others it leaves to the parser, and clauses, interleaved.
+DECLARATION_FILES = st.lists(
+    st.integers(0, 2**32).map(lambda seed: helpers.gen_declarations(random.Random(seed))),
+    min_size=1, max_size=3,
+)
+# A statement `mkindex` refuses with a located error, in a declaration or not.
+DECLARATION_FAULTS = FAULTS | st.sampled_from([
+    ":- module( m, p/2 ).",
+    ":- module(m, [r/1|T]).",
+    ":- defines( [p/1 ).",
+    ":- defines( swi(, [p/1] ).",
+    ":- defines( foo(bar), [p/1] ).",
+    ":- defines( swi(_), [Upper/1] ).",
+    ":- defines( [p/1] ) % c",
+])
+
+
+def mkindex_outcome(library: Path, fallback: tuple[str, ...]) -> tuple[int, str, bytes | None]:
+    """`mkindex`'s exit code, stderr and `Index.pl` bytes, the index then removed."""
+    code, err = run("mkindex", str(library), *fallback)
+    index = library / "Index.pl"
+    written = index.read_bytes() if index.exists() else None
+    index.unlink(missing_ok=True)
+    return code, err, written
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    DECLARATION_FILES,
+    st.none() | st.tuples(st.integers(0, 2), st.integers(0, 8), DECLARATION_FAULTS),
+    st.booleans(),
+)
+def test_mkindex_agrees_with_the_parse_only_reader(files, fault, clause_fallback):
+    """Whatever the pattern takes, `mkindex` writes the same `Index.pl`, or
+    stops with the same exit code and `file:line:col` message, as with every
+    declaration parsed."""
+    if fault is not None:
+        where, at, statement = fault
+        lines = files[where % len(files)].splitlines(keepends=True)
+        lines.insert(at % (len(lines) + 1), f"{statement}\n")
+        files[where % len(files)] = "".join(lines)
+    fallback = ("--clause-fallback",) if clause_fallback else ()
+    with tempfile.TemporaryDirectory() as tmp:
+        library = Path(tmp)
+        for i, text in enumerate(files):
+            (library / f"m{i}.pl").write_text(text, encoding="utf-8")
+        with mock.patch.object(index_module, "read_directives", helpers.parsed_directives):
+            expected = mkindex_outcome(library, fallback)
+        assert mkindex_outcome(library, fallback) == expected

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exlibris.index as index_module
+import exlibris.terms as terms_module
 import helpers
 from conftest import WORKED_EXAMPLE, build_worked_example
-from exlibris.directives import FunctorRef
+from exlibris.directives import FunctorRef, extract
 from exlibris.engines import ALWAYS, EngineConditionError, render_cond
 from exlibris.errors import ExlibrisError
 from exlibris.export import ExportOptions, plan_export
@@ -33,7 +36,14 @@ from exlibris.index import (
     write_index,
 )
 from exlibris.resolve import Library, LibrarySet
-from exlibris.terms import atom_text, read_term, read_terms, render_clause, split_statements
+from exlibris.terms import (
+    atom_text,
+    read_directives,
+    read_term,
+    read_terms,
+    render_clause,
+    split_statements,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
@@ -695,3 +705,118 @@ class TestEntriesFollowWhatIsAsked:
         assert (code, out) == (2, "")
         index = tmp_path / "HomeLib" / "Index.pl"
         assert err == f"exlibris: {index}:1:25: unterminated quoted atom\n"
+
+
+REAL_HOMELIB = Path(__file__).resolve().parent / "data" / "real" / "HomeLib"
+DECLARATION_LINE = re.compile(r"^:- (defines|module)\(", re.MULTILINE)
+INDEX_FACT = re.compile(r"^index\( (\w+), (\d+), (.*), \w+, '(.*)' \)\.$", re.MULTILINE)
+
+
+def read_outcome(read, text: str, path: str) -> tuple:
+    """The statements `read` gives for a file and their facts, or its error."""
+    try:
+        statements = read(text, path)
+        return statements, extract(statements, path)
+    except ExlibrisError as exc:
+        return "error", str(exc)
+
+
+@contextlib.contextmanager
+def counting_taken():
+    """Patch the declaration decoder to record each term it gives."""
+    taken = []
+    decode = terms_module._declaration
+
+    def counting(m, conds):
+        term = decode(m, conds)
+        taken.append(term)
+        return term
+
+    with mock.patch.object(terms_module, "_declaration", counting):
+        yield taken
+
+
+class TestDeclarationPattern:
+    """`read_directives` decodes a canonical `defines` or `module` declaration
+    from its pattern match, with the terms, spans, facts and errors of the
+    parse-only reader (`helpers.parsed_directives`)."""
+
+    def agree(self, files: dict[str, str]) -> list:
+        """Assert both readers agree on each file; the terms the pattern gave."""
+        with counting_taken() as taken:
+            for path, text in files.items():
+                expected = read_outcome(helpers.parsed_directives, text, path)
+                assert read_outcome(read_directives, text, path) == expected, (path, text)
+        return [term for term in taken if term is not None]
+
+    def test_the_real_corpus(self):
+        files = {str(p): p.read_text(encoding="utf-8") for p in sorted(REAL_HOMELIB.rglob("*.pl"))}
+        taken = self.agree(files)
+        assert len(taken) == sum(len(DECLARATION_LINE.findall(text)) for text in files.values())
+
+    @pytest.mark.parametrize("respelled", [False, True], ids=["canonical", "respelled"])
+    def test_generated_worlds(self, respelled):
+        """Each file of a `helpers.gen_world` world, a library file declaring
+        each fact its `Index.pl` gives it, as generated libraries spell a
+        `defines` or by turns in each of `helpers.DECLARATION_SPELLINGS`."""
+        spellings = helpers.DECLARATION_SPELLINGS
+        turns = itertools.cycle(spellings if respelled else spellings[:1])
+        files = {}
+        for seed in range(100):
+            world = helpers.gen_world(random.Random(seed))
+            for rel, text in world.files.items():
+                lib = rel.split("/")[0]
+                facts = INDEX_FACT.findall(world.files.get(f"{lib}/Index.pl", ""))
+                declared = "".join(
+                    next(turns).format("defines", f"{cond}, [{name}/{arity}]") + "\n"
+                    for name, arity, cond, file in facts if f"{lib}/{file}.pl" == rel
+                )
+                files[f"{seed}/{rel}"] = declared + text
+        assert len(self.agree(files)) > 100
+
+    def test_generated_declarations(self):
+        files = {f"{seed}.pl": helpers.gen_declarations(random.Random(seed)) for seed in range(400)}
+        taken = self.agree(files)
+        assert len(taken) > 100  # the pattern takes many of them
+
+    CANONICAL = {
+        "a.pl": ":- defines( [p0/2] ).\n:- defines( swi(_), [p1/2, p2/2] ).\np0(a, [b]).\n",
+        "b.pl": ":- defines( not(swi(_)), [p3/2] ).\n:- defines( swi(_), [p4/2] ).\np3 :- p4.\n",
+        "sub/c.pl": ":- module( c, [c/1] ).\n:- defines([ignored/1]).\nc(1).\n",
+        "d.pl": ":- module(d, [d/0, e/1]).\n:- defines(not(swi(_)), [f/3]).\n",
+    }
+    CONDITIONS = ["not(swi(_))", "swi(_)"]
+
+    def test_mkindex_tokenizes_no_declaration(self, tmp_path, monkeypatch):
+        for rel, text in self.CANONICAL.items():
+            write(tmp_path, rel, text)
+        tokenized = []
+        tokenizer = terms_module._tokenize
+
+        def tokenizing(text, path, pos=0, endpos=None):
+            tokenized.append(text[pos:endpos])
+            return tokenizer(text, path, pos, endpos)
+
+        monkeypatch.setattr(terms_module, "_tokenize", tokenizing)
+        index = mkindex(tmp_path)
+        assert [f"{row[0]}/{row[1]} {row[4]}" for row in index.rows] == [
+            "c/1 sub/c", "d/0 d", "e/1 d", "p0/2 a", "p1/2 a", "p2/2 a", "p3/2 b", "p4/2 b",
+        ]
+        assert tokenized  # each condition text, read once
+        assert [s for s in tokenized if re.match(r":-\s*(defines|module)\b", s)] == []
+
+    def test_each_condition_text_is_read_once_per_call(self, tmp_path, monkeypatch):
+        for rel, text in self.CANONICAL.items():
+            write(tmp_path, rel, text)
+        read = []
+
+        def reading(text, path=None):
+            read.append(text)
+            return read_term(text, path)
+
+        monkeypatch.setattr(terms_module, "read_term", reading)
+        first = render_index(mkindex(tmp_path).rows)
+        assert sorted(read) == self.CONDITIONS
+        # no memo outlives a call: the next one reads each text again
+        assert render_index(mkindex(tmp_path).rows) == first
+        assert sorted(read) == sorted(self.CONDITIONS * 2)
