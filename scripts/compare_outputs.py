@@ -32,10 +32,13 @@ unparsed by their first body token, then a doubled space after `(`, a line
 break or a `/* c */` after the first `[`, and `) .`.  The walks run once
 more, with `proj/main.pl` as the entry, on the hand-written corpus under
 `tests/data/real/`, its `expected/Index.pl` placed in its HomeLib, and so
-does `mkindex` of that HomeLib.  Every difference in exit code,
-standard output, standard error or written files (export's destination,
-mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0 if there is
-none.
+does `mkindex` of that HomeLib.  The walks run, with `proj/main.pl` as the
+entry, on RELATIVE_WORLD too: a hand-made tree whose files load each other
+by relative names in every spelling the README's Resolution section gives,
+and whose `Index.pl` spells one file three ways.  Every difference in exit
+code, standard output, standard error or written files (export's
+destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0
+if there is none.
 """
 
 from __future__ import annotations
@@ -204,6 +207,52 @@ def real_world(workdir: Path) -> None:
     shutil.copyfile(REAL / "expected" / "Index.pl", workdir / "HomeLib" / "Index.pl")
 
 
+# Relative loads in each spelling the README gives: a plain name, one with
+# its extension, `..` and `/` in the directory part, a trailing `/`, `.`, and
+# a load into a library root beside a lookalike one (`HomeLib-x`); the
+# library files load each other relatively too, and `Index.pl` names the
+# file `d/a` as `'d/./a'`, `'d//a'` and `'d/a'`.
+RELATIVE_WORLD = {
+    "proj/main.pl": (
+        ":- ensure_loaded(a).\n"
+        ":- ensure_loaded('./b.pl').\n"
+        ":- ensure_loaded('sub/../c').\n"
+        ":- ensure_loaded('sub/').\n"
+        ":- ensure_loaded('.').\n"
+        ":- ensure_loaded('../HomeLib/d').\n"
+        ":- ensure_loaded('../HomeLib-x/f').\n"
+        ":- ensure_loaded(missing).\n"
+        ":- requires( [p/0, q/0, r/0] ).\n"
+    ),
+    "proj/a.pl": ":- ensure_loaded(b).\n:- ensure_loaded('sub/x.txt').\na.\n",
+    "proj/b.pl": "b.\n",
+    "proj/c.pl": ":- ensure_loaded(library(d/a)).\nc.\n",
+    "proj/sub/.pl": ":- ensure_loaded('../a').\n",
+    "proj/sub/x.txt": "x.\n",
+    "proj/..pl": "dot.\n",
+    "HomeLib/Index.pl": (
+        "index( d, 0, any, user, d ).\n"
+        "index( p, 0, any, user, 'd/./a' ).\n"
+        "index( q, 0, swi(_), user, 'd//a' ).\n"
+        "index( q, 0, any, user, e ).\n"
+        "index( r, 0, any, user, 'd/a' ).\n"
+    ),
+    "HomeLib/d.pl": ":- defines([d/0]).\n:- ensure_loaded('d/a').\nd.\n",
+    "HomeLib/d/a.pl": (
+        ":- defines([p/0, q/0, r/0]).\n:- ensure_loaded('../../HomeLib-x/f').\np.\nq.\nr.\n"
+    ),
+    "HomeLib/e.pl": ":- defines([q/0]).\nq.\n",
+    "HomeLib-x/f.pl": ":- defines([f/0]).\n:- ensure_loaded('./f.pl').\nf.\n",
+}
+
+
+def relative_world(workdir: Path) -> None:
+    """RELATIVE_WORLD's files in `workdir`."""
+    for rel, text in RELATIVE_WORLD.items():
+        (workdir / rel).parent.mkdir(parents=True, exist_ok=True)
+        (workdir / rel).write_text(text, encoding="utf-8")
+
+
 def written(path: Path) -> dict[str, str]:
     """A digest of each file at `path`, a file or a directory tree."""
     files = [path] if path.is_file() else sorted(p for p in path.rglob("*") if p.is_file())
@@ -332,6 +381,9 @@ def main() -> int:
     todo = walks("proj/main.pl", ["--homelib", "HomeLib"]) + mkindexes(["HomeLib"])
     total += len(todo)
     different += compare("tests/data/real", real_world, todo, other)
+    todo = walks("proj/main.pl", ["--homelib", "HomeLib", "--homelib", "HomeLib-x"])
+    total += len(todo)
+    different += compare("relative loads", relative_world, todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

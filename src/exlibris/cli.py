@@ -238,7 +238,7 @@ def _render_dot(clo, names: dict[str, str]) -> str:
             return names[node]
         if os.path.isabs(node):
             rel = os.path.relpath(node)
-            return node if rel.startswith("..") else rel
+            return node if rel.partition("/")[0] == ".." else rel  # not `..x.pl`
         return node
 
     def esc(text: str) -> str:

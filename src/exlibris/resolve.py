@@ -14,9 +14,9 @@ The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
 it as a leaf.  One function decides each (functor, engine) pair, once per
-walk, and `resolve_functor` too.  A command's `LibrarySet` probes each
-candidate path once, whether an index hit, a `library(...)` reference or
-a relative load names it, and holds each file's facts, which on-the-fly
+walk, and `resolve_functor` too.  `LibrarySet.find` names the file an index
+hit, a `library(...)` reference or a relative load reaches, caching each
+candidate as written, and the set holds each file's facts, which on-the-fly
 indexing already filled, so a command reads and parses each file once.
 The walk reads no file's `provides`, so it leaves the `defines`, `module`
 and `defines_module` directives of a file it reads itself unparsed.
@@ -75,10 +75,20 @@ class Library:
         return cls(kind, root, index)
 
 
+class _File(NamedTuple):
+    """A file the walk reaches; `lib` and `rel` are None for project files."""
+
+    kind: str
+    lib: Library | None
+    path: Path
+    rel: str | None
+
+
 @dataclass(frozen=True)
 class LibrarySet:
-    """One command's libraries, in search order, its source store and its
-    probes.  Neither is refreshed: build a new set after source files change."""
+    """One command's libraries, in search order, its source store and the
+    files its names reach.  Neither is refreshed: build a new set after
+    source files change."""
 
     syslibs: tuple[Library, ...] = ()
     homelibs: tuple[Library, ...] = ()
@@ -86,8 +96,9 @@ class LibrarySet:
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
     # each file is read and parsed once per command
     sources: SourceStore = field(default_factory=dict, init=False, repr=False, compare=False)
-    # path -> whether it is a file, probed once per command
-    probes: dict[Path, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # candidate as written -> the file it names, or None; probed once per command
+    found: dict[str, _File | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     # root -> name in reports: the kind, then `home2`, `home3`... for a kind's later ones
     names: dict[Path, str] = field(default_factory=dict, init=False, repr=False, compare=False)
     _order: tuple[Library, ...] = field(init=False, repr=False, compare=False)
@@ -110,19 +121,30 @@ class LibrarySet:
             self.sources[path] = read_source(path, PROVIDES_ONLY)
         return self.sources[path]
 
-    def is_file(self, path: Path) -> bool:
-        """`fsio.is_file`, probed on the first request."""
-        if path not in self.probes:
-            self.probes[path] = is_file(path)
-        return self.probes[path]
-
-    def source_path(self, root: Path, rel_file: str) -> Path | None:
-        """The file an extensionless index file field names: the first of
-        this set's extensions that is a file, or None."""
-        for ext in self.extensions:
-            candidate = root / (rel_file + ext)
-            if self.is_file(candidate):
-                return candidate
+    def find(self, directory: Path | str, name: str, exts: Sequence[str]) -> _File | None:
+        """The first `name + ext` in `directory`, over `exts`, that is a file,
+        or None.  A candidate, keyed as written, is probed and placed once:
+        under a library root, compared lexically, it is that library's file,
+        named by its path under the root without its suffix."""
+        prefix = os.path.join(directory, "")  # a directory of `/` gives `/name`
+        for ext in exts:
+            written = f"{prefix}{name}{ext}"
+            file = self.found.get(written, False)
+            if file is False:
+                file = None
+                path = canon(written)  # `.`, `..` and `//` normalised; no symlink resolved
+                if is_file(path):
+                    for lib in self._order:
+                        root = os.path.join(lib.root, "")
+                        if str(path).startswith(root):
+                            rel = str(path)[len(root):]
+                            file = _File(lib.kind, lib, path, rel[: len(rel) - len(path.suffix)])
+                            break
+                    else:
+                        file = _File(KIND_PROJECT, None, path, None)
+                self.found[written] = file
+            if file is not None:
+                return file
         return None
 
     def ordered(self) -> tuple[Library, ...]:
@@ -198,22 +220,6 @@ class DepClosure:
     edges: tuple[DepEdge, ...]
 
 
-class _File(NamedTuple):
-    """A file the walk reaches; `lib` and `rel` are None for project files."""
-
-    kind: str
-    lib: Library | None
-    path: Path
-    rel: str | None
-
-
-def _library_file(lib: Library, path: Path) -> _File:
-    """A file of `lib`, named by its path under the root however it was spelled:
-    `relative_to(lib.root).with_suffix("")`, without building paths, as each hit pays it."""
-    rel = "/".join(path.parts[len(lib.root.parts):])
-    return _File(lib.kind, lib, path, rel[: len(rel) - len(path.suffix)])
-
-
 LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
     "load", "built-in", "skip", "unresolved", "missing"
 )
@@ -237,14 +243,13 @@ def _decide(
             holds = matches(cond, engine)
             if holds is False:
                 continue
-            path = libs.source_path(lib.root, rel_file)
-            if path is None:
+            file = libs.find(lib.root, rel_file, libs.extensions)
+            if file is None:
                 hits.append(unresolved)
                 resolved.append(UNRESOLVED)
             else:
                 built_in = module == BUILT_IN_MODULE
                 label = f"{functor} {render_cond(cond)}" + (" built-in" if built_in else "")
-                file = _library_file(lib, path)
                 hits.append((BUILT_IN if built_in else LOAD, label, file))
                 resolved.append((BuiltIn if built_in else LoadFile)(lib.kind, lib.root, file.rel))
             if holds:
@@ -257,34 +262,24 @@ def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> Reso
     return _decide(functor, engine, libs)[1][0]
 
 
-def resolve_file_ref(ref: FileRef, base_dir: Path, libs: LibrarySet) -> _File | None:
-    """Locate a file reference on disk.
-
-    Library aliases search the library roots in resolution order; relative
-    refs resolve against the referring file's directory and are then
-    classified by which library root, if any, contains them.  Returns the
-    file found, or None; a library alias that `is_library_name` rejects
-    names no file.
-    """
+def resolve_file_ref(ref: FileRef, base_dir: str, libs: LibrarySet) -> _File | None:
+    """The file a reference names, by `LibrarySet.find`, or None.  A library
+    alias searches the library roots in resolution order, unless
+    `is_library_name` rejects it; a relative reference is found from the
+    referring file's directory, as written first if its last segment has a
+    suffix."""
     if ref.kind == "library":
         if not is_library_name(ref.path):
             return None
         for lib in libs.ordered():
-            path = libs.source_path(lib.root, ref.path)
-            if path is not None:
-                return _library_file(lib, path)
+            file = libs.find(lib.root, ref.path, libs.extensions)
+            if file is not None:
+                return file
         return None
     head, name = posixpath.split(ref.path)  # as for an index field, name + ext is not normalised
-    head = canon(base_dir / head)
-    path = head / name  # as written, only if its last segment has a suffix
-    if not (Path(name).suffix and libs.is_file(path)):
-        path = libs.source_path(head, name)
-    if path is None:
-        return None
-    for lib in libs.ordered():
-        if path.is_relative_to(lib.root):
-            return _library_file(lib, path)
-    return _File(KIND_PROJECT, None, path, None)
+    suffixed = 0 < name.rfind(".") < len(name) - 1  # as `PurePath(name).suffix` is not empty
+    exts = ("", *libs.extensions) if suffixed else libs.extensions
+    return libs.find(os.path.join(base_dir, head), name, exts)
 
 
 @dataclass(frozen=True)
@@ -327,6 +322,7 @@ def _walk(
 
     def visit(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
+        directory = os.path.dirname(file.path)
         for directive in facts.deps:
             if isinstance(directive, Requirement):
                 functor = directive.functor
@@ -344,7 +340,7 @@ def _walk(
             if isinstance(directive, Load) and not can_match(directive.guard, targets):
                 yield _Step(depth, file, ref, None, SKIP, label)
                 continue
-            hit = resolve_file_ref(ref, file.path.parent, libs)
+            hit = resolve_file_ref(ref, directory, libs)
             if hit is None:
                 yield _Step(depth, file, ref, None, MISSING, str(ref))
             else:

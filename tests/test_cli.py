@@ -851,6 +851,23 @@ class TestGraph:
             "strict mode: unresolved references, nothing exported\n"
         )
 
+    def test_a_project_file_below_the_directory_is_named_relative(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        """`..x.pl` starts with `..` but not with a `..` segment, so it is
+        below the current directory and named relative, as `other/y.pl` is."""
+        write_files(tmp_path, {
+            "..x.pl": "x.\n",
+            "other/y.pl": "y.\n",
+            "proj/m.pl": ":- ensure_loaded('../..x').\n:- ensure_loaded('../other/y').\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("graph", "--source", "proj")
+        assert (code, err) == (EXIT_OK, "")
+        assert '  "m.pl" -> "..x.pl" [label="any"];\n' in out
+        assert '  "m.pl" -> "other/y.pl" [label="any"];\n' in out
+        assert str(tmp_path) not in out
+
     def test_byte_stable_across_runs(self, worked_example, run_cli):
         args = (
             "graph", "--source", "proj/file1.pl",
@@ -1151,3 +1168,32 @@ class TestSymlinks:
         assert '"m.pl" -> "home:link" [label="p/0 any"];\n' in out
         assert '"m.pl" -> "home:d/real" [label="q/0 any"];\n' in out
         assert "home2" not in out
+
+
+class TestLibraryRoots:
+    """Library roots contain files lexically, segment by segment: `H-x` is
+    neither inside `H` nor a root that `H` contains."""
+
+    @pytest.fixture
+    def roots(self, tmp_path, monkeypatch):
+        write_files(tmp_path, {
+            "H/a.pl": ":- defines([a/0]).\na.\n",
+            "H/sub/c.pl": ":- defines([c/0]).\nc.\n",
+            "H-x/b.pl": ":- defines([b/0]).\nb.\n",
+            "proj/n.pl": ":- ensure_loaded('../H-x/b').\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_a_root_inside_another_is_exit_2_beside_a_lookalike(self, roots, run_cli):
+        libs = ("--homelib", "H", "--homelib", "H-x", "--homelib", "H/sub")
+        assert run_cli("trace", "proj/n.pl", "--pl", "swi:1.0", *libs) == (
+            EXIT_ERROR, "", "exlibris: library roots must be disjoint\n"
+        )
+
+    def test_a_relative_load_into_a_lookalike_root_is_that_library_file(self, roots, run_cli):
+        args = ("trace", "proj/n.pl", "--pl", "swi:1.0", "--homelib", "H")
+        assert run_cli(*args, "--homelib", "H-x") == (
+            EXIT_OK, "../H-x/b: load home2 b\n", ""
+        )
+        assert run_cli(*args) == (EXIT_OK, "../H-x/b: load file ../H-x/b.pl\n", "")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import tempfile
 from collections import Counter
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 from hypothesis import given, settings
@@ -603,3 +603,34 @@ class TestLookupCost:
         clo = closure([tmp_path / f"{name}.pl" for name in "efgh"], LibrarySet(), None)
         assert clo.project_files == {str(tmp_path / "helper.pl")}
         assert probes == {tmp_path / "helper.pl": 1}
+
+    def test_a_second_walk_over_one_set_joins_no_path(self, tmp_path, monkeypatch):
+        """Index hits, `library(...)` loads and relative loads that the set
+        has answered before build no path: a second closure over the same
+        set calls no `PurePath.__truediv__` and gives the same closure."""
+        home = tmp_path / "HomeLib"
+        (home / "sub").mkdir(parents=True)
+        (home / "Index.pl").write_text(
+            "index( p, 1, any, user, a ).\n"
+            "index( q, 2, swi(_), user, 'sub/./b' ).\n"
+            "index( q, 2, any, user, 'sub/b' ).\n",
+            encoding="utf-8",
+        )
+        (home / "a.pl").write_text(":- ensure_loaded(library(sub/b)).\n", encoding="utf-8")
+        (home / "sub" / "b.pl").write_text(":- ensure_loaded('../a').\n", encoding="utf-8")
+        entries = [tmp_path / "e.pl", tmp_path / "f.pl"]
+        entries[0].write_text(
+            ":- requires( [p/1, q/2] ).\n:- ensure_loaded(library(a)).\n", encoding="utf-8"
+        )
+        entries[1].write_text(":- ensure_loaded(e).\n", encoding="utf-8")
+        libs = LibrarySet.build(homelibs=[home])
+        first = closure(entries, libs, (SWI, SICSTUS))
+        assert first.home_files == {(str(home), "a"), (str(home), "sub/b")}
+
+        joins = Counter()
+        truediv = PurePath.__truediv__
+        monkeypatch.setattr(
+            PurePath, "__truediv__", lambda path, key: joins.update([key]) or truediv(path, key)
+        )
+        assert closure(entries, libs, (SWI, SICSTUS)) == first
+        assert joins == Counter()

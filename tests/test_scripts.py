@@ -50,5 +50,6 @@ def test_compare_outputs_reports_a_changed_word_and_nothing_else(tmp_path):
     assert "    +rewrite e000.pl\n" in changed.stdout
     assert "    +rewrite main.pl\n" in changed.stdout
     # the three exports of HomeLib, the two of each of its two respelled
-    # copies and the two of the hand-written corpus
-    assert changed.stdout.endswith(" commands, 9 with differences\n")
+    # copies, the two of the hand-written corpus and the two of the
+    # relative-load tree
+    assert changed.stdout.endswith(" commands, 11 with differences\n")
