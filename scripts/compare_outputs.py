@@ -24,12 +24,13 @@ warning, at its start, middle and end, so the warnings' text and order
 are compared too.  The same commands, and `mkindex` without and with
 `--clause-fallback`, run on a copy of HomeLib, `Index.pl` included where
 HomeLib keeps one (else they index it on the fly), whose `:- defines(`,
-`:- module(` and `:- defines_module(` lines are written by turns as they
-stand, which `mkindex`'s declaration pattern takes, and in spellings it
-leaves to the parser: `:-defines(`, `:- /* c */ defines(` and
-`:- 'defines'(`, since the dependency walk picks the directives it leaves
-unparsed by their first body token, then a doubled space after `(`, a line
-break or a `/* c */` after the first `[`, and `) .`.  The walks run once
+`:- module(`, `:- defines_module(` and `:- requires(` lines are written by
+turns as they stand, which the declaration pattern of `mkindex` and of the
+dependency walk takes, and in spellings it leaves to the parser:
+`:-defines(`, `:- /* c */ defines(` and `:- 'defines'(`, since the walk
+picks the directives it leaves unparsed by their first body token, then a
+doubled space after `(`, a line break or a `/* c */` after the first `[`,
+and `) .`.  The walks run once
 more, with `proj/main.pl` as the entry, on the hand-written corpus under
 `tests/data/real/`, its `expected/Index.pl` placed in its HomeLib, and so
 does `mkindex` of that HomeLib.  The walks run, with `proj/main.pl` as the
@@ -104,9 +105,10 @@ def respelled(world) -> dict[str, str]:
 
 
 # How REDECLARED writes a declaration `:- name(args).`, by turns: as it
-# stands, which mkindex's declaration pattern takes, then in spellings it
-# leaves to the parser.  The walk leaves the first three unparsed as well,
-# since it picks the directives it skips by their first body token.
+# stands, which the declaration pattern takes, then in spellings it leaves
+# to the parser.  Of a `defines`, `module` or `defines_module`, the walk
+# leaves the first three unparsed as well, since it picks the directives it
+# skips by their first body token.
 SPELLINGS = (
     ":- {0}({1}).",
     ":-{0}({1}).",
@@ -117,13 +119,13 @@ SPELLINGS = (
     ":- {0}({3}).",  # a comment inside the list
     ":- {0}({1}) .",
 )
-DECLARATION = re.compile(r"^:- (defines|module|defines_module)\((.*)\)\.$", re.MULTILINE)
+DECLARATION = re.compile(r"^:- (defines|module|defines_module|requires)\((.*)\)\.$", re.MULTILINE)
 
 
 def redeclared(world) -> dict[str, str]:
     """HomeLib's files under REDECLARED, its `Index.pl` included if it keeps
-    one, with every `:- defines(`, `:- module(` and `:- defines_module(`
-    line written by turns as SPELLINGS give."""
+    one, with every `:- defines(`, `:- module(`, `:- defines_module(` and
+    `:- requires(` line written by turns as SPELLINGS give."""
     turns = itertools.cycle(SPELLINGS)
 
     def respell(m: re.Match) -> str:

@@ -38,7 +38,6 @@ from .terms import (
     parse_statements,
     read_directives,
     read_term,
-    split_statements,
     statement_pattern,
     text_start,
     unquote_atom,
@@ -127,13 +126,14 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
 
 
 def read_source(
-    path: Path, skip: Collection[str] = (), conds: dict | None = None
+    path: Path, skip: Collection[str] = (), conds: dict | None = None, clauses: list | None = None
 ) -> tuple[str, FileFacts]:
     """A source file's text and its facts, from `terms.read_directives`, which
-    leaves the directives `skip` names unparsed and reads each condition text
-    of a declaration it takes by pattern once per `conds`."""
+    leaves the directives `skip` names unparsed, reads each condition text
+    of a declaration it takes by pattern once per `conds` and adds the
+    file's clauses, unparsed, to `clauses`."""
     text = read_text(path)
-    return text, extract(read_directives(text, str(path), skip, conds), str(path))
+    return text, extract(read_directives(text, str(path), skip, conds, clauses), str(path))
 
 
 def mkindex(
@@ -148,11 +148,12 @@ def mkindex(
     Per file, entries come from what the file provides (`FileFacts.provides`:
     a `module/2`'s exports, else its `defines`), or, when it declares
     neither and `clause_fallback` is on, from its clause heads (condition
-    `any`, module `user`).  Only then are a file's clauses parsed, after its
-    directives, so an error in a directive is reported before one in a
-    clause.  Output order is a stable sort on (name, arity) over discovery
-    order, so an unchanged tree always produces identical bytes.  Two files
-    whose names differ only in extension are an error when either provides.
+    `any`, module `user`).  Only then are a file's clauses parsed, kept
+    from the one split its directives were read from and after them, so an
+    error in a directive is reported before one in a clause.  Output order
+    is a stable sort on (name, arity) over discovery order, so an unchanged
+    tree always produces identical bytes.  Two files whose names differ
+    only in extension are an error when either provides.
     """
     root = Path(root)
     if not root.is_dir():
@@ -162,13 +163,13 @@ def mkindex(
     named: dict[str, tuple[Path, bool]] = {}  # file field -> its first file, whether it provides
     conds: dict[str, Term | None] = {}  # condition texts read, for this call alone
     for source in find_sources(root, extensions, follow_subdirs):
-        text, facts = sources[source] = read_source(source, conds=conds)
+        clauses: list | None = [] if clause_fallback else None
+        text, facts = sources[source] = read_source(source, conds=conds, clauses=clauses)
         rel_file = source.relative_to(root).with_suffix("").as_posix()
         provides = facts.provides or ()
-        if facts.provides is None and clause_fallback:
-            # each statement not starting with `:-` is a clause, parsed here unless
-            # `extract` has already found it to be a library_directory/1 one
-            clauses = [s for s in split_statements(text, str(source)) if s[2] != ":-"]
+        if facts.provides is None and clauses is not None:
+            # each clause is parsed here unless `extract` has already found it
+            # to be a library_directory/1 one
             known = {span.start: LIBRARY_DIRECTORY for span in facts.library_dirs}
             unparsed = [s for s in clauses if s[0] not in known]
             terms = iter(parse_statements(text, unparsed, str(source)))

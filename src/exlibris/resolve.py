@@ -19,7 +19,8 @@ hit, a `library(...)` reference or a relative load reaches, caching each
 candidate as written, and the set holds each file's facts, which on-the-fly
 indexing already filled, so a command reads and parses each file once.
 The walk reads no file's `provides`, so it leaves the `defines`, `module`
-and `defines_module` directives of a file it reads itself unparsed.
+and `defines_module` directives of a file it reads itself unparsed, and
+takes a canonical `requires` by pattern, as `mkindex` takes a declaration.
 """
 
 from __future__ import annotations

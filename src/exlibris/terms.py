@@ -14,12 +14,13 @@ back-quoted text, `0'c` codes, comments and symbol-char runs, so a `.`
 inside any of them ends nothing, and it reports an unterminated quote or
 block comment before any statement is parsed.  The index reader and
 `read_directives` add one alternative each (`statement_pattern`), a fact
-as `mkindex` writes it and a declaration as libraries are generated, each
-decoded from its match.  `parse_statements` parses others in place, so
-every reader gives the same terms, ends and errors: `read_directives`
-those whose first token is `:-` or `library_directory`, less the `:-` ones
-whose next token is an unquoted atom its caller names, `read_terms` all,
-the index reader those its own alternative leaves.
+as `mkindex` writes it and a `defines`, `module` or `requires` declaration
+as libraries are generated, each decoded from its match.
+`parse_statements` parses others in place, so every reader gives the same
+terms, ends and errors: `read_directives` those whose first token is `:-`
+or `library_directory`, less the `:-` ones whose next token is an unquoted
+atom its caller names, `read_terms` all, the index reader those its own
+alternative leaves.
 
 Tokens are read inside one statement only, by one compiled pattern, one
 match per token: the match skips layout and comments, then takes exactly
@@ -544,26 +545,28 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     return parse_statements(text, split_statements(text, path), path)
 
 
-# `:- defines( [p/2] ).` or `:- module(m, [p/2]).`, with items named by words
-# that are no operators, and a condition of characters `_render` writes: no
-# layout, quote, comment or period.
+# `:- defines( [p/2] ).`, `:- module(m, [p/2]).` or `:- requires( [p/2] ).`,
+# with items named by words that are no operators, and a condition of
+# characters `_render` writes: no layout, quote, comment or period.
 _NAME = re.compile(rf"(?!(?:{'|'.join(a for a in OPERATOR_ATOMS if a.isidentifier())})\b)[a-z]\w*")
 _ITEM = re.compile(rf"({_NAME.pattern})/([0-9]{{1,9}})")
 _DECLARATION = statement_pattern(
-    rf":- (defines|module)\( ?(?:([a-z0-9_:()\[\],=<>\\]+), )?"
+    rf":- (defines|module|requires)\( ?(?:([a-z0-9_:()\[\],=<>\\]+), )?"
     rf"\[((?:{_ITEM.pattern}(?:, {_ITEM.pattern})*)?)\] ?\)"
 )
 
 
 def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
-    """The term the parser reads from a statement `_DECLARATION` took, or None
-    for a `module/1`, a module name that is no `_NAME`, or a condition that
-    `_render` does not write back as it stands; `conds` keeps each read."""
+    """The parser's term for a statement `_DECLARATION` took, or None for a
+    `module/1`, a `requires/2`, a module name that is no `_NAME`, or a condition
+    that `_render` does not write back as it stands; `conds` keeps each read."""
     name, first, items = m.group(2, 3, 4)
     args = [make_list([Compound("/", (Atom(f), Integer(int(a)))) for f, a in _ITEM.findall(items)])]
     if name == "module":
         args.insert(0, Atom(first) if first and _NAME.fullmatch(first) else None)
     elif first is not None:
+        if name == "requires":
+            return None
         if first not in conds:
             try:
                 term = read_term(first)
@@ -576,13 +579,15 @@ def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
 
 
 def read_directives(
-    text: str, path: str | None = None, skip: Collection[str] = (), conds: dict | None = None
+    text: str, path: str | None = None, skip: Collection[str] = (), conds: dict | None = None,
+    clauses: list | None = None,
 ) -> list[SourceTerm]:
     """Read the directives and `library_directory` clauses of a file, in file
     order: each statement whose first token is `:-` or `library_directory`,
     except a `:-` whose next token is an unquoted atom in `skip`.  One that
     `_DECLARATION` takes is decoded from its match, each condition text read
-    once per `conds` (by default, per call).
+    once per `conds` (by default, per call).  Each statement whose first
+    token is not `:-` is added to `clauses`, if given, as split.
 
     Every other statement is split off and never tokenized past its first
     token or two, so a syntax error inside one goes unreported; terms, spans
@@ -594,11 +599,14 @@ def read_directives(
         if not isinstance(first, str):  # the match of a declaration
             if first[2] not in skip:
                 kept.append((start, end, _declaration(first, conds) or ":-"))
+            continue
         # a `:-` written `':-'` is read as such, but is no prefix operator
-        elif first == "library_directory" or first == ":-" and not (
+        if first == "library_directory" or first == ":-" and not (
             skip and text[start] == ":" and _TOKEN.match(text, start + 2)["word"] in skip
         ):
             kept.append((start, end, first))
+        if clauses is not None and first != ":-":
+            clauses.append((start, end, first))
     return parse_statements(text, kept, path)
 
 

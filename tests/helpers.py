@@ -23,6 +23,7 @@ from exlibris.engines import (
     PlId,
     render_cond,
 )
+from exlibris import terms as terms_module
 from exlibris.terms import (
     Atom,
     Compound,
@@ -480,13 +481,23 @@ def oracle_closure(root: Path, world: World, libs, targets):
 # --- declaration files ---------------------------------------------------------
 
 
-def parsed_directives(text: str, path: str | None = None, skip=(), conds=None) -> list[SourceTerm]:
-    """The statements `terms.read_directives` keeps when it skips nothing, each
-    parsed: the reference its declaration pattern must agree with.  It takes
-    `skip` and `conds` only to stand in for the reader; `mkindex` skips
-    nothing."""
-    assert not skip
-    kept = [s for s in split_statements(text, path) if s[2] in (":-", "library_directory")]
+def parsed_directives(
+    text: str, path: str | None = None, skip=(), conds=None, clauses=None
+) -> list[SourceTerm]:
+    """The statements `terms.read_directives` keeps, each parsed: the
+    reference its declaration pattern must agree with.  It skips a `:-`
+    statement by the reader's own rule, and given a `clauses` list, appends
+    each statement not starting with `:-` to it; `conds` it takes only to
+    stand in for the reader."""
+    statements = split_statements(text, path)
+    if clauses is not None:
+        clauses.extend(s for s in statements if s[2] != ":-")
+    kept = [
+        (start, end, first) for start, end, first in statements
+        if first == "library_directory" or first == ":-" and not (
+            text[start] == ":" and terms_module._TOKEN.match(text, start + 2)["word"] in skip
+        )
+    ]
     return parse_statements(text, kept, path)
 
 
@@ -509,9 +520,10 @@ DECLARATION_SPELLINGS = (
 
 
 def gen_declaration(rng: random.Random) -> str:
-    """A `:- defines` or `:- module` statement, most often spelled as the
-    declaration pattern takes it, else in one of the ways it leaves to the
-    parser, with a condition or name that may be written otherwise."""
+    """A `:- defines`, `:- module` or `:- requires` statement, most often
+    spelled as the declaration pattern takes it, else in one of the ways it
+    leaves to the parser, with a condition or name that may be written
+    otherwise, or a `requires/2`, which the parser reads."""
     items = []
     for _ in range(rng.randrange(0, 4)):
         name = rng.choice(DECLARED_NAMES) if rng.random() < 0.3 else rng.choice(DECLARED_NAMES[:4])
@@ -519,16 +531,18 @@ def gen_declaration(rng: random.Random) -> str:
     glue = rng.choice([", ", ", ", ",", ",\n    ", ", /* c */ "])
     listed = f"[{glue.join(items)}]"
     roll = rng.random()
-    if roll < 0.3:
+    if roll < 0.2:
         name, args = "defines", listed
-    elif roll < 0.75:
+    elif roll < 0.55:
         cond_text, cond = gen_cond(rng, 2)
         canonical = render_cond(cond, 999)
         # unbracketed, a pair condition is two arguments, and any other misreads
         written = rng.choice([cond_text, canonical, canonical, canonical.removeprefix("(")[:-1]])
-        name, args = "defines", f"{written}, {listed}"
-    else:
+        name, args = ("requires" if roll < 0.25 else "defines"), f"{written}, {listed}"
+    elif roll < 0.75:
         name, args = "module", f"{rng.choice(MODULE_NAMES)}, {listed}"
+    else:
+        name, args = "requires", listed
     spelling = 0 if rng.random() < 0.4 else rng.randrange(len(DECLARATION_SPELLINGS))
     return DECLARATION_SPELLINGS[spelling].format(name, args)
 

@@ -551,9 +551,9 @@ class TestParseOnce:
 
         parsed = []
 
-        def counting(text, path=None, skip=(), conds=None):
+        def counting(text, path=None, skip=(), conds=None, clauses=None):
             parsed.append(path)
-            return read_directives(text, path, skip, conds)
+            return read_directives(text, path, skip, conds, clauses)
 
         for name, module in list(sys.modules.items()):
             bound = getattr(module, "read_directives", None)

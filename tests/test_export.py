@@ -191,9 +191,9 @@ class TestPlanExport:
 
         parsed = []
 
-        def counting(text, path=None, skip=(), conds=None):
+        def counting(text, path=None, skip=(), conds=None, clauses=None):
             parsed.append(path)
-            return read_directives(text, path, skip, conds)
+            return read_directives(text, path, skip, conds, clauses)
 
         monkeypatch.setattr(exlibris.index, "read_directives", counting)
         build_worked_example(tmp_path)

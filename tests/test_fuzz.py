@@ -15,7 +15,9 @@ and so do `Index.pl` files on which a backtracking index reader would not.
 Library files in which declarations that `read_directives` decodes from its
 declaration pattern interleave with ones it parses, with clauses and with
 at most one bad statement, give `mkindex` the same `Index.pl`, or the same
-exit code and message, as a reader that parses every declaration.
+exit code and message, as a reader that parses every declaration; and they
+give `graph` and `trace` the same exit code and output, an entry file of
+such statements included.
 """
 
 from __future__ import annotations
@@ -307,6 +309,10 @@ DECLARATION_FAULTS = FAULTS | st.sampled_from([
     ":- defines( foo(bar), [p/1] ).",
     ":- defines( swi(_), [Upper/1] ).",
     ":- defines( [p/1] ) % c",
+    ":- requires([q]).",
+    ":- requires( [p/1 ).",
+    ":- requires( [Upper/1] ).",
+    ":- requires( swi(, [p/1] ).",
 ])
 
 
@@ -342,3 +348,55 @@ def test_mkindex_agrees_with_the_parse_only_reader(files, fault, clause_fallback
         with mock.patch.object(index_module, "read_directives", helpers.parsed_directives):
             expected = mkindex_outcome(library, fallback)
         assert mkindex_outcome(library, fallback) == expected
+
+
+def walk_outcomes(root: Path, engines: tuple[str, ...]) -> list[tuple[int, str, str]]:
+    """`graph` and `trace` of `proj/e.pl` over `H`: exit code, stdout, stderr."""
+    outcomes = []
+    libs = ("--homelib", str(root / "H"))
+    entry = str(root / "proj" / "e.pl")
+    for args in (
+        ("graph", "--source", entry, *libs, *engines),
+        ("trace", entry, "--pl", "swi:5.0.7", *libs),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    DECLARATION_FILES,
+    st.integers(0, 2**32),
+    st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8), DECLARATION_FAULTS),
+    st.booleans(),
+    ENGINES,
+)
+def test_walks_agree_with_the_parse_only_reader(files, seed, fault, indexed, engines):
+    """Whatever `requires` the pattern takes, in library files and in an
+    entry that loads each of them, `graph` and `trace` give the same exit
+    code, stdout and stderr as with every directive they read parsed; the
+    library has an `Index.pl` from `mkindex` or is indexed on the fly."""
+    entry = helpers.gen_declarations(random.Random(seed)) + "".join(
+        f":- ensure_loaded(library(m{i})).\n" for i in range(len(files))
+    )
+    sources = [entry, *files]
+    if fault is not None:
+        where, at, statement = fault
+        lines = sources[where % len(sources)].splitlines(keepends=True)
+        lines.insert(at % (len(lines) + 1), f"{statement}\n")
+        sources[where % len(sources)] = "".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "H").mkdir()
+        (root / "proj").mkdir()
+        (root / "proj" / "e.pl").write_text(sources[0], encoding="utf-8")
+        for i, text in enumerate(sources[1:]):
+            (root / "H" / f"m{i}.pl").write_text(text, encoding="utf-8")
+        if indexed:
+            run("mkindex", str(root / "H"))
+        with mock.patch.object(index_module, "read_directives", helpers.parsed_directives):
+            expected = walk_outcomes(root, engines)
+        assert walk_outcomes(root, engines) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import logging
@@ -708,7 +709,8 @@ class TestEntriesFollowWhatIsAsked:
 
 
 REAL_HOMELIB = Path(__file__).resolve().parent / "data" / "real" / "HomeLib"
-DECLARATION_LINE = re.compile(r"^:- (defines|module)\(", re.MULTILINE)
+DECLARATION_LINE = re.compile(r"^:- (defines|module|requires)\(", re.MULTILINE)
+REQUIRES_LINE = re.compile(r"^:- requires\( (.*) \)\.$", re.MULTILINE)
 INDEX_FACT = re.compile(r"^index\( (\w+), (\d+), (.*), \w+, '(.*)' \)\.$", re.MULTILINE)
 
 
@@ -750,15 +752,19 @@ class TestDeclarationPattern:
         return [term for term in taken if term is not None]
 
     def test_the_real_corpus(self):
-        files = {str(p): p.read_text(encoding="utf-8") for p in sorted(REAL_HOMELIB.rglob("*.pl"))}
+        """Each of its library files and its entry file: every `defines`,
+        `module` and `requires` line is taken by the pattern."""
+        paths = sorted(REAL_HOMELIB.rglob("*.pl")) + [REAL_HOMELIB.parent / "proj" / "main.pl"]
+        files = {str(p): p.read_text(encoding="utf-8") for p in paths}
         taken = self.agree(files)
-        assert len(taken) == sum(len(DECLARATION_LINE.findall(text)) for text in files.values())
+        assert len(taken) == sum(len(DECLARATION_LINE.findall(text)) for text in files.values()) == 11
 
     @pytest.mark.parametrize("respelled", [False, True], ids=["canonical", "respelled"])
     def test_generated_worlds(self, respelled):
         """Each file of a `helpers.gen_world` world, a library file declaring
         each fact its `Index.pl` gives it, as generated libraries spell a
-        `defines` or by turns in each of `helpers.DECLARATION_SPELLINGS`."""
+        `defines` or by turns in each of `helpers.DECLARATION_SPELLINGS`,
+        which also spell its `requires` lines."""
         spellings = helpers.DECLARATION_SPELLINGS
         turns = itertools.cycle(spellings if respelled else spellings[:1])
         files = {}
@@ -771,13 +777,38 @@ class TestDeclarationPattern:
                     next(turns).format("defines", f"{cond}, [{name}/{arity}]") + "\n"
                     for name, arity, cond, file in facts if f"{lib}/{file}.pl" == rel
                 )
+                text = REQUIRES_LINE.sub(lambda m: next(turns).format("requires", m[1]), text)
                 files[f"{seed}/{rel}"] = declared + text
-        assert len(self.agree(files)) > 100
+        taken = self.agree(files)
+        assert sum(term.args[0].name == "requires" for term in taken) > 100
 
     def test_generated_declarations(self):
         files = {f"{seed}.pl": helpers.gen_declarations(random.Random(seed)) for seed in range(400)}
         taken = self.agree(files)
-        assert len(taken) > 100  # the pattern takes many of them
+        kinds = collections.Counter(term.args[0].name for term in taken)
+        assert min(kinds[name] for name in ("defines", "module", "requires")) > 20  # of each, many
+
+    # Each `requires` spelling, whether the pattern takes it, and what both
+    # readers give for it otherwise.
+    REQUIRES = {
+        "canonical": (":- requires( [p/1, q_1/0, r2/12] ).", True),
+        "compact": (":- requires([sum_list/2]).", True),
+        "empty": (":- requires( [] ).", True),
+        "with_condition": (":- requires( swi(_), [p/1] ).", False),
+        "grammar_rule": (":- requires( [p//1] ).", False),
+        "quoted": (":- requires( ['q x'/1] ).", False),
+        "operator_word": (":- requires( [not/1, dynamic/0] ).", False),
+        "malformed": (":- requires([q]).", False),
+    }
+
+    @pytest.mark.parametrize("statement, by_pattern", REQUIRES.values(), ids=REQUIRES)
+    def test_requires_spellings(self, statement, by_pattern):
+        taken = self.agree({"f.pl": f"p.\n{statement}\nq.\n"})
+        assert len(taken) == by_pattern
+
+    def test_a_malformed_requires_is_the_parsers_error(self):
+        outcome = read_outcome(read_directives, ":- requires( [p/1] ).\n:- requires([q]).\n", "f.pl")
+        assert outcome == ("error", "f.pl:2: requires expects name/arity terms, got q")
 
     CANONICAL = {
         "a.pl": ":- defines( [p0/2] ).\n:- defines( swi(_), [p1/2, p2/2] ).\np0(a, [b]).\n",
@@ -804,6 +835,37 @@ class TestDeclarationPattern:
         ]
         assert tokenized  # each condition text, read once
         assert [s for s in tokenized if re.match(r":-\s*(defines|module)\b", s)] == []
+
+    WALKED = {
+        "H/Index.pl": "index( p, 0, any, user, a ).\nindex( q, 0, any, user, b ).\n"
+                      "index( r, 1, any, user, b ).\n",
+        "H/a.pl": ":- requires( [q/0] ).\n:-requires([r/1]).\np.\n",
+        "H/b.pl": ":- defines( [q/0, r/1] ).\n:- requires([]).\nq.\nr(1).\n",
+        "proj/e.pl": ":- requires([p/0]).\n",
+    }
+
+    @pytest.mark.parametrize("command", [
+        ("graph", "--source", "proj", "--homelib", "H"),
+        ("trace", "proj/e.pl", "--pl", "swi:5.0.7", "--homelib", "H"),
+    ], ids=["graph", "trace"])
+    def test_walks_tokenize_no_canonical_requires(self, tmp_path, monkeypatch, run_cli, command):
+        """`graph` and `trace` decode each canonical `requires` of a file they
+        walk from its pattern match, and still tokenize a respelled one."""
+        for rel, text in self.WALKED.items():
+            write(tmp_path, rel, text)
+        monkeypatch.chdir(tmp_path)
+        tokenized = []
+        tokenizer = terms_module._tokenize
+
+        def tokenizing(text, path, pos=0, endpos=None):
+            tokenized.append(text[pos:endpos])
+            return tokenizer(text, path, pos, endpos)
+
+        monkeypatch.setattr(terms_module, "_tokenize", tokenizing)
+        code, out, err = run_cli(*command)
+        assert (code, err) == (0, "")
+        assert "q/0" in out and "r/1" in out
+        assert [s for s in tokenized if re.match(r":-\s*requires\b", s)] == [":-requires([r/1])."]
 
     def test_each_condition_text_is_read_once_per_call(self, tmp_path, monkeypatch):
         for rel, text in self.CANONICAL.items():

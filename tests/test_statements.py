@@ -93,9 +93,9 @@ class TestParsesOnlyDirectives:
         starts = {text.index(statement): statement for statement in statements}
         reads, parsed = [], []
 
-        def read_directives(text, path=None, skip=(), conds=None):
+        def read_directives(text, path=None, skip=(), conds=None, clauses=None):
             reads.append(path)
-            return reader(text, path, skip, conds)
+            return reader(text, path, skip, conds, clauses)
 
         def parse_clause(tokens, i, text, path):
             parsed.append(starts[tokens[i].start])
@@ -113,23 +113,50 @@ class TestParsesOnlyDirectives:
         self, tmp_path, monkeypatch, clause_fallback
     ):
         """A file that declares something has only its directives parsed, but
-        for its canonical `defines`, which is decoded from its pattern match."""
+        for its canonical `defines` and `requires`, which are decoded from
+        their pattern matches."""
         statements = self.DIRECTIVES[:1] + self.CLAUSES + self.DIRECTIVES[1:]
         parsed = self.parses(tmp_path, monkeypatch, statements, clause_fallback)
-        assert parsed == self.DIRECTIVES[1:]
+        assert parsed == self.DIRECTIVES[2:]
 
     def test_a_file_that_declares_nothing_has_each_statement_parsed_once(
         self, tmp_path, monkeypatch
     ):
         """With `--clause-fallback`, its directives and `library_directory`
-        clauses first, then its other clauses; none twice."""
+        clauses first, then its other clauses; none twice, and its canonical
+        `requires` not at all."""
         directives = [*self.DIRECTIVES[1:], ":- library_directory(here)."]
         clauses = ["library_directory(there).", *self.CLAUSES]
         statements = [*directives[:1], *clauses[1:], clauses[0], *directives[1:]]
         parsed = self.parses(tmp_path, monkeypatch, statements, clause_fallback=True)
-        assert parsed == [directives[0], clauses[0], *directives[1:], *clauses[1:]]
+        assert parsed == [clauses[0], *directives[1:], *clauses[1:]]
         functors = [str(e.functor) for e in mkindex(tmp_path, clause_fallback=True).entries]
         assert functors == ["library_directory/1", *(f"p{n}/1" for n in range(5))]
+
+    def test_a_file_that_declares_nothing_is_split_once(self, tmp_path, monkeypatch):
+        """`--clause-fallback` takes a file's clauses from the split its
+        directives were read from; a `requires` decoded from its pattern
+        match is no clause."""
+        (tmp_path / "H").mkdir()
+        (tmp_path / "H/a.pl").write_text(
+            ":- requires( [q/1] ).\np(1).\nlibrary_directory(x).\n", encoding="utf-8"
+        )
+        (tmp_path / "H/b.pl").write_text(":- defines( [q/1] ).\nq(1).\n", encoding="utf-8")
+        split = []
+        splitter = exlibris.terms.split_statements
+
+        def splitting(text, path=None, *pattern):
+            split.append(Path(path).relative_to(tmp_path).as_posix())
+            return splitter(text, path, *pattern)
+
+        for module in (exlibris.terms, exlibris.index):
+            if getattr(module, "split_statements", None) is splitter:
+                monkeypatch.setattr(module, "split_statements", splitting)
+        index = mkindex(tmp_path / "H", clause_fallback=True)
+        assert split == ["H/a.pl", "H/b.pl"]
+        assert [f"{row[0]}/{row[1]} {row[4]}" for row in index.rows] == [
+            "library_directory/1 a", "p/1 a", "q/1 b",
+        ]
 
     def test_a_directive_error_comes_before_a_clause_error(self, tmp_path, run_cli):
         (tmp_path / "f.pl").write_text('p("x").\n:- requires([q]).\n', encoding="utf-8")
