@@ -102,24 +102,19 @@ class ExportPlan:
     report: ExportReport
 
 
-@dataclass(frozen=True)
-class _SourceSpec:
-    path: Path
-    base: Path
-    is_dir: bool
-
-
-def _source_specs(sources: Sequence[Path]) -> list[_SourceSpec]:
-    specs = []
+def _sources(sources: Sequence[Path]) -> list[tuple[Path, Path]]:
+    """Each source as a (path, base) pair: a directory is its own base, and
+    a file's base is its directory."""
+    pairs = []
     for source in sources:
         path = canon(source)
         if path.is_dir():
-            specs.append(_SourceSpec(path, path, True))
+            pairs.append((path, path))
         elif path.is_file():
-            specs.append(_SourceSpec(path, path.parent, False))
+            pairs.append((path, path.parent))
         else:
             raise ExportPlanError(f"source does not exist: {source}")
-    return specs
+    return pairs
 
 
 def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
@@ -129,39 +124,31 @@ def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
     development the same relative path inside a source directory (or next
     to a source file) is where local-library files already live.
     """
-    for spec in _source_specs(sources):
-        candidate = spec.base / loclib
+    for _, base in _sources(sources):
+        candidate = base / loclib
         if candidate.is_dir():
             return canon(candidate)
     return None
 
 
-def _discover_entries(
-    specs: Sequence[_SourceSpec], loclib: str, extensions
+def discover_entries(
+    sources: Sequence[Path], loclib: str = "lib", extensions=DEFAULT_EXTENSIONS
 ) -> list[tuple[Path, str]]:
-    """Entry files with their destination-relative paths.
+    """Entry files of the given sources with their destination-relative paths.
 
     Directory sources contribute every source file within, except files of
     the development local library (those are the resolver's input, not
     entries) and index files.
     """
     entries: list[tuple[Path, str]] = []
-    for spec in specs:
-        if not spec.is_dir:
-            entries.append((spec.path, spec.path.name))
+    for path, base in _sources(sources):
+        if path != base:
+            entries.append((path, path.name))
             continue
-        loclib_root = spec.base / loclib
-        for path in find_sources(spec.path, extensions):
-            if not path.is_relative_to(loclib_root):
-                entries.append((path, path.relative_to(spec.base).as_posix()))
+        for found in find_sources(path, extensions):
+            if not found.is_relative_to(base / loclib):
+                entries.append((found, found.relative_to(base).as_posix()))
     return entries
-
-
-def discover_entries(
-    sources: Sequence[Path], loclib: str = "lib", extensions=DEFAULT_EXTENSIONS
-) -> list[tuple[Path, str]]:
-    """Entry files of the given sources with their destination-relative paths."""
-    return _discover_entries(_source_specs(sources), loclib, extensions)
 
 
 def _deletion_span(text: str, span: Span) -> Span:
@@ -231,8 +218,8 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     dest = canon(opts.dest)
     if dest.exists():
         raise DestinationExistsError(f"destination must not exist: {opts.dest}")
-    specs = _source_specs(opts.sources)
-    entries = _discover_entries(specs, opts.loclib, libs.extensions)
+    sources = _sources(opts.sources)
+    entries = discover_entries(opts.sources, opts.loclib, libs.extensions)
     if not entries:
         raise ExportPlanError("no entry files found in the given sources")
 
@@ -254,11 +241,11 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         copy_map[dest_rel] = src
 
     if opts.copy == COPY_RECURSIVE:
-        for spec in specs:
-            if spec.is_dir:
-                for path in sorted(spec.path.rglob("*")):
+        for source, base in sources:
+            if source == base:
+                for path in sorted(source.rglob("*")):
                     if path.is_file():
-                        put(path.relative_to(spec.base).as_posix(), path)
+                        put(path.relative_to(base).as_posix(), path)
     for path, dest_rel in entries:
         put(dest_rel, path)
 
@@ -266,11 +253,11 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         put(f"{opts.loclib}/{rel}{src.suffix}", src)
     for raw in sorted(clo.project_files):
         path = Path(raw)
-        spec = next((s for s in specs if path.is_relative_to(s.base)), None)
-        if spec is None:
+        base = next((base for _, base in sources if path.is_relative_to(base)), None)
+        if base is None:
             report.warnings.append(f"referenced file outside the export sources: {raw}")
             continue
-        put(path.relative_to(spec.base).as_posix(), path)
+        put(path.relative_to(base).as_posix(), path)
 
     rewrites: dict[str, str] = {}
     for path, dest_rel in entries:

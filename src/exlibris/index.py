@@ -7,8 +7,10 @@ value `built_in` marks predicates that need no load on matching engines;
 the fact's file field still records where that declaration lives.  This
 module owns the fact format in both directions: `render_index` writes each
 fact as text, and `read_index` reads an index text, one pattern match per
-statement.  A fact exactly as `render_index` writes it is decoded from the
-match; any other statement is parsed, with the same facts and warnings.
+statement.  A fact spaced as `render_index` writes it is decoded from the
+match if `terms.canonical_argument` reads its condition, `parse_if_pls`
+decodes it and its file field is a library name; any other statement is
+parsed, with the same facts and warnings.
 Inside the package a fact is a `Row` from reader to writer; `IndexEntry`
 is the value type offered to callers, built only when one asks for it.
 """
@@ -26,18 +28,18 @@ from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_c
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
 from .terms import (
+    ARGUMENT,
     Atom,
     Compound,
     Integer,
     QUOTED_ATOM,
     Term,
-    TermSyntaxError,
     UNQUOTED_ATOM,
     atom_text,
+    canonical_argument,
     matched_statement,
     parse_statements,
     read_directives,
-    read_term,
     statement_pattern,
     text_start,
     unquote_atom,
@@ -224,14 +226,13 @@ def render_index(rows: Iterable[Row]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# An atom as the tokenizer reads it; `read_index` keeps a quoted one only if
-# `atom_text` writes it that way.
+# One statement per match: after layout, a fact spaced as `render_index`
+# writes it, its atoms as the tokenizer reads them and its arity of at most
+# 9 digits, as `terms._ITEM` bounds its own; or else any statement, as the
+# splitter finds it.
 _ATOM = rf"{UNQUOTED_ATOM}|{QUOTED_ATOM}"
-# One statement per match: after layout, a fact as `render_index` writes it,
-# whose condition holds only characters `render_cond` writes, so no layout,
-# quote, comment or period; or else any statement, as the splitter finds it.
 _INDEX_STATEMENT = statement_pattern(
-    rf"index\( ({_ATOM}), (0|[1-9][0-9]*), ([a-z0-9_:()\[\],=<>\\]+), ({_ATOM}), ({_ATOM}) \)"
+    rf"index\( ({_ATOM}), (0|[1-9][0-9]{{0,8}}), ({ARGUMENT}), ({_ATOM}), ({_ATOM}) \)"
 )
 
 
@@ -240,48 +241,44 @@ def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
     return tuple(map(_entry, _read_rows(text, path)))
 
 
+def _condition(text: str) -> IfPls | None:
+    """The condition a text decodes to, if `canonical_argument` reads it and
+    `parse_if_pls` decodes it, else None."""
+    term = canonical_argument(text)
+    try:
+        return None if term is None else parse_if_pls(term)
+    except EngineConditionError:  # reported once the fact is parsed
+        return None
+
+
+def _name(raw: str) -> str:
+    """The name of an atom `_ATOM` took."""
+    return unquote_atom(raw) if raw[0] == "'" else raw
+
+
 def _read_rows(text: str, path: str | None) -> list[Row]:
-    """The rows of an index text, in file order.  A fact as `render_index`
-    writes the row read from it is decoded from its pattern match, each
-    distinct quoted atom, condition text and file field checked once, so
+    """The rows of an index text, in file order.  A fact `_INDEX_STATEMENT`
+    takes is decoded from its match if its condition text has a `_condition`
+    and its file field is a library name, each checked once per text, so
     equal condition texts share one object.  Every other statement is parsed
     once the whole text is split, then decoded by `term_to_row`; one that
     states no row is skipped with a warning, logged if the text reads.
     Errors are `read_terms`'."""
-    conds: dict[str, IfPls] = {}
-    quoted: dict[str, str] = {}
-    files: dict[str, str] = {}  # file field -> the library name it writes
-
-    def name(raw: str) -> str:
-        if raw[0] != "'":
-            return raw
-        if raw not in quoted:
-            unquoted = unquote_atom(raw)
-            if atom_text(unquoted) != raw:
-                raise ValueError(raw)
-            quoted[raw] = unquoted
-        return quoted[raw]
-
+    conds: dict[str, IfPls | None] = {}
+    files: dict[str, str | None] = {}  # file field -> the library name it writes
     rows: list[Row | None] = []  # None where a parsed statement goes
     parsed = []
     for m in _INDEX_STATEMENT.finditer(text, text_start(text)):
         if m.lastgroup == "fact":
-            functor, arity, cond_text, module, file = m.group(2, 3, 4, 5, 6)
-            try:
-                if cond_text not in conds:
-                    cond = parse_if_pls(read_term(cond_text))
-                    if render_cond(cond, 999) != cond_text:
-                        raise ValueError(cond_text)
-                    conds[cond_text] = cond
-                if file not in files:
-                    if not is_library_name(name(file)):
-                        raise ValueError(file)
-                    files[file] = name(file)
-                row = name(functor), int(arity), conds[cond_text], name(module), files[file]
-                rows.append(row)
+            functor, arity, cond, module, file = m.group(2, 3, 4, 5, 6)
+            if cond not in conds:
+                conds[cond] = _condition(cond)
+            if file not in files:
+                files[file] = _name(file) if is_library_name(_name(file)) else None
+            if conds[cond] is not None and files[file] is not None:
+                rows.append((_name(functor), int(arity), conds[cond], _name(module), files[file]))
                 continue
-            except (EngineConditionError, TermSyntaxError, ValueError):  # written otherwise
-                statement = m.start("fact"), m.end(), "index"
+            statement = m.start("fact"), m.end(), "index"
         else:
             statement = matched_statement(m, text, path)
         if statement:

@@ -15,7 +15,8 @@ inside any of them ends nothing, and it reports an unterminated quote or
 block comment before any statement is parsed.  The index reader and
 `read_directives` add one alternative each (`statement_pattern`), a fact
 as `mkindex` writes it and a `defines`, `module` or `requires` declaration
-as libraries are generated, each decoded from its match.
+as libraries are generated, each decoded from its match, a condition only
+if `canonical_argument` reads it.
 `parse_statements` parses others in place, so every reader gives the same
 terms, ends and errors: `read_directives` those whose first token is `:-`
 or `library_directory`, less the `:-` ones whose next token is an unquoted
@@ -545,13 +546,27 @@ def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
     return parse_statements(text, split_statements(text, path), path)
 
 
+# The characters of an engine condition as `_render` writes it: no layout,
+# quote, comment or period, so a pattern can take it as one field.
+ARGUMENT = r"[a-z0-9_:()\[\],=<>\\]+"
+
+
+def canonical_argument(text: str) -> Term | None:
+    """The term `text` reads as, or None unless `_render` writes it back at
+    argument precedence as `text`: then it reads so in an argument list too."""
+    try:
+        term = _parse(text + "\n.", 0, len(text) + 2, None)
+    except TermSyntaxError:
+        return None
+    return term if _render(term, 999) == text else None
+
+
 # `:- defines( [p/2] ).`, `:- module(m, [p/2]).` or `:- requires( [p/2] ).`,
-# with items named by words that are no operators, and a condition of
-# characters `_render` writes: no layout, quote, comment or period.
+# with items named by words that are no operators, and an `ARGUMENT` condition.
 _NAME = re.compile(rf"(?!(?:{'|'.join(a for a in OPERATOR_ATOMS if a.isidentifier())})\b)[a-z]\w*")
 _ITEM = re.compile(rf"({_NAME.pattern})/([0-9]{{1,9}})")
 _DECLARATION = statement_pattern(
-    rf":- (defines|module|requires)\( ?(?:([a-z0-9_:()\[\],=<>\\]+), )?"
+    rf":- (defines|module|requires)\( ?(?:({ARGUMENT}), )?"
     rf"\[((?:{_ITEM.pattern}(?:, {_ITEM.pattern})*)?)\] ?\)"
 )
 
@@ -559,7 +574,7 @@ _DECLARATION = statement_pattern(
 def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
     """The parser's term for a statement `_DECLARATION` took, or None for a
     `module/1`, a `requires/2`, a module name that is no `_NAME`, or a condition
-    that `_render` does not write back as it stands; `conds` keeps each read."""
+    that `canonical_argument` does not read; `conds` keeps each read."""
     name, first, items = m.group(2, 3, 4)
     args = [make_list([Compound("/", (Atom(f), Integer(int(a)))) for f, a in _ITEM.findall(items)])]
     if name == "module":
@@ -568,12 +583,7 @@ def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
         if name == "requires":
             return None
         if first not in conds:
-            try:
-                term = read_term(first)
-            except TermSyntaxError:
-                term = None
-            # written as at argument precedence, it reads there as it reads alone
-            conds[first] = term if term is not None and _render(term, 999) == first else None
+            conds[first] = canonical_argument(first)
         args.insert(0, conds[first])
     return None if None in args else Compound(":-", (Compound(name, tuple(args)),))
 

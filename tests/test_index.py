@@ -22,7 +22,15 @@ import exlibris.terms as terms_module
 import helpers
 from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef, extract
-from exlibris.engines import ALWAYS, EngineConditionError, render_cond
+from exlibris.engines import (
+    ALWAYS,
+    Constrained,
+    Disjunction,
+    EngineConditionError,
+    Negation,
+    parse_if_pls,
+    render_cond,
+)
 from exlibris.errors import ExlibrisError
 from exlibris.export import ExportOptions, plan_export
 from exlibris.index import (
@@ -38,7 +46,13 @@ from exlibris.index import (
 )
 from exlibris.resolve import Library, LibrarySet
 from exlibris.terms import (
+    OPERATOR_ATOMS,
+    QUOTED_ATOM,
+    UNQUOTED_ATOM,
+    Atom,
+    Compound,
     atom_text,
+    canonical_argument,
     read_directives,
     read_term,
     read_terms,
@@ -465,16 +479,26 @@ INDEX_TEXTS = st.lists(
 ).map(lambda pieces: "".join(piece + sep for piece, sep in pieces))
 
 
+# A fact spaced as `render_index` writes it, with atoms as the tokenizer reads
+# them, an arity of at most 9 digits with no leading zero, and a condition text.
+ATOM = f"{UNQUOTED_ATOM}|{QUOTED_ATOM}"
+SPACED_FACT = re.compile(
+    rf"index\( (?:{ATOM}), (?:0|[1-9][0-9]{{0,8}}), ([^ ]+), (?:{ATOM}), (?:{ATOM}) \)\."
+)
+
+
 def left_to_the_parser(text: str) -> list[tuple[int, int]]:
-    """The (start, end) of each statement of a text that reads whose text is
-    not the fact `render_index` writes for the entry it reads as."""
+    """The (start, end) of each statement of a text that reads and is not a
+    `SPACED_FACT` whose condition `canonical_argument` reads and
+    `parse_if_pls` decodes, and whose file field is a library name."""
     left = []
     for (start, end, _), statement in zip(split_statements(text), read_terms(text)):
         try:
             entry = entry_of_term(statement.term)
         except (EngineConditionError, ValueError):
             entry = None
-        if entry is None or index_line(entry) != text[start:end]:
+        fact = SPACED_FACT.fullmatch(text, start, end)
+        if entry is None or fact is None or canonical_argument(fact[1]) is None:
             left.append((start, end))
     return left
 
@@ -552,6 +576,54 @@ class TestLineReaderAgreesWithGeneralReader:
         with counting_parses() as parsed:
             assert read_index(text) == general_reader(text)[0]
         assert parsed == []
+
+
+# Engine names that are operator atoms, which `render_cond` writes bracketed
+OPERATOR_ENGINES = sorted(a for a in OPERATOR_ATOMS if a.isidentifier())
+# A pair condition named by one, alone, negated or as a list element
+OPERATOR_NAMED = st.builds(
+    lambda name, version, op, wrap, seed: wrap(
+        Constrained(name, ((version, op),)), helpers.gen_cond(random.Random(seed), 1)[1]
+    ),
+    st.sampled_from(OPERATOR_ENGINES),
+    st.lists(st.integers(0, 99), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(("=", "\\=", "<", "=<", ">", ">=")),
+    st.sampled_from([
+        lambda pair, other: pair,
+        lambda pair, other: Negation(pair),
+        lambda pair, other: Disjunction((other, pair)),
+    ]),
+    SEEDS,
+)
+
+
+class TestCanonicalArgument:
+    """`canonical_argument` reads every condition `render_cond` writes, so each
+    fact `mkindex` writes stays on the fact pattern, and reads no text that
+    reads otherwise inside an argument list."""
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.builds(lambda seed: helpers.gen_cond(random.Random(seed), 3)[1], SEEDS),
+                     OPERATOR_NAMED))
+    def test_every_written_condition_is_read_back(self, cond):
+        text = render_cond(cond, 999)
+        assert render_cond(parse_if_pls(canonical_argument(text)), 999) == text
+
+    @pytest.mark.parametrize("text", ["swi,[(1,(=))]", "a,b"])
+    def test_a_text_that_reads_otherwise_as_an_argument_is_not_read(self, text):
+        assert canonical_argument(text) is None
+
+    def test_a_bracketed_pair_and_all_are_read(self):
+        assert canonical_argument("(a,b)") == Compound(",", (Atom("a"), Atom("b")))
+        assert canonical_argument("all") == Atom("all")
+
+    def test_an_unbracketed_pair_condition_is_left_to_the_parser(self):
+        text = "index( p, 1, swi,[(1,(=))], user, f ).\n"
+        with counting_parses() as parsed:
+            assert outcome(lambda: read_index(text, "Index.pl")) == (
+                (), ["Index.pl:1: ignoring non-index term"]
+            )
+        assert parsed == [(0, len(text) - 1)]
 
 
 def generated_index(facts: int) -> str:
@@ -706,6 +778,17 @@ class TestEntriesFollowWhatIsAsked:
         assert (code, out) == (2, "")
         index = tmp_path / "HomeLib" / "Index.pl"
         assert err == f"exlibris: {index}:1:25: unterminated quoted atom\n"
+
+    def test_an_arity_too_long_for_an_integer_is_a_located_error(self, tmp_path, run_cli):
+        """The fact pattern takes an arity of at most 9 digits; a longer one
+        is left to the parser, which reports it where it stands."""
+        index = write(tmp_path, "H/Index.pl", f"index( p, {'1' * 5000}, any, user, a ).\n")
+        write(tmp_path, "proj/main.pl", ":- requires( [p/0] ).\n")
+        code, out, err = run_cli(
+            "graph", "--source", str(tmp_path / "proj"), "--homelib", str(tmp_path / "H")
+        )
+        assert (code, out) == (2, "")
+        assert err == f"exlibris: {index}:1:11: integer of 5000 digits is too long\n"
 
 
 REAL_HOMELIB = Path(__file__).resolve().parent / "data" / "real" / "HomeLib"
@@ -872,11 +955,11 @@ class TestDeclarationPattern:
             write(tmp_path, rel, text)
         read = []
 
-        def reading(text, path=None):
+        def reading(text):
             read.append(text)
-            return read_term(text, path)
+            return canonical_argument(text)
 
-        monkeypatch.setattr(terms_module, "read_term", reading)
+        monkeypatch.setattr(terms_module, "canonical_argument", reading)
         first = render_index(mkindex(tmp_path).rows)
         assert sorted(read) == self.CONDITIONS
         # no memo outlives a call: the next one reads each text again
