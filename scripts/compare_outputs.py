@@ -9,8 +9,9 @@ the shapes of `bench/run.py` and the tiny ones of `bench/selfcheck.py`) is
 built in one directory.  There, under this tree's `src/` and then under
 OTHER_SRC, one process per side runs `graph` (no targets, and all three),
 `trace` of every entry under each target, `export` (no targets, all three,
-and swi alone) and `mkindex`, without and with `--clause-fallback`, of both
-libraries and of a copy of HomeLib where every other file declares nothing:
+swi alone, and no targets with `--copy recursive`) and `mkindex`, plain,
+with `--clause-fallback` and with `--no-subdirs`, of both libraries and of
+a copy of HomeLib where every other file declares nothing:
 its `:- defines` and `:- module` lines are dropped, so the fallback parses
 that file's clauses, while it parses no clause of a file that declares
 something.  Where HomeLib keeps an `Index.pl`, `graph` (no targets, and all
@@ -21,11 +22,11 @@ takes, and in every third fact a doubled space or a line break, which it
 leaves to the parser.  Its first `any` fact is written with `all`, a
 condition the reader parses, and it holds facts the reader skips with a
 warning, at its start, middle and end, so the warnings' text and order
-are compared too.  The same commands, and `mkindex` without and with
-`--clause-fallback`, run on a copy of HomeLib, `Index.pl` included where
-HomeLib keeps one (else they index it on the fly), whose `:- defines(`,
-`:- module(`, `:- defines_module(` and `:- requires(` lines are written by
-turns as they stand, which the declaration pattern of `mkindex` and of the
+are compared too.  The same commands, and the three `mkindex` runs, run
+on a copy of HomeLib, `Index.pl` included where HomeLib keeps one (else
+they index it on the fly), whose `:- defines(`, `:- module(`,
+`:- defines_module(` and `:- requires(` lines are written by turns as they
+stand, which the declaration pattern of `mkindex` and of the
 dependency walk takes, and in spellings it leaves to the parser:
 `:-defines(`, `:- /* c */ defines(` and `:- 'defines'(`, since the walk
 picks the directives it leaves unparsed by their first body token, then a
@@ -173,16 +174,17 @@ def commands(world) -> list[dict]:
     )
     found.extend(
         {"argv": ["export", "--dest", "out", "--source", "proj", *libs, *pls], "writes": "out"}
-        for pls in ([], targets, swi)
+        for pls in ([], targets, swi, ["--copy", "recursive"])
     )
     found.extend(mkindexes(["SysLib", "HomeLib", UNDECLARED, REDECLARED]))
     return found
 
 
 def mkindexes(libs: list[str]) -> list[dict]:
-    """`mkindex` of each of `libs`, without and with `--clause-fallback`."""
-    return [{"argv": ["mkindex", lib, *fallback], "writes": f"{lib}/Index.pl"}
-            for fallback in ([], ["--clause-fallback"]) for lib in libs]
+    """`mkindex` of each of `libs`: plain, with `--clause-fallback` and with
+    `--no-subdirs`."""
+    return [{"argv": ["mkindex", lib, *flags], "writes": f"{lib}/Index.pl"}
+            for flags in ([], ["--clause-fallback"], ["--no-subdirs"]) for lib in libs]
 
 
 def walks(entry: str, libs: list[str]) -> list[dict]:

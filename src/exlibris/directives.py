@@ -20,6 +20,7 @@ from typing import Sequence
 from .engines import ALWAYS, EngineConditionError, IfPls, Negation, conjoin, parse_if_pls
 from .errors import ExlibrisError
 from .terms import (
+    EMPTY_LIST,
     Atom,
     Compound,
     Integer,
@@ -27,7 +28,6 @@ from .terms import (
     SourceTerm,
     Term,
     atom_text,
-    is_proper_list,
     list_parts,
     render_term,
 )
@@ -140,15 +140,15 @@ def decode_file_ref(term: Term) -> FileRef | None:
     return FileRef("library", "/".join(parts))
 
 
-def _decode_ref_arg(term: Term) -> list[FileRef]:
-    """A file argument may be a single ref or a list; others are skipped."""
-    items = list_parts(term)[0] if is_proper_list(term) else [term]
-    refs = []
-    for item in items:
-        ref = decode_file_ref(item)
-        if ref is not None:
-            refs.append(ref)
-    return refs
+def _arg_items(term: Term) -> list[Term]:
+    """The items of an argument that may be a proper list or a single item."""
+    items, tail = list_parts(term)
+    return items if tail == EMPTY_LIST else [term]
+
+
+def _decode_refs(items: list[Term]) -> tuple[FileRef, ...]:
+    """The file refs among `items`; others are skipped."""
+    return tuple(ref for ref in map(decode_file_ref, items) if ref is not None)
 
 
 def recognize_loading_call(goal: Term) -> tuple[FileRef, ...] | None:
@@ -157,10 +157,11 @@ def recognize_loading_call(goal: Term) -> tuple[FileRef, ...] | None:
     The bracketed-list goal `[f1, f2]` counts as consult.
     """
     if isinstance(goal, Compound) and goal.name == "." and goal.arity == 2:
-        return tuple(_decode_ref_arg(goal)) if is_proper_list(goal) else None
+        items, tail = list_parts(goal)
+        return _decode_refs(items) if tail == EMPTY_LIST else None
     if isinstance(goal, Compound) and goal.name in LOADING_PREDICATES:
         if goal.arity in LOADING_PREDICATES[goal.name]:
-            return tuple(_decode_ref_arg(goal.args[0]))
+            return _decode_refs(_arg_items(goal.args[0]))
     return None
 
 
@@ -182,9 +183,8 @@ def _decode_functor(term: Term) -> FunctorRef | None:
 
 def _decode_functor_arg(term: Term, directive: str, line: int, path: str | None):
     """Decode a single functor or a list of functors, strictly."""
-    items = list_parts(term)[0] if is_proper_list(term) else [term]
     functors = []
-    for item in items:
+    for item in _arg_items(term):
         functor = _decode_functor(item)
         if functor is None:
             raise MalformedDirectiveError(
@@ -266,16 +266,17 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                     defines = defines or []
                     defines.extend((functor, cond) for functor in functors)
                 elif name == "may_load" and arity == 1:
-                    deps.extend(MayLoad(ref) for ref in _decode_ref_arg(body.args[0]))
+                    deps.extend(MayLoad(ref) for ref in _decode_refs(_arg_items(body.args[0])))
                 elif name == "module" and arity == 2:
-                    if not is_proper_list(body.args[1]):  # `module(m, [])` provides nothing
+                    exports, tail = list_parts(body.args[1])
+                    if tail != EMPTY_LIST:  # `module(m, [])` provides nothing
                         got = render_term(body.args[1])
                         message = f"module expects a list of name/arity terms, got {got}"
                         raise MalformedDirectiveError(message, span.line, path)
                     if provides is None and isinstance(body.args[0], Atom):
                         provides = [
                             (f, ALWAYS, body.args[0].name)
-                            for f in map(_decode_functor, list_parts(body.args[1])[0])
+                            for f in map(_decode_functor, exports)
                             if f is not None
                         ]
                 elif name == "defines_module" and arity == 1:

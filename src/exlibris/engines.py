@@ -32,7 +32,6 @@ from .terms import (
     Term,
     Variable,
     atom_text,
-    is_proper_list,
     list_parts,
     render_term,
 )
@@ -188,12 +187,13 @@ def _parse_constrained(term: Compound) -> Constrained:
         raise EngineConditionError(
             f"pair condition needs an engine name first: {render_term(term)}"
         )
-    if not is_proper_list(conds_term):
+    pairs, tail = list_parts(conds_term)
+    if tail != EMPTY_LIST:
         raise EngineConditionError(
             f"pair condition needs a list of (version, op) pairs: {render_term(term)}"
         )
     conds = []
-    for pair in list_parts(conds_term)[0]:
+    for pair in pairs:
         if not (isinstance(pair, Compound) and pair.name == "," and pair.arity == 2):
             raise EngineConditionError(f"not a (version, op) pair: {render_term(pair)}")
         version = _decode_chain(pair.args[0], "a version constraint", wildcards=False)

@@ -6,7 +6,7 @@ file path relative to the library root without extension.  The module
 value `built_in` marks predicates that need no load on matching engines;
 the fact's file field still records where that declaration lives.  This
 module owns the fact format in both directions: `render_index` writes each
-fact as text, and `read_index` reads an index text, one pattern match per
+fact as text, and `parse_index` reads an index file, one pattern match per
 statement.  A fact spaced as `render_index` writes it is decoded from the
 match if `terms.canonical_argument` reads its condition, `parse_if_pls`
 decodes it and its file field is a library name; any other statement is
@@ -236,11 +236,6 @@ _INDEX_STATEMENT = statement_pattern(
 )
 
 
-def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
-    """The entries of an index text, in file order, as `parse_index` reads them."""
-    return tuple(map(_entry, _read_rows(text, path)))
-
-
 def _condition(text: str) -> IfPls | None:
     """The condition a text decodes to, if `canonical_argument` reads it and
     `parse_if_pls` decodes it, else None."""
@@ -263,7 +258,7 @@ def _read_rows(text: str, path: str | None) -> list[Row]:
     equal condition texts share one object.  Every other statement is parsed
     once the whole text is split, then decoded by `term_to_row`; one that
     states no row is skipped with a warning, logged if the text reads.
-    Errors are `read_terms`'."""
+    Errors are `split_statements`', then `parse_statements`'."""
     conds: dict[str, IfPls | None] = {}
     files: dict[str, str | None] = {}  # file field -> the library name it writes
     rows: list[Row | None] = []  # None where a parsed statement goes
@@ -311,6 +306,6 @@ def write_index(index: LibraryIndex) -> Path:
 
 
 def parse_index(path: Path | str) -> LibraryIndex:
-    """Read an Index.pl file as `read_index` does, warnings and errors included."""
+    """Read an Index.pl file's rows by `_read_rows`, warnings and errors included."""
     path = Path(path)
     return LibraryIndex(path.parent, rows=_read_rows(read_text(path), str(path)))

@@ -20,8 +20,8 @@ if `canonical_argument` reads it.
 `parse_statements` parses others in place, so every reader gives the same
 terms, ends and errors: `read_directives` those whose first token is `:-`
 or `library_directory`, less the `:-` ones whose next token is an unquoted
-atom its caller names, `read_terms` all, the index reader those its own
-alternative leaves.
+atom its caller names, the index reader those its own alternative leaves,
+and `read_term`, with `_parse` alone, each statement of its one text.
 
 Tokens are read inside one statement only, by one compiled pattern, one
 match per token: the match skips layout and comments, then takes exactly
@@ -116,10 +116,6 @@ def list_parts(term: Term) -> tuple[list[Term], Term]:
         items.append(term.args[0])
         term = term.args[1]
     return items, term
-
-
-def is_proper_list(term: Term) -> bool:
-    return list_parts(term)[1] == EMPTY_LIST
 
 
 @dataclass(frozen=True)
@@ -540,12 +536,6 @@ def parse_statements(
     return out
 
 
-def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
-    """Read every clause and directive of a file, in file order.  Raises
-    TermSyntaxError as `split_statements` does, then as `parse_statements`."""
-    return parse_statements(text, split_statements(text, path), path)
-
-
 # The characters of an engine condition as `_render` writes it: no layout,
 # quote, comment or period, so a pattern can take it as one field.
 ARGUMENT = r"[a-z0-9_:()\[\],=<>\\]+"
@@ -601,7 +591,7 @@ def read_directives(
 
     Every other statement is split off and never tokenized past its first
     token or two, so a syntax error inside one goes unreported; terms, spans
-    and errors are `read_terms`'.
+    and errors are those `parse_statements` gives for the whole split.
     """
     conds = {} if conds is None else conds
     kept = []
@@ -626,10 +616,10 @@ def read_term(text: str, path: str | None = None) -> Term:
     stop = next(m for m in _STATEMENT.finditer(text) if m.lastgroup != "end")
     if stop.lastgroup == "eof" and _TOKEN.match(text, stop.start()).lastgroup:
         text += "\n."  # on a line of its own, out of reach of a trailing % comment
-    terms = read_terms(text, path)
+    terms = [_parse(text, start, end, path) for start, end, _ in split_statements(text, path)]
     if len(terms) != 1:
         raise TermSyntaxError("expected exactly one term", 1, 1, path)
-    return terms[0].term
+    return terms[0]
 
 
 def atom_text(name: str) -> str:

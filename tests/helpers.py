@@ -23,6 +23,7 @@ from exlibris.engines import (
     PlId,
     render_cond,
 )
+from exlibris.index import IndexEntry, LibraryIndex, _read_rows
 from exlibris import terms as terms_module
 from exlibris.terms import (
     Atom,
@@ -51,6 +52,20 @@ ENGINE_UNIVERSE = (
 )
 
 ENGINE_NAMES = ("swi", "sicstus", "yap", "other")
+
+
+# --- whole-text readers --------------------------------------------------------
+
+
+def read_terms(text: str, path: str | None = None) -> list[SourceTerm]:
+    """Every clause and directive of a file, in file order.  Raises
+    TermSyntaxError as `split_statements` does, then as `parse_statements`."""
+    return parse_statements(text, split_statements(text, path), path)
+
+
+def read_index(text: str, path: str | None = None) -> tuple[IndexEntry, ...]:
+    """The entries of an index text, in file order, as `parse_index` reads them."""
+    return LibraryIndex(Path(), rows=_read_rows(text, path)).entries
 
 
 # --- standard term order, used as the version-comparison oracle ------------
@@ -373,7 +388,6 @@ def oracle_closure(root: Path, world: World, libs, targets):
     of a worklist.  Only file parsing is shared with the implementation.
     """
     from exlibris.directives import Load, MayLoad, Requirement, extract
-    from exlibris.terms import read_terms
 
     ordered_libs = ([libs.loclib] if libs.loclib else []) + list(libs.syslibs) + list(
         libs.homelibs

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from conftest import CHAIN_LENGTH
+from helpers import read_terms
 from exlibris import cli
 from exlibris.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, _build_parser
 from exlibris.index import parse_index, render_index
-from exlibris.terms import read_terms
 
 EXPORT_ARGS = (
     "export",

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
-from helpers import ENGINE_UNIVERSE
+from helpers import ENGINE_UNIVERSE, read_terms
 from exlibris.directives import (
     PROVIDES_ONLY,
     FileRef,
@@ -25,7 +25,7 @@ from exlibris.directives import (
 )
 from exlibris.engines import ALWAYS, Negation, matches, parse_if_pls
 from exlibris.index import mkindex
-from exlibris.terms import INFIX_OPERATORS, TermSyntaxError, read_term, read_terms
+from exlibris.terms import INFIX_OPERATORS, TermSyntaxError, read_term
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 

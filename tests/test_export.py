@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLE, build_worked_example
-from helpers import SICSTUS, SWI, gen_world
+from helpers import SICSTUS, SWI, gen_world, read_terms
 from exlibris.directives import extract
 from exlibris.export import (
     DestinationExistsError,
@@ -26,8 +26,10 @@ from exlibris.export import (
     transform_entry,
 )
 from exlibris.index import is_library_name
-from exlibris.resolve import UNRESOLVED, LibrarySet, closure, trace
-from exlibris.terms import read_directives, read_terms, splice
+from exlibris.resolve import (
+    KIND_LOCAL, KIND_SYSTEM, UNRESOLVED, DepClosure, LibrarySet, closure, trace,
+)
+from exlibris.terms import read_directives, splice
 
 REWRITTEN_FILE1 = (
     ":- library_directory( 'lib' ).\n"
@@ -571,6 +573,26 @@ def _respell(index_text: str, rng: random.Random) -> str:
     )
 
 
+def export_closures(world, root: Path) -> tuple[DepClosure, DepClosure]:
+    """`world`'s closure, built in `root`, and the closure of its export to
+    `root/out` against the same system libraries."""
+    world.materialize(root)
+    syslibs = [root / name for name in world.syslibs]
+    libs = LibrarySet.build(
+        syslibs, [root / name for name in world.homelibs],
+        root / world.loclib if world.loclib else None,
+    )
+    entries = [root / rel for rel in world.entries]
+    before = closure(entries, libs, world.engines)
+    opts = ExportOptions(dest=root / "out", sources=tuple(entries), pls=world.engines)
+    apply_plan(plan_export(opts, libs))
+    out = root / "out"
+    loclib = out / "lib" if (out / "lib").is_dir() else None
+    exported = LibrarySet.build(syslibs, (), loclib)
+    entries = [out / Path(rel).name for rel in world.entries]
+    return before, closure(entries, exported, world.engines)
+
+
 class TestExportsAreSelfContained:
     @pytest.mark.parametrize("respelled", [False, True], ids=["canonical", "respelled"])
     @settings(max_examples=60, deadline=None)
@@ -586,33 +608,64 @@ class TestExportsAreSelfContained:
                 if rel.endswith("/Index.pl"):
                     world.files[rel] = _respell(text, rng)
         with tempfile.TemporaryDirectory() as raw:
-            root = Path(raw)
-            world.materialize(root)
-            syslibs = [root / name for name in world.syslibs]
-            libs = LibrarySet.build(
-                syslibs, [root / name for name in world.homelibs],
-                root / world.loclib if world.loclib else None,
-            )
-            entries = [root / rel for rel in world.entries]
-            before = closure(entries, libs, world.engines)
-            opts = ExportOptions(dest=root / "out", sources=tuple(entries), pls=world.engines)
             try:
-                plan = plan_export(opts, libs)
+                before, after = export_closures(world, Path(raw))
             except ExportPlanError as exc:
                 assume("would be exported as" not in str(exc))  # two libraries, one name
                 raise
-            apply_plan(plan)
-            out = root / "out"
-            loclib = out / "lib" if (out / "lib").is_dir() else None
-            exported = LibrarySet.build(syslibs, (), loclib)
-            entries = [out / Path(rel).name for rel in world.entries]
-            after = closure(entries, exported, world.engines)
-            for key, targets in before.resolution.items():
-                if targets[0] != UNRESOLVED:
-                    assert after.resolution.get(key, (UNRESOLVED,))[0] != UNRESOLVED, key
+        for key, targets in before.resolution.items():
+            if targets[0] != UNRESOLVED:
+                assert after.resolution.get(key, (UNRESOLVED,))[0] != UNRESOLVED, key
+
+
+def changed_answers(seed: int) -> list | None:
+    """The (functor, engine) keys of a `gen_world` world's closure whose first
+    answer its export does not keep, each with the answer it should keep and
+    the one it gives; None if export refuses two files of one name.  A system
+    answer stays as it is; a home or local one becomes the same kind of
+    answer for the same file in `out/lib`; unresolved stays unresolved."""
+    with tempfile.TemporaryDirectory() as raw:
+        lib = Path(raw) / "out" / "lib"
+        try:
+            before, after = export_closures(gen_world(random.Random(seed)), Path(raw))
+        except ExportPlanError as exc:
+            if "would be exported as" in str(exc):
+                return None
+            raise
+    changed = []
+    for key, (answer, *_) in before.resolution.items():
+        if answer != UNRESOLVED and answer.kind != KIND_SYSTEM:
+            answer = type(answer)(KIND_LOCAL, lib, answer.file)
+        got = after.resolution.get(key, (UNRESOLVED,))[0]
+        if got != answer:
+            changed.append((key, answer, got))
+    return changed
+
+
+# The `gen_world` seeds below 384 whose export changes an answer (ROADMAP
+# item 1), and one of each kind of change.
+CHANGED_ANSWER_SEEDS = {43, 64, 83, 89, 152, 163, 191, 208, 212, 292, 333, 347}
+CHANGED_ANSWER_KINDS = {
+    43: "a system built-in becomes a local load",
+    64: "a system load becomes a local load",
+    83: "an unresolved pair becomes a system load",
+}
 
 
 class TestExportKeepsResolutions:
+    def test_every_answer_maps_onto_the_export_but_for_the_pinned_seeds(self):
+        changed = {seed: changed_answers(seed) for seed in range(384)}
+        assert {s: c for s, c in changed.items() if c and s not in CHANGED_ANSWER_SEEDS} == {}
+        assert {s for s, c in changed.items() if c} == CHANGED_ANSWER_SEEDS
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, id=str(seed), marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True, reason=kind))
+        for seed, kind in CHANGED_ANSWER_KINDS.items()
+    ])
+    def test_export_keeps_every_answer(self, seed):
+        assert changed_answers(seed) == []
+
     @pytest.mark.xfail(
         strict=True,
         reason="the exported tree searches its local library first, so the "

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, and every
 private top-level name it defines is read there; every annotated class field
-is read somewhere in the package; only `fsio` opens or reads files, and only
-listed functions recurse."""
+and every public function and class is read somewhere in the package; only
+`fsio` opens or reads files, and only listed functions recurse."""
 
 from __future__ import annotations
 
@@ -107,6 +107,47 @@ def test_an_unread_field_is_reported():
         "def f(facts):\n    facts.spans = ()\n    return facts.deps, facts.size\n",
     ]
     assert unread_fields(sources) == ["Facts.spans"]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes, as `module.name`, that no
+    source reads by name outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: dict[str, set[int]] = {}  # name -> the top-level statements reading it
+    for tree in trees.values():
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.setdefault(node.id, set()).add(id(statement))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not read.get(node.name, set()) - {id(node)}
+    ]
+
+
+# Public names kept for callers outside the package, each with its reader.
+PUBLIC_READ_OUTSIDE = {
+    "terms.read_term",  # the acceptance gate's A5 reads rendered terms back
+    "resolve.resolve_functor",  # the acceptance gate's A3; bench/run.py's probe
+}
+
+
+def test_package_reads_every_public_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert set(unread_public_names(sources)) == PUBLIC_READ_OUTSIDE
+
+
+def test_an_unread_public_name_is_reported():
+    sources = {
+        "a": "def walk(x):\n    return walk(x[1:])\n\nclass Hit:\n    pass\n\n"
+             "def _scan():\n    return seen\n",
+        "b": "def seen():\n    return Hit\n",
+    }
+    assert unread_public_names(sources) == ["a.walk"]
 
 
 def direct_reads(source: str) -> list[str]:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import exlibris.index as index_module
 import exlibris.terms as terms_module
 import helpers
+from helpers import read_index, read_terms
 from conftest import WORKED_EXAMPLE, build_worked_example
 from exlibris.directives import FunctorRef, extract
 from exlibris.engines import (
@@ -39,7 +40,6 @@ from exlibris.index import (
     LibraryIndex,
     mkindex,
     parse_index,
-    read_index,
     render_index,
     term_to_row,
     write_index,
@@ -55,7 +55,6 @@ from exlibris.terms import (
     canonical_argument,
     read_directives,
     read_term,
-    read_terms,
     render_clause,
     split_statements,
 )

@@ -49,7 +49,7 @@ def test_compare_outputs_reports_a_changed_word_and_nothing_else(tmp_path):
     assert "    -rewrote e000.pl\n" in changed.stdout
     assert "    +rewrite e000.pl\n" in changed.stdout
     assert "    +rewrite main.pl\n" in changed.stdout
-    # the three exports of HomeLib, the two of each of its two respelled
-    # copies, the two of the hand-written corpus and the two of the
-    # relative-load tree
-    assert changed.stdout.endswith(" commands, 11 with differences\n")
+    # the four exports of HomeLib, one of them with `--copy recursive`, the
+    # two of each of its two respelled copies, the two of the hand-written
+    # corpus and the two of the relative-load tree
+    assert changed.stdout.endswith(" commands, 12 with differences\n")

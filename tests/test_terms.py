@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from helpers import read_terms
 from exlibris.terms import (
     EMPTY_LIST,
     Atom,
@@ -26,7 +27,6 @@ from exlibris.terms import (
     make_list,
     read_directives,
     read_term,
-    read_terms,
     render_clause,
     render_term,
     splice,
@@ -145,6 +145,23 @@ class TestReadTerms:
         with pytest.raises(TermSyntaxError) as exc:
             read_term("a. b.")
         assert str(exc.value) == "line 1, column 1: expected exactly one term"
+
+    # A final "\n." given to every text, not only to one whose last token is
+    # no end token, would read `0'` as the code of a newline; and every
+    # statement is parsed before they are counted, so a text that does not
+    # read is reported where it goes wrong.
+    @pytest.mark.parametrize("text, message", [
+        ("0'", "line 1, column 2: unterminated quoted atom"),
+        (". .", "line 1, column 1: expected a term"),
+        ("a.\n.", "line 2, column 1: expected a term"),
+    ])
+    def test_read_term_reports_what_a_final_period_would_hide(self, text, message):
+        with pytest.raises(TermSyntaxError) as exc:
+            read_term(text)
+        assert str(exc.value) == message
+
+    def test_read_term_reads_a_leading_period_as_an_atom(self):
+        assert read_term(".(a, b)") == Compound(".", (Atom("a"), Atom("b")))
 
     @pytest.mark.parametrize("text, term", [
         ("not:x", Compound(":", (Atom("not"), Atom("x")))),
