@@ -37,8 +37,11 @@ more, with `proj/main.pl` as the entry, on the hand-written corpus under
 does `mkindex` of that HomeLib.  The walks run, with `proj/main.pl` as the
 entry, on RELATIVE_WORLD too: a hand-made tree whose files load each other
 by relative names in every spelling the README's Resolution section gives,
-and whose `Index.pl` spells one file three ways.  Every difference in exit
-code, standard output, standard error or written files (export's
+and whose `Index.pl` spells one file three ways, and on CLAUSE_WORLD, whose
+library files hold runs of clauses with every hazard a run must step over;
+`mkindex` runs on its HomeLib and, with `graph`, on each of its `Bad*`
+libraries, which holds a statement a run cannot end.  Every difference in
+exit code, standard output, standard error or written files (export's
 destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0
 if there is none.
 """
@@ -250,9 +253,56 @@ RELATIVE_WORLD = {
 }
 
 
+# A clause-heavy tree: runs of clauses that hold what a run must not end or
+# start a statement inside, `=..`, `0'.`, a quoted `.`, a block comment with
+# a `.` and a `'`, a line comment with a `'`, with declarations, a
+# `library_directory` clause and one that only starts like it between them,
+# and in every third file a byte-order mark.  Each `Bad*` library holds one
+# file with a statement that a run cannot end, reported where it stands.
+HAZARDS = (
+    "p{i}(X, Y) :- X =.. [F|Y], F \\== a.",
+    "q{i}(0'., 'x.y', \"s. t\", `u. v`).",
+    "/* a.b ' */",
+    "% it's {i}",
+    "r{i} :- X = 0''', X =.. Y, 'a.b'(Y), Z = 'it''s. ok'.",
+    "library_directory( 'lib{i}' ).",
+    "library_directory_x({i}).",
+    "s{i}([H|T]) :- s{i}(T), H = 0'z. % done.",
+)
+CONDITIONS = ("swi(_)", "not(swi(_))", "[swi(_),yap(_)]")
+
+
+def hazards(i: int, count: int) -> str:
+    """`count` lines of HAZARDS for file `i`, from its own first one on."""
+    return "".join(f"{HAZARDS[(i + k) % len(HAZARDS)].format(i=i)}\n" for k in range(count))
+
+
+CLAUSE_WORLD = {
+    **{
+        f"HomeLib/h{i}.pl": ("\ufeff" if i % 3 == 0 else "") + hazards(i, 12)
+        + (f":- module( h{i}, [h{i}/1] ).\n" if i % 4 == 0
+           else f":- defines( {CONDITIONS[i % 3]}, [h{i}/1] ).\n")
+        + f":- requires( [h{(i + 1) % 9}/1] ).\n" + hazards(i, 5) + f"h{i}(0'.).\n"
+        for i in range(9)
+    },
+    "proj/main.pl": ":- requires( [h0/1, h4/1] ).\n:- ensure_loaded(library(h2)).\n"
+                    + hazards(99, len(HAZARDS)),
+    "BadQuote/a.pl": ":- defines( [a/0] ).\np :- X =.. Y.\nq('abc.\n",
+    "BadComment/a.pl": ":- defines( [a/0] ).\np.\n% it's\nq.\n/* r.\n",
+    "BadEnd/a.pl": ":- defines( [a/0] ).\np :- X =.. Y, q.\nr :- X =.. Y",
+    "BadString/a.pl": "\ufeff:- defines( [a/0] ).\np.\n/* a.b ' */\nq(\"x.\n",
+}
+BAD_LIBS = ("BadQuote", "BadComment", "BadEnd", "BadString")
+
+
 def relative_world(workdir: Path) -> None:
     """RELATIVE_WORLD's files in `workdir`."""
-    for rel, text in RELATIVE_WORLD.items():
+    files(workdir, RELATIVE_WORLD)
+
+
+def files(workdir: Path, tree: dict[str, str]) -> None:
+    """`tree`'s files in `workdir`."""
+    for rel, text in tree.items():
         (workdir / rel).parent.mkdir(parents=True, exist_ok=True)
         (workdir / rel).write_text(text, encoding="utf-8")
 
@@ -388,6 +438,11 @@ def main() -> int:
     todo = walks("proj/main.pl", ["--homelib", "HomeLib", "--homelib", "HomeLib-x"])
     total += len(todo)
     different += compare("relative loads", relative_world, todo, other)
+    todo = walks("proj/main.pl", ["--homelib", "HomeLib"]) + mkindexes(["HomeLib", *BAD_LIBS])
+    todo += [{"argv": ["graph", "--source", "proj", "--homelib", lib], "writes": None}
+             for lib in BAD_LIBS]
+    total += len(todo)
+    different += compare("clause runs", lambda workdir: files(workdir, CLAUSE_WORLD), todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

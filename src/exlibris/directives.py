@@ -1,26 +1,35 @@
 """Extraction of dependency facts from the directives read from a file.
 
-A file is read for its directives and `library_directory` clauses only
-(`terms.read_directives`).  One pass over them collects what the resolver,
-indexer and exporter consume: `FileFacts.deps` lists `requires`, `may_load`
-and loading calls, direct or guarded by `if_pl` (to any depth, nested
-guards conjoined), in source order; `FileFacts.provides` is what the file
-declares it defines, the one place that ranks a `module/2` over `defines`;
-besides them come library_directory spans and whole `if_pl` directives for
-export.  Only `mkindex` reads `provides`: the dependency walk reads a file
-without its `PROVIDES_ONLY` directives, so there it is None.  `clause_head`
-names the predicate a clause defines.
+A file is read for its directives and `library_directory` clauses only:
+`read_directives` gives each, in file order with its span, as its parsed
+term, or, for a `defines`, `module` or `requires` written as libraries are
+generated, as the `Declaration` decoded from its text.  No other statement
+is tokenized past its first token or two, and a run of clauses that start
+with a lowercase letter is skipped in one match.  One pass over them
+(`extract`) collects what the resolver, indexer and exporter consume:
+`FileFacts.deps` lists `requires`, `may_load` and loading calls, direct or
+guarded by `if_pl` (to any depth, nested guards conjoined), in source
+order; `FileFacts.provides` is what the file declares it defines, the one
+place that ranks a `module/2` over `defines`; besides them come
+library_directory spans and whole `if_pl` directives for export.  Only
+`mkindex` reads `provides`: the dependency walk reads a file without its
+`PROVIDES_ONLY` directives, so there it is None.  `clause_head` names the
+predicate a clause defines.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from .engines import ALWAYS, EngineConditionError, IfPls, Negation, conjoin, parse_if_pls
+from .engines import ALWAYS, EngineConditionError, IfPls, Negation, conjoin, parse_if_pls, read_cond
 from .errors import ExlibrisError
 from .terms import (
+    ARGUMENT,
     EMPTY_LIST,
+    LAYOUT,
+    OPERATOR_ATOMS,
     Atom,
     Compound,
     Integer,
@@ -29,7 +38,10 @@ from .terms import (
     Term,
     atom_text,
     list_parts,
+    parse_statements,
     render_term,
+    split_statements,
+    statement_pattern,
 )
 
 
@@ -92,6 +104,14 @@ class IfPlDirective:
     span: Span
 
 
+class Declaration(NamedTuple):
+    """A `requires/1`, `defines/1,2` or `module/2` directive, decoded."""
+
+    name: str  # requires | defines | module
+    arg: IfPls | str | None  # the condition (`any` without one), or the module's name if an atom
+    functors: tuple[FunctorRef, ...]
+
+
 @dataclass(frozen=True)
 class FileFacts:
     deps: tuple[Requirement | Load | MayLoad, ...] = ()  # in source order
@@ -117,7 +137,7 @@ LIBRARY_DIRECTORY = FunctorRef("library_directory", 1)
 # The atoms a directive body starts with when it adds to `FileFacts.provides`
 # alone: `extract` takes nothing else from such a directive, since no infix
 # operator is a name it reads, so a reader that needs no `provides` may leave
-# these directives unparsed (`terms.read_directives`' `skip`).
+# these directives unparsed (`read_directives`' `skip`).
 PROVIDES_ONLY = frozenset({"defines", "module", "defines_module"})
 
 
@@ -181,21 +201,6 @@ def _decode_functor(term: Term) -> FunctorRef | None:
     return None
 
 
-def _decode_functor_arg(term: Term, directive: str, line: int, path: str | None):
-    """Decode a single functor or a list of functors, strictly."""
-    functors = []
-    for item in _arg_items(term):
-        functor = _decode_functor(item)
-        if functor is None:
-            raise MalformedDirectiveError(
-                f"{directive} expects name/arity terms, got {render_term(item)}",
-                line,
-                path,
-            )
-        functors.append(functor)
-    return tuple(functors)
-
-
 def clause_head(term: Term) -> FunctorRef | None:
     """The predicate a clause defines: its head's name and arity (an atom's is
     0), a rule's (`:-`/2) head being its first argument; None for any other head."""
@@ -230,12 +235,96 @@ def deconstruct_if_pl(directive: Compound, cond: IfPls) -> list[tuple[IfPls, Fil
     return out
 
 
+# `:- defines( [p/2] ).`, `:- module(m, [p/2]).` or `:- requires( [p/2] ).`,
+# with items named by words that are no operators, and an `ARGUMENT` condition.
+_NAME = re.compile(rf"(?!(?:{'|'.join(a for a in OPERATOR_ATOMS if a.isidentifier())})\b)[a-z]\w*")
+_ITEM = re.compile(rf"({_NAME.pattern})/([0-9]{{1,9}})")
+_DECLARATION = (
+    rf":- (defines|module|requires)\( ?(?:({ARGUMENT}), )?"
+    rf"\[((?:{_ITEM.pattern}(?:, {_ITEM.pattern})*)?)\] ?\)"
+)
+# with `clauses` asked for, and without, when runs of clauses are skipped
+_DECLARATIONS = statement_pattern(_DECLARATION), statement_pattern(_DECLARATION, runs=True)
+_DECLARATION_FORMS = {("requires", 1), ("defines", 1), ("defines", 2), ("module", 2)}
+_DIRECTIVE_WORD = re.compile(rf":-{LAYOUT}(\w*)", re.DOTALL)  # after a `:-`, as a token
+
+
+def _decoded(m: re.Match, conds: dict[str, IfPls | None]) -> Declaration | None:
+    """The declaration a statement `_DECLARATION` took, or None for a
+    `module/1`, a `requires/2`, a module name that is no `_NAME`, or a
+    condition that `read_cond` does not decode; `conds` keeps each read."""
+    name, first, items = m.group(2, 3, 4)
+    if name == "module":
+        arg = first if first and _NAME.fullmatch(first) else None
+    elif first is None or name == "requires":
+        arg = None if first else ALWAYS
+    else:
+        if first not in conds:
+            conds[first] = read_cond(first)
+        arg = conds[first]
+    functors = tuple(FunctorRef(f, int(a)) for f, a in _ITEM.findall(items))
+    return None if arg is None else Declaration(name, arg, functors)
+
+
+def read_directives(
+    text: str, path: str | None = None, skip: Collection[str] = (),
+    conds: dict[str, IfPls | None] | None = None, clauses: list | None = None,
+) -> list[SourceTerm]:
+    """Read the directives and `library_directory` clauses of a file, in file
+    order: each statement whose first token is `:-` or `library_directory`,
+    except a `:-` whose next token is an unquoted atom in `skip`.  Each is
+    parsed, but one `_DECLARATION` takes is decoded from its match, each
+    condition text once per `conds` (by default, per call).  Each statement
+    whose first token is not `:-` is added to `clauses`, if given, as split;
+    without `clauses`, a run of clauses is skipped in one match.  No other
+    statement is tokenized past its first token or two, so a syntax error
+    inside one goes unreported.  Spans and errors are `parse_statements`'.
+    """
+    conds = {} if conds is None else conds
+    kept = []
+    for start, end, first in split_statements(text, path, _DECLARATIONS[clauses is None]):
+        if not isinstance(first, str):  # the match of a declaration
+            if first[2] not in skip:
+                kept.append((start, end, _decoded(first, conds) or ":-"))
+            continue
+        # a `:-` written `':-'` is read as such, but is no prefix operator
+        if first == "library_directory" or first == ":-" and not (
+            skip and text[start] == ":" and _DIRECTIVE_WORD.match(text, start)[1] in skip
+        ):
+            kept.append((start, end, first))
+        if clauses is not None and first != ":-":
+            clauses.append((start, end, first))
+    return parse_statements(text, kept, path)
+
+
+def _declaration(body: Compound, line: int, path: str | None) -> Declaration:
+    """The `Declaration` of a parsed `requires/1`, `defines/1,2` or `module/2`
+    body.  Each functor of a `requires` or `defines`, a list or a single
+    one, must be a name/arity term; a module's items that are not are left out."""
+    if body.name == "module":
+        exports, tail = list_parts(body.args[1])
+        if tail != EMPTY_LIST:  # `module(m, [])` provides nothing
+            message = f"module expects a list of name/arity terms, got {render_term(body.args[1])}"
+            raise MalformedDirectiveError(message, line, path)
+        name = body.args[0].name if isinstance(body.args[0], Atom) else None
+        return Declaration("module", name, tuple(f for f in map(_decode_functor, exports) if f))
+    cond = parse_if_pls(body.args[0]) if body.arity == 2 else ALWAYS
+    items = _arg_items(body.args[-1])
+    functors = tuple(map(_decode_functor, items))
+    if None in functors:
+        got = render_term(items[functors.index(None)])
+        message = f"{body.name} expects name/arity terms, got {got}"
+        raise MalformedDirectiveError(message, line, path)
+    return Declaration(body.name, cond, functors)
+
+
 def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
     """Collect the dependency-relevant facts of the statements read from one file.
 
-    Directives are `:- Body` terms; unknown directives pass through without
-    complaint.  Of the other terms, a `library_directory/1` clause is kept as
-    a library_directory span.
+    Directives are `:- Body` terms, or `Declaration`s that `read_directives`
+    decoded; a parsed declaration is read as its `Declaration`, and unknown
+    directives pass through without complaint.  Of the other terms, a
+    `library_directory/1` clause is kept as a library_directory span.
 
     What the file provides comes from its first `module/2` with an atom name
     (its exports, condition `any`), wherever that stands; a file without one
@@ -257,28 +346,10 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 body = term.args[0]
                 name = body.name if isinstance(body, Compound) else None
                 arity = body.arity if isinstance(body, Compound) else 0
-                if name == "requires" and arity == 1:
-                    for functor in _decode_functor_arg(body.args[0], "requires", span.line, path):
-                        deps.append(Requirement(functor))
-                elif name == "defines" and arity in (1, 2):
-                    cond = parse_if_pls(body.args[0]) if arity == 2 else ALWAYS
-                    functors = _decode_functor_arg(body.args[-1], "defines", span.line, path)
-                    defines = defines or []
-                    defines.extend((functor, cond) for functor in functors)
+                if (name, arity) in _DECLARATION_FORMS:
+                    term = _declaration(body, span.line, path)
                 elif name == "may_load" and arity == 1:
                     deps.extend(MayLoad(ref) for ref in _decode_refs(_arg_items(body.args[0])))
-                elif name == "module" and arity == 2:
-                    exports, tail = list_parts(body.args[1])
-                    if tail != EMPTY_LIST:  # `module(m, [])` provides nothing
-                        got = render_term(body.args[1])
-                        message = f"module expects a list of name/arity terms, got {got}"
-                        raise MalformedDirectiveError(message, span.line, path)
-                    if provides is None and isinstance(body.args[0], Atom):
-                        provides = [
-                            (f, ALWAYS, body.args[0].name)
-                            for f in map(_decode_functor, exports)
-                            if f is not None
-                        ]
                 elif name == "defines_module" and arity == 1:
                     if defines_module is None and isinstance(body.args[0], Atom):
                         defines_module = body.args[0].name
@@ -295,6 +366,15 @@ def extract(terms: Sequence[SourceTerm], path: str | None = None) -> FileFacts:
                 raise MalformedDirectiveError(str(exc), span.line, path) from exc
         elif clause_head(term) == LIBRARY_DIRECTORY:
             library_dirs.append(span)
+        if not isinstance(term, Declaration):
+            continue
+        if term.name == "requires":
+            deps.extend(map(Requirement, term.functors))
+        elif term.name == "defines":
+            defines = defines or []
+            defines.extend((functor, term.arg) for functor in term.functors)
+        elif provides is None and term.arg is not None:
+            provides = [(functor, ALWAYS, term.arg) for functor in term.functors]
 
     if provides is None and defines is not None:
         module = defines_module or "user"

@@ -13,6 +13,7 @@ condition.  Asked of a concrete engine it answers True or False; asked of
 all engines at once (engine None) it answers True (every engine matches),
 False (none can) or None (it depends on the engine).  All three work on
 an explicit stack, so a condition's nesting depth has no limit.
+`read_cond` decodes a condition from its canonical text.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .terms import (
     Term,
     Variable,
     atom_text,
+    canonical_argument,
     list_parts,
     render_term,
 )
@@ -179,6 +181,17 @@ def parse_if_pls(term: Term) -> IfPls:
         else:
             raise EngineConditionError(f"not an engine condition: {render_term(item)}")
     return values.pop()
+
+
+def read_cond(text: str) -> IfPls | None:
+    """The condition a text decodes to if `canonical_argument` reads it and
+    `parse_if_pls` decodes it, else None: the text is then left to the
+    parser, which reports what is wrong with it where it stands."""
+    term = canonical_argument(text)
+    try:
+        return None if term is None else parse_if_pls(term)
+    except EngineConditionError:
+        return None
 
 
 def _parse_constrained(term: Compound) -> Constrained:

@@ -23,8 +23,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
-from .directives import LIBRARY_DIRECTORY, FileFacts, FunctorRef, clause_head, extract
-from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, render_cond
+from .directives import LIBRARY_DIRECTORY, FileFacts, FunctorRef, clause_head, extract, read_directives
+from .engines import ALWAYS, EngineConditionError, IfPls, parse_if_pls, read_cond, render_cond
 from .errors import ExlibrisError
 from .fsio import read_text, write_text
 from .terms import (
@@ -36,10 +36,8 @@ from .terms import (
     Term,
     UNQUOTED_ATOM,
     atom_text,
-    canonical_argument,
     matched_statement,
     parse_statements,
-    read_directives,
     statement_pattern,
     text_start,
     unquote_atom,
@@ -130,8 +128,8 @@ def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = T
 def read_source(
     path: Path, skip: Collection[str] = (), conds: dict | None = None, clauses: list | None = None
 ) -> tuple[str, FileFacts]:
-    """A source file's text and its facts, from `terms.read_directives`, which
-    leaves the directives `skip` names unparsed, reads each condition text
+    """A source file's text and its facts, from `read_directives`, which
+    leaves the directives `skip` names unparsed, decodes each condition text
     of a declaration it takes by pattern once per `conds` and adds the
     file's clauses, unparsed, to `clauses`."""
     text = read_text(path)
@@ -163,7 +161,7 @@ def mkindex(
     discovered: list[Row] = []
     sources: SourceStore = {}
     named: dict[str, tuple[Path, bool]] = {}  # file field -> its first file, whether it provides
-    conds: dict[str, Term | None] = {}  # condition texts read, for this call alone
+    conds: dict[str, IfPls | None] = {}  # condition texts decoded, for this call alone
     for source in find_sources(root, extensions, follow_subdirs):
         clauses: list | None = [] if clause_fallback else None
         text, facts = sources[source] = read_source(source, conds=conds, clauses=clauses)
@@ -236,16 +234,6 @@ _INDEX_STATEMENT = statement_pattern(
 )
 
 
-def _condition(text: str) -> IfPls | None:
-    """The condition a text decodes to, if `canonical_argument` reads it and
-    `parse_if_pls` decodes it, else None."""
-    term = canonical_argument(text)
-    try:
-        return None if term is None else parse_if_pls(term)
-    except EngineConditionError:  # reported once the fact is parsed
-        return None
-
-
 def _name(raw: str) -> str:
     """The name of an atom `_ATOM` took."""
     return unquote_atom(raw) if raw[0] == "'" else raw
@@ -253,7 +241,7 @@ def _name(raw: str) -> str:
 
 def _read_rows(text: str, path: str | None) -> list[Row]:
     """The rows of an index text, in file order.  A fact `_INDEX_STATEMENT`
-    takes is decoded from its match if its condition text has a `_condition`
+    takes is decoded from its match if `read_cond` decodes its condition text
     and its file field is a library name, each checked once per text, so
     equal condition texts share one object.  Every other statement is parsed
     once the whole text is split, then decoded by `term_to_row`; one that
@@ -267,7 +255,7 @@ def _read_rows(text: str, path: str | None) -> list[Row]:
         if m.lastgroup == "fact":
             functor, arity, cond, module, file = m.group(2, 3, 4, 5, 6)
             if cond not in conds:
-                conds[cond] = _condition(cond)
+                conds[cond] = read_cond(cond)
             if file not in files:
                 files[file] = _name(file) if is_library_name(_name(file)) else None
             if conds[cond] is not None and files[file] is not None:

@@ -13,12 +13,14 @@ one pattern match per statement: it knows quoted atoms, strings,
 back-quoted text, `0'c` codes, comments and symbol-char runs, so a `.`
 inside any of them ends nothing, and it reports an unterminated quote or
 block comment before any statement is parsed.  The index reader and
-`read_directives` add one alternative each (`statement_pattern`), a fact
-as `mkindex` writes it and a `defines`, `module` or `requires` declaration
-as libraries are generated, each decoded from its match, a condition only
-if `canonical_argument` reads it.
+`directives.read_directives` add one alternative each (`statement_pattern`),
+a fact as `mkindex` writes it and a `defines`, `module` or `requires`
+declaration as libraries are generated, each decoded from its match by its
+reader, a condition only if `canonical_argument` reads it.  The directive
+reader may add a second, which takes a run of clauses in one match, so
+none of them is seen at all.
 `parse_statements` parses others in place, so every reader gives the same
-terms, ends and errors: `read_directives` those whose first token is `:-`
+spans, ends and errors: `read_directives` those whose first token is `:-`
 or `library_directory`, less the `:-` ones whose next token is an unquoted
 atom its caller names, the index reader those its own alternative leaves,
 and `read_term`, with `_parse` alone, each statement of its one text.
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import ExlibrisError
 
@@ -135,7 +137,7 @@ class Span:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    term: Term
+    term: Term  # or what its reader decoded the statement to in place of one
     span: Span
 
 
@@ -199,20 +201,29 @@ QUOTED_ATOM = r"'(?:[^'\\]|\\[\\'nt]|'')*'(?!')"
 
 _LINE_COMMENT = r"%[^\n]*"
 _BLOCK_COMMENT = r"/\*.*?\*/"
-_LAYOUT = rf"[ \t\r\n]*(?:(?:{_LINE_COMMENT}|{_BLOCK_COMMENT})[ \t\r\n]*)*"
+LAYOUT = rf"[ \t\r\n]*(?:(?:{_LINE_COMMENT}|{_BLOCK_COMMENT})[ \t\r\n]*)*"
 _END = r"\.(?=[ \t\r\n%]|\Z)"
+
+
+def _atomic(name: str, pattern: str) -> str:
+    """`pattern` taken whole or not at all, as `(?>...)`, which Python 3.10
+    lacks, takes it: inside a lookahead, which never backtracks, as group
+    `name`, then by a backreference to it."""
+    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
 
 
 def _escape(name: str) -> str:
     """A backslash escape as the splitter reads it: `\\x41\\`, `\\101\\` or
-    one character.  It is matched inside a lookahead, which never backtracks,
-    so an unterminated quote is given up in one pass."""
-    return rf"\\(?=(?P<{name}>x[0-9a-fA-F]*\\|[0-7]+\\|.))(?P={name})"
+    one character, taken atomically, so an unterminated quote is given up
+    in one pass."""
+    return _atomic(name, r"\\(?:x[0-9a-fA-F]*\\|[0-7]+\\|.)")
 
 
-# A character code as both lexers take it: `0'` and one character, a
-# doubled quote or a backslash escape.
-_CODE = rf"0'(?:''|{_escape('c')}|.)"
+def _code(name: str) -> str:
+    """A character code as both lexers take it: `0'` and one character, a
+    doubled quote or a backslash escape."""
+    return rf"0'(?:''|{_escape(name)}|.)"
+
 
 # One match per token: layout and comments first, then exactly one
 # alternative, the most frequent first; `bad` is reached by anything no
@@ -220,11 +231,11 @@ _CODE = rf"0'(?:''|{_escape('c')}|.)"
 # can overlap.  A block comment or quote that does not end is never seen
 # here: the splitter reports it before any statement is tokenized.
 _TOKEN = re.compile(
-    rf"""{_LAYOUT}
+    rf"""{LAYOUT}
     (?:(?P<word>[^\W\d]\w*)
       |(?P<punct>[()\[\],|])
       |(?P<qatom>{QUOTED_ATOM})
-      |(?P<code>{_CODE})
+      |(?P<code>{_code("c")})
       |(?P<int>\d+)
       |(?P<end>{_END})
       |(?P<atom>[;!]|{_SYMBOL_RUN})
@@ -239,22 +250,35 @@ def _quoted_item(quote: str, name: str) -> str:
     return rf"{quote}(?:[^{quote}\\]|{quote}{quote}|{_escape(name)})*{quote}(?!{quote})"
 
 
-# One match per statement: everything up to and including its end token.
-# The loop takes whole tokens of the classes that can hold a `.` or a quote
-# (quoted atoms, strings, back-quoted text, `0'c`, comments and symbol-char
-# runs) and runs of any other characters; it stops only where a named group
-# below can match, so the match never fails and never backtracks into the
-# loop.  A quoted atom that `_TOKEN` reads ends at the same character here.
-_STATEMENT = re.compile(
-    rf"""(?:[^'"`%0{re.escape(_SYMBOL_CHARS)}.]+
-      |{_quoted_item("'", "q")}|{_quoted_item('"', "s")}|{_quoted_item("`", "b")}
+def _body(tag: str) -> str:
+    """A statement up to its end token, its groups named with `tag`.  The
+    loop takes whole tokens of the classes that can hold a `.` or a quote
+    (quoted atoms, strings, back-quoted text, `0'c`, comments and
+    symbol-char runs) and runs of any other characters; it stops only at an
+    end token, an unterminated quote or block comment, or the end of the
+    text.  A quoted atom that `_TOKEN` reads ends at the same character."""
+    return rf"""(?:[^'"`%0{re.escape(_SYMBOL_CHARS)}.]+
+      |{_quoted_item("'", f"q{tag}")}|{_quoted_item('"', f"s{tag}")}|{_quoted_item("`", f"b{tag}")}
       |{_LINE_COMMENT}|{_BLOCK_COMMENT}
-      |(?<!\w){_CODE}|0
+      |(?<!\w){_code(f"c{tag}")}|0
       |(?!/\*|{_END}){_SYMBOL_RUN}
-    )*
+    )*"""
+
+
+# One match per statement: everything up to and including its end token, or
+# a named group where the text stops it, so the match never fails and never
+# backtracks into the loop.
+_STATEMENT = re.compile(
+    rf"""{_body("")}
     (?:(?P<end>\.)|(?P<quote>')|(?P<string>")|(?P<backquote>`)|(?P<comment>/\*)|(?P<eof>)\Z)""",
     re.VERBOSE | re.DOTALL,
 )
+# Whole statements that start with a lowercase letter but not with
+# `library_directory`, in one match.  Each body, and the layout before it,
+# is taken atomically, so the run gives back whole a statement it cannot
+# end, such as one with an unterminated quote, for `_STATEMENT` to report.
+_RUN = rf"""(?P<run>(?:{_atomic("rl", LAYOUT)}(?!library_directory\b)[a-z]
+    {_atomic("rb", _body("r"))}{_END})+)"""
 _UNTERMINATED = {
     "quote": "unterminated quoted atom",
     "string": "unterminated string",
@@ -473,12 +497,16 @@ def _parse(text: str, start: int, end: int, path: str | None) -> Term:
     return term
 
 
-def statement_pattern(fact: str) -> re.Pattern:
+def statement_pattern(fact: str, runs: bool = False) -> re.Pattern:
     """`split_statements`' pattern, but first trying, after layout, `fact`
     and an end token as group `fact`, group 1, so `fact`'s own groups count
-    from 2.  `fact` must match only whole statements; `matched_statement`
-    takes every other match."""
-    return re.compile(rf"{_LAYOUT}(?:(?P<fact>{fact}){_END}|(?x:{_STATEMENT.pattern}))", re.DOTALL)
+    from 2, then, if `runs`, a run of clauses (`_RUN`) as group `run`.
+    `fact` must match only whole statements; `matched_statement` takes
+    every other match."""
+    run = f"|(?x:{_RUN})" if runs else ""
+    return re.compile(
+        rf"{LAYOUT}(?:(?P<fact>{fact}){_END}{run}|(?x:{_STATEMENT.pattern}))", re.DOTALL
+    )
 
 
 def matched_statement(m: re.Match, text: str, path: str | None) -> tuple[int, int, str] | None:
@@ -506,9 +534,12 @@ def matched_statement(m: re.Match, text: str, path: str | None) -> tuple[int, in
 def split_statements(text: str, path: str | None = None, pattern: re.Pattern = _STATEMENT) -> list:
     """Each statement as `matched_statement` gives it, in file order, found
     in one lexical pass that parses nothing; with a `statement_pattern`, one
-    its fact alternative takes has the match in place of its first token."""
+    its fact alternative takes has the match in place of its first token,
+    and the clauses of a run are left out."""
     out = []
     for m in pattern.finditer(text, text_start(text)):
+        if m.lastgroup == "run":
+            continue
         fact = m.lastgroup == "fact"
         statement = (m.start("fact"), m.end(), m) if fact else matched_statement(m, text, path)
         if statement is None:
@@ -518,12 +549,13 @@ def split_statements(text: str, path: str | None = None, pattern: re.Pattern = _
 
 
 def parse_statements(
-    text: str, statements: Iterable[tuple[int, int, str | Term]], path: str | None = None
+    text: str, statements: Iterable[tuple[int, int, object]], path: str | None = None
 ) -> list[SourceTerm]:
     """Parse in place each statement of `text` given as `split_statements`
-    gives them, in file order, but for one given with its term in place of
-    its first token; raises TermSyntaxError at the first offending token of
-    the first one that does not parse."""
+    gives them, in file order, but for one given with its term, or what its
+    reader decoded it to, in place of its first token; raises
+    TermSyntaxError at the first offending token of the first one that does
+    not parse."""
     out: list[SourceTerm] = []
     line, line_start = 1, text_start(text)  # of the previous statement's first token
     for start, end, first in statements:
@@ -549,65 +581,6 @@ def canonical_argument(text: str) -> Term | None:
     except TermSyntaxError:
         return None
     return term if _render(term, 999) == text else None
-
-
-# `:- defines( [p/2] ).`, `:- module(m, [p/2]).` or `:- requires( [p/2] ).`,
-# with items named by words that are no operators, and an `ARGUMENT` condition.
-_NAME = re.compile(rf"(?!(?:{'|'.join(a for a in OPERATOR_ATOMS if a.isidentifier())})\b)[a-z]\w*")
-_ITEM = re.compile(rf"({_NAME.pattern})/([0-9]{{1,9}})")
-_DECLARATION = statement_pattern(
-    rf":- (defines|module|requires)\( ?(?:({ARGUMENT}), )?"
-    rf"\[((?:{_ITEM.pattern}(?:, {_ITEM.pattern})*)?)\] ?\)"
-)
-
-
-def _declaration(m: re.Match, conds: dict[str, Term | None]) -> Term | None:
-    """The parser's term for a statement `_DECLARATION` took, or None for a
-    `module/1`, a `requires/2`, a module name that is no `_NAME`, or a condition
-    that `canonical_argument` does not read; `conds` keeps each read."""
-    name, first, items = m.group(2, 3, 4)
-    args = [make_list([Compound("/", (Atom(f), Integer(int(a)))) for f, a in _ITEM.findall(items)])]
-    if name == "module":
-        args.insert(0, Atom(first) if first and _NAME.fullmatch(first) else None)
-    elif first is not None:
-        if name == "requires":
-            return None
-        if first not in conds:
-            conds[first] = canonical_argument(first)
-        args.insert(0, conds[first])
-    return None if None in args else Compound(":-", (Compound(name, tuple(args)),))
-
-
-def read_directives(
-    text: str, path: str | None = None, skip: Collection[str] = (), conds: dict | None = None,
-    clauses: list | None = None,
-) -> list[SourceTerm]:
-    """Read the directives and `library_directory` clauses of a file, in file
-    order: each statement whose first token is `:-` or `library_directory`,
-    except a `:-` whose next token is an unquoted atom in `skip`.  One that
-    `_DECLARATION` takes is decoded from its match, each condition text read
-    once per `conds` (by default, per call).  Each statement whose first
-    token is not `:-` is added to `clauses`, if given, as split.
-
-    Every other statement is split off and never tokenized past its first
-    token or two, so a syntax error inside one goes unreported; terms, spans
-    and errors are those `parse_statements` gives for the whole split.
-    """
-    conds = {} if conds is None else conds
-    kept = []
-    for start, end, first in split_statements(text, path, _DECLARATION):
-        if not isinstance(first, str):  # the match of a declaration
-            if first[2] not in skip:
-                kept.append((start, end, _declaration(first, conds) or ":-"))
-            continue
-        # a `:-` written `':-'` is read as such, but is no prefix operator
-        if first == "library_directory" or first == ":-" and not (
-            skip and text[start] == ":" and _TOKEN.match(text, start + 2)["word"] in skip
-        ):
-            kept.append((start, end, first))
-        if clauses is not None and first != ":-":
-            clauses.append((start, end, first))
-    return parse_statements(text, kept, path)
 
 
 def read_term(text: str, path: str | None = None) -> Term:

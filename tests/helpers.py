@@ -9,9 +9,12 @@ evaluator, and an exhaustive reachability enumerator for closures.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from exlibris import directives as directives_module
+from exlibris.directives import Declaration, extract
 from exlibris.engines import (
     ALWAYS,
     Always,
@@ -21,8 +24,10 @@ from exlibris.engines import (
     IfPls,
     Negation,
     PlId,
+    parse_if_pls,
     render_cond,
 )
+from exlibris.errors import ExlibrisError
 from exlibris.index import IndexEntry, LibraryIndex, _read_rows
 from exlibris import terms as terms_module
 from exlibris.terms import (
@@ -34,6 +39,7 @@ from exlibris.terms import (
     Variable,
     make_list,
     parse_statements,
+    read_term,
     split_statements,
 )
 
@@ -498,7 +504,7 @@ def oracle_closure(root: Path, world: World, libs, targets):
 def parsed_directives(
     text: str, path: str | None = None, skip=(), conds=None, clauses=None
 ) -> list[SourceTerm]:
-    """The statements `terms.read_directives` keeps, each parsed: the
+    """The statements `directives.read_directives` keeps, each parsed: the
     reference its declaration pattern must agree with.  It skips a `:-`
     statement by the reader's own rule, and given a `clauses` list, appends
     each statement not starting with `:-` to it; `conds` it takes only to
@@ -513,6 +519,44 @@ def parsed_directives(
         )
     ]
     return parse_statements(text, kept, path)
+
+
+_DECLARATION = re.compile(directives_module._DECLARATION)
+
+
+def rebuilt(text: str, statements: list[SourceTerm]) -> list[SourceTerm]:
+    """The statements `read_directives` gives for `text`, each `Declaration`
+    it decoded from its match rebuilt as the parser's term: its functors as
+    a list of `Name/Arity` terms, after the condition or module name its
+    statement writes, if any, read back from the text once checked to be
+    the one the declaration holds."""
+    out = []
+    for statement in statements:
+        declared = statement.term
+        if isinstance(declared, Declaration):
+            functors = [Compound("/", (Atom(f.name), Integer(f.arity))) for f in declared.functors]
+            first = _DECLARATION.match(text, statement.span.start)[2]
+            if first is None:  # a `requires/1` or a `defines/1`
+                assert declared.arg == ALWAYS, declared
+            elif declared.name == "module":
+                assert Atom(declared.arg) == read_term(first), declared
+            else:
+                assert declared.arg == parse_if_pls(read_term(first)), declared
+            args = [read_term(first)] if first is not None else []
+            term = Compound(":-", (Compound(declared.name, (*args, make_list(functors))),))
+            statement = SourceTerm(term, statement.span)
+        out.append(statement)
+    return out
+
+
+def read_outcome(read, text: str, path: str) -> tuple:
+    """The statements `read` gives for a file, each declaration it decoded
+    rebuilt as the parser's term (`rebuilt`), and their facts, or its error."""
+    try:
+        statements = read(text, path)
+        return rebuilt(text, statements), extract(statements, path)
+    except ExlibrisError as exc:
+        return "error", str(exc)
 
 
 # Item names: words the declaration pattern takes, and names it leaves to

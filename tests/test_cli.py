@@ -547,7 +547,7 @@ class TestParseOnce:
     def test_each_command_parses_each_file_once(self, worked_example, run_cli, monkeypatch):
         import sys
 
-        from exlibris.terms import read_directives
+        from exlibris.directives import read_directives
 
         parsed = []
 
@@ -580,10 +580,11 @@ class TestParseOnce:
         """Libraries with an `Index.pl` have their files read by the walk
         alone: each is split, and its `:- defines`, `:- defines_module` and
         `:- module` statements are never tokenized."""
+        import exlibris.directives
         import exlibris.terms
 
         split, tokenized = [], []
-        splitter, tokenizer = exlibris.terms.split_statements, exlibris.terms._tokenize
+        splitter, tokenizer = exlibris.directives.split_statements, exlibris.terms._tokenize
 
         def splitting(text, path=None, *pattern):
             split.append(os.path.relpath(path))
@@ -593,7 +594,7 @@ class TestParseOnce:
             tokenized.append(text[pos:endpos])
             return tokenizer(text, path, pos, endpos)
 
-        monkeypatch.setattr(exlibris.terms, "split_statements", splitting)
+        monkeypatch.setattr(exlibris.directives, "split_statements", splitting)
         monkeypatch.setattr(exlibris.terms, "_tokenize", tokenizing)
         code, _, err = run_cli(
             "graph", "--source", "proj/file1.pl", "--syslib", "SysLib", "--homelib", "HomeLib"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLE, build_worked_example
 from helpers import SICSTUS, SWI, gen_world, read_terms
-from exlibris.directives import extract
+from exlibris.directives import extract, read_directives
 from exlibris.export import (
     DestinationExistsError,
     ExportApplyError,
@@ -29,7 +29,7 @@ from exlibris.index import is_library_name
 from exlibris.resolve import (
     KIND_LOCAL, KIND_SYSTEM, UNRESOLVED, DepClosure, LibrarySet, closure, trace,
 )
-from exlibris.terms import read_directives, splice
+from exlibris.terms import splice
 
 REWRITTEN_FILE1 = (
     ":- library_directory( 'lib' ).\n"

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exlibris.directives as directives_module
+import exlibris.engines as engines_module
 import exlibris.index as index_module
 import exlibris.terms as terms_module
 import helpers
-from helpers import read_index, read_terms
+from helpers import read_index, read_outcome, read_terms
 from conftest import WORKED_EXAMPLE, build_worked_example
-from exlibris.directives import FunctorRef, extract
+from exlibris.directives import FunctorRef, read_directives
 from exlibris.engines import (
     ALWAYS,
     Constrained,
@@ -53,7 +55,6 @@ from exlibris.terms import (
     Compound,
     atom_text,
     canonical_argument,
-    read_directives,
     read_term,
     render_clause,
     split_statements,
@@ -796,27 +797,18 @@ REQUIRES_LINE = re.compile(r"^:- requires\( (.*) \)\.$", re.MULTILINE)
 INDEX_FACT = re.compile(r"^index\( (\w+), (\d+), (.*), \w+, '(.*)' \)\.$", re.MULTILINE)
 
 
-def read_outcome(read, text: str, path: str) -> tuple:
-    """The statements `read` gives for a file and their facts, or its error."""
-    try:
-        statements = read(text, path)
-        return statements, extract(statements, path)
-    except ExlibrisError as exc:
-        return "error", str(exc)
-
-
 @contextlib.contextmanager
 def counting_taken():
-    """Patch the declaration decoder to record each term it gives."""
+    """Patch the declaration decoder to record each declaration it gives."""
     taken = []
-    decode = terms_module._declaration
+    decode = directives_module._decoded
 
     def counting(m, conds):
-        term = decode(m, conds)
-        taken.append(term)
-        return term
+        declared = decode(m, conds)
+        taken.append(declared)
+        return declared
 
-    with mock.patch.object(terms_module, "_declaration", counting):
+    with mock.patch.object(directives_module, "_decoded", counting):
         yield taken
 
 
@@ -831,7 +823,7 @@ class TestDeclarationPattern:
             for path, text in files.items():
                 expected = read_outcome(helpers.parsed_directives, text, path)
                 assert read_outcome(read_directives, text, path) == expected, (path, text)
-        return [term for term in taken if term is not None]
+        return [declared for declared in taken if declared is not None]
 
     def test_the_real_corpus(self):
         """Each of its library files and its entry file: every `defines`,
@@ -862,12 +854,12 @@ class TestDeclarationPattern:
                 text = REQUIRES_LINE.sub(lambda m: next(turns).format("requires", m[1]), text)
                 files[f"{seed}/{rel}"] = declared + text
         taken = self.agree(files)
-        assert sum(term.args[0].name == "requires" for term in taken) > 100
+        assert sum(declared.name == "requires" for declared in taken) > 100
 
     def test_generated_declarations(self):
         files = {f"{seed}.pl": helpers.gen_declarations(random.Random(seed)) for seed in range(400)}
         taken = self.agree(files)
-        kinds = collections.Counter(term.args[0].name for term in taken)
+        kinds = collections.Counter(declared.name for declared in taken)
         assert min(kinds[name] for name in ("defines", "module", "requires")) > 20  # of each, many
 
     # Each `requires` spelling, whether the pattern takes it, and what both
@@ -958,7 +950,7 @@ class TestDeclarationPattern:
             read.append(text)
             return canonical_argument(text)
 
-        monkeypatch.setattr(terms_module, "canonical_argument", reading)
+        monkeypatch.setattr(engines_module, "canonical_argument", reading)
         first = render_index(mkindex(tmp_path).rows)
         assert sorted(read) == self.CONDITIONS
         # no memo outlives a call: the next one reads each text again

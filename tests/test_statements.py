@@ -8,17 +8,21 @@ only its directives and `library_directory` clauses reach the parser.
 
 from __future__ import annotations
 
+import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+import exlibris.directives
 import exlibris.index
 import exlibris.terms
 from exlibris.cli import EXIT_ERROR, EXIT_OK
 from exlibris.index import mkindex
 
 REAL = Path(__file__).resolve().parent / "data" / "real"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture
@@ -149,7 +153,7 @@ class TestParsesOnlyDirectives:
             split.append(Path(path).relative_to(tmp_path).as_posix())
             return splitter(text, path, *pattern)
 
-        for module in (exlibris.terms, exlibris.index):
+        for module in (exlibris.terms, exlibris.directives, exlibris.index):
             if getattr(module, "split_statements", None) is splitter:
                 monkeypatch.setattr(module, "split_statements", splitting)
         index = mkindex(tmp_path / "H", clause_fallback=True)
@@ -163,3 +167,74 @@ class TestParsesOnlyDirectives:
         code, _, err = run_cli("mkindex", str(tmp_path), "--clause-fallback")
         assert code == EXIT_ERROR
         assert err == f"exlibris: {tmp_path / 'f.pl'}:2: requires expects name/arity terms, got q\n"
+
+
+class TestColdLibraryCounts:
+    """Counts, not clocks, of `mkindex` over a library shaped as the
+    benchmark's `cold` workload shapes it: 200 files, each with a few
+    canonical declarations and twenty clauses."""
+
+    @pytest.fixture
+    def library(self, tmp_path, monkeypatch) -> Path:
+        monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+        import run
+        import world
+
+        world.generate(run.SHAPES["cold"], 1).materialize(tmp_path)
+        return tmp_path / "HomeLib"
+
+    @staticmethod
+    def texts(library: Path) -> list[str]:
+        return [path.read_text(encoding="utf-8") for path in sorted(library.rglob("*.pl"))]
+
+    def test_no_clause_reaches_the_per_statement_path(self, library, monkeypatch):
+        """Every clause of the library is skipped inside a run of clauses:
+        none is handed to `matched_statement` one by one."""
+        clauses = sum(len(re.findall(r"^[a-z].*\.$", text, re.M)) for text in self.texts(library))
+        matched, seen = exlibris.terms.matched_statement, []
+
+        def matching(m, text, path):
+            statement = matched(m, text, path)
+            if statement is not None:
+                seen.append(text[statement[0] : statement[1]])
+            return statement
+
+        monkeypatch.setattr(exlibris.terms, "matched_statement", matching)
+        assert len(mkindex(library).rows) == 800
+        assert clauses > 3000
+        assert [s for s in seen if not s.startswith(":-")] == []
+
+    def test_each_condition_text_is_decoded_once_per_call(self, library, monkeypatch):
+        """`parse_if_pls` runs once per distinct condition text that a
+        `defines` writes, in each `mkindex` call, and on nothing else."""
+        import exlibris.engines
+
+        conditions = {
+            cond for text in self.texts(library)
+            for cond in re.findall(r"^:- defines\( (.*), \[", text, re.M)
+        }
+        decode, decoded = exlibris.engines.parse_if_pls, []
+
+        def decoding(term):
+            decoded.append(exlibris.terms.render_term(term))
+            return decode(term)
+
+        for module in (exlibris.engines, exlibris.directives, exlibris.index):
+            monkeypatch.setattr(module, "parse_if_pls", decoding)
+        for _ in range(2):
+            decoded.clear()
+            mkindex(library)
+            assert sorted(decoded) == sorted(conditions)
+        assert len(conditions) >= 4
+
+    def test_no_declaration_is_tokenized(self, library, monkeypatch):
+        """Only the condition texts are tokenized, each once, to be read."""
+        tokenize, tokenized = exlibris.terms._tokenize, []
+
+        def tokenizing(text, path, pos=0, endpos=None):
+            tokenized.append(text[pos:endpos])
+            return tokenize(text, path, pos, endpos)
+
+        monkeypatch.setattr(exlibris.terms, "_tokenize", tokenizing)
+        mkindex(library)
+        assert [s for s in tokenized if not re.fullmatch(r"[^ ]*\n\.", s)] == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import read_terms
+from exlibris.directives import read_directives
 from exlibris.terms import (
     EMPTY_LIST,
     Atom,
@@ -25,7 +26,6 @@ from exlibris.terms import (
     _tokenize,
     atom_text,
     make_list,
-    read_directives,
     read_term,
     render_clause,
     render_term,
@@ -452,6 +452,87 @@ class TestSplit:
             read_directives(text, "f.pl")
 
 
+def split_one_by_one(text, path=None):
+    """`read_directives` with a `clauses` list asked for, which splits one
+    statement per match, with no run of clauses."""
+    return read_directives(text, path, clauses=[])
+
+
+class TestClauseRuns:
+    """Without a `clauses` list, `read_directives` skips a run of clauses in
+    one match.  Each case reads as it does one statement per match and with
+    every statement parsed; a statement the run cannot end is reported at
+    the same `line:col`."""
+
+    CASES = {
+        # backtracking into `=..` would end a statement at its `=.`
+        "univ": "p :- X =.. Y, q.\nr(X) :- X =.. [a|_].\n:- requires( [s/1] ).\n",
+        "univ_no_end": "p :- X =.. Y, q.\nr :- X =.. Y",
+        "univ_then_quote": "p :- X =.. Y.\nq('abc.",
+        "univ_and_quote": "p :- X =.. Y, q('a. b.\n",
+        "code_and_quoted_dot": "p(0'.).\nq('x.y').\n:- requires( [s/1] ).\nr(0'., 'a.b').\n",
+        # backtracking into a comment would start a statement inside it
+        "comments": "p.\n/* a.b ' */\nq.\n% it's\nr.\n:- requires( [s/1] ).\n",
+        "line_comment_then_quote": "p.\n% it's\nq('x.",
+        "block_comment_then_string": "p.\n/* a.b ' */\nq(\"x.",
+        "library_directory": "p.\nlibrary_directory(d).\nq.\nlibrary_directory_x(1).\nr.\n",
+        "bom": "\ufeffp.\nq.\n:- requires( [s/1] ).\n",
+        "bom_then_quote": "\ufeffp.\nq('x.",
+        "comment_after_run": "p.\nq.\n/* r.",
+        "quote_after_run": "p.\nq.\n'r.",
+    }
+    ERRORS = {
+        "univ_no_end": "f.pl:2:8: expected '.' at end of term",
+        "univ_then_quote": "f.pl:2:3: unterminated quoted atom",
+        "univ_and_quote": "f.pl:1:17: unterminated quoted atom",
+        "line_comment_then_quote": "f.pl:3:3: unterminated quoted atom",
+        "block_comment_then_string": "f.pl:3:3: unterminated string",
+        "bom_then_quote": "f.pl:2:3: unterminated quoted atom",
+        "comment_after_run": "f.pl:3:1: unterminated block comment",
+        "quote_after_run": "f.pl:3:1: unterminated quoted atom",
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_reads_as_one_statement_per_match(self, name):
+        text = self.CASES[name]
+        outcome = helpers.read_outcome(read_directives, text, "f.pl")
+        assert outcome == helpers.read_outcome(split_one_by_one, text, "f.pl")
+        assert outcome == helpers.read_outcome(helpers.parsed_directives, text, "f.pl")
+        assert (outcome[1] if outcome[0] == "error" else None) == self.ERRORS.get(name)
+
+    # Pieces of clause runs and of what a run must step over or give back.
+    PIECES = (
+        "p", "q(X)", " :- ", "X =.. Y", "0'.", "0'''", "'x.y'", "'a''b. c'", "\"s. t\"", "`u. v`",
+        "'abc", "\"s", "/* a.b ' */", "/* r", "% it's\n", ".\n", ". ", ".", "\n", "ä",
+        "library_directory(d)", "library_directory_x(1)", ":- requires( [s/1] )", "\ufeff",
+    )
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+    def test_any_sequence_of_pieces(self, text):
+        outcome = helpers.read_outcome(read_directives, text, "f.pl")
+        assert outcome == helpers.read_outcome(split_one_by_one, text, "f.pl")
+        assert outcome == helpers.read_outcome(helpers.parsed_directives, text, "f.pl")
+
+    def test_a_library_directory_clause_is_kept_between_runs(self):
+        text = self.CASES["library_directory"]
+        (kept,) = read_directives(text, "f.pl")
+        assert (text[kept.span.start : kept.span.end], kept.span.line) == ("library_directory(d).", 2)
+
+    def test_a_run_takes_whole_clauses_only(self):
+        """A run ends at a directive and at a `library_directory` clause, and
+        takes the comments between its clauses."""
+        from exlibris.directives import _DECLARATIONS
+
+        text = "".join(self.CASES[name] for name in ("univ", "comments", "library_directory"))
+        runs = [m["run"] for m in _DECLARATIONS[True].finditer(text) if m.lastgroup == "run"]
+        assert runs == [
+            "p :- X =.. Y, q.\nr(X) :- X =.. [a|_].",
+            "p.\n/* a.b ' */\nq.\n% it's\nr.",
+            "p.",
+            "q.\nlibrary_directory_x(1).\nr.",
+        ]
+
+
 class TestRender:
     def test_functor_notation(self):
         assert render_term(functor("member", 2)) == "member/2"
@@ -650,7 +731,8 @@ def agrees_with_read_terms(text: str) -> bool:
     assert start is None
     assert [(start, end) for start, end, _ in split_statements(text)] == windows
     assert [(t.span.start, t.span.end) for t in expected] == windows
-    assert read_directives(text) == [t for t in expected if KEPT.match(text, t.span.start)]
+    kept = [t for t in expected if KEPT.match(text, t.span.start)]
+    assert helpers.rebuilt(text, read_directives(text)) == kept
     return True
 
 
