@@ -295,6 +295,36 @@ CLAUSE_WORLD = {
 BAD_LIBS = ("BadQuote", "BadComment", "BadEnd", "BadString")
 
 
+# File names that discovery must keep apart, in a library and in the
+# project: `a/b.pl` sorts before `a-c.pl` by path parts, though not as a
+# string, and both define p/0, so `Index.pl`'s order shows it; `..pl` is a
+# source while `.pl` and `x.` are not; a hidden directory is walked; a nested
+# `Index.pl` is skipped; and `lib.pl` and `libx/` sit beside the project's
+# local library `lib/`.  DISCOVERY_LINKS adds, in both, a linked directory,
+# which is not entered, a linked file, which is kept, and a dangling link.
+DISCOVERY_NAMES = ("a/b.pl", "a-c.pl", "..pl", ".pl", "x.", ".hidden/h.pl", "sub/Index.pl")
+DISCOVERY_WORLD = {
+    **{f"HomeLib/{rel}": f":- defines([p/0, f{i}/0]).\n" for i, rel in enumerate(DISCOVERY_NAMES)},
+    **{f"proj/{rel}": ":- requires([p/0]).\n:- ensure_loaded(library('a-c')).\n"
+       for rel in (*DISCOVERY_NAMES, "lib.pl", "libx/y.pl")},
+    "proj/main.pl": ":- requires([p/0, f1/0, f5/0, g/0]).\n"
+                    ":- ensure_loaded(library(a/b)).\n:- ensure_loaded(library(l)).\n"
+                    ":- ensure_loaded(library(linked/b)).\n:- ensure_loaded('.hidden/h').\n",
+    "proj/lib/m.pl": ":- defines([g/0]).\n:- ensure_loaded(library(l)).\n",
+    "outside.pl": ":- defines([f9/0]).\n",
+}
+DISCOVERY_LINKS = {"linked": "a", "l.pl": "../outside.pl", "gone.pl": "missing.pl"}
+
+
+def discovery_world(workdir: Path) -> None:
+    """DISCOVERY_WORLD's files in `workdir`, and DISCOVERY_LINKS in its
+    HomeLib and its project."""
+    files(workdir, DISCOVERY_WORLD)
+    for top in ("HomeLib", "proj"):
+        for name, target in DISCOVERY_LINKS.items():
+            (workdir / top / name).symlink_to(target)
+
+
 def relative_world(workdir: Path) -> None:
     """RELATIVE_WORLD's files in `workdir`."""
     files(workdir, RELATIVE_WORLD)
@@ -443,6 +473,11 @@ def main() -> int:
              for lib in BAD_LIBS]
     total += len(todo)
     different += compare("clause runs", lambda workdir: files(workdir, CLAUSE_WORLD), todo, other)
+    todo = walks("proj/main.pl", ["--homelib", "HomeLib"]) + mkindexes(["HomeLib", "proj"])
+    todo.append({"argv": ["export", "--dest", "out", "--source", "proj", "--homelib", "HomeLib",
+                          "--copy", "recursive"], "writes": "out"})
+    total += len(todo)
+    different += compare("discovery", discovery_world, todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

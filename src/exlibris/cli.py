@@ -25,7 +25,7 @@ from .export import (
     plan_export,
 )
 from .fsio import read_text
-from .index import DEFAULT_EXTENSIONS, mkindex, write_index
+from .index import DEFAULT_EXTENSIONS, mkindex, suffix, write_index
 from .resolve import LibrarySet, closure, trace
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def _settings(args) -> tuple[dict[str, list[str]], tuple[str, ...]]:
         ext.strip() for value in config.get("extensions", []) for ext in value.split(",")
     ]
     for ext in extensions:
-        if len(ext) < 2 or Path(f"x{ext}").suffix != ext:
+        if len(ext) < 2 or suffix(f"x{ext}") != ext:
             raise SystemExit(_usage_error(f"extension must be a suffix like '.pl', got {ext!r}"))
     return config, tuple(extensions) or DEFAULT_EXTENSIONS
 
@@ -227,8 +227,7 @@ def _cmd_graph(args) -> int:
     libs, loclib = _libraries(args, sources)
     entries = discover_entries(sources, loclib, libs.extensions)
     clo = closure([path for path, _ in entries], libs, tuple(args.pl) or None)
-    names = {str(path): rel for path, rel in entries}
-    sys.stdout.write(_render_dot(clo, names))
+    sys.stdout.write(_render_dot(clo, dict(entries)))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ directives that cannot match any target engine are pruned.
 
 from __future__ import annotations
 
+import os
 import posixpath
 import shutil
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .index import (
     find_sources,
     render_index,
 )
-from .resolve import LibrarySet, UnresolvedRef, canon, closure
+from .resolve import LibrarySet, UnresolvedRef, closure
 from .terms import Compound, Span, render_clause, splice, text_start
 
 COPY_SELECTIVE = "selective"
@@ -107,7 +108,7 @@ def _sources(sources: Sequence[Path]) -> list[tuple[Path, Path]]:
     a file's base is its directory."""
     pairs = []
     for source in sources:
-        path = canon(source)
+        path = Path(os.path.abspath(source))
         if path.is_dir():
             pairs.append((path, path))
         elif path.is_file():
@@ -127,27 +128,29 @@ def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
     for _, base in _sources(sources):
         candidate = base / loclib
         if candidate.is_dir():
-            return canon(candidate)
+            return Path(os.path.abspath(candidate))
     return None
 
 
 def discover_entries(
     sources: Sequence[Path], loclib: str = "lib", extensions=DEFAULT_EXTENSIONS
-) -> list[tuple[Path, str]]:
-    """Entry files of the given sources with their destination-relative paths.
+) -> list[tuple[str, str]]:
+    """Entry files of the given sources, by absolute path, with their
+    destination-relative paths.
 
     Directory sources contribute every source file within, except files of
     the development local library (those are the resolver's input, not
     entries) and index files.
     """
-    entries: list[tuple[Path, str]] = []
+    entries: list[tuple[str, str]] = []
     for path, base in _sources(sources):
         if path != base:
-            entries.append((path, path.name))
+            entries.append((str(path), path.name))
             continue
-        for found in find_sources(path, extensions):
-            if not found.is_relative_to(base / loclib):
-                entries.append((found, found.relative_to(base).as_posix()))
+        skip = len(os.path.join(base, ""))
+        for found, _ in find_sources(path, extensions):
+            if not f"{found[skip:]}/".startswith(f"{loclib}/"):
+                entries.append((found, found[skip:]))
     return entries
 
 
@@ -215,7 +218,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     Purely a plan: nothing is touched on disk.  Refuses an existing
     destination up front.
     """
-    dest = canon(opts.dest)
+    dest = Path(os.path.abspath(opts.dest))
     if dest.exists():
         raise DestinationExistsError(f"destination must not exist: {opts.dest}")
     sources = _sources(opts.sources)
@@ -235,9 +238,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     def put(dest_rel: str, src: Path):
         existing = copy_map.get(dest_rel)
         if existing is not None and existing != src:
-            raise ExportPlanError(
-                f"both {existing} and {src} would be exported as {dest_rel}"
-            )
+            raise ExportPlanError(f"both {existing} and {src} would be exported as {dest_rel}")
         copy_map[dest_rel] = src
 
     if opts.copy == COPY_RECURSIVE:
@@ -247,7 +248,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
                     if path.is_file():
                         put(path.relative_to(base).as_posix(), path)
     for path, dest_rel in entries:
-        put(dest_rel, path)
+        put(dest_rel, Path(path))
 
     for src, rel in sorted(clo.library_paths.items()):
         put(f"{opts.loclib}/{rel}{src.suffix}", src)
@@ -299,9 +300,12 @@ def apply_plan(plan: ExportPlan) -> ExportReport:
     try:
         plan.dest.mkdir(parents=True)
         plan.report.lines.append(f"create {plan.dest}")
+        made = {""}  # the destination's directories, each created once
         for item in plan.files:
+            if (directory := posixpath.dirname(item.dest_rel)) not in made:
+                (plan.dest / directory).mkdir(parents=True, exist_ok=True)
+                made.add(directory)
             path = plan.dest / item.dest_rel
-            path.parent.mkdir(parents=True, exist_ok=True)
             if isinstance(item.content, Path):
                 shutil.copyfile(item.content, path)
             else:

@@ -4,6 +4,8 @@ comparisons stay byte-exact.  `read_text` is the package's only decoder."""
 from __future__ import annotations
 
 import errno
+import os
+import stat
 from pathlib import Path
 
 from .errors import ExlibrisError
@@ -28,11 +30,16 @@ def write_text(path: Path | str, text: str) -> None:
         handle.write(text)
 
 
-def is_file(path: Path) -> bool:
-    """Whether `path` is a file; a name too long for the file system names none."""
+# errors by which `Path.is_file` finds no file, and a name too long for the file system
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP, errno.ENAMETOOLONG)
+
+
+def is_file(path: str) -> bool:
+    """Whether `path` is a file or a link to one; as for `Path.is_file`, a
+    name with a NUL or an error in `_NO_FILE` names none, and others raise."""
     try:
-        return path.is_file()
-    except OSError as exc:
-        if exc.errno == errno.ENAMETOOLONG:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, ValueError) or exc.errno in _NO_FILE:
             return False
         raise

@@ -13,11 +13,14 @@ decodes it and its file field is a library name; any other statement is
 parsed, with the same facts and warnings.
 Inside the package a fact is a `Row` from reader to writer; `IndexEntry`
 is the value type offered to callers, built only when one asks for it.
+`find_sources` lists a library's sources in one `os.scandir` walk, each
+named by its path `str` and its library name, with no `Path` per file.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,7 +77,7 @@ def is_library_name(name: str) -> bool:
 
 
 # path -> text and facts of each source file a command has read
-SourceStore = dict[Path, tuple[str, FileFacts]]
+SourceStore = dict[str, tuple[str, FileFacts]]
 
 
 Row = tuple[str, int, IfPls, str, str]  # an index fact: name, arity, condition, module, file
@@ -117,23 +120,50 @@ class LibraryIndex:
         return tuple(row for row in self.rows if kept[row[4]])
 
 
-def find_sources(root: Path, extensions: Sequence[str], follow_subdirs: bool = True) -> list[Path]:
-    """The source files under root, sorted: suffix in extensions, not an index."""
-    found = root.rglob("*") if follow_subdirs else root.iterdir()
-    return sorted(
-        p for p in found if p.suffix in extensions and p.name != INDEX_FILENAME and p.is_file()
-    )
+def suffix(path: str) -> str:
+    """The suffix of the path's last segment, by `PurePath.suffix`'s rule."""
+    name = path[path.rfind("/") + 1:]
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
+
+
+def find_sources(
+    root: Path, extensions: Sequence[str], follow_subdirs: bool = True
+) -> list[tuple[str, str]]:
+    """Each source under root, sorted by path parts, as `str(root / rel)` and
+    its library name, `rel` without its suffix: a file or a link to one, not
+    an index, its suffix in extensions.  Hidden directories are walked, links
+    to directories are not."""
+    found, pending = [], [""]  # pending: the directories to list, as `rel/`
+    while pending:
+        at = pending.pop()
+        try:
+            listing = os.scandir(os.path.join(root, at))
+        except PermissionError:  # as `Path.rglob` skips a directory and `Path.iterdir` raises
+            if follow_subdirs:
+                continue
+            raise
+        with listing:
+            for entry in listing:
+                rel, ext = at + entry.name, suffix(entry.name)
+                if entry.is_dir(follow_symlinks=False):
+                    if follow_subdirs:
+                        pending.append(f"{rel}/")
+                elif ext in extensions and entry.name != INDEX_FILENAME and entry.is_file():
+                    found.append((rel.split("/"), rel, rel[: len(rel) - len(ext)]))
+    prefix = "" if str(root) == "." else os.path.join(root, "")  # as `Path(".") / rel` is `rel`
+    return [(prefix + rel, name) for _, rel, name in sorted(found)]
 
 
 def read_source(
-    path: Path, skip: Collection[str] = (), conds: dict | None = None, clauses: list | None = None
+    path: str, skip: Collection[str] = (), conds: dict | None = None, clauses: list | None = None
 ) -> tuple[str, FileFacts]:
     """A source file's text and its facts, from `read_directives`, which
     leaves the directives `skip` names unparsed, decodes each condition text
     of a declaration it takes by pattern once per `conds` and adds the
     file's clauses, unparsed, to `clauses`."""
     text = read_text(path)
-    return text, extract(read_directives(text, str(path), skip, conds, clauses), str(path))
+    return text, extract(read_directives(text, path, skip, conds, clauses), path)
 
 
 def mkindex(
@@ -160,25 +190,24 @@ def mkindex(
         raise ExlibrisError(f"not a library directory: {root}")
     discovered: list[Row] = []
     sources: SourceStore = {}
-    named: dict[str, tuple[Path, bool]] = {}  # file field -> its first file, whether it provides
+    named: dict[str, tuple[str, bool]] = {}  # file field -> its first file, whether it provides
     conds: dict[str, IfPls | None] = {}  # condition texts decoded, for this call alone
-    for source in find_sources(root, extensions, follow_subdirs):
+    for source, rel_file in find_sources(root, extensions, follow_subdirs):
         clauses: list | None = [] if clause_fallback else None
         text, facts = sources[source] = read_source(source, conds=conds, clauses=clauses)
-        rel_file = source.relative_to(root).with_suffix("").as_posix()
         provides = facts.provides or ()
         if facts.provides is None and clauses is not None:
             # each clause is parsed here unless `extract` has already found it
             # to be a library_directory/1 one
             known = {span.start: LIBRARY_DIRECTORY for span in facts.library_dirs}
             unparsed = [s for s in clauses if s[0] not in known]
-            terms = iter(parse_statements(text, unparsed, str(source)))
+            terms = iter(parse_statements(text, unparsed, source))
             heads = dict.fromkeys(known.get(s[0]) or clause_head(next(terms).term) for s in clauses)
             provides = [(f, ALWAYS, "user") for f in heads if f is not None]
         if provides and not is_library_name(rel_file):  # a name an index fact cannot hold
             raise ExlibrisError(f"{source}: {_BAD_FILE.format(rel_file)}")
         first, provided = named.setdefault(rel_file, (source, bool(provides)))
-        if first is not source and (provided or provides):  # a fact could not tell them apart
+        if first != source and (provided or provides):  # a fact could not tell them apart
             raise ExlibrisError(f"both {first} and {source} would be indexed as {rel_file}")
         discovered.extend((f.name, f.arity, cond, module, rel_file) for f, cond, module in provides)
     return LibraryIndex(root, (), sources, rows=sorted(discovered, key=lambda row: row[:2]))

@@ -14,10 +14,12 @@ The walks differ in one rule only: `closure` (behind `graph` and `export`)
 enters the home or local file that declares a built-in, because that file
 is vendored so the exported Index.pl still resolves, while `trace` shows
 it as a leaf.  One function decides each (functor, engine) pair, once per
-walk, and `resolve_functor` too.  `LibrarySet.find` names the file an index
-hit, a `library(...)` reference or a relative load reaches, caching each
-candidate as written, and the set holds each file's facts, which on-the-fly
-indexing already filled, so a command reads and parses each file once.
+walk, for `closure`'s resolutions too, and `resolve_functor`.  A file is
+named by its absolute path `str` (lexical: no link resolved), which
+`LibrarySet.find` gives the file an index hit, a `library(...)` reference
+or a relative load reaches, cached per candidate as written, and which keys
+the set's store of each file's facts, filled by on-the-fly indexing first,
+so a command reads and parses each file once.
 The walk reads no file's `provides`, so it leaves the `defines`, `module`
 and `defines_module` directives of a file it reads itself unparsed, and
 takes a canonical `requires` by pattern, as `mkindex` takes a declaration.
@@ -45,17 +47,13 @@ from .index import (
     parse_index,
     SourceStore,
     read_source,
+    suffix,
 )
 
 KIND_SYSTEM = "system"
 KIND_LOCAL = "local"
 KIND_HOME = "home"
 KIND_PROJECT = "project"
-
-
-def canon(path: Path | str) -> Path:
-    """Absolute lexical form; no symlink resolution, so comparisons stay lexical."""
-    return Path(os.path.abspath(os.fspath(path)))
 
 
 @dataclass(frozen=True)
@@ -67,22 +65,22 @@ class Library:
     @classmethod
     def load(cls, kind: str, root: Path | str, extensions=DEFAULT_EXTENSIONS) -> "Library":
         """Use the on-disk Index.pl when present, otherwise index on the fly."""
-        root = canon(root)
+        root = Path(os.path.abspath(root))  # lexical: no symlink resolved
         index_path = root / INDEX_FILENAME
-        if index_path.is_file():
-            index = parse_index(index_path)
-        else:
-            index = mkindex(root, extensions=extensions)
-        return cls(kind, root, index)
+        return cls(kind, root, parse_index(index_path) if index_path.is_file() else mkindex(
+            root, extensions=extensions))
 
 
 class _File(NamedTuple):
-    """A file the walk reaches; `lib` and `rel` are None for project files."""
+    """A file the walk reaches, by its absolute path, and its name in edges:
+    `kind:rel` for a library file, by `LibrarySet.names`, else its path.
+    `lib` and `rel` are None for project files."""
 
     kind: str
     lib: Library | None
-    path: Path
+    path: str
     rel: str | None
+    shown: str
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class LibrarySet:
                 self.sources.update(lib.index.sources)
                 self.names[lib.root] = f"{lib.kind}{n}" if n > 1 else lib.kind
 
-    def source(self, path: Path) -> tuple[str, FileFacts]:
+    def source(self, path: str) -> tuple[str, FileFacts]:
         """A file's text and facts: on-the-fly indexing's, or else read on the
         first request without its `PROVIDES_ONLY` directives (`provides` None)."""
         if path not in self.sources:
@@ -133,16 +131,17 @@ class LibrarySet:
             file = self.found.get(written, False)
             if file is False:
                 file = None
-                path = canon(written)  # `.`, `..` and `//` normalised; no symlink resolved
+                path = os.path.abspath(written)  # `.`, `..` and `//` normalised, no link resolved
                 if is_file(path):
                     for lib in self._order:
                         root = os.path.join(lib.root, "")
-                        if str(path).startswith(root):
-                            rel = str(path)[len(root):]
-                            file = _File(lib.kind, lib, path, rel[: len(rel) - len(path.suffix)])
+                        if path.startswith(root):
+                            rel = path[len(root):]
+                            rel = rel[: len(rel) - len(suffix(rel))]
+                            file = _File(lib.kind, lib, path, rel, f"{self.names[lib.root]}:{rel}")
                             break
                     else:
-                        file = _File(KIND_PROJECT, None, path, None)
+                        file = _File(KIND_PROJECT, None, path, None, path)
                 self.found[written] = file
             if file is not None:
                 return file
@@ -153,13 +152,9 @@ class LibrarySet:
         return self._order
 
     @classmethod
-    def build(
-        cls,
-        syslibs: Sequence[Path | str] = (),
-        homelibs: Sequence[Path | str] = (),
-        loclib: Path | str | None = None,
-        extensions: Sequence[str] = DEFAULT_EXTENSIONS,
-    ) -> "LibrarySet":
+    def build(cls, syslibs: Sequence[Path | str] = (), homelibs: Sequence[Path | str] = (),
+              loclib: Path | str | None = None, extensions: Sequence[str] = DEFAULT_EXTENSIONS,
+              ) -> "LibrarySet":
         extensions = tuple(extensions)
         return cls(
             syslibs=tuple(Library.load(KIND_SYSTEM, p, extensions) for p in syslibs),
@@ -222,8 +217,7 @@ class DepClosure:
 
 
 LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
-    "load", "built-in", "skip", "unresolved", "missing"
-)
+    "load", "built-in", "skip", "unresolved", "missing")
 
 
 def _decide(
@@ -270,26 +264,16 @@ def resolve_file_ref(ref: FileRef, base_dir: str, libs: LibrarySet) -> _File | N
     referring file's directory, as written first if its last segment has a
     suffix."""
     if ref.kind == "library":
-        if not is_library_name(ref.path):
-            return None
-        for lib in libs.ordered():
-            file = libs.find(lib.root, ref.path, libs.extensions)
-            if file is not None:
-                return file
-        return None
+        found = (libs.find(lib.root, ref.path, libs.extensions) for lib in libs.ordered())
+        return next(filter(None, found), None) if is_library_name(ref.path) else None
     head, name = posixpath.split(ref.path)  # as for an index field, name + ext is not normalised
-    suffixed = 0 < name.rfind(".") < len(name) - 1  # as `PurePath(name).suffix` is not empty
-    exts = ("", *libs.extensions) if suffixed else libs.extensions
+    exts = ("", *libs.extensions) if suffix(name) else libs.extensions
     return libs.find(os.path.join(base_dir, head), name, exts)
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     """One decision on a directive of `src`; loads have engine None.
-
-    `seen`: the walk entered `file` before.  `resolved`: a requirement's
-    whole index-scan outcome.
-    """
+    `seen`: the walk entered `file` before."""
 
     depth: int
     src: _File
@@ -299,27 +283,21 @@ class _Step:
     label: str
     file: _File | None = None
     seen: bool = False
-    resolved: tuple[ResolvedTarget, ...] = ()
 
 
-def _walk(
-    entries: Sequence[Path | str],
-    libs: LibrarySet,
-    targets: tuple[PlId, ...] | None,
-    enter_built_ins: bool,
-) -> Iterator[_Step]:
+def _walk(entries: Sequence[Path | str], libs: LibrarySet, targets: tuple[PlId, ...] | None,
+          enter_built_ins: bool, decided: dict) -> Iterator[_Step]:
     """Depth-first decisions from the entry files, on an explicit stack.
 
     Requirements are decided per target engine, or once when targets is
     None; loads are followed when their guard can match a target, may_load
     references always.  Files are entered once each, system files never,
     built-in declaration files only with `enter_built_ins`.  Each
-    (functor, engine) pair is looked up once; `seen` is still judged per
-    step.
+    (functor, engine) pair is decided once, into `decided` as `_decide`
+    returns it; `seen` is still judged per step.
     """
     engines = (None,) if targets is None else targets
-    entered: set[Path] = set()
-    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}  # (functor, engine) -> _decide
+    entered: set[str] = set()
 
     def visit(file: _File, depth: int) -> Iterator[_Step]:
         _, facts = libs.source(file.path)
@@ -331,10 +309,9 @@ def _walk(
                     key = (functor, engine)
                     if key not in decided:
                         decided[key] = _decide(functor, engine, libs)
-                    hits, resolved = decided[key]
-                    for verdict, label, hit in hits:
+                    for verdict, label, hit in decided[key][0]:
                         yield _Step(depth, file, functor, engine, verdict, label, hit,
-                                    hit is not None and hit.path in entered, resolved)
+                                    hit is not None and hit.path in entered)
                 continue
             ref = directive.ref
             label = render_cond(directive.guard) if isinstance(directive, Load) else "may_load"
@@ -347,9 +324,9 @@ def _walk(
             else:
                 yield _Step(depth, file, ref, None, LOAD, label, hit, hit.path in entered)
 
-    roots = list(dict.fromkeys(canon(raw) for raw in entries))
+    roots = list(dict.fromkeys(os.path.abspath(raw) for raw in entries))
     entered.update(roots)
-    stack = [visit(_File(KIND_PROJECT, None, path, None), 0) for path in reversed(roots)]
+    stack = [visit(_File(KIND_PROJECT, None, path, None, path), 0) for path in reversed(roots)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -364,11 +341,8 @@ def _walk(
             stack.append(visit(reached, step.depth + 1))
 
 
-def closure(
-    entries: Sequence[Path | str],
-    libs: LibrarySet,
-    targets: Sequence[PlId] | None = None,
-) -> DepClosure:
+def closure(entries: Sequence[Path | str], libs: LibrarySet,
+            targets: Sequence[PlId] | None = None) -> DepClosure:
     """Transitive dependency closure from the given entry files.
 
     With concrete target engines every required functor is resolved per
@@ -378,36 +352,33 @@ def closure(
     recorded but never vendored nor walked; home and local files that
     declare built-ins are vendored and walked.  `library_paths` names the
     file on disk behind each home and local file, the one export copies.
+    Each distinct edge and unresolved reference becomes one `DepEdge` or
+    `UnresolvedRef`.
     """
-    resolution: dict[tuple[FunctorRef, PlId | None], tuple[ResolvedTarget, ...]] = {}
-    reached: dict[Path, _File] = {}
-    unresolved: set[UnresolvedRef] = set()
-    edges: set[DepEdge] = set()
-
-    def show(file: _File) -> str:  # `kind:rel` for a library file, by `LibrarySet.names`
-        return f"{libs.names[file.lib.root]}:{file.rel}" if file.lib is not None else str(file.path)
-
+    decided: dict[tuple[FunctorRef, PlId | None], tuple] = {}
+    reached: dict[str, _File] = {}
+    unresolved: set[tuple[str, str, PlId | None]] = set()
+    edges: set[tuple[str, str, str]] = set()
     engines = None if targets is None else tuple(targets)
-    for step in _walk(entries, libs, engines, enter_built_ins=True):
-        src = show(step.src)
-        if step.resolved:
-            resolution[(step.subject, step.engine)] = step.resolved
+    for step in _walk(entries, libs, engines, enter_built_ins=True, decided=decided):
+        src = step.src.shown
         if step.verdict in (UNRESOLVED_FUNCTOR, MISSING):
-            unresolved.add(UnresolvedRef(src, str(step.subject), step.engine))
-            edges.add(DepEdge(src, "unresolved", str(step.subject)))
+            unresolved.add((src, str(step.subject), step.engine))
+            edges.add((src, "unresolved", str(step.subject)))
         elif step.file is not None:
-            edges.add(DepEdge(src, show(step.file), step.label))
+            edges.add((src, step.file.shown, step.label))
             reached[step.file.path] = step.file
 
     files = reached.values()
     return DepClosure(
-        resolution=resolution,
+        resolution={key: resolved for key, (_, resolved) in decided.items()},
         home_files=frozenset((str(f.lib.root), f.rel) for f in files if f.kind == KIND_HOME),
         local_files=frozenset(f.rel for f in files if f.kind == KIND_LOCAL),
-        project_files=frozenset(str(f.path) for f in files if f.kind == KIND_PROJECT),
-        library_paths={f.path: f.rel for f in files if f.kind in (KIND_HOME, KIND_LOCAL)},
-        unresolved=tuple(sorted(unresolved, key=lambda u: (u.source, u.subject, str(u.engine)))),
-        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.label))),
+        project_files=frozenset(f.path for f in files if f.kind == KIND_PROJECT),
+        library_paths={Path(f.path): f.rel for f in files if f.kind in (KIND_HOME, KIND_LOCAL)},
+        unresolved=tuple(UnresolvedRef(*u) for u in sorted(
+            unresolved, key=lambda u: (u[0], u[1], str(u[2])))),
+        edges=tuple(DepEdge(*e) for e in sorted(edges)),
     )
 
 
@@ -418,9 +389,9 @@ def trace(entry: Path | str, engine: PlId, libs: LibrarySet) -> str:
     unresolved, or missing.  Revisited files are noted once and not
     re-entered.  The format is stable for golden comparisons.
     """
-    base = canon(entry).parent
+    base = os.path.dirname(os.path.abspath(entry))
     lines: list[str] = []
-    for step in _walk([entry], libs, (engine,), enter_built_ins=False):
+    for step in _walk([entry], libs, (engine,), enter_built_ins=False, decided={}):
         head = f"{'  ' * step.depth}{step.subject}:"
         reached = step.file
         if step.verdict == SKIP:

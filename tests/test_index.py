@@ -208,6 +208,28 @@ class TestMkindex:
         assert len(mkindex(tmp_path).entries) == 12
         assert len(probes) <= paths
 
+    def test_discovery_order_and_file_set(self, tmp_path):
+        """Every source defines p/0, so the facts' file fields list the
+        sources in discovery order: sorted by path parts (`a/b` before
+        `a-c`), suffixes taken as `PurePath.suffix` takes them (`..pl` has
+        one, `.pl` and `x.` have none), hidden directories walked, linked
+        directories not entered, linked files kept, dangling links, other
+        suffixes and a nested `Index.pl` dropped."""
+        root = tmp_path / "lib"
+        for rel in ("a/b.pl", "a-c.pl", "..pl", ".pl", "x.", ".hidden/h.pl", "real/r.pl",
+                    "d.pl/e.pl", "sub/Index.pl", "notes.txt", "Index.pl"):
+            write(root, rel, ":- defines([p/0]).\n")
+        write(tmp_path, "outside.pl", ":- defines([p/0]).\n")
+        (root / "linkdir").symlink_to(root / "real", target_is_directory=True)
+        (root / "l.pl").symlink_to(tmp_path / "outside.pl")
+        (root / "gone.pl").symlink_to(root / "missing.pl")
+
+        def files(**options) -> list[str]:
+            return [row[4] for row in mkindex(root, **options).rows]
+
+        assert files() == [".", ".hidden/h", "a/b", "a-c", "d.pl/e", "l", "real/r"]
+        assert files(follow_subdirs=False) == [".", "a-c", "l"]
+
     def test_every_entry_names_an_existing_file(self, tmp_path):
         build_worked_example(tmp_path)
         index = mkindex(tmp_path / "HomeLib")

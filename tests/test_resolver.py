@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import random
 import tempfile
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CHAIN_LENGTH, build_worked_example
 from helpers import ENGINE_UNIVERSE, SICSTUS, SWI, World, gen_world, oracle_closure
+import exlibris.fsio as fsio_module
 import exlibris.resolve as resolve_module
 from exlibris.directives import FunctorRef
 from exlibris.engines import ALWAYS, parse_if_pls
@@ -133,7 +135,7 @@ class TestClosure:
         entry = tmp_path / "proj" / "file1.pl"
         closure([entry], libs, [SWI])
         text = entry.read_text(encoding="utf-8")
-        assert libs.sources[entry][0] == text
+        assert libs.sources[str(entry)][0] == text
         assert text not in repr(libs)
         with pytest.raises(TypeError):
             LibrarySet(sources={})
@@ -504,6 +506,32 @@ class TestLookupOrder:
                     assert expected in candidates
 
 
+class TestIsFile:
+    """The walk's probe answers as `Path.is_file` does, but a name too long
+    for the file system names no file; other errors raise."""
+
+    def test_answers_as_path_is_file(self, tmp_path):
+        (tmp_path / "f.pl").write_text("f.\n", encoding="utf-8")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link.pl").symlink_to(tmp_path / "f.pl")
+        (tmp_path / "gone.pl").symlink_to(tmp_path / "missing.pl")
+        (tmp_path / "loop.pl").symlink_to(tmp_path / "loop.pl")
+        answers = {"f.pl": True, "link.pl": True, "d": False, "gone.pl": False, "loop.pl": False,
+                   "missing.pl": False, "f.pl/x": False, "a\0b": False}
+        for name, expected in answers.items():
+            assert fsio_module.is_file(str(tmp_path / name)) is expected, name
+            assert (tmp_path / name).is_file() is expected, name
+        assert fsio_module.is_file(str(tmp_path / ("a" * 300))) is False
+
+    def test_other_errors_raise(self, monkeypatch):
+        def failing(path):
+            raise OSError(errno.EIO, "input/output error", path)
+
+        monkeypatch.setattr(fsio_module.os, "stat", failing)
+        with pytest.raises(OSError, match="input/output error"):
+            fsio_module.is_file("a.pl")
+
+
 class TestLookupCost:
     def test_closure_lookups_do_not_grow_with_the_index(self, tmp_path, monkeypatch):
         """~5000 unrelated entries cost a closure no condition checks and
@@ -590,7 +618,7 @@ class TestLookupCost:
         clo = closure(entries, libs, (SWI, SICSTUS))
         assert clo.home_files == {(str(home), "a"), (str(home), "b")}
         assert resolve_functor(FunctorRef("p", 1), SWI, libs) == LoadFile("home", home, "a")
-        assert probes == {home / "a.pl": 1, home / "b.pl": 1}
+        assert probes == {str(home / "a.pl"): 1, str(home / "b.pl"): 1}
 
     def test_relative_loads_probe_each_candidate_once(self, tmp_path, monkeypatch):
         """Three files loading `helper` and one loading `helper.pl` probe
@@ -602,7 +630,7 @@ class TestLookupCost:
         probes = counting_probes(monkeypatch)
         clo = closure([tmp_path / f"{name}.pl" for name in "efgh"], LibrarySet(), None)
         assert clo.project_files == {str(tmp_path / "helper.pl")}
-        assert probes == {tmp_path / "helper.pl": 1}
+        assert probes == {str(tmp_path / "helper.pl"): 1}
 
     def test_a_second_walk_over_one_set_joins_no_path(self, tmp_path, monkeypatch):
         """Index hits, `library(...)` loads and relative loads that the set

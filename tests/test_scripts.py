@@ -51,6 +51,6 @@ def test_compare_outputs_reports_a_changed_word_and_nothing_else(tmp_path):
     assert "    +rewrite main.pl\n" in changed.stdout
     # the four exports of HomeLib, one of them with `--copy recursive`, the
     # two of each of its two respelled copies, the two of the hand-written
-    # corpus, the two of the relative-load tree and the two of the
-    # clause-heavy tree
-    assert changed.stdout.endswith(" commands, 14 with differences\n")
+    # corpus, the two of the relative-load tree, the two of the clause-heavy
+    # tree and the three of the discovery tree, one with `--copy recursive`
+    assert changed.stdout.endswith(" commands, 17 with differences\n")
