@@ -40,9 +40,11 @@ by relative names in every spelling the README's Resolution section gives,
 and whose `Index.pl` spells one file three ways, and on CLAUSE_WORLD, whose
 library files hold runs of clauses with every hazard a run must step over;
 `mkindex` runs on its HomeLib and, with `graph`, on each of its `Bad*`
-libraries, which holds a statement a run cannot end.  Every difference in
-exit code, standard output, standard error or written files (export's
-destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0
+libraries, which holds a statement a run cannot end.  The walks run on
+CONFLICT_WORLD too, whose two home libraries each give an `a.pl` for
+`lib/a.pl`, so export's error shows which file it names first.  Every
+difference in exit code, standard output, standard error or written files
+(export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0
 if there is none.
 """
 
@@ -316,6 +318,16 @@ DISCOVERY_WORLD = {
 DISCOVERY_LINKS = {"linked": "a", "l.pl": "../outside.pl", "gone.pl": "missing.pl"}
 
 
+# Home libraries `H` and `H-x` each hold an `a.pl` that `proj/main.pl`
+# reaches: export refuses to put both at `lib/a.pl` and names `H`'s first,
+# as path parts sort, though `H-x/a.pl` sorts first as a plain string.
+CONFLICT_WORLD = {
+    "H/a.pl": ":- defines([p/0]).\n",
+    "H-x/a.pl": ":- defines([q/0]).\n",
+    "proj/main.pl": ":- requires([p/0, q/0]).\n",
+}
+
+
 def discovery_world(workdir: Path) -> None:
     """DISCOVERY_WORLD's files in `workdir`, and DISCOVERY_LINKS in its
     HomeLib and its project."""
@@ -478,6 +490,9 @@ def main() -> int:
                           "--copy", "recursive"], "writes": "out"})
     total += len(todo)
     different += compare("discovery", discovery_world, todo, other)
+    todo = walks("proj/main.pl", ["--homelib", "H", "--homelib", "H-x"])
+    total += len(todo)
+    different += compare("conflict", lambda workdir: files(workdir, CONFLICT_WORLD), todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

@@ -6,7 +6,9 @@ local library directory with their home-relative paths preserved, the local
 library's Index.pl is regenerated to cover them, and entry files receive two
 edits: their library_directory declarations are dropped and a single
 declaration pointing at the local library is inserted on top, while `if_pl`
-directives that cannot match any target engine are pruned.
+directives that cannot match any target engine are pruned.  Files are named by
+the walk's absolute `str`; a `Path` is built for the destination, library roots
+and each planned copy alone.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ from typing import Sequence
 from .directives import FileFacts
 from .engines import PlId, can_match
 from .errors import ExlibrisError
-from .fsio import write_text
-from .index import (
-    DEFAULT_EXTENSIONS,
-    INDEX_FILENAME,
-    find_sources,
-    render_index,
-)
+from .fsio import is_file, write_text
+from .index import DEFAULT_EXTENSIONS, INDEX_FILENAME, find_sources, render_index, suffix
 from .resolve import LibrarySet, UnresolvedRef, closure
 from .terms import Compound, Span, render_clause, splice, text_start
 
@@ -103,16 +100,16 @@ class ExportPlan:
     report: ExportReport
 
 
-def _sources(sources: Sequence[Path]) -> list[tuple[Path, Path]]:
-    """Each source as a (path, base) pair: a directory is its own base, and
-    a file's base is its directory."""
+def _sources(sources: Sequence[Path]) -> list[tuple[str, str]]:
+    """Each source as an absolute (path, base): a directory source is its base,
+    a file's base is its directory, and a base ends in `/`."""
     pairs = []
     for source in sources:
-        path = Path(os.path.abspath(source))
-        if path.is_dir():
-            pairs.append((path, path))
-        elif path.is_file():
-            pairs.append((path, path.parent))
+        path = os.path.abspath(source)
+        if os.path.isdir(path):
+            pairs.append((os.path.join(path, ""),) * 2)
+        elif is_file(path):
+            pairs.append((path, os.path.join(os.path.dirname(path), "")))
         else:
             raise ExportPlanError(f"source does not exist: {source}")
     return pairs
@@ -126,9 +123,9 @@ def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
     to a source file) is where local-library files already live.
     """
     for _, base in _sources(sources):
-        candidate = base / loclib
-        if candidate.is_dir():
-            return Path(os.path.abspath(candidate))
+        candidate = os.path.normpath(base + loclib)
+        if os.path.isdir(candidate):
+            return Path(candidate)
     return None
 
 
@@ -145,12 +142,11 @@ def discover_entries(
     entries: list[tuple[str, str]] = []
     for path, base in _sources(sources):
         if path != base:
-            entries.append((str(path), path.name))
+            entries.append((path, path[len(base):]))
             continue
-        skip = len(os.path.join(base, ""))
         for found, _ in find_sources(path, extensions):
-            if not f"{found[skip:]}/".startswith(f"{loclib}/"):
-                entries.append((found, found[skip:]))
+            if not f"{found[len(base):]}/".startswith(f"{loclib}/"):
+                entries.append((found, found[len(base):]))
     return entries
 
 
@@ -175,11 +171,6 @@ def _deletion_span(text: str, span: Span) -> Span:
     return span
 
 
-def _quoted_atom(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
-
-
 def transform_entry(
     text: str,
     facts: FileFacts,
@@ -195,9 +186,8 @@ def transform_entry(
     engines that remain.
     """
     top = text_start(text)
-    edits: list[tuple[Span, str]] = [
-        (Span(top, top, 1, 1), f":- library_directory( {_quoted_atom(rel_to_loclib)} ).\n")
-    ]
+    quoted = rel_to_loclib.replace("\\", "\\\\").replace("'", "\\'")
+    edits = [(Span(top, top, 1, 1), f":- library_directory( '{quoted}' ).\n")]
     for span in facts.library_dirs:
         edits.append((_deletion_span(text, span), ""))
     for directive in facts.if_pls:
@@ -233,9 +223,9 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         engine = f" under {item.engine}" if item.engine else ""
         report.warnings.append(f"unresolved {item.subject}{engine} (from {item.source})")
 
-    copy_map: dict[str, Path] = {}
+    copy_map: dict[str, str] = {}  # destination-relative path -> source file
 
-    def put(dest_rel: str, src: Path):
+    def put(dest_rel: str, src: str):
         existing = copy_map.get(dest_rel)
         if existing is not None and existing != src:
             raise ExportPlanError(f"both {existing} and {src} would be exported as {dest_rel}")
@@ -244,21 +234,19 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     if opts.copy == COPY_RECURSIVE:
         for source, base in sources:
             if source == base:
-                for path in sorted(source.rglob("*")):
-                    if path.is_file():
-                        put(path.relative_to(base).as_posix(), path)
+                for path, _ in find_sources(source, None):
+                    put(path[len(base):], path)
     for path, dest_rel in entries:
-        put(dest_rel, Path(path))
+        put(dest_rel, path)
 
-    for src, rel in sorted(clo.library_paths.items()):
-        put(f"{opts.loclib}/{rel}{src.suffix}", src)
-    for raw in sorted(clo.project_files):
-        path = Path(raw)
-        base = next((base for _, base in sources if path.is_relative_to(base)), None)
+    for src, rel in sorted(clo.library_paths.items(), key=lambda item: item[0].split("/")):
+        put(f"{opts.loclib}/{rel}{suffix(src)}", src)
+    for path in sorted(clo.project_files):
+        base = next((base for _, base in sources if path.startswith(base)), None)
         if base is None:
-            report.warnings.append(f"referenced file outside the export sources: {raw}")
+            report.warnings.append(f"referenced file outside the export sources: {path}")
             continue
-        put(path.relative_to(base).as_posix(), path)
+        put(path[len(base):], path)
 
     rewrites: dict[str, str] = {}
     for path, dest_rel in entries:
@@ -268,19 +256,19 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         copy_map.pop(dest_rel, None)  # written by its rewrite alone
 
     # a field's facts are kept when `<loclib>/<n>` copies `<root>/<n>`, n = normpath(field + ext)
-    copied = {dest_rel: str(src) for dest_rel, src in copy_map.items()}
     index_rows = tuple(
         row for lib in (libs.loclib, *libs.homelibs) if lib is not None
         for root in [posixpath.join(str(lib.root), "")]
         for row in lib.index.rows_of_files(lambda field: any(
-            copied.get(f"{opts.loclib}/{n}") == root + n
+            copy_map.get(f"{opts.loclib}/{n}") == root + n
             for ext in libs.extensions for n in [posixpath.normpath(field + ext)]))
     )
     index_rel = f"{opts.loclib}/{INDEX_FILENAME}"
     if index_rows:
         copy_map.pop(index_rel, None)  # a mirrored Index.pl is replaced, not copied
     files = (
-        *(PlannedFile(rel, src, f"copy {src} -> {rel}") for rel, src in sorted(copy_map.items())),
+        *(PlannedFile(rel, Path(src), f"copy {src} -> {rel}")
+          for rel, src in sorted(copy_map.items())),
         *(PlannedFile(rel, text, f"rewrite {rel}") for rel, text in sorted(rewrites.items())),
     )
     if index_rows:

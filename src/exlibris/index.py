@@ -128,12 +128,12 @@ def suffix(path: str) -> str:
 
 
 def find_sources(
-    root: Path, extensions: Sequence[str], follow_subdirs: bool = True
+    root: Path | str, extensions: Sequence[str] | None, follow_subdirs: bool = True
 ) -> list[tuple[str, str]]:
     """Each source under root, sorted by path parts, as `str(root / rel)` and
     its library name, `rel` without its suffix: a file or a link to one, not
-    an index, its suffix in extensions.  Hidden directories are walked, links
-    to directories are not."""
+    an index, its suffix in extensions; with extensions None, every file.
+    Hidden directories are walked, links to directories are not."""
     found, pending = [], [""]  # pending: the directories to list, as `rel/`
     while pending:
         at = pending.pop()
@@ -149,7 +149,8 @@ def find_sources(
                 if entry.is_dir(follow_symlinks=False):
                     if follow_subdirs:
                         pending.append(f"{rel}/")
-                elif ext in extensions and entry.name != INDEX_FILENAME and entry.is_file():
+                elif (extensions is None or ext in extensions and entry.name != INDEX_FILENAME) \
+                        and entry.is_file():
                     found.append((rel.split("/"), rel, rel[: len(rel) - len(ext)]))
     prefix = "" if str(root) == "." else os.path.join(root, "")  # as `Path(".") / rel` is `rel`
     return [(prefix + rel, name) for _, rel, name in sorted(found)]

@@ -211,7 +211,7 @@ class DepClosure:
     home_files: frozenset[tuple[str, str]]  # (home root, relative file)
     local_files: frozenset[str]
     project_files: frozenset[str]  # absolute paths of reached non-library files
-    library_paths: dict[Path, str]  # on-disk home and local file -> relative file
+    library_paths: dict[str, str]  # absolute path of a home or local file -> relative file
     unresolved: tuple[UnresolvedRef, ...]
     edges: tuple[DepEdge, ...]
 
@@ -350,8 +350,8 @@ def closure(entries: Sequence[Path | str], libs: LibrarySet,
     Guarded loads are followed when their guard can match a target;
     may_load references are followed unconditionally.  System files are
     recorded but never vendored nor walked; home and local files that
-    declare built-ins are vendored and walked.  `library_paths` names the
-    file on disk behind each home and local file, the one export copies.
+    declare built-ins are vendored and walked.  `library_paths` maps each
+    home and local file export copies, by the walk's path `str`, to its name.
     Each distinct edge and unresolved reference becomes one `DepEdge` or
     `UnresolvedRef`.
     """
@@ -375,7 +375,7 @@ def closure(entries: Sequence[Path | str], libs: LibrarySet,
         home_files=frozenset((str(f.lib.root), f.rel) for f in files if f.kind == KIND_HOME),
         local_files=frozenset(f.rel for f in files if f.kind == KIND_LOCAL),
         project_files=frozenset(f.path for f in files if f.kind == KIND_PROJECT),
-        library_paths={Path(f.path): f.rel for f in files if f.kind in (KIND_HOME, KIND_LOCAL)},
+        library_paths={f.path: f.rel for f in files if f.kind in (KIND_HOME, KIND_LOCAL)},
         unresolved=tuple(UnresolvedRef(*u) for u in sorted(
             unresolved, key=lambda u: (u[0], u[1], str(u[2])))),
         edges=tuple(DepEdge(*e) for e in sorted(edges)),

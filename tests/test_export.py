@@ -294,6 +294,66 @@ class TestApplyPlan:
         assert (tmp_path / "out" / "helper.pl").is_file()
 
 
+def write_tree(root: Path, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+
+
+class TestCopySources:
+    """Which files a copy takes, and in which order a conflict names them."""
+
+    def test_library_copy_conflict_names_files_by_path_parts(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        """Two home libraries `H` and `H-x` each give an `a.pl` for `lib/a.pl`:
+        the error names `H`'s first, as path parts sort, though `-` sorts
+        before `/` in a plain string."""
+        write_tree(tmp_path, {
+            "H/a.pl": ":- defines([p/0]).\n",
+            "H-x/a.pl": ":- defines([q/0]).\n",
+            "proj/m.pl": ":- requires([p/0, q/0]).\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            "export", "--dest", "out", "--source", "proj", "--homelib", "H", "--homelib", "H-x"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"exlibris: both {tmp_path / 'H' / 'a.pl'} and {tmp_path / 'H-x' / 'a.pl'}"
+            " would be exported as lib/a.pl\n"
+        )
+
+    def test_recursive_copy_takes_every_file_as_discovery_walks(self, tmp_path):
+        """A directory source is mirrored file by file: any suffix, a hidden
+        directory and a nested `Index.pl` are copied, a linked file is copied
+        as a file, a linked directory is not entered and a dangling link is
+        dropped.  Sources among them are rewritten, the rest copied."""
+        proj = tmp_path / "proj"
+        write_tree(tmp_path, {
+            **{f"proj/{rel}": f"{i}.\n" for i, rel in enumerate(
+                ("a/b.pl", "a-c.pl", ".hidden/h.txt", "notes.txt", "..pl", "x.", "sub/Index.pl"))},
+            "outside.txt": "outside\n",
+        })
+        (proj / "linked").symlink_to("a", target_is_directory=True)
+        (proj / "l.txt").symlink_to(tmp_path / "outside.txt")
+        (proj / "gone.pl").symlink_to("missing.pl")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(proj,), copy="recursive")
+        report = apply_plan(plan_export(opts, build_library_set(opts)))
+        copies = [".hidden/h.txt", "l.txt", "notes.txt", "sub/Index.pl", "x."]
+        assert report.lines == [
+            f"create {tmp_path / 'out'}",
+            *(f"copy {proj / rel} -> {rel}" for rel in copies),
+            "rewrite ..pl", "rewrite a-c.pl", "rewrite a/b.pl",
+        ]
+        out = tmp_path / "out"
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+            "..pl", ".hidden/h.txt", "a-c.pl", "a/b.pl", "l.txt", "notes.txt", "sub/Index.pl", "x."
+        ]
+        assert (out / "l.txt").read_text(encoding="utf-8") == "outside\n"
+        assert not (out / "l.txt").is_symlink()
+
+
 class TestEachFileOnce:
     """Each destination file has one producer, and the plan carries the text."""
 

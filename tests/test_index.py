@@ -6,6 +6,7 @@ import collections
 import contextlib
 import itertools
 import logging
+import os
 import random
 import re
 import tempfile
@@ -230,11 +231,60 @@ class TestMkindex:
         assert files() == [".", ".hidden/h", "a/b", "a-c", "d.pl/e", "l", "real/r"]
         assert files(follow_subdirs=False) == [".", "a-c", "l"]
 
+    def test_an_entry_names_a_file_inside_its_library(self):
+        with pytest.raises(ValueError, match="inside the library: '../x'"):
+            IndexEntry(FunctorRef("p", 0), ALWAYS, "user", "../x")
+
     def test_every_entry_names_an_existing_file(self, tmp_path):
         build_worked_example(tmp_path)
         index = mkindex(tmp_path / "HomeLib")
         for entry in index.entries:
             assert (index.root / (entry.file + ".pl")).is_file()
+
+
+def unreadable(monkeypatch, directory: Path) -> None:
+    """`os.scandir` fails on `directory` with PermissionError, as it does
+    for a directory its caller may not read."""
+    scandir = os.scandir
+
+    def listing(path):
+        if os.path.abspath(path) == str(directory):
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(index_module.os, "scandir", listing)
+
+
+class TestUnreadableDirectory:
+    """A directory discovery may not list: skipped below the top, and an
+    error at the top under `--no-subdirs`."""
+
+    def test_mkindex_skips_an_unreadable_subdirectory(self, tmp_path, monkeypatch):
+        write(tmp_path, "a.pl", ":- defines([p/0]).\n")
+        write(tmp_path, "sub/b.pl", ":- defines([q/0]).\n")
+        unreadable(monkeypatch, tmp_path / "sub")
+        assert [row[4] for row in mkindex(tmp_path).rows] == ["a"]
+
+    def test_recursive_copy_skips_an_unreadable_subdirectory(self, tmp_path, monkeypatch):
+        write(tmp_path, "proj/m.pl", "m.\n")
+        write(tmp_path, "proj/notes.txt", "notes\n")
+        write(tmp_path, "proj/sub/b.pl", "b.\n")
+        write(tmp_path, "proj/sub/c.txt", "c\n")
+        unreadable(monkeypatch, tmp_path / "proj" / "sub")
+        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive")
+        plan = plan_export(opts, LibrarySet.build())
+        assert [f.dest_rel for f in plan.files] == ["notes.txt", "m.pl"]
+
+    def test_no_subdirs_of_an_unreadable_directory_is_exit_2(
+        self, tmp_path, run_cli, monkeypatch
+    ):
+        write(tmp_path, "lib/a.pl", ":- defines([p/0]).\n")
+        unreadable(monkeypatch, tmp_path / "lib")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("mkindex", "lib", "--no-subdirs")
+        assert (code, out) == (2, "")
+        assert err == "exlibris: [Errno 13] Permission denied: 'lib/'\n"
+        assert not (tmp_path / "lib" / "Index.pl").exists()
 
 
 class TestWriteIndex:

@@ -534,6 +534,10 @@ class TestClauseRuns:
 
 
 class TestRender:
+    def test_a_compound_has_an_argument(self):
+        with pytest.raises(ValueError, match="at least one argument"):
+            Compound("f", ())
+
     def test_functor_notation(self):
         assert render_term(functor("member", 2)) == "member/2"
 
