@@ -42,7 +42,12 @@ library files hold runs of clauses with every hazard a run must step over;
 `mkindex` runs on its HomeLib and, with `graph`, on each of its `Bad*`
 libraries, which holds a statement a run cannot end.  The walks run on
 CONFLICT_WORLD too, whose two home libraries each give an `a.pl` for
-`lib/a.pl`, so export's error shows which file it names first.  Every
+`lib/a.pl`, so export's error shows which file it names first.  On
+SOURCES_WORLD, `graph` and `export` (plain and `--copy recursive`) take
+their sources in each spelling of SOURCE_SPELLINGS, and each of
+SOURCE_FAULTS shows which of two faults a run reports; on SHADOW_WORLD,
+`export` (plain and `--strict`) meets a vendored file that hides a system
+answer.  Every
 difference in exit code, standard output, standard error or written files
 (export's destination, mkindex's `Index.pl`) is printed.  Exits 1 if there is any, 0
 if there is none.
@@ -328,6 +333,64 @@ CONFLICT_WORLD = {
 }
 
 
+# A project with a development local library `lib/`, named as export and
+# graph take sources: a file next to `lib/`, the directory holding it, that
+# directory with a trailing `/`, and the directory with a file inside it.
+# `taken/` is an existing destination for SOURCE_FAULTS.
+SOURCES_WORLD = {
+    "proj/main.pl": ":- requires([p/0, l/0]).\n:- ensure_loaded('sub/b').\n",
+    "proj/sub/b.pl": ":- requires([q/0]).\n",
+    "proj/notes.txt": "notes\n",
+    "proj/lib/Index.pl": "index( l, 0, any, user, l ).\n",
+    "proj/lib/l.pl": ":- defines([l/0]).\nl.\n",
+    "HomeLib/p.pl": ":- defines([p/0]).\n:- requires([r/0]).\np.\n",
+    "HomeLib/q.pl": ":- defines([q/0, r/0]).\nq.\nr.\n",
+    "taken/keep.txt": "kept\n",
+}
+SOURCE_SPELLINGS = (["proj/main.pl"], ["proj"], ["proj/"], ["proj", "proj/main.pl"])
+# Two faults per run, so the order of the checks shows: a usage error before
+# a missing source, a missing source before a missing library, a missing
+# library before an existing destination, a missing source before it too.
+SOURCE_FAULTS = (
+    ["--ext", ".p/l", "--source", "nope"],
+    ["--source", "nope", "--homelib", "Hx"],
+    ["--source", "proj", "--homelib", "Hx", "--dest", "taken"],
+    ["--source", "nope", "--dest", "taken"],
+)
+
+
+def sources_commands() -> list[dict]:
+    """`graph` and `export` (plain and `--copy recursive`) of each of
+    SOURCE_SPELLINGS with HomeLib, then each of SOURCE_FAULTS through
+    `export` and, if it names no destination, `graph`."""
+    found = []
+    for spelling in SOURCE_SPELLINGS:
+        sources = [arg for source in spelling for arg in ("--source", source)]
+        found.append({"argv": ["graph", *sources, "--homelib", "HomeLib"], "writes": None})
+        found.extend(
+            {"argv": ["export", "--dest", "out", *sources, "--homelib", "HomeLib", *copy],
+             "writes": "out"}
+            for copy in ([], ["--copy", "recursive"]))
+    for fault in SOURCE_FAULTS:
+        if "--dest" in fault:  # `taken` must stay for both sides
+            found.append({"argv": ["export", *fault], "writes": None})
+        else:
+            found.append({"argv": ["export", "--dest", "out", *fault], "writes": "out"})
+            found.append({"argv": ["graph", *fault], "writes": None})
+    return found
+
+
+# ROADMAP item 1's example: the vendored `H/h.pl` gives m/0, which `S`
+# answers in the source tree, so export warns, and under `--strict` stops.
+SHADOW_WORLD = {
+    "S/Index.pl": "index( m, 0, any, user, s ).\n",
+    "S/s.pl": ":- module(s, [m/0]).\nm.\n",
+    "H/Index.pl": "index( m, 0, any, user, h ).\nindex( q, 0, any, user, h ).\n",
+    "H/h.pl": ":- module(h, [m/0, q/0]).\nm.\nq.\n",
+    "proj/e.pl": ":- requires([m/0, q/0]).\n",
+}
+
+
 def discovery_world(workdir: Path) -> None:
     """DISCOVERY_WORLD's files in `workdir`, and DISCOVERY_LINKS in its
     HomeLib and its project."""
@@ -493,6 +556,13 @@ def main() -> int:
     todo = walks("proj/main.pl", ["--homelib", "H", "--homelib", "H-x"])
     total += len(todo)
     different += compare("conflict", lambda workdir: files(workdir, CONFLICT_WORLD), todo, other)
+    todo = sources_commands()
+    total += len(todo)
+    different += compare("sources", lambda workdir: files(workdir, SOURCES_WORLD), todo, other)
+    todo = [{"argv": ["export", "--dest", "out", "--source", "proj", "--syslib", "S",
+                      "--homelib", "H", *strict], "writes": "out"} for strict in ([], ["--strict"])]
+    total += len(todo)
+    different += compare("shadow", lambda workdir: files(workdir, SHADOW_WORLD), todo, other)
     print(f"{total} commands, {different} with differences")
     return 1 if different else 0
 

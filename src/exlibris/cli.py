@@ -1,7 +1,7 @@
 """Command-line surface: export, mkindex, trace, and graph subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 I/O, parse or internal error, 3 when
---strict escalates unresolved references.
+--strict escalates unresolved references or answers the export changes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .export import (
     default_loclib_root,
     discover_entries,
     plan_export,
+    read_sources,
 )
 from .fsio import read_text
 from .index import DEFAULT_EXTENSIONS, mkindex, suffix, write_index
@@ -91,7 +92,8 @@ def _build_parser() -> _Parser:
     p_export.add_argument("--copy", choices=["selective", "recursive"],
                           default="selective")
     p_export.add_argument("--strict", action="store_true",
-                          help="fail with exit 3 when references stay unresolved")
+                          help="fail with exit 3, writing nothing, when references stay "
+                          "unresolved or the export changes how one resolves")
 
     p_mkindex = sub.add_parser("mkindex", parents=[common],
                                help="write Index.pl for a library directory")
@@ -148,22 +150,23 @@ def _settings(args) -> tuple[dict[str, list[str]], tuple[str, ...]]:
     return config, tuple(extensions) or DEFAULT_EXTENSIONS
 
 
-def _libraries(args, sources: Sequence[Path]) -> tuple[LibrarySet, str]:
-    """The setup of export, graph and trace: the command's LibrarySet, with
-    the development-side local library found next to `sources`, and the
-    checked --loclib."""
+def _libraries(args, sources: Sequence[str]) -> tuple[list[tuple[str, str]], LibrarySet, str]:
+    """The setup of export, graph and trace: the sources, read once; the
+    command's LibrarySet, with the development-side local library found next
+    to them; and the checked --loclib."""
     config, extensions = _settings(args)
     try:
         loclib = check_loclib(args.loclib)
     except ValueError as exc:
         raise SystemExit(_usage_error(str(exc))) from exc
+    pairs = read_sources(sources)
     libs = LibrarySet.build(
         args.syslib or config.get("syslib", []),
         args.homelib or config.get("homelib", []),
-        default_loclib_root(sources, loclib),
+        default_loclib_root(pairs, loclib),
         extensions,
     )
-    return libs, loclib
+    return pairs, libs, loclib
 
 
 def _print_report(report) -> None:
@@ -174,8 +177,7 @@ def _print_report(report) -> None:
 
 
 def _cmd_export(args) -> int:
-    sources = tuple(Path(s) for s in args.source)
-    libs, loclib = _libraries(args, sources)
+    sources, libs, loclib = _libraries(args, args.source)
     opts = ExportOptions(
         dest=Path(args.dest),
         sources=sources,
@@ -184,9 +186,10 @@ def _cmd_export(args) -> int:
         pls=tuple(args.pl) or None,
     )
     plan = plan_export(opts, libs)
-    if args.strict and plan.report.unresolved:
+    if args.strict and (plan.report.unresolved or plan.report.changed):
         _print_report(plan.report)
-        print("strict mode: unresolved references, nothing exported", file=sys.stderr)
+        why = "unresolved references" if plan.report.unresolved else "the export changes answers"
+        print(f"strict mode: {why}, nothing exported", file=sys.stderr)
         return EXIT_UNRESOLVED
     report = apply_plan(plan)
     _print_report(report)
@@ -212,7 +215,7 @@ def _cmd_trace(args) -> int:
     entry = Path(args.entry)
     if not entry.is_file():
         raise ExlibrisError(f"entry is not a file: {entry}")
-    libs, _ = _libraries(args, [entry])
+    _, libs, _ = _libraries(args, [entry])
     sys.stdout.write(trace(entry, args.pl[0], libs))
     return EXIT_OK
 
@@ -223,8 +226,7 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_graph(args) -> int:
-    sources = [Path(s) for s in args.source]
-    libs, loclib = _libraries(args, sources)
+    sources, libs, loclib = _libraries(args, args.source)
     entries = discover_entries(sources, loclib, libs.extensions)
     clo = closure([path for path, _ in entries], libs, tuple(args.pl) or None)
     sys.stdout.write(_render_dot(clo, dict(entries)))

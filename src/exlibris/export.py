@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .directives import FileFacts
+from .directives import FileFacts, FunctorRef
 from .engines import PlId, can_match
 from .errors import ExlibrisError
 from .fsio import is_file, write_text
-from .index import DEFAULT_EXTENSIONS, INDEX_FILENAME, find_sources, render_index, suffix
-from .resolve import LibrarySet, UnresolvedRef, closure
+from .index import INDEX_FILENAME, LibraryIndex, find_sources, render_index, suffix
+from .resolve import (KIND_LOCAL, KIND_SYSTEM, UNRESOLVED, BuiltIn, Library, LibrarySet,
+                      UnresolvedRef, closure, decide)
 from .terms import Compound, Span, render_clause, splice, text_start
 
 COPY_SELECTIVE = "selective"
@@ -51,14 +52,13 @@ class ExportApplyError(ExlibrisError):
 @dataclass(frozen=True)
 class ExportOptions:
     dest: Path
-    sources: tuple[Path, ...]
+    sources: Sequence[tuple[str, str]]  # as `read_sources` gives them
     copy: str = COPY_SELECTIVE
     loclib: str = "lib"
     pls: tuple[PlId, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dest", Path(self.dest))
-        object.__setattr__(self, "sources", tuple(Path(s) for s in self.sources))
         if self.pls is not None:
             object.__setattr__(self, "pls", tuple(self.pls))
         if not self.sources:
@@ -91,6 +91,7 @@ class ExportReport:
     lines: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     unresolved: tuple[UnresolvedRef, ...] = ()
+    changed: tuple[tuple[FunctorRef, PlId | None], ...] = ()  # keys the export answers otherwise
 
 
 @dataclass
@@ -100,9 +101,9 @@ class ExportPlan:
     report: ExportReport
 
 
-def _sources(sources: Sequence[Path]) -> list[tuple[str, str]]:
-    """Each source as an absolute (path, base): a directory source is its base,
-    a file's base is its directory, and a base ends in `/`."""
+def read_sources(sources: Sequence[Path | str]) -> list[tuple[str, str]]:
+    """Each source as an absolute (path, base), read once per command: a directory
+    source is its base, a file's base is its directory, and a base ends in `/`."""
     pairs = []
     for source in sources:
         path = os.path.abspath(source)
@@ -111,18 +112,19 @@ def _sources(sources: Sequence[Path]) -> list[tuple[str, str]]:
         elif is_file(path):
             pairs.append((path, os.path.join(os.path.dirname(path), "")))
         else:
-            raise ExportPlanError(f"source does not exist: {source}")
+            kind = "is neither a file nor a directory" if os.path.exists(path) else "does not exist"
+            raise ExportPlanError(f"source {kind}: {source}")
     return pairs
 
 
-def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
+def default_loclib_root(sources: Sequence[tuple[str, str]], loclib: str) -> Path | None:
     """The development-side local library: <source base>/<loclib>, if present.
 
     The loclib option names a path relative to the destination; during
     development the same relative path inside a source directory (or next
     to a source file) is where local-library files already live.
     """
-    for _, base in _sources(sources):
+    for _, base in sources:
         candidate = os.path.normpath(base + loclib)
         if os.path.isdir(candidate):
             return Path(candidate)
@@ -130,7 +132,7 @@ def default_loclib_root(sources: Sequence[Path], loclib: str) -> Path | None:
 
 
 def discover_entries(
-    sources: Sequence[Path], loclib: str = "lib", extensions=DEFAULT_EXTENSIONS
+    sources: Sequence[tuple[str, str]], loclib: str, extensions: Sequence[str]
 ) -> list[tuple[str, str]]:
     """Entry files of the given sources, by absolute path, with their
     destination-relative paths.
@@ -140,7 +142,7 @@ def discover_entries(
     entries) and index files.
     """
     entries: list[tuple[str, str]] = []
-    for path, base in _sources(sources):
+    for path, base in sources:
         if path != base:
             entries.append((path, path[len(base):]))
             continue
@@ -206,12 +208,12 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     """Compute the files one export run writes.
 
     Purely a plan: nothing is touched on disk.  Refuses an existing
-    destination up front.
+    destination up front, and warns where the planned tree would answer a
+    requirement otherwise.
     """
     dest = Path(os.path.abspath(opts.dest))
     if dest.exists():
         raise DestinationExistsError(f"destination must not exist: {opts.dest}")
-    sources = _sources(opts.sources)
     entries = discover_entries(opts.sources, opts.loclib, libs.extensions)
     if not entries:
         raise ExportPlanError("no entry files found in the given sources")
@@ -232,7 +234,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
         copy_map[dest_rel] = src
 
     if opts.copy == COPY_RECURSIVE:
-        for source, base in sources:
+        for source, base in opts.sources:
             if source == base:
                 for path, _ in find_sources(source, None):
                     put(path[len(base):], path)
@@ -242,7 +244,7 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     for src, rel in sorted(clo.library_paths.items(), key=lambda item: item[0].split("/")):
         put(f"{opts.loclib}/{rel}{suffix(src)}", src)
     for path in sorted(clo.project_files):
-        base = next((base for _, base in sources if path.startswith(base)), None)
+        base = next((base for _, base in opts.sources if path.startswith(base)), None)
         if base is None:
             report.warnings.append(f"referenced file outside the export sources: {path}")
             continue
@@ -274,6 +276,34 @@ def plan_export(opts: ExportOptions, libs: LibrarySet) -> ExportPlan:
     if index_rows:
         line = f"write {index_rel} ({len(index_rows)} entries)"
         files += (PlannedFile(index_rel, render_index(index_rows), line),)
+
+    # the planned tree's libraries, in memory, each file placed so `find` probes nothing in dest
+    out_lib = dest / opts.loclib
+    local = Library(KIND_LOCAL, out_lib, LibraryIndex(out_lib, rows=index_rows))
+    exported = LibrarySet(libs.syslibs, (), local, libs.extensions)
+    planned = {os.path.join(dest, item.dest_rel) for item in files}
+    for written in {f"{out_lib}/{row[4]}{ext}" for row in index_rows for ext in libs.extensions}:
+        path = os.path.abspath(written)
+        exported.found[written] = exported.placed(path) if path in planned else None
+
+    def kept(a):  # a home or local file is copied with its rows, in their order
+        return a if a == UNRESOLVED or a.kind == KIND_SYSTEM else type(a)(
+            KIND_LOCAL, out_lib, a.file)
+
+    def worded(answers, of: LibrarySet) -> str:  # each as `trace` words it in `of`
+        return " or ".join(dict.fromkeys(
+            "unresolved" if a == UNRESOLVED else f"built-in ({of.names[a.root]} {a.file})"
+            if isinstance(a, BuiltIn) else f"load {of.names[a.root]} {a.file}" for a in answers))
+
+    # as sets: with no target engine, candidates in another order may change no answer
+    for (functor, engine), answers in clo.resolution.items():
+        if any(kept(a) is a for a in answers):
+            got = decide(functor, engine, exported)[1]
+            if set(got) != set(map(kept, answers)):
+                under = f" under {engine}" if engine else ""
+                report.changed += ((functor, engine),)
+                report.warnings.append(f"export changes {functor}{under}: {worded(answers, libs)}"
+                                       f" becomes {worded(got, exported)}")
     return ExportPlan(dest, files, report)
 
 

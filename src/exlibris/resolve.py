@@ -105,9 +105,6 @@ class LibrarySet:
     def __post_init__(self):
         local = (self.loclib,) if self.loclib else ()
         object.__setattr__(self, "_order", (*local, *self.syslibs, *self.homelibs))
-        roots = sorted(lib.root for lib in self._order)  # a root sorts just before its subdirs
-        if any(inner.is_relative_to(outer) for outer, inner in zip(roots, roots[1:])):
-            raise ExlibrisError("library roots must be disjoint")
         for group in (local, self.syslibs, self.homelibs):
             for n, lib in enumerate(group, 1):
                 self.sources.update(lib.index.sources)
@@ -121,31 +118,27 @@ class LibrarySet:
         return self.sources[path]
 
     def find(self, directory: Path | str, name: str, exts: Sequence[str]) -> _File | None:
-        """The first `name + ext` in `directory`, over `exts`, that is a file,
-        or None.  A candidate, keyed as written, is probed and placed once:
-        under a library root, compared lexically, it is that library's file,
-        named by its path under the root without its suffix."""
+        """The first `name + ext` in `directory`, over `exts`, that is a file, or None."""
         prefix = os.path.join(directory, "")  # a directory of `/` gives `/name`
         for ext in exts:
             written = f"{prefix}{name}{ext}"
             file = self.found.get(written, False)
             if file is False:
-                file = None
                 path = os.path.abspath(written)  # `.`, `..` and `//` normalised, no link resolved
-                if is_file(path):
-                    for lib in self._order:
-                        root = os.path.join(lib.root, "")
-                        if path.startswith(root):
-                            rel = path[len(root):]
-                            rel = rel[: len(rel) - len(suffix(rel))]
-                            file = _File(lib.kind, lib, path, rel, f"{self.names[lib.root]}:{rel}")
-                            break
-                    else:
-                        file = _File(KIND_PROJECT, None, path, None, path)
-                self.found[written] = file
+                file = self.found[written] = self.placed(path) if is_file(path) else None
             if file is not None:
                 return file
         return None
+
+    def placed(self, path: str) -> _File:
+        """The file at an absolute path: of the library whose root holds it, lexically, if any."""
+        for lib in self._order:
+            root = os.path.join(lib.root, "")
+            if path.startswith(root):
+                rel = path[len(root):]
+                rel = rel[: len(rel) - len(suffix(rel))]
+                return _File(lib.kind, lib, path, rel, f"{self.names[lib.root]}:{rel}")
+        return _File(KIND_PROJECT, None, path, None, path)
 
     def ordered(self) -> tuple[Library, ...]:
         """The libraries in search order: local, then system, then home."""
@@ -156,12 +149,16 @@ class LibrarySet:
               loclib: Path | str | None = None, extensions: Sequence[str] = DEFAULT_EXTENSIONS,
               ) -> "LibrarySet":
         extensions = tuple(extensions)
-        return cls(
+        libs = cls(
             syslibs=tuple(Library.load(KIND_SYSTEM, p, extensions) for p in syslibs),
             homelibs=tuple(Library.load(KIND_HOME, p, extensions) for p in homelibs),
             loclib=Library.load(KIND_LOCAL, loclib, extensions) if loclib else None,
             extensions=extensions,
         )
+        roots = sorted(lib.root for lib in libs.ordered())  # a root sorts just before its subdirs
+        if any(inner.is_relative_to(outer) for outer, inner in zip(roots, roots[1:])):
+            raise ExlibrisError("library roots must be disjoint")
+        return libs
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ LOAD, BUILT_IN, SKIP, UNRESOLVED_FUNCTOR, MISSING = (
     "load", "built-in", "skip", "unresolved", "missing")
 
 
-def _decide(
+def decide(
     functor: FunctorRef, engine: PlId | None, libs: LibrarySet
 ) -> tuple[list[tuple[str, str, _File | None]], tuple[ResolvedTarget, ...]]:
     """A requirement's index hits in search order, as (verdict, label, file
@@ -254,7 +251,7 @@ def _decide(
 
 def resolve_functor(functor: FunctorRef, engine: PlId, libs: LibrarySet) -> ResolvedTarget:
     """First matching index fact in search order, or Unresolved."""
-    return _decide(functor, engine, libs)[1][0]
+    return decide(functor, engine, libs)[1][0]
 
 
 def resolve_file_ref(ref: FileRef, base_dir: str, libs: LibrarySet) -> _File | None:
@@ -293,7 +290,7 @@ def _walk(entries: Sequence[Path | str], libs: LibrarySet, targets: tuple[PlId, 
     None; loads are followed when their guard can match a target, may_load
     references always.  Files are entered once each, system files never,
     built-in declaration files only with `enter_built_ins`.  Each
-    (functor, engine) pair is decided once, into `decided` as `_decide`
+    (functor, engine) pair is decided once, into `decided` as `decide`
     returns it; `seen` is still judged per step.
     """
     engines = (None,) if targets is None else targets
@@ -308,7 +305,7 @@ def _walk(entries: Sequence[Path | str], libs: LibrarySet, targets: tuple[PlId, 
                 for engine in engines:
                     key = (functor, engine)
                     if key not in decided:
-                        decided[key] = _decide(functor, engine, libs)
+                        decided[key] = decide(functor, engine, libs)
                     for verdict, label, hit in decided[key][0]:
                         yield _Step(depth, file, functor, engine, verdict, label, hit,
                                     hit is not None and hit.path in entered)

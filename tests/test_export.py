@@ -20,9 +20,11 @@ from exlibris.export import (
     ExportApplyError,
     ExportOptions,
     ExportPlanError,
+    ExportReport,
     apply_plan,
     default_loclib_root,
     plan_export,
+    read_sources,
     transform_entry,
 )
 from exlibris.index import is_library_name
@@ -52,6 +54,7 @@ def worked_opts(root: Path, dest: str = "out", **kwargs) -> ExportOptions:
         sources=(root / "proj" / "file1.pl",),
     )
     defaults.update(kwargs)
+    defaults["sources"] = read_sources(defaults["sources"])
     return ExportOptions(**defaults)
 
 
@@ -157,7 +160,7 @@ class TestExportOptions:
 
     def test_unknown_copy_mode_refused(self, tmp_path):
         with pytest.raises(ValueError, match="copy must be selective or recursive, got 'all'"):
-            ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="all")
+            ExportOptions(dest=tmp_path / "out", sources=read_sources([tmp_path]), copy="all")
 
 
 class TestPlanExport:
@@ -171,9 +174,8 @@ class TestPlanExport:
 
     def test_missing_source_rejected(self, tmp_path):
         build_worked_example(tmp_path)
-        opts = worked_opts(tmp_path, sources=(tmp_path / "nope.pl",))
-        with pytest.raises(ExportPlanError):
-            plan_export(opts, worked_libs(tmp_path, worked_opts(tmp_path)))
+        with pytest.raises(ExportPlanError, match="^source does not exist: .*nope.pl$"):
+            read_sources([tmp_path / "proj", tmp_path / "nope.pl"])
 
     def test_worked_example_plan_contents(self, tmp_path):
         build_worked_example(tmp_path)
@@ -207,7 +209,7 @@ class TestPlanExport:
 
     def test_loclib_found_next_to_source_file(self, tmp_path):
         build_worked_example(tmp_path)
-        root = default_loclib_root([tmp_path / "proj" / "file1.pl"], "lib")
+        root = default_loclib_root(read_sources([tmp_path / "proj" / "file1.pl"]), "lib")
         assert root == tmp_path / "proj" / "lib"
 
 
@@ -338,7 +340,7 @@ class TestCopySources:
         (proj / "linked").symlink_to("a", target_is_directory=True)
         (proj / "l.txt").symlink_to(tmp_path / "outside.txt")
         (proj / "gone.pl").symlink_to("missing.pl")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(proj,), copy="recursive")
+        opts = ExportOptions(dest=tmp_path / "out", sources=read_sources([proj]), copy="recursive")
         report = apply_plan(plan_export(opts, build_library_set(opts)))
         copies = [".hidden/h.txt", "l.txt", "notes.txt", "sub/Index.pl", "x."]
         assert report.lines == [
@@ -367,7 +369,7 @@ class TestEachFileOnce:
             (tmp_path / rel).write_text(text, encoding="utf-8")
         opts = ExportOptions(
             dest=tmp_path / "out",
-            sources=(tmp_path / "proj" / "m.pl",),
+            sources=read_sources([tmp_path / "proj" / "m.pl"]),
         )
         libs = build_library_set(opts, homelibs=(tmp_path / "H1", tmp_path / "H2"))
         report = apply_plan(plan_export(opts, libs))
@@ -390,7 +392,7 @@ class TestEachFileOnce:
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
         opts = ExportOptions(
-            dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive",
+            dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]), copy="recursive",
         )
         apply_plan(plan_export(opts, build_library_set(opts, homelibs=(tmp_path / "H",))))
         assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
@@ -409,7 +411,7 @@ class TestEachFileOnce:
         }.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        opts = ExportOptions(dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]))
         libs = build_library_set(opts, homelibs=(tmp_path / "H",))
         edges = closure([tmp_path / "proj" / "m.pl"], libs, None).edges
         assert {edge.dst for edge in edges} == {"home:d/a"}
@@ -429,7 +431,7 @@ class TestEachFileOnce:
         }.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        opts = ExportOptions(dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]))
         report = apply_plan(plan_export(opts, build_library_set(opts, homelibs=(tmp_path / "H",))))
         assert report.lines[1:] == [
             f"copy {tmp_path / 'H' / 'a' / '.pl'} -> lib/a/.pl",
@@ -448,7 +450,8 @@ class TestEachFileOnce:
         }.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive")
+        opts = ExportOptions(
+            dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]), copy="recursive")
         libs = LibrarySet.build(loclib=tmp_path / "proj" / "lib", extensions=(".pl", ".pro"))
         apply_plan(plan_export(opts, libs))
         assert (tmp_path / "out" / "lib" / "Index.pl").read_text(encoding="utf-8") == (
@@ -465,7 +468,7 @@ class TestEachFileOnce:
         }.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",))
+        opts = ExportOptions(dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]))
         libs = build_library_set(opts, homelibs=(tmp_path / "H1", tmp_path / "H2"))
         with pytest.raises(ExportPlanError) as exc:
             plan_export(opts, libs)
@@ -551,7 +554,7 @@ class TestExportInvariants:
         out = tmp_path / "out"
         opts = ExportOptions(
             dest=tmp_path / "out2",
-            sources=(out,),
+            sources=read_sources([out]),
         )
         apply_plan(plan_export(opts, build_library_set(opts, syslibs=(tmp_path / "SysLib",))))
         first = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
@@ -592,7 +595,7 @@ class TestExportInvariants:
 
         opts = ExportOptions(
             dest=tmp_path / "out2",
-            sources=(out,),
+            sources=read_sources([out]),
             copy="recursive",
         )
         apply_plan(plan_export(opts, build_library_set(opts, syslibs=(tmp_path / "SysLib",))))
@@ -633,9 +636,9 @@ def _respell(index_text: str, rng: random.Random) -> str:
     )
 
 
-def export_closures(world, root: Path) -> tuple[DepClosure, DepClosure]:
-    """`world`'s closure, built in `root`, and the closure of its export to
-    `root/out` against the same system libraries."""
+def export_closures(world, root: Path) -> tuple[DepClosure, DepClosure, ExportReport]:
+    """`world`'s closure, built in `root`, the closure of its export to
+    `root/out` against the same system libraries, and the export's report."""
     world.materialize(root)
     syslibs = [root / name for name in world.syslibs]
     libs = LibrarySet.build(
@@ -644,13 +647,13 @@ def export_closures(world, root: Path) -> tuple[DepClosure, DepClosure]:
     )
     entries = [root / rel for rel in world.entries]
     before = closure(entries, libs, world.engines)
-    opts = ExportOptions(dest=root / "out", sources=tuple(entries), pls=world.engines)
-    apply_plan(plan_export(opts, libs))
+    opts = ExportOptions(dest=root / "out", sources=read_sources(entries), pls=world.engines)
+    report = apply_plan(plan_export(opts, libs))
     out = root / "out"
     loclib = out / "lib" if (out / "lib").is_dir() else None
     exported = LibrarySet.build(syslibs, (), loclib)
     entries = [out / Path(rel).name for rel in world.entries]
-    return before, closure(entries, exported, world.engines)
+    return before, closure(entries, exported, world.engines), report
 
 
 class TestExportsAreSelfContained:
@@ -669,7 +672,7 @@ class TestExportsAreSelfContained:
                     world.files[rel] = _respell(text, rng)
         with tempfile.TemporaryDirectory() as raw:
             try:
-                before, after = export_closures(world, Path(raw))
+                before, after, _ = export_closures(world, Path(raw))
             except ExportPlanError as exc:
                 assume("would be exported as" not in str(exc))  # two libraries, one name
                 raise
@@ -678,20 +681,23 @@ class TestExportsAreSelfContained:
                 assert after.resolution.get(key, (UNRESOLVED,))[0] != UNRESOLVED, key
 
 
-def changed_answers(seed: int) -> list | None:
+def changed_answers(seed: int, warned: set | None = None) -> list | None:
     """The (functor, engine) keys of a `gen_world` world's closure whose first
     answer its export does not keep, each with the answer it should keep and
     the one it gives; None if export refuses two files of one name.  A system
     answer stays as it is; a home or local one becomes the same kind of
-    answer for the same file in `out/lib`; unresolved stays unresolved."""
+    answer for the same file in `out/lib`; unresolved stays unresolved.  The
+    keys the export warns of are added to `warned`."""
     with tempfile.TemporaryDirectory() as raw:
         lib = Path(raw) / "out" / "lib"
         try:
-            before, after = export_closures(gen_world(random.Random(seed)), Path(raw))
+            before, after, report = export_closures(gen_world(random.Random(seed)), Path(raw))
         except ExportPlanError as exc:
             if "would be exported as" in str(exc):
                 return None
             raise
+    if warned is not None:
+        warned.update(report.changed)
     changed = []
     for key, (answer, *_) in before.resolution.items():
         if answer != UNRESOLVED and answer.kind != KIND_SYSTEM:
@@ -710,6 +716,101 @@ CHANGED_ANSWER_KINDS = {
     64: "a system load becomes a local load",
     83: "an unresolved pair becomes a system load",
 }
+
+
+# ROADMAP item 1's example: S gives m/0 for any engine, and so does H's
+# h.pl, which export vendors for q/0 and whose rows lib/Index.pl keeps.
+SHADOW = {
+    "S/Index.pl": "index( m, 0, any, user, s ).\n",
+    "S/s.pl": ":- module(s, [m/0]).\nm.\n",
+    "H/Index.pl": "index( m, 0, any, user, h ).\nindex( q, 0, any, user, h ).\n",
+    "H/h.pl": ":- module(h, [m/0, q/0]).\nm.\nq.\n",
+    "proj/e.pl": ":- requires([m/0, q/0]).\n",
+}
+
+
+class TestExportWarnsOfChangedAnswers:
+    @pytest.fixture
+    def shadow(self, tmp_path, monkeypatch):
+        for rel, text in SHADOW.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    EXPORT = ("export", "--dest", "out", "--source", "proj", "--syslib", "S", "--homelib", "H")
+
+    @pytest.mark.parametrize("pls, under", [((), ""), (("--pl", "swi:1.0.0"), " under swi(1:0:0)")],
+                             ids=["all_engines", "swi"])
+    def test_a_system_answer_a_vendored_file_hides_is_warned(self, shadow, run_cli, pls, under):
+        code, out, err = run_cli(*self.EXPORT, *pls)
+        assert code == 0
+        assert out.endswith("write lib/Index.pl (2 entries)\n")
+        assert err == f"warning: export changes m/0{under}: load system s becomes load local h\n"
+
+    def test_strict_exits_3_and_writes_nothing(self, shadow, run_cli):
+        assert run_cli(*self.EXPORT, "--strict") == (3, "", (
+            "warning: export changes m/0: load system s becomes load local h\n"
+            "strict mode: the export changes answers, nothing exported\n"
+        ))
+        assert not (shadow / "out").exists()
+
+    def test_strict_names_unresolved_references_first(self, shadow, run_cli):
+        (shadow / "proj" / "e.pl").write_text(":- requires([m/0, q/0, z/0]).\n", encoding="utf-8")
+        code, out, err = run_cli(*self.EXPORT, "--strict")
+        assert (code, out) == (3, "")
+        assert err.endswith("strict mode: unresolved references, nothing exported\n")
+        assert "warning: export changes m/0: load system s becomes load local h\n" in err
+        assert not (shadow / "out").exists()
+
+    def test_a_destination_inside_a_system_library_adds_no_failure(self, shadow, run_cli):
+        code, _, err = run_cli(*self.EXPORT[:2], "S/out", *self.EXPORT[3:])
+        assert code == 0
+        assert err == "warning: export changes m/0: load system s becomes load local h\n"
+
+    def test_disjoint_candidates_in_another_order_are_no_change(self, tmp_path, run_cli):
+        """With no target engine, the worked example's member/2 is a system
+        load on sicstus and a home built-in on swi; the export searches the
+        vendored built-in first, which changes neither engine's answer."""
+        build_worked_example(tmp_path)
+        code, _, err = run_cli("export", "--dest", str(tmp_path / "out"),
+                               "--source", str(tmp_path / "proj"),
+                               "--syslib", str(tmp_path / "SysLib"),
+                               "--homelib", str(tmp_path / "HomeLib"))
+        assert (code, err) == (0, "")
+
+    def test_the_warned_keys_are_the_changed_ones(self):
+        for seed in range(384):
+            warned: set = set()
+            changed = changed_answers(seed, warned)
+            assert warned == {key for key, _, _ in changed or ()}, seed
+
+    def test_with_no_target_engine_the_warned_keys_are_those_whose_candidates_change(self):
+        """Index fields respelled, and every engine at once: a key is warned of
+        when its candidates, home and local ones mapped onto `out/lib`, are
+        not the exported tree's, in any order."""
+        warned_in_all = 0
+        for seed in range(384):
+            rng = random.Random(seed)
+            world = gen_world(rng)
+            world.engines = None
+            for rel, text in world.files.items():
+                if rel.endswith("/Index.pl"):
+                    world.files[rel] = _respell(text, rng)
+            with tempfile.TemporaryDirectory() as raw:
+                lib = Path(raw) / "out" / "lib"
+                try:
+                    before, after, report = export_closures(world, Path(raw))
+                except ExportPlanError as exc:
+                    assert "would be exported as" in str(exc)
+                    continue
+            changed = {key for key, answers in before.resolution.items() if set(
+                after.resolution.get(key, (UNRESOLVED,))) != {
+                    a if a == UNRESOLVED or a.kind == KIND_SYSTEM else type(a)(KIND_LOCAL, lib, a.file)
+                    for a in answers}}
+            assert set(report.changed) == changed, seed
+            warned_in_all += len(changed)
+        assert warned_in_all > 0
 
 
 class TestExportKeepsResolutions:

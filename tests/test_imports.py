@@ -91,9 +91,9 @@ def unread_fields(sources: list[str]) -> list[str]:
 
 
 # Fields kept for callers outside the package: the acceptance gate
-# (tests/test_acceptance.py) checks a closure's resolution and the library
-# files it reaches against its oracle.
-READ_OUTSIDE = {"DepClosure.resolution", "DepClosure.home_files", "DepClosure.local_files"}
+# (tests/test_acceptance.py) checks the library files a closure reaches
+# against its oracle.
+READ_OUTSIDE = {"DepClosure.home_files", "DepClosure.local_files"}
 
 
 def test_package_reads_every_field():

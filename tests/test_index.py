@@ -36,7 +36,7 @@ from exlibris.engines import (
     render_cond,
 )
 from exlibris.errors import ExlibrisError
-from exlibris.export import ExportOptions, plan_export
+from exlibris.export import ExportOptions, plan_export, read_sources
 from exlibris.index import (
     INDEX_HEADER,
     IndexEntry,
@@ -271,7 +271,8 @@ class TestUnreadableDirectory:
         write(tmp_path, "proj/sub/b.pl", "b.\n")
         write(tmp_path, "proj/sub/c.txt", "c\n")
         unreadable(monkeypatch, tmp_path / "proj" / "sub")
-        opts = ExportOptions(dest=tmp_path / "out", sources=(tmp_path / "proj",), copy="recursive")
+        opts = ExportOptions(
+            dest=tmp_path / "out", sources=read_sources([tmp_path / "proj"]), copy="recursive")
         plan = plan_export(opts, LibrarySet.build())
         assert [f.dest_rel for f in plan.files] == ["notes.txt", "m.pl"]
 
@@ -817,7 +818,7 @@ class TestEntriesFollowWhatIsAsked:
         entry = write(tmp_path, "proj/main.pl", ":- requires( [p/1] ).\n")
         kept = rendered(e for e in read_index(text) if e.file == "a")
         built = count_built_entries(monkeypatch)
-        opts = ExportOptions(dest=tmp_path / "out", sources=(entry,))
+        opts = ExportOptions(dest=tmp_path / "out", sources=read_sources([entry]))
         plan = plan_export(opts, LibrarySet.build((), (home,)))
         assert {f.dest_rel: f.content for f in plan.files}["lib/Index.pl"] == kept
         assert built == []
